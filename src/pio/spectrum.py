@@ -25,12 +25,20 @@ channel 1, and
 are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 swaps the roles
 of the channels (and of the axes); both paths must produce determinants with
 identical zero sets.
+
+Everything in ``Pi`` that does not depend on ``lam`` (products of the basis
+samples, the weights and the quadrature weights) is collected once per model
+and path in a reduction plan that lives on the model.  One assembly is then
+three matrix products against ``H/(lam - H)`` and ``P/(lam - P)``, for any
+number of real or complex parameters at once.  The root search uses this
+batching: it scans every gap, collects the sign-change brackets of all gaps,
+and bisects them in lockstep, one determinant batch per bisection step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +120,21 @@ class SpectralSet:
         for value, _ in self.atoms:
             best = min(best, abs(lam - value))
         return best
+
+    def distances(self, lams):
+        """``distance`` of each (real or complex) parameter, as one array."""
+        lo, hi, values = self._members
+        lams = np.asarray(lams)[..., None]
+        re, im = lams.real, lams.imag
+        # real offset to each interval (0 inside it) and to each isolated value
+        dx = np.concatenate([np.maximum(np.maximum(lo - re, re - hi), 0.0), re - values], -1)
+        return np.hypot(dx, im).min(axis=-1, initial=np.inf)
+
+    @cached_property
+    def _members(self):
+        """Interval ends and the isolated values (points and atoms) as arrays."""
+        lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
+        return lo, hi, np.array([*self.points, *(v for v, _ in self.atoms)], dtype=float)
 
     def contains(self, lam, tol=0.0):
         return self.distance(lam) <= tol
@@ -201,8 +224,19 @@ def sigma_channel(model, channel):
     return _combine([essential_range(w, interval) for w in weights])
 
 
-@lru_cache(maxsize=128)
-def _sigma_ess_cached(model):
+def _per_model(model, key, build):
+    """``build(model)``, computed once and kept on the model itself.
+
+    The value lives exactly as long as the model (like a cached property),
+    so no module-level cache pins models that are otherwise gone.
+    """
+    memo = model.__dict__
+    if key not in memo:
+        memo[key] = build(model)
+    return memo[key]
+
+
+def _build_sigma_ess(model):
     ranges = [essential_range(w, model.y_interval) for w in model.channel1.weights]
     ranges += [essential_range(w, model.x_interval) for w in model.channel2.weights]
     return _combine(ranges)
@@ -210,7 +244,7 @@ def _sigma_ess_cached(model):
 
 def sigma_ess(model):
     """Essential spectrum of the sum: union of both channel spectra."""
-    return _sigma_ess_cached(model)
+    return _per_model(model, "_sigma_ess", _build_sigma_ess)
 
 
 # --- finite-rank reduction --------------------------------------------------
@@ -244,33 +278,86 @@ def _path_data(model, path):
 
 
 def _guard_lams(model, lams, margin):
-    ess = sigma_ess(model)
     margin = operator_margin(model) if margin is None else margin
-    for lam in np.atleast_1d(lams):
-        dist = ess.distance(lam)
-        if dist <= margin:
-            raise SpectrumHit(
-                f"lambda {lam!r} is within {dist:.3e} of the essential spectrum"
-            )
+    lams = np.atleast_1d(lams)
+    dist = sigma_ess(model).distances(lams)
+    bad = np.flatnonzero(dist <= margin)
+    if bad.size:
+        lam, near = lams[bad[0]], dist[bad[0]]
+        raise SpectrumHit(
+            f"lambda {lam!r} is within {near:.3e} of the essential spectrum"
+        )
+
+
+@dataclass(frozen=True)
+class _ReductionPlan:
+    """The lambda-independent factors of ``Pi(lam)`` on one path.
+
+    With ``HF = H/(lam - H)``, ``PF = P/(lam - P)`` and, in path order,
+    ``n`` = rank of the inner (``Phi``, ``H``) channel and ``m`` = rank of
+    the outer (``Psi``, ``P``) channel:
+
+        A[(k,i), y]      = wy Psi_k Psi_i
+        E[x, (j,q,p)]    = wx Phi_j P_q Phi_p
+        G[i, (j,q,p)]    = G2[i,q] = <Psi_i, Psi_q>
+        D[i, (j,q,p)]    = delta_iq sum_x E[x, (j,q,p)]
+
+    so that ``Y1 = HF @ A.T``, ``Z = (PF @ E) * G + D`` and
+    ``Pi[(k,j), (q,p)] = sum_i Y1[j,k,i] Z[i,j,(q,p)]``: three matrix
+    products per assembly, for real and complex ``lam`` alike.  ``G``
+    scales the product instead of being folded into a stored
+    ``G2[i,q] E[x,(j,q,p)]``, which would be ``m`` times the size of ``E``.
+    """
+
+    H: np.ndarray  # (n, NY)
+    P: np.ndarray  # (m, NX)
+    At: np.ndarray  # (NY, m*m), A transposed
+    E: np.ndarray  # (NX, n*m*n)
+    G: np.ndarray  # (m, n*m*n)
+    D: np.ndarray  # (m, n*m*n)
+
+    @classmethod
+    def build(cls, model, path):
+        Phi, H, Psi, P, wx, wy = _path_data(model, path)
+        n, m = Phi.shape[0], Psi.shape[0]
+        At = (wy * Psi[:, None] * Psi[None]).reshape(m * m, -1).T
+        E = wx[:, None, None, None] * (
+            Phi.T[:, :, None, None] * P.T[:, None, :, None] * Phi.T[:, None, None, :]
+        )  # E[x, j, q, p]
+        G2 = (wy * Psi) @ Psi.T
+        G = np.broadcast_to(G2[:, None, :, None], (m, n, m, n))
+        D = np.eye(m)[:, None, :, None] * E.sum(axis=0)[None]
+        return cls(
+            H, P, np.ascontiguousarray(At), E.reshape(len(wx), -1),
+            G.reshape(m, -1), D.reshape(m, -1),
+        )
+
+    def assemble(self, lams):
+        """Stacked ``Pi(lam)``, shape (L, m*n, m*n)."""
+        (n, _), (m, _) = self.H.shape, self.P.shape
+        count = len(lams)
+        lcol = lams[:, None, None]
+        HF = lcol - self.H  # (L, n, NY), then H/(lam - H) in place
+        np.divide(self.H, HF, out=HF)
+        PF = lcol - self.P  # (L, m, NX)
+        np.divide(self.P, PF, out=PF)
+        Y1 = (HF.reshape(count * n, -1) @ self.At).reshape(count, n, m, m)
+        Z = (PF.reshape(count * m, -1) @ self.E).reshape(count, m, -1)
+        Z *= self.G
+        Z += self.D
+        Z = Z.reshape(count, m, n, m * n).transpose(0, 2, 1, 3)
+        return (Y1 @ Z).transpose(0, 2, 1, 3).reshape(count, m * n, m * n)
+
+
+def _reduction_plan(model, path):
+    return _per_model(model, f"_pi_plan_{path}", lambda mod: _ReductionPlan.build(mod, path))
 
 
 def _assemble_pi(model, lams, path=1, margin=None, guarded=True):
     """Stacked reduction matrices, shape (L, m*n, m*n)."""
     if guarded:
         _guard_lams(model, lams, margin)
-    Phi, H, Psi, P, wx, wy = _path_data(model, path)
-    lams = np.asarray(lams)
-    lcol = lams[:, None, None]
-    HF = H[None] / (lcol - H[None])  # (L, n, NY)
-    PF = P[None] / (lcol - P[None])  # (L, m, NX)
-    Y1 = np.einsum("y,ky,ljy,iy->lkji", wy, Psi, HF, Psi, optimize=True)
-    X1 = np.einsum("x,jx,qx,px->jqp", wx, Phi, P, Phi, optimize=True)
-    X2 = np.einsum("x,jx,lix,qx,px->lijqp", wx, Phi, PF, P, Phi, optimize=True)
-    G2 = np.einsum("y,iy,qy->iq", wy, Psi, Psi, optimize=True)
-    t1 = np.einsum("lkjq,jqp->lkjqp", Y1, X1, optimize=True)
-    t2 = np.einsum("lkji,iq,lijqp->lkjqp", Y1, G2, X2, optimize=True)
-    size = Phi.shape[0] * Psi.shape[0]
-    return (t1 + t2).reshape(len(lams), size, size)
+    return _reduction_plan(model, path).assemble(np.asarray(lams))
 
 
 @dataclass(frozen=True)
@@ -415,17 +502,29 @@ def _root_multiplicity(model, lam, path, rank_tol):
     return _nullity(m, rank_tol, max(abs(lam), 1.0))
 
 
-def _bisect(fn, lo, hi, flo, root_tol):
-    while hi - lo > root_tol:
-        mid = 0.5 * (lo + hi)
+def _bisect_all(fn, lo, hi, flo, root_tol):
+    """Bisect many sign-change brackets in lockstep.
+
+    ``fn`` maps an array of parameters to an array of values.  Each bracket
+    takes exactly the iterates of a scalar bisection (midpoint, stop when
+    narrower than ``root_tol`` or on an exact zero), but all brackets still
+    open are evaluated together, one ``fn`` call per step.
+    """
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    exact = np.zeros(lo.shape, dtype=bool)
+    zeros = np.empty(lo.shape)
+    live = np.flatnonzero(hi - lo > root_tol)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
         fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+        zero = fmid == 0.0
+        exact[live[zero]], zeros[live[zero]] = True, mid[zero]
+        left = (flo[live] < 0.0) != (fmid < 0.0)
+        hi[live[left]] = mid[left]
+        lo[live[~left]], flo[live[~left]] = mid[~left], fmid[~left]
+        live = live[~zero]
+        live = live[hi[live] - lo[live] > root_tol]
+    return np.where(exact, zeros, 0.5 * (lo + hi))
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -463,6 +562,11 @@ def discrete_spectrum(
     minima of ``|delta|`` (to catch even-order zeros).  Every zero reported
     comes with the algebraic multiplicity of the reduced linear system: the
     rank deficiency of ``Pi(lam) - lam*I``.
+
+    The sign-change brackets of all gaps are bisected together, one
+    ``delta_batch`` call per step; each bracket follows the iterates of a
+    scalar bisection, so the roots do not depend on how many are refined at
+    once.  The ``|delta|`` minima are refined one by one (golden section).
     """
     search = model.search
     margin = search.resolved_margin(model.bound) if margin is None else margin
@@ -472,12 +576,20 @@ def discrete_spectrum(
 
     ess = sigma_ess(model)
     box = (-model.bound - 1.0, model.bound + 1.0)
-    gaps = _search_gaps(ess, box, margin)
 
-    def dval(lam):
-        return float(
-            delta_batch(model, np.array([lam]), path=path, margin=margin / 2)[0].real
-        )
+    def dvals(lams):
+        return delta_batch(model, lams, path=path, margin=margin / 2).real
+
+    scans = []
+    for glo, ghi in _search_gaps(ess, box, margin):
+        lams = np.linspace(glo, ghi, scan_points)
+        scans.append((lams, dvals(lams)))
+    brackets = [
+        (lams[i], lams[i + 1], vals[i])
+        for lams, vals in scans
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    ]
+    roots = iter(_bisect_all(dvals, *np.array(brackets).reshape(-1, 3).T, root_tol))
 
     found = []
 
@@ -487,34 +599,32 @@ def discrete_spectrum(
                 return
         found.append((lam, mult))
 
-    for glo, ghi in gaps:
-        lams = np.linspace(glo, ghi, scan_points)
-        vals = delta_batch(model, lams, path=path, margin=margin / 2).real
+    for lams, vals in scans:
         scale = float(np.max(np.abs(vals)))
-        sign_hits = set()
-        for i in range(len(lams) - 1):
-            if vals[i] == 0.0:
+        hits = np.zeros(len(lams), dtype=bool)
+        zero = vals[:-1] == 0.0
+        change = vals[:-1] * vals[1:] < 0.0
+        for i in np.flatnonzero(zero | change):
+            if zero[i]:
                 mult = _root_multiplicity(model, lams[i], path, rank_tol)
                 push(lams[i], max(1, mult))
-                sign_hits.update((i - 1, i))
-            elif vals[i] * vals[i + 1] < 0.0:
-                root = _bisect(dval, lams[i], lams[i + 1], vals[i], root_tol)
+                hits[max(i - 1, 0) : i + 1] = True
+            else:
+                root = next(roots)
                 mult = _root_multiplicity(model, root, path, rank_tol)
                 push(root, max(1, mult))
-                sign_hits.add(i)
+                hits[i] = True
         # even-order zeros: |delta| dips without a sign change
         min_gate = np.sqrt(root_tol) * max(1.0, scale)
-        for i in range(1, len(lams) - 1):
-            if i in sign_hits or (i - 1) in sign_hits or (i + 1) in sign_hits:
-                continue
-            a, b, c = abs(vals[i - 1]), abs(vals[i]), abs(vals[i + 1])
-            if b <= a and b <= c and abs(vals[i]) < min_gate:
-                lam = _golden_min(
-                    lambda t: abs(dval(t)), lams[i - 1], lams[i + 1], root_tol
-                )
-                mult = _root_multiplicity(model, lam, path, rank_tol)
-                if mult >= 1:
-                    push(lam, mult)
+        a, b, c = np.abs(vals[:-2]), np.abs(vals[1:-1]), np.abs(vals[2:])
+        near_hit = hits[:-2] | hits[1:-1] | hits[2:]
+        for i in 1 + np.flatnonzero((b <= a) & (b <= c) & (b < min_gate) & ~near_hit):
+            lam = _golden_min(
+                lambda t: abs(float(dvals(np.array([t]))[0])), lams[i - 1], lams[i + 1], root_tol
+            )
+            mult = _root_multiplicity(model, lam, path, rank_tol)
+            if mult >= 1:
+                push(lam, mult)
 
     return tuple(sorted(found))
 
@@ -545,7 +655,9 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
     Margin neighborhoods of the essential set are not searched; they are
     reported as unresolved bands rather than as certified absence of
     eigenvalues.  The discrete list carries no completeness claim beyond the
-    scan resolution.
+    scan resolution.  The essential set and the reduction plan are computed
+    once per model and reused by every later call on it; the roots are
+    refined in lockstep (see ``discrete_spectrum``).
     """
     search = model.search
     bound = model.bound
@@ -667,10 +779,9 @@ def atom_eigenfunction(model, channel, j0, lam0):
 def delta_trace_rows(model, lmin, lmax, samples, path=1):
     """Rows (lambda, Re delta, Im delta, path); NaN inside the guard margin."""
     lams = np.linspace(float(lmin), float(lmax), int(samples))
-    ess = sigma_ess(model)
     margin = operator_margin(model)
     rows = []
-    ok = np.array([ess.distance(lam) > margin for lam in lams])
+    ok = sigma_ess(model).distances(lams) > margin
     if np.any(ok):
         vals = delta_batch(model, lams[ok], path=path, margin=margin / 2)
         vals = np.asarray(vals, dtype=complex)

@@ -12,14 +12,20 @@ data, independently of the implementation):
       the only root solves lam * L = 2.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import pio.spectrum
 from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import make_model
 from pio.operators import apply_T
 from pio.spectrum import (
+    _assemble_pi,
+    _reduction_plan,
     atom_eigenfunction,
     build_F,
     delta,
@@ -208,6 +214,86 @@ def test_index_map_asymmetric_model():
     assert pi_matrix(m, 9.0).entries.shape == (2, 2)
 
 
+def ramp_model(n, m):
+    """Legendre bases, weights (k+1)*t in channel 1 and (k+1)*t^2 in channel 2."""
+    return make_model((0, 1), (0, 1),
+                      [f"legendre({k})" for k in range(n)], [f"{k + 1}*t" for k in range(n)],
+                      [f"legendre({k})" for k in range(m)], [f"{k + 1}*t^2" for k in range(m)])
+
+
+def pi_reference(model, lams, path):
+    """``Pi(lam)`` contracted term by term from the cross-integral definition.
+
+    Written independently of the library's reduction plan: each factor of
+    ``<F_(k,j), B_(q,p)>`` is its own einsum over the quadrature nodes.
+    """
+    if path == 1:
+        Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
+        wx, wy = model.rule_x.weights, model.rule_y.weights
+    else:
+        Phi, H, Psi, P = model.psi_y, model.p_x, model.phi_x, model.h_y
+        wx, wy = model.rule_y.weights, model.rule_x.weights
+    lcol = np.asarray(lams)[:, None, None]
+    HF = H[None] / (lcol - H[None])
+    PF = P[None] / (lcol - P[None])
+    Y1 = np.einsum("y,ky,ljy,iy->lkji", wy, Psi, HF, Psi)
+    X1 = np.einsum("x,jx,qx,px->jqp", wx, Phi, P, Phi)
+    X2 = np.einsum("x,jx,lix,qx,px->lijqp", wx, Phi, PF, P, Phi)
+    G2 = np.einsum("y,iy,qy->iq", wy, Psi, Psi)
+    t1 = np.einsum("lkjq,jqp->lkjqp", Y1, X1)
+    t2 = np.einsum("lkji,iq,lijqp->lkjqp", Y1, G2, X2)
+    size = Phi.shape[0] * Psi.shape[0]
+    return (t1 + t2).reshape(len(lcol), size, size)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 4), (8, 8), (2, 3), (3, 1)])
+@pytest.mark.parametrize("path", [1, 2])
+def test_reduction_plan_matches_reference(n, m, path):
+    model = ramp_model(n, m)
+    top = model.bound
+    # essential set is [0, max(n, m)]: real points either side, complex ones over the band
+    for lams in (
+        np.array([top + 0.5]),
+        np.array([-0.7, top + 0.5, top + 2.0]),
+        np.array([0.5 * top + 0.3j, 0.2 - 0.4j, top + 1.0 + 0.0j]),
+    ):
+        got = _assemble_pi(model, lams, path)
+        ref = pi_reference(model, lams, path)
+        assert got.shape == ref.shape == (len(lams), n * m, n * m)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_reduction_plan_built_once_per_model_and_path():
+    model = ramp_model(2, 3)
+    _assemble_pi(model, np.array([5.0]))
+    plan = _reduction_plan(model, 1)
+    _assemble_pi(model, np.array([6.0, 7.0]))
+    delta(model, 5.5)
+    assert _reduction_plan(model, 1) is plan
+    assert _reduction_plan(model, 2) is not plan
+    assert _reduction_plan(ramp_model(2, 3), 1) is not plan
+
+
+def test_per_model_caches_do_not_pin_the_model():
+    model = ramp_model(2, 2)
+    sigma_full(model)
+    assert sigma_ess(model) is sigma_ess(model)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
+    lams = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.4, 3.0, 7.0])
+    for ess in (sigma_ess(fixture_a), sigma_ess(fixture_b)):
+        for values in (lams, lams + 0.25j, lams - 3.0j):
+            got = ess.distances(values)
+            assert got.shape == values.shape
+            assert list(got) == [ess.distance(v) for v in values]
+
+
 # --- left factor functions ---
 
 
@@ -334,6 +420,33 @@ def test_random_constant_weight_models_match_sum_rule():
         got = [lam for lam, _ in disc]
         assert len(got) == len(expected), (trial, got, expected)
         assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-7
+
+
+def test_root_search_batches_the_bisection(monkeypatch):
+    calls = []
+    counted = pio.spectrum.delta_batch
+
+    def counting(model, lams, *args, **kwargs):
+        calls.append(len(lams))
+        return counted(model, lams, *args, **kwargs)
+
+    monkeypatch.setattr(pio.spectrum, "delta_batch", counting)
+
+    # oracle eigenvalues of this model at N = 100 (bench/refs.json)
+    disc = sigma_full(ramp_model(4, 4)).discrete
+    assert len(calls) <= 40
+    assert np.allclose([lam for lam, _ in disc], [4.21049925, 4.55933721, 5.77136126], atol=1e-7)
+
+    calls.clear()
+    a = [1.5, -2.25, 3.125, -0.625]
+    b = [2.75, -1.125, 0.875, -3.5]
+    basis = [f"legendre({k})" for k in range(4)]
+    model = make_model((0, 1), (0, 1), basis, [repr(v) for v in a], basis, [repr(v) for v in b])
+    disc = sigma_full(model).discrete
+    assert len(calls) <= 200
+    expected = sorted(ai + bj for ai in a for bj in b)  # 16 distinct sums, none excluded
+    assert [mult for _, mult in disc] == [1] * len(expected)
+    assert max(abs(lam - e) for (lam, _), e in zip(disc, expected)) < 1e-8
 
 
 # --- full report ---
