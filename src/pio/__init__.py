@@ -48,7 +48,6 @@ from .spectrum import (
     SpectralSet,
     SpectrumReport,
     atom_eigenfunction,
-    build_F,
     delta,
     delta_batch,
     delta_trace_rows,
@@ -99,7 +98,7 @@ __all__ = [
     "eval_kernel",
     # spectrum
     "EssRange", "SpectralSet", "PiMatrix", "SpectrumReport", "essential_range",
-    "sigma_channel", "sigma_ess", "build_F", "pi_matrix", "delta", "delta_batch",
+    "sigma_channel", "sigma_ess", "pi_matrix", "delta", "delta_batch",
     "discrete_spectrum", "sigma_full", "eigenfunctions_T", "atom_eigenfunction",
     "delta_trace_rows",
     # operators

@@ -153,13 +153,57 @@ class PIOModel:
     def constant_grid(self, value=1.0):
         return self.grid(lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape), float(value)))
 
-    def channel_parts(self, channel):
-        """(basis samples, weight samples) for 1 or 2, in acting order."""
-        if channel == 1:
-            return self.phi_x, self.h_y
-        if channel == 2:
-            return self.psi_y, self.p_x
-        raise PioError(f"channel must be 1 or 2, got {channel!r}")
+    def mirrored(self):
+        """The model under the swap ``(x, y) -> (y, x)``.
+
+        The swap exchanges the intervals, the channels and the extra
+        breakpoints.  It is unitary on L2 of the rectangle and carries this
+        operator onto the mirror's, so both have the same spectrum; channel 2
+        and path 2 of this model are channel 1 and path 1 of its mirror.  The
+        mirror shares this model's rules, sampled arrays and norm bound (and,
+        through the spectrum module, its essential set) instead of computing
+        them again.  It is made once and kept on the model; its own mirror is
+        this model.
+        """
+        memo = self.__dict__
+        if "_mirror" not in memo:
+            twin = PIOModel(
+                self.y_interval, self.x_interval, self.channel2, self.channel1, self.order,
+                self.extra_breakpoints_y, self.extra_breakpoints_x, self.search,
+            )
+            for mine, theirs in _MIRRORED_ATTRS.items():
+                twin.__dict__[mine] = getattr(self, theirs)
+            twin.__dict__["_mirror"] = self
+            memo["_mirror"] = twin
+        return memo["_mirror"]
+
+
+# each derived attribute of the mirror and the attribute of the model it equals
+_MIRRORED_ATTRS = {
+    "rule_x": "rule_y", "rule_y": "rule_x", "phi_x": "psi_y", "h_y": "p_x",
+    "psi_y": "phi_x", "p_x": "h_y", "bound": "bound",
+}
+
+
+def _oriented(model, which):
+    """The model for channel or path 1, its mirror for channel or path 2."""
+    if which == 1:
+        return model
+    if which == 2:
+        return model.mirrored()
+    raise PioError(f"channel or path must be 1 or 2, got {which!r}")
+
+
+def _on_side(act, model, which, f, *args):
+    """``act(view, f, *args)`` with ``view = _oriented(model, which)``.
+
+    On the mirror the grid function is transposed into the mirror's axis
+    order and the grid result is transposed back.
+    """
+    view = _oriented(model, which)
+    if view is model:
+        return act(view, f, *args)
+    return act(view, f.transposed(), *args).transposed()
 
 
 def _breaks(exprs):
@@ -493,19 +537,13 @@ def validate_model(model, ortho_tol=DEFAULT_ORTHO_TOL):
 
 def eval_kernel(model, channel, x, s, y):
     """Kernel value; for channel 1 ``s`` pairs with x, for channel 2 with y."""
-    if channel == 1:
-        total = sum(
-            float(f(np.float64(x))) * float(f(np.float64(s))) * float(w(np.float64(y)))
-            for f, w in zip(model.channel1.basis, model.channel1.weights)
-        )
-    elif channel == 2:
-        total = sum(
-            float(w(np.float64(x))) * float(f(np.float64(y))) * float(f(np.float64(s)))
-            for f, w in zip(model.channel2.basis, model.channel2.weights)
-        )
-    else:
-        raise PioError(f"channel must be 1 or 2, got {channel!r}")
-    return total
+    view = _oriented(model, channel)
+    if view is not model:
+        x, y = y, x
+    return sum(
+        float(f(np.float64(x))) * float(f(np.float64(s))) * float(w(np.float64(y)))
+        for f, w in zip(view.channel1.basis, view.channel1.weights)
+    )
 
 
 def norm_bound(model):

@@ -2,23 +2,24 @@
 
 Everything here acts on `Grid2D` samples taken on the model's own
 quadrature rules.  Channel 1 acts on the first variable only (a projection
-onto its basis, reweighted along the second variable); channel 2 mirrors
-that.  Because each channel has finite rank in its own variable, all
-resolvents are explicit rank corrections and no dense linear algebra on the
-grid is ever needed; the only solve is the small reduction system.
+onto its basis, reweighted along the second variable); channel 2 is channel
+1 of the mirrored model, applied to the transposed grid.  Because each
+channel has finite rank in its own variable, all resolvents are explicit
+rank corrections and no dense linear algebra on the grid is ever needed; the
+only solve is the small reduction system.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange, PioError, SpectrumHit
-from .quadrature import Grid2D
+from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange, SpectrumHit
+from .model import _on_side
 from .spectrum import (
-    _assemble_pi,
     _combine,
     _fb_grids,
-    essential_range,
+    _ReducedSystem,
+    _weight_ranges,
     operator_margin,
     sigma_channel,
     sigma_ess,
@@ -42,74 +43,66 @@ def _check_grid(model, f):
         raise GridMismatch("grid was not sampled on this model's quadrature rules")
 
 
-def _channel_arrays(model, channel):
-    """(basis samples, weight samples, quadrature weights, axis) for a channel.
-
-    axis 0 means the channel integrates over the first variable.
-    """
-    if channel == 1:
-        return model.phi_x, model.h_y, model.rule_x.weights, 0
-    if channel == 2:
-        return model.psi_y, model.p_x, model.rule_y.weights, 1
-    raise PioError(f"channel must be 1 or 2, got {channel!r}")
+# Each channel operation below is written for channel 1 and run through
+# ``_on_side``, which hands channel 2 to channel 1 of the mirrored model.
 
 
-def _weight_set(model, channel):
-    """Union of the channel's weight ranges, without the automatic zero."""
-    if channel == 1:
-        ranges = [essential_range(w, model.y_interval) for w in model.channel1.weights]
-    else:
-        ranges = [essential_range(w, model.x_interval) for w in model.channel2.weights]
-    return _combine(ranges, include_zero=False)
+def _weight_set(model):
+    """Union of the channel-1 weight ranges, without the automatic zero."""
+    return _combine(_weight_ranges(model), include_zero=False)
 
 
-def _coefficients(model, channel, f):
-    """Basis coefficients of f along the channel's own variable.
+def _coefficients(model, f):
+    """Channel-1 basis coefficients of f, shape (n, Ny): coefficient k as a
+    function of the second variable."""
+    return np.einsum("kx,x,xy->ky", model.phi_x, model.rule_x.weights, f.values, optimize=True)
 
-    For channel 1 the result has shape (n, Ny): coefficient k as a function
-    of the second variable.  For channel 2: (m, Nx).
-    """
-    basis, _, qw, axis = _channel_arrays(model, channel)
-    if axis == 0:
-        return np.einsum("kx,x,xy->ky", basis, qw, f.values, optimize=True)
-    return np.einsum("ky,y,xy->kx", basis, qw, f.values, optimize=True)
+
+def _apply_weighted(model, f, factors):
+    """sum_k factors[k](y) * (projection onto channel-1 member k)."""
+    values = np.einsum("kx,ky->xy", model.phi_x, factors * _coefficients(model, f), optimize=True)
+    return f.with_values(values)
+
+
+def _project(model, f, k):
+    _check_grid(model, f)
+    basis = model.phi_x
+    if not 1 <= k <= basis.shape[0]:
+        raise IndexOutOfRange(f"member index must be in 1..{basis.shape[0]}, got {k}")
+    return f.with_values(np.multiply.outer(basis[k - 1], _coefficients(model, f)[k - 1]))
 
 
 def project(model, channel, k, f):
     """Rank-one projection onto the k-th basis member of a channel (1-based)."""
+    return _on_side(_project, model, channel, f, k)
+
+
+def _apply_partial(model, f):
     _check_grid(model, f)
-    basis, _, _, axis = _channel_arrays(model, channel)
-    if not 1 <= k <= basis.shape[0]:
-        raise IndexOutOfRange(f"member index must be in 1..{basis.shape[0]}, got {k}")
-    coeff = _coefficients(model, channel, f)[k - 1]
-    if axis == 0:
-        values = np.multiply.outer(basis[k - 1], coeff)
-    else:
-        values = np.multiply.outer(coeff, basis[k - 1])
-    return f.with_values(values)
-
-
-def _apply_weighted(model, channel, f, factors):
-    """sum_k factors[k](other variable) * (projection onto member k)."""
-    basis, _, _, axis = _channel_arrays(model, channel)
-    coeffs = _coefficients(model, channel, f)
-    if axis == 0:
-        values = np.einsum("kx,ky->xy", basis, factors * coeffs, optimize=True)
-    else:
-        values = np.einsum("ky,kx->xy", basis, factors * coeffs, optimize=True)
-    return f.with_values(values)
+    return _apply_weighted(model, f, model.h_y)
 
 
 def apply_partial(model, channel, f):
     """Apply one channel of the operator."""
-    _check_grid(model, f)
-    _, weights, _, _ = _channel_arrays(model, channel)
-    return _apply_weighted(model, channel, f, weights)
+    return _on_side(_apply_partial, model, channel, f)
 
 
 def apply_T(model, f):
     """Apply the full operator, the sum of both channels."""
     return apply_partial(model, 1, f) + apply_partial(model, 2, f)
+
+
+def _resolvent_channel(model, g, lam, margin):
+    _check_grid(model, g)
+    margin = operator_margin(model) if margin is None else margin
+    dist = sigma_channel(model, 1).distance(lam)
+    if dist <= margin:
+        raise SpectrumHit(
+            f"lambda {lam!r} is within {dist:.3e} of the channel spectrum"
+        )
+    weights = model.h_y
+    correction = _apply_weighted(model, g, weights / (weights - lam))
+    return (-1.0 / lam) * (g - correction)
 
 
 def resolvent_channel(model, channel, lam, g, margin=None):
@@ -118,16 +111,20 @@ def resolvent_channel(model, channel, lam, g, margin=None):
     Uses the closed form -(1/lam) * (g - sum_k w_k/(w_k - lam) * proj_k g);
     refuses lam within the margin of that channel's spectrum.
     """
+    return _on_side(_resolvent_channel, model, channel, g, lam, margin)
+
+
+def _apply_S(model, g, tau, margin):
     _check_grid(model, g)
     margin = operator_margin(model) if margin is None else margin
-    dist = sigma_channel(model, channel).distance(lam)
-    if dist <= margin:
-        raise SpectrumHit(
-            f"lambda {lam!r} is within {dist:.3e} of the channel spectrum"
-        )
-    _, weights, _, _ = _channel_arrays(model, channel)
-    correction = _apply_weighted(model, channel, g, weights / (weights - lam))
-    return (-1.0 / lam) * (g - correction)
+    if tau != 0:
+        dist = _weight_set(model).distance(1.0 / tau)
+        if dist <= margin:
+            raise SpectrumHit(
+                f"1/tau {1.0 / tau!r} is within {dist:.3e} of the weight ranges"
+            )
+    weights = model.h_y
+    return _apply_weighted(model, g, weights / (1.0 - tau * weights))
 
 
 def apply_S(model, channel, tau, g, margin=None):
@@ -137,16 +134,7 @@ def apply_S(model, channel, tau, g, margin=None):
 
     Refuses tau with 1/tau closer than the margin to the weight ranges.
     """
-    _check_grid(model, g)
-    margin = operator_margin(model) if margin is None else margin
-    if tau != 0:
-        dist = _weight_set(model, channel).distance(1.0 / tau)
-        if dist <= margin:
-            raise SpectrumHit(
-                f"1/tau {1.0 / tau!r} is within {dist:.3e} of the weight ranges"
-            )
-    _, weights, _, _ = _channel_arrays(model, channel)
-    return _apply_weighted(model, channel, g, weights / (1.0 - tau * weights))
+    return _on_side(_apply_S, model, channel, g, tau, margin)
 
 
 def apply_W(model, tau, f, margin=None):
@@ -184,20 +172,24 @@ def resolvent_T(model, lam, g, margin=None, rank_tol=None):
         raise SpectrumHit(
             f"lambda {lam!r} is within {dist:.3e} of the essential spectrum"
         )
-    tau = 1.0 / lam
-    u1 = g + tau * apply_S(model, 1, tau, g, margin=margin)
-    u2 = u1 + tau * apply_S(model, 2, tau, u1, margin=margin)
-
-    pim = _assemble_pi(model, np.array([lam]), guarded=False)[0]
-    size = pim.shape[0]
-    system = np.eye(size) - tau * pim.T
-    svals = np.linalg.svd(system, compute_uv=False)
-    if svals.min() <= rank_tol * max(float(svals.max()), 1.0):
+    system = _ReducedSystem(model, lam, 1.0 / lam)
+    if system.nullity(rank_tol):
         raise EigenvalueHit(f"lambda {lam!r} is a discrete eigenvalue")
-    F, B = _fb_grids(model, lam)
+    return -system.tau * _second_kind(model, system, g, margin)
+
+
+def _second_kind(model, system, g, margin):
+    """The solution f of f - tau T f = g for a regular tau = system.tau.
+
+    Two channel corrections, then the reduced system for the moments of the
+    finite correction; the steps are spelled out in the ``pie`` docstring.
+    """
+    tau = system.tau
+    u = g + tau * apply_S(model, 1, tau, g, margin=margin)
+    u = u + tau * apply_S(model, 2, tau, u, margin=margin)
+    F, B = _fb_grids(model, system.lam)
     wx = model.rule_x.weights
     wy = model.rule_y.weights
-    d = np.einsum("wxy,x,y,xy->w", B, wx, wy, u2.values, optimize=True)
-    c = np.linalg.solve(system, d)
-    corrected = u2.values + tau * np.einsum("w,wxy->xy", c, F, optimize=True)
-    return g.with_values(-tau * corrected)
+    d = np.einsum("wxy,x,y,xy->w", B, wx, wy, u.values, optimize=True)
+    c = system.solve(d)
+    return u.with_values(u.values + tau * np.einsum("w,wxy->xy", c, F, optimize=True))

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from .errors import NonUniqueSolution, OutsideTheory
-from .operators import _check_grid, apply_S, apply_T
-from .spectrum import _assemble_pi, _fb_grids, operator_margin, sigma_ess
+from .model import _on_side
+from .operators import _check_grid, _second_kind, apply_T
+from .spectrum import _ReducedSystem, operator_margin, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -42,6 +41,20 @@ class TauClass(enum.Enum):
     REGULAR = "regular"
 
 
+def _classify(model, tau, margin, rank_tol):
+    """``(class, reduced system at 1/tau)``; the system is None when the
+    reduction does not apply."""
+    margin = operator_margin(model) if margin is None else margin
+    rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
+    if tau == 0:
+        return TauClass.ZERO, None
+    lam = 1.0 / tau
+    if sigma_ess(model).distance(lam) <= margin:
+        return TauClass.CHANNEL_SINGULAR, None
+    system = _ReducedSystem(model, lam, tau)
+    return (TauClass.EIGEN if system.nullity(rank_tol) else TauClass.REGULAR), system
+
+
 def classify_tau(model, tau, margin=None, rank_tol=None):
     """Classify the parameter of the second-kind equation.
 
@@ -51,47 +64,29 @@ def classify_tau(model, tau, margin=None, rank_tol=None):
     reduced system is singular, 1/tau is a discrete eigenvalue.  REGULAR:
     everything invertible.
     """
-    margin = operator_margin(model) if margin is None else margin
-    rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
-    if tau == 0:
-        return TauClass.ZERO
-    lam = 1.0 / tau
-    if sigma_ess(model).distance(lam) <= margin:
-        return TauClass.CHANNEL_SINGULAR
-    pim = _assemble_pi(model, np.array([lam]), guarded=False)[0]
-    system = np.eye(pim.shape[0]) - tau * pim.T
-    svals = np.linalg.svd(system, compute_uv=False)
-    if svals.min() <= rank_tol * max(float(svals.max()), 1.0):
-        return TauClass.EIGEN
-    return TauClass.REGULAR
+    return _classify(model, tau, margin, rank_tol)[0]
+
+
+def _solve_pie(model, g, tau, margin, rank_tol):
+    _check_grid(model, g)
+    kind, system = _classify(model, tau, margin, rank_tol)
+    if kind is TauClass.EIGEN:
+        raise NonUniqueSolution(f"1/tau = {1.0 / tau!r} is a discrete eigenvalue")
+    if kind is not TauClass.REGULAR:
+        raise OutsideTheory(f"parameter {tau!r} is {kind.value}")
+    return _second_kind(model, system, g, margin)
 
 
 def solve_pie(model, tau, g, margin=None, rank_tol=None, path=1):
     """Unique solution of f - tau * T f = g for a REGULAR parameter.
 
     EIGEN parameters raise NonUniqueSolution (solutions exist only up to
-    the eigenspace); ZERO and CHANNEL_SINGULAR raise OutsideTheory.  The
-    two paths apply the channel corrections in opposite order and must
-    agree; exposing the choice makes that easy to test.
+    the eigenspace); ZERO and CHANNEL_SINGULAR raise OutsideTheory.  Path 2
+    solves on the mirrored model, which applies the channel corrections in
+    the opposite order; both paths must agree, and exposing the choice
+    makes that easy to test.
     """
-    _check_grid(model, g)
-    kind = classify_tau(model, tau, margin=margin, rank_tol=rank_tol)
-    if kind is TauClass.EIGEN:
-        raise NonUniqueSolution(f"1/tau = {1.0 / tau!r} is a discrete eigenvalue")
-    if kind is not TauClass.REGULAR:
-        raise OutsideTheory(f"parameter {tau!r} is {kind.value}")
-    lam = 1.0 / tau
-    first, second = (1, 2) if path == 1 else (2, 1)
-    u = g + tau * apply_S(model, first, tau, g, margin=margin)
-    u = u + tau * apply_S(model, second, tau, u, margin=margin)
-    pim = _assemble_pi(model, np.array([lam]), path=path, guarded=False)[0]
-    system = np.eye(pim.shape[0]) - tau * pim.T
-    F, B = _fb_grids(model, lam, path=path)
-    wx = model.rule_x.weights
-    wy = model.rule_y.weights
-    d = np.einsum("wxy,x,y,xy->w", B, wx, wy, u.values, optimize=True)
-    c = np.linalg.solve(system, d)
-    return u.with_values(u.values + tau * np.einsum("w,wxy->xy", c, F, optimize=True))
+    return _on_side(_solve_pie, model, path, g, tau, margin, rank_tol)
 
 
 def residual(model, tau, f, g):

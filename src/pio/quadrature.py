@@ -166,6 +166,10 @@ class Grid2D:
     def with_values(self, values):
         return Grid2D(self.rule_x, self.rule_y, np.asarray(values))
 
+    def transposed(self):
+        """The same samples as a function of (y, x)."""
+        return Grid2D(self.rule_y, self.rule_x, self.values.T)
+
     def integral(self):
         return self.rule_x.weights @ self.values @ self.rule_y.weights
 

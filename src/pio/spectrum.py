@@ -22,13 +22,13 @@ channel 1, and
     B_(k,j)(s, t) = p_k(s) phi_j(s) psi_k(t).
 
 ``Pi`` collects the cross integrals ``Pi[i, l] = <F_(w_i), B_(w_l)>``; pairs
-are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 swaps the roles
-of the channels (and of the axes); both paths must produce determinants with
-identical zero sets.
+are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 is path 1 of
+the mirrored model (channels and axes swapped, ``PIOModel.mirrored``); both
+paths must produce determinants with identical zero sets.
 
 Everything in ``Pi`` that does not depend on ``lam`` (products of the basis
 samples, the weights and the quadrature weights) is collected once per model
-and path in a reduction plan that lives on the model.  One assembly is then
+in a reduction plan that lives on the model.  One assembly is then
 three matrix products against ``H/(lam - H)`` and ``P/(lam - P)``, for any
 number of real or complex parameters at once.  The root search uses this
 batching: it scans every gap, collects the sign-change brackets of all gaps,
@@ -46,10 +46,10 @@ from .errors import (
     IndexOutOfRange,
     NoAtom,
     NotAnEigenvalue,
-    PioError,
     SpectrumHit,
 )
 from .expr import constant_value
+from .model import _oriented
 from .quadrature import Grid2D
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "essential_range",
     "sigma_channel",
     "sigma_ess",
-    "build_F",
     "pi_matrix",
     "delta",
     "delta_batch",
@@ -213,17 +212,6 @@ def _combine(ranges, include_zero=True):
     return SpectralSet(intervals, isolated, tuple(sorted(atoms)))
 
 
-def sigma_channel(model, channel):
-    """Spectrum of a single channel: {0} plus its weights' essential ranges."""
-    if channel == 1:
-        weights, interval = model.channel1.weights, model.y_interval
-    elif channel == 2:
-        weights, interval = model.channel2.weights, model.x_interval
-    else:
-        raise PioError(f"channel must be 1 or 2, got {channel!r}")
-    return _combine([essential_range(w, interval) for w in weights])
-
-
 def _per_model(model, key, build):
     """``build(model)``, computed once and kept on the model itself.
 
@@ -236,10 +224,27 @@ def _per_model(model, key, build):
     return memo[key]
 
 
+def _weight_ranges(model):
+    """Essential ranges of the channel-1 weights, computed once per model.
+
+    The channel-2 ranges are the channel-1 ranges of the mirror.
+    """
+    return _per_model(
+        model, "_weight_ranges",
+        lambda mod: tuple(essential_range(w, mod.y_interval) for w in mod.channel1.weights),
+    )
+
+
+def sigma_channel(model, channel):
+    """Spectrum of a single channel: {0} plus its weights' essential ranges."""
+    return _combine(_weight_ranges(_oriented(model, channel)))
+
+
 def _build_sigma_ess(model):
-    ranges = [essential_range(w, model.y_interval) for w in model.channel1.weights]
-    ranges += [essential_range(w, model.x_interval) for w in model.channel2.weights]
-    return _combine(ranges)
+    mirror = model.mirrored()
+    ess = _combine([*_weight_ranges(model), *_weight_ranges(mirror)])
+    mirror.__dict__["_sigma_ess"] = ess  # the swap leaves the spectrum unchanged
+    return ess
 
 
 def sigma_ess(model):
@@ -248,33 +253,6 @@ def sigma_ess(model):
 
 
 # --- finite-rank reduction --------------------------------------------------
-
-
-def _path_data(model, path):
-    """Sampled arrays in path order: (Phi, H, Psi, P, wx, wy).
-
-    Path 2 exchanges the channels and the axes; the assembly code below is
-    written once against this view.
-    """
-    if path == 1:
-        return (
-            model.phi_x,
-            model.h_y,
-            model.psi_y,
-            model.p_x,
-            model.rule_x.weights,
-            model.rule_y.weights,
-        )
-    if path == 2:
-        return (
-            model.psi_y,
-            model.p_x,
-            model.phi_x,
-            model.h_y,
-            model.rule_y.weights,
-            model.rule_x.weights,
-        )
-    raise PioError(f"path must be 1 or 2, got {path!r}")
 
 
 def _guard_lams(model, lams, margin):
@@ -291,11 +269,10 @@ def _guard_lams(model, lams, margin):
 
 @dataclass(frozen=True)
 class _ReductionPlan:
-    """The lambda-independent factors of ``Pi(lam)`` on one path.
+    """The lambda-independent factors of ``Pi(lam)``.
 
-    With ``HF = H/(lam - H)``, ``PF = P/(lam - P)`` and, in path order,
-    ``n`` = rank of the inner (``Phi``, ``H``) channel and ``m`` = rank of
-    the outer (``Psi``, ``P``) channel:
+    With ``Phi, H, Psi, P = phi_x, h_y, psi_y, p_x``, quadrature weights
+    ``wx``, ``wy``, ``HF = H/(lam - H)`` and ``PF = P/(lam - P)``:
 
         A[(k,i), y]      = wy Psi_k Psi_i
         E[x, (j,q,p)]    = wx Phi_j P_q Phi_p
@@ -317,8 +294,9 @@ class _ReductionPlan:
     D: np.ndarray  # (m, n*m*n)
 
     @classmethod
-    def build(cls, model, path):
-        Phi, H, Psi, P, wx, wy = _path_data(model, path)
+    def build(cls, model):
+        Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
+        wx, wy = model.rule_x.weights, model.rule_y.weights
         n, m = Phi.shape[0], Psi.shape[0]
         At = (wy * Psi[:, None] * Psi[None]).reshape(m * m, -1).T
         E = wx[:, None, None, None] * (
@@ -349,15 +327,47 @@ class _ReductionPlan:
         return (Y1 @ Z).transpose(0, 2, 1, 3).reshape(count, m * n, m * n)
 
 
-def _reduction_plan(model, path):
-    return _per_model(model, f"_pi_plan_{path}", lambda mod: _ReductionPlan.build(mod, path))
+def _reduction_plan(model):
+    return _per_model(model, "_pi_plan", _ReductionPlan.build)
 
 
-def _assemble_pi(model, lams, path=1, margin=None, guarded=True):
+def _assemble_pi(model, lams, margin=None, guarded=True):
     """Stacked reduction matrices, shape (L, m*n, m*n)."""
     if guarded:
         _guard_lams(model, lams, margin)
-    return _reduction_plan(model, path).assemble(np.asarray(lams))
+    return _reduction_plan(model).assemble(np.asarray(lams))
+
+
+class _ReducedSystem:
+    """The small system ``(I - tau * Pi(lam)^T) c = d`` at ``lam = 1/tau``.
+
+    The moments ``c_w = <B_w, f>`` of a solution of ``f - tau T f = g``
+    solve it (see ``pie``), and it is singular exactly when ``lam`` is a
+    discrete eigenvalue, since ``det(I - tau Pi^T) = (-tau)^{mn} delta(lam)``.
+    ``lam`` and ``tau`` are taken as the caller holds them.  Each query
+    does one SVD and counts the singular values at most
+    ``rank_tol * max(s_max, 1)`` as null.
+    """
+
+    def __init__(self, model, lam, tau):
+        self.lam, self.tau = lam, tau
+        pim = _assemble_pi(model, np.array([lam]), guarded=False)[0]
+        self.matrix = np.eye(pim.shape[0]) - tau * pim.T
+
+    @staticmethod
+    def _null_count(svals, rank_tol):
+        return int(np.sum(svals <= rank_tol * max(float(svals.max(initial=0.0)), 1.0)))
+
+    def nullity(self, rank_tol):
+        return self._null_count(np.linalg.svd(self.matrix, compute_uv=False), rank_tol)
+
+    def null_space(self, rank_tol):
+        """Orthonormal null vectors as columns, shape (m*n, nullity)."""
+        _, svals, vh = np.linalg.svd(self.matrix)
+        return vh[len(svals) - self._null_count(svals, rank_tol) :].conj().T
+
+    def solve(self, d):
+        return np.linalg.solve(self.matrix, d)
 
 
 @dataclass(frozen=True)
@@ -374,88 +384,40 @@ class PiMatrix:
         return self.entries.shape[0]
 
 
-def _index_map(model, path):
-    if path == 1:
-        return tuple((k, j) for k in range(1, model.m + 1) for j in range(1, model.n + 1))
-    return tuple((k, j) for k in range(1, model.n + 1) for j in range(1, model.m + 1))
-
-
 def pi_matrix(model, lam, path=1, margin=None):
     """Cross-integral matrix ``Pi(lam)`` for the requested path."""
-    entries = _assemble_pi(model, np.array([lam]), path, margin)[0]
-    return PiMatrix(lam, path, entries, _index_map(model, path))
+    view = _oriented(model, path)
+    entries = _assemble_pi(view, np.array([lam]), margin)[0]
+    index_map = tuple((k, j) for k in range(1, view.m + 1) for j in range(1, view.n + 1))
+    return PiMatrix(lam, path, entries, index_map)
 
 
-def delta(model, lam, path=1, margin=None):
+def delta(model, lam, margin=None):
     """Determinant ``det(Pi(lam) - lam*I)``; real input gives a real value."""
-    return delta_batch(model, np.array([lam]), path, margin)[0]
+    return delta_batch(model, np.array([lam]), margin)[0]
 
 
-def delta_batch(model, lams, path=1, margin=None):
+def delta_batch(model, lams, margin=None):
     """Vectorized determinant over many spectral parameters."""
     lams = np.asarray(lams)
-    pis = _assemble_pi(model, lams, path, margin)
+    pis = _assemble_pi(model, lams, margin)
     size = pis.shape[1]
     dets = np.linalg.det(pis - lams[:, None, None] * np.eye(size)[None])
     return dets
 
 
-def build_F(model, k, j, lam, margin=None):
-    """Left factor function ``F_(k,j)( . , . ; lam)`` as a callable on arrays.
-
-    ``k`` is 1-based in channel 2, ``j`` 1-based in channel 1.  The inner
-    integrals over the second variable are computed once, here.
-    """
-    if not 1 <= k <= model.m:
-        raise IndexOutOfRange(f"k must be in 1..{model.m}, got {k}")
-    if not 1 <= j <= model.n:
-        raise IndexOutOfRange(f"j must be in 1..{model.n}, got {j}")
-    _guard_lams(model, np.array([lam]), margin)
-    h_j = model.channel1.weights[j - 1]
-    phi_j = model.channel1.basis[j - 1]
+def _fb_grids(model, lam):
+    """F and B sampled on the model grid, shape (m*n, Nx, Ny)."""
+    Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
     wy = model.rule_y.weights
-    hy = model.h_y[j - 1]
-    ratio = hy / (lam - hy)
-    inner = np.array(
-        [
-            np.sum(wy * ratio * model.psi_y[k - 1] * model.psi_y[i])
-            for i in range(model.m)
-        ]
-    )
-    psi_k = model.channel2.basis[k - 1]
-
-    def F(x, y):
-        xv = np.asarray(x, dtype=float)
-        yv = np.asarray(y, dtype=float)
-        hv = h_j(yv)
-        head = psi_k(yv) * hv / (lam - hv)
-        tail = 0.0
-        for i, (psi_i, p_i) in enumerate(zip(model.channel2.basis, model.channel2.weights)):
-            pv = p_i(xv)
-            tail = tail + pv / (lam - pv) * psi_i(yv) * inner[i]
-        return phi_j(xv) * (head + tail)
-
-    return F
-
-
-def _fb_grids(model, lam, path=1):
-    """F and B sampled on the model grid, shape (m*n, Nx, Ny).
-
-    Path 2 builds the mirrored factors (channels and axes exchanged) but
-    returns them transposed back into the model's (x, y) axis order.
-    """
-    Phi, H, Psi, P, wx, wy = _path_data(model, path)
     HF = H / (lam - H)
     PF = P / (lam - P)
     Y1 = np.einsum("y,ky,jy,iy->kji", wy, Psi, HF, Psi, optimize=True)
     term1 = np.einsum("jx,ky,jy->kjxy", Phi, Psi, HF, optimize=True)
     term2 = np.einsum("jx,ix,iy,kji->kjxy", Phi, PF, Psi, Y1, optimize=True)
     size = Phi.shape[0] * Psi.shape[0]
-    F = (term1 + term2).reshape(size, len(wx), len(wy))
+    F = (term1 + term2).reshape(size, Phi.shape[1], Psi.shape[1])
     B = np.einsum("kx,jx,ky->kjxy", P, Phi, Psi, optimize=True).reshape(F.shape)
-    if path == 2:
-        F = F.transpose(0, 2, 1)
-        B = B.transpose(0, 2, 1)
     return F, B
 
 
@@ -486,20 +448,6 @@ def _search_gaps(ess, box, margin):
     if cursor < hi:
         gaps.append((cursor, hi))
     return [(a, b) for a, b in gaps if b - a > 1e-12]
-
-
-def _nullity(matrix, rank_tol, scale_floor):
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    threshold = rank_tol * max(float(svals.max(initial=0.0)), scale_floor)
-    return int(np.sum(svals <= threshold))
-
-
-def _root_multiplicity(model, lam, path, rank_tol):
-    pim = _assemble_pi(model, np.array([lam]), path, guarded=False)[0]
-    m = pim - lam * np.eye(pim.shape[0])
-    # the lam*I term sets the natural scale; at a converged root the largest
-    # singular value of the 1x1 case is itself tiny
-    return _nullity(m, rank_tol, max(abs(lam), 1.0))
 
 
 def _bisect_all(fn, lo, hi, flo, root_tol):
@@ -561,13 +509,15 @@ def discrete_spectrum(
     the essential set, bisects sign changes, and additionally refines local
     minima of ``|delta|`` (to catch even-order zeros).  Every zero reported
     comes with the algebraic multiplicity of the reduced linear system: the
-    rank deficiency of ``Pi(lam) - lam*I``.
+    rank deficiency of ``I - Pi(lam)^T / lam``.  Path 2 runs the same search
+    on the mirrored model.
 
     The sign-change brackets of all gaps are bisected together, one
     ``delta_batch`` call per step; each bracket follows the iterates of a
     scalar bisection, so the roots do not depend on how many are refined at
     once.  The ``|delta|`` minima are refined one by one (golden section).
     """
+    model = _oriented(model, path)
     search = model.search
     margin = search.resolved_margin(model.bound) if margin is None else margin
     scan_points = search.scan_points if scan_points is None else scan_points
@@ -578,7 +528,7 @@ def discrete_spectrum(
     box = (-model.bound - 1.0, model.bound + 1.0)
 
     def dvals(lams):
-        return delta_batch(model, lams, path=path, margin=margin / 2).real
+        return delta_batch(model, lams, margin=margin / 2).real
 
     scans = []
     for glo, ghi in _search_gaps(ess, box, margin):
@@ -593,6 +543,9 @@ def discrete_spectrum(
 
     found = []
 
+    def multiplicity(lam):
+        return _ReducedSystem(model, lam, 1.0 / lam).nullity(rank_tol)
+
     def push(lam, mult):
         for prev, _ in found:
             if abs(lam - prev) <= 100.0 * root_tol * (1.0 + abs(prev)):
@@ -606,13 +559,11 @@ def discrete_spectrum(
         change = vals[:-1] * vals[1:] < 0.0
         for i in np.flatnonzero(zero | change):
             if zero[i]:
-                mult = _root_multiplicity(model, lams[i], path, rank_tol)
-                push(lams[i], max(1, mult))
+                push(lams[i], max(1, multiplicity(lams[i])))
                 hits[max(i - 1, 0) : i + 1] = True
             else:
                 root = next(roots)
-                mult = _root_multiplicity(model, root, path, rank_tol)
-                push(root, max(1, mult))
+                push(root, max(1, multiplicity(root)))
                 hits[i] = True
         # even-order zeros: |delta| dips without a sign change
         min_gate = np.sqrt(root_tol) * max(1.0, scale)
@@ -622,7 +573,7 @@ def discrete_spectrum(
             lam = _golden_min(
                 lambda t: abs(float(dvals(np.array([t]))[0])), lams[i - 1], lams[i + 1], root_tol
             )
-            mult = _root_multiplicity(model, lam, path, rank_tol)
+            mult = multiplicity(lam)
             if mult >= 1:
                 push(lam, mult)
 
@@ -692,30 +643,23 @@ def eigenfunctions_T(model, lam0, rank_tol=None):
     """Orthonormal eigenfunctions of the sum at a discrete eigenvalue.
 
     The homogeneous equation reduces to the coefficient system
-    ``c = (1/lam) Pi(lam)^T c`` for the moments ``c_w = <B_w, f>``; the
-    eigenfunction is rebuilt as ``f = (1/lam) sum_w c_w F_w``.  (The moments
-    pair with B, so the coefficient vectors are the left null vectors of
-    ``I - (1/lam) Pi``.)  Raises if ``lam0`` is in/near the essential set or
-    the system has no null direction.
+    ``c = (1/lam) Pi(lam)^T c`` for the moments ``c_w = <B_w, f>``, the null
+    space of the reduced system at ``tau = 1/lam``; the eigenfunction is
+    rebuilt as ``f = (1/lam) sum_w c_w F_w``.  Raises if ``lam0`` is in/near
+    the essential set or the system has no null direction.
     """
     rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
     lam0 = float(lam0)
     _guard_lams(model, np.array([lam0]), None)
-    pim = _assemble_pi(model, np.array([lam0]), guarded=False)[0]
-    size = pim.shape[0]
-    system = np.eye(size) - pim / lam0
-    u, svals, _ = np.linalg.svd(system)
-    threshold = rank_tol * max(float(svals.max(initial=0.0)), 1.0)
-    null_dim = int(np.sum(svals <= threshold))
-    if null_dim == 0:
+    coeffs = _ReducedSystem(model, lam0, 1.0 / lam0).null_space(rank_tol)
+    if coeffs.shape[1] == 0:
         raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
-    coeffs = u[:, size - null_dim :]
 
     F, _ = _fb_grids(model, lam0)
     wx = model.rule_x.weights
     wy = model.rule_y.weights
     out = []
-    for idx in range(null_dim):
+    for idx in range(coeffs.shape[1]):
         vals = np.einsum("w,wxy->xy", coeffs[:, idx], F) / lam0
         # grid Gram-Schmidt against what we already kept
         for g in out:
@@ -737,19 +681,14 @@ def eigenfunctions_T(model, lam0, rank_tol=None):
 def atom_eigenfunction(model, channel, j0, lam0):
     """Indicator-type eigenfunction for a weight that sits at ``lam0``
     on a set of positive measure."""
-    if channel == 1:
-        weights, interval, rank = model.channel1.weights, model.y_interval, model.n
-    elif channel == 2:
-        weights, interval, rank = model.channel2.weights, model.x_interval, model.m
-    else:
-        raise PioError(f"channel must be 1 or 2, got {channel!r}")
-    if not 1 <= j0 <= rank:
-        raise IndexOutOfRange(f"member index must be in 1..{rank}, got {j0}")
-    weight = weights[j0 - 1]
+    view = _oriented(model, channel)
+    if not 1 <= j0 <= view.n:
+        raise IndexOutOfRange(f"member index must be in 1..{view.n}, got {j0}")
+    weight = view.channel1.weights[j0 - 1]
     tol = 1e-9 * (1.0 + abs(lam0))
     level = []
     measure = 0.0
-    for plo, phi in _pieces(weight, interval):
+    for plo, phi in _pieces(weight, view.y_interval):
         cval = constant_value(weight, plo, phi)
         if cval is not None and abs(cval - lam0) <= tol:
             level.append((plo, phi))
@@ -763,14 +702,9 @@ def atom_eigenfunction(model, channel, j0, lam0):
             mask[(ts >= plo) & (ts <= phi)] = 1.0
         return mask
 
-    scale = 1.0 / np.sqrt(measure)
-    if channel == 1:
-        fx = model.phi_x[j0 - 1]
-        fy = indicator(model.rule_y.nodes) * scale
-    else:
-        fx = indicator(model.rule_x.nodes) * scale
-        fy = model.psi_y[j0 - 1]
-    return Grid2D(model.rule_x, model.rule_y, np.outer(fx, fy))
+    fy = indicator(view.rule_y.nodes) / np.sqrt(measure)
+    grid = Grid2D(view.rule_x, view.rule_y, np.outer(view.phi_x[j0 - 1], fy))
+    return grid if view is model else grid.transposed()
 
 
 # --- determinant trace --------------------------------------------------------
@@ -778,12 +712,13 @@ def atom_eigenfunction(model, channel, j0, lam0):
 
 def delta_trace_rows(model, lmin, lmax, samples, path=1):
     """Rows (lambda, Re delta, Im delta, path); NaN inside the guard margin."""
+    view = _oriented(model, path)
     lams = np.linspace(float(lmin), float(lmax), int(samples))
     margin = operator_margin(model)
     rows = []
-    ok = sigma_ess(model).distances(lams) > margin
+    ok = sigma_ess(view).distances(lams) > margin
     if np.any(ok):
-        vals = delta_batch(model, lams[ok], path=path, margin=margin / 2)
+        vals = delta_batch(view, lams[ok], margin=margin / 2)
         vals = np.asarray(vals, dtype=complex)
     else:
         vals = np.array([], dtype=complex)

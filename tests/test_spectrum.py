@@ -23,11 +23,12 @@ from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import make_model
 from pio.operators import apply_T
+from pio.pie import solve_pie
 from pio.spectrum import (
     _assemble_pi,
+    _fb_grids,
     _reduction_plan,
     atom_eigenfunction,
-    build_F,
     delta,
     delta_batch,
     delta_trace_rows,
@@ -257,7 +258,7 @@ def test_reduction_plan_matches_reference(n, m, path):
         np.array([-0.7, top + 0.5, top + 2.0]),
         np.array([0.5 * top + 0.3j, 0.2 - 0.4j, top + 1.0 + 0.0j]),
     ):
-        got = _assemble_pi(model, lams, path)
+        got = _assemble_pi(model if path == 1 else model.mirrored(), lams)
         ref = pi_reference(model, lams, path)
         assert got.shape == ref.shape == (len(lams), n * m, n * m)
         assert got.dtype == ref.dtype
@@ -267,17 +268,20 @@ def test_reduction_plan_matches_reference(n, m, path):
 def test_reduction_plan_built_once_per_model_and_path():
     model = ramp_model(2, 3)
     _assemble_pi(model, np.array([5.0]))
-    plan = _reduction_plan(model, 1)
+    plan = _reduction_plan(model)
     _assemble_pi(model, np.array([6.0, 7.0]))
     delta(model, 5.5)
-    assert _reduction_plan(model, 1) is plan
-    assert _reduction_plan(model, 2) is not plan
-    assert _reduction_plan(ramp_model(2, 3), 1) is not plan
+    discrete_spectrum(model, path=2)
+    assert _reduction_plan(model) is plan
+    assert _reduction_plan(model.mirrored()) is not plan
+    assert _reduction_plan(ramp_model(2, 3)) is not plan
 
 
 def test_per_model_caches_do_not_pin_the_model():
     model = ramp_model(2, 2)
     sigma_full(model)
+    discrete_spectrum(model, path=2)
+    solve_pie(model, -0.5, model.constant_grid(1.0))
     assert sigma_ess(model) is sigma_ess(model)
     ref = weakref.ref(model)
     del model
@@ -298,26 +302,18 @@ def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
 
 
 def test_factor_function_fixture_a(fixture_a):
-    F = build_F(fixture_a, 1, 1, 4.0)
-    assert abs(F(0.3, 0.7) - 4.0) < 1e-12
-    xs = np.linspace(0, 1, 7)
-    assert np.allclose(F(xs, xs), 4.0, atol=1e-12)
+    F, _ = _fb_grids(fixture_a, 4.0)
+    assert F.shape == (1, len(fixture_a.rule_x), len(fixture_a.rule_y))
+    assert np.allclose(F, 4.0, atol=1e-12)
 
 
 def test_factor_function_fixture_b(fixture_b):
-    # F(x, y; 2) = y/(2-y) + x/(2-x) * (2 log 2 - 1)
-    F = build_F(fixture_b, 1, 1, 2.0)
+    # F(x, y; 2) = y/(2-y) + x/(2-x) * (2 log 2 - 1), at the grid nodes
+    F, _ = _fb_grids(fixture_b, 2.0)
+    x = fixture_b.rule_x.nodes[:, None]
+    y = fixture_b.rule_y.nodes[None, :]
     c = 2.0 * np.log(2.0) - 1.0
-    for x, y in ((0.2, 0.9), (0.5, 0.5), (0.75, 0.1)):
-        ref = y / (2.0 - y) + x / (2.0 - x) * c
-        assert abs(F(x, y) - ref) < 1e-9
-
-
-def test_factor_function_index_validation(fixture_a):
-    with pytest.raises(IndexOutOfRange):
-        build_F(fixture_a, 2, 1, 4.0)
-    with pytest.raises(IndexOutOfRange):
-        build_F(fixture_a, 1, 0, 4.0)
+    assert np.abs(F[0] - (y / (2.0 - y) + x / (2.0 - x) * c)).max() < 1e-9
 
 
 # --- discrete spectrum ---
