@@ -51,12 +51,21 @@ _DENSE_SAMPLES = 1024
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Root search policy; ``margin=None`` means ``1e-3 * (1 + norm bound)``."""
+    """Root search policy, checked on construction (model files and call
+    overrides alike); ``margin=None`` means ``1e-3 * (1 + norm bound)``."""
 
     margin: float | None = None
     scan_points: int = 512
     root_tol: float = 1e-10
     rank_tol: float = 1e-8
+
+    def __post_init__(self):
+        for label in ("margin", "root_tol", "rank_tol"):
+            value = getattr(self, label)
+            if value is not None and not value > 0:
+                raise ModelFormatError(f"search.{label} must be positive")
+        if self.scan_points < 2:
+            raise ModelFormatError("search.scan_points must be >= 2")
 
     def resolved_margin(self, bound):
         if self.margin is not None:
@@ -398,18 +407,13 @@ def model_from_dict(data):
 
     sdata = _want(data, "search", dict, "model", required=False, default={})
     _no_extras(sdata, ("margin", "scan_points", "root_tol", "rank_tol"), "search")
-    margin = _want(sdata, "margin", (int, float), "search", required=False)
-    scan_points = _want(sdata, "scan_points", int, "search", required=False, default=512)
-    root_tol = _want(sdata, "root_tol", (int, float), "search", required=False, default=1e-10)
-    rank_tol = _want(sdata, "rank_tol", (int, float), "search", required=False, default=1e-8)
-    for label, value in (("margin", margin), ("root_tol", root_tol), ("rank_tol", rank_tol)):
-        if value is not None and value <= 0:
-            raise ModelFormatError(f"search.{label} must be positive")
-    if scan_points < 2:
-        raise ModelFormatError("search.scan_points must be >= 2")
-    search = SearchSettings(
-        None if margin is None else float(margin), int(scan_points), float(root_tol), float(rank_tol)
-    )
+    given = {}  # the defaults are SearchSettings' own
+    for key in sdata:
+        if key == "scan_points":
+            given[key] = _want(sdata, key, int, "search")
+        else:
+            given[key] = float(_want(sdata, key, (int, float), "search"))
+    search = SearchSettings(**given)
 
     try:
         return make_model(

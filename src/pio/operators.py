@@ -6,7 +6,9 @@ onto its basis, reweighted along the second variable); channel 2 is channel
 1 of the mirrored model, applied to the transposed grid.  Because each
 channel has finite rank in its own variable, all resolvents are explicit
 rank corrections and no dense linear algebra on the grid is ever needed; the
-only solve is the small reduction system.
+only solve is the small reduction system, whose moments and synthesis are
+products on the one-variable factors of the reduction plan.  Projections
+are products with the basis samples, ``(phi * wx) @ f`` and back.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange, SpectrumHit
 from .model import _on_side
 from .spectrum import (
     _combine,
-    _fb_grids,
     _ReducedSystem,
+    _search_settings,
     _weight_ranges,
     operator_margin,
     sigma_channel,
@@ -55,13 +57,12 @@ def _weight_set(model):
 def _coefficients(model, f):
     """Channel-1 basis coefficients of f, shape (n, Ny): coefficient k as a
     function of the second variable."""
-    return np.einsum("kx,x,xy->ky", model.phi_x, model.rule_x.weights, f.values, optimize=True)
+    return (model.phi_x * model.rule_x.weights) @ f.values
 
 
 def _apply_weighted(model, f, factors):
     """sum_k factors[k](y) * (projection onto channel-1 member k)."""
-    values = np.einsum("kx,ky->xy", model.phi_x, factors * _coefficients(model, f), optimize=True)
-    return f.with_values(values)
+    return f.with_values(model.phi_x.T @ (factors * _coefficients(model, f)))
 
 
 def _project(model, f, k):
@@ -166,7 +167,7 @@ def resolvent_T(model, lam, g, margin=None, rank_tol=None):
     """
     _check_grid(model, g)
     margin = operator_margin(model) if margin is None else margin
-    rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
+    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
     dist = sigma_ess(model).distance(lam)
     if dist <= margin:
         raise SpectrumHit(
@@ -187,9 +188,6 @@ def _second_kind(model, system, g, margin):
     tau = system.tau
     u = g + tau * apply_S(model, 1, tau, g, margin=margin)
     u = u + tau * apply_S(model, 2, tau, u, margin=margin)
-    F, B = _fb_grids(model, system.lam)
-    wx = model.rule_x.weights
-    wy = model.rule_y.weights
-    d = np.einsum("wxy,x,y,xy->w", B, wx, wy, u.values, optimize=True)
-    c = system.solve(d)
-    return u.with_values(u.values + tau * np.einsum("w,wxy->xy", c, F, optimize=True))
+    plan = system.plan
+    c = system.solve(plan.moments(u.values))
+    return u.with_values(u.values + tau * plan.synthesize(system.lam, c))

@@ -9,6 +9,10 @@ channel corrections followed by one small linear solve:
     (I - tau * Pi(1/tau)^T) c = d,   d_w = <B_w, u'>
     f  = u' + tau * sum_w c_w F_w(., .; 1/tau)
 
+The moments ``d`` and the sum over ``F_w`` are matrix products on the
+one-variable factors held by the reduction plan (``spectrum``); neither
+``F_w`` nor ``B_w`` is sampled on the grid.
+
 The small system is singular exactly when 1/tau is a discrete eigenvalue:
 writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
 
@@ -27,7 +31,7 @@ import enum
 from .errors import NonUniqueSolution, OutsideTheory
 from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _ReducedSystem, operator_margin, sigma_ess
+from .spectrum import _ReducedSystem, _search_settings, operator_margin, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -45,7 +49,7 @@ def _classify(model, tau, margin, rank_tol):
     """``(class, reduced system at 1/tau)``; the system is None when the
     reduction does not apply."""
     margin = operator_margin(model) if margin is None else margin
-    rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
+    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
     if tau == 0:
         return TauClass.ZERO, None
     lam = 1.0 / tau

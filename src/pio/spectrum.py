@@ -30,14 +30,18 @@ Everything in ``Pi`` that does not depend on ``lam`` (products of the basis
 samples, the weights and the quadrature weights) is collected once per model
 in a reduction plan that lives on the model.  One assembly is then
 three matrix products against ``H/(lam - H)`` and ``P/(lam - P)``, for any
-number of real or complex parameters at once.  The root search uses this
-batching: it scans every gap, collects the sign-change brackets of all gaps,
-and bisects them in lockstep, one determinant batch per bisection step.
+number of real or complex parameters at once.  The same factors give the
+moments ``<B_w, u>`` of a grid function and the synthesis ``sum_w c_w F_w``
+as a few more products, so ``F_w`` and ``B_w`` are never sampled on the grid.
+The root search uses the batching: it scans every gap, collects the
+sign-change brackets of all gaps, and bisects them in lockstep, one
+determinant batch per bisection step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -162,10 +166,10 @@ def _merge_intervals(intervals):
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _add_atom(atoms, value, measure):
+def _add_atom(atoms, value, measure, fold):
     for i, (v, m) in enumerate(atoms):
         if abs(value - v) <= _VALUE_MERGE_TOL * (1.0 + abs(v)):
-            atoms[i] = (v, m + measure)
+            atoms[i] = (v, fold(m, measure))
             return
     atoms.append((value, measure))
 
@@ -182,7 +186,7 @@ def essential_range(expr, interval):
     for pos, (plo, phi) in enumerate(pieces):
         cval = constant_value(expr, plo, phi)
         if cval is not None:
-            _add_atom(atoms, cval, phi - plo)
+            _add_atom(atoms, cval, phi - plo, operator.add)
             continue
         ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
         if pos < len(pieces) - 1:
@@ -197,12 +201,7 @@ def _combine(ranges, include_zero=True):
     atoms = []
     for r in ranges:
         for value, measure in r.atoms:
-            for i, (v, m) in enumerate(atoms):
-                if abs(value - v) <= _VALUE_MERGE_TOL * (1.0 + abs(v)):
-                    atoms[i] = (v, max(m, measure))
-                    break
-            else:
-                atoms.append((value, measure))
+            _add_atom(atoms, value, measure, max)
     points = {v for v, _ in atoms}
     if include_zero:
         points.add(0.0)
@@ -269,7 +268,7 @@ def _guard_lams(model, lams, margin):
 
 @dataclass(frozen=True)
 class _ReductionPlan:
-    """The lambda-independent factors of ``Pi(lam)``.
+    """The lambda-independent factors of the reduction.
 
     With ``Phi, H, Psi, P = phi_x, h_y, psi_y, p_x``, quadrature weights
     ``wx``, ``wy``, ``HF = H/(lam - H)`` and ``PF = P/(lam - P)``:
@@ -284,10 +283,15 @@ class _ReductionPlan:
     products per assembly, for real and complex ``lam`` alike.  ``G``
     scales the product instead of being folded into a stored
     ``G2[i,q] E[x,(j,q,p)]``, which would be ``m`` times the size of ``E``.
+    ``moments`` and ``synthesize`` are the grid sides of the reduction.
     """
 
+    Phi: np.ndarray  # (n, NX)
+    Psi: np.ndarray  # (m, NY)
     H: np.ndarray  # (n, NY)
     P: np.ndarray  # (m, NX)
+    WP: np.ndarray  # (m, NX), wx P
+    WPsi: np.ndarray  # (m, NY), wy Psi
     At: np.ndarray  # (NY, m*m), A transposed
     E: np.ndarray  # (NX, n*m*n)
     G: np.ndarray  # (m, n*m*n)
@@ -296,29 +300,33 @@ class _ReductionPlan:
     @classmethod
     def build(cls, model):
         Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
-        wx, wy = model.rule_x.weights, model.rule_y.weights
+        wx, WPsi = model.rule_x.weights, model.rule_y.weights * Psi
         n, m = Phi.shape[0], Psi.shape[0]
-        At = (wy * Psi[:, None] * Psi[None]).reshape(m * m, -1).T
+        At = (WPsi[:, None] * Psi[None]).reshape(m * m, -1).T
         E = wx[:, None, None, None] * (
             Phi.T[:, :, None, None] * P.T[:, None, :, None] * Phi.T[:, None, None, :]
         )  # E[x, j, q, p]
-        G2 = (wy * Psi) @ Psi.T
-        G = np.broadcast_to(G2[:, None, :, None], (m, n, m, n))
+        G = np.broadcast_to((WPsi @ Psi.T)[:, None, :, None], (m, n, m, n))
         D = np.eye(m)[:, None, :, None] * E.sum(axis=0)[None]
         return cls(
-            H, P, np.ascontiguousarray(At), E.reshape(len(wx), -1),
+            Phi, Psi, H, P, wx * P, WPsi, np.ascontiguousarray(At), E.reshape(len(wx), -1),
             G.reshape(m, -1), D.reshape(m, -1),
         )
+
+    def fractions(self, lams):
+        """``H/(lam - H)`` and ``P/(lam - P)``, shapes (L, n, NY) and (L, m, NX)."""
+        lcol = lams[:, None, None]
+        HF = lcol - self.H
+        np.divide(self.H, HF, out=HF)
+        PF = lcol - self.P
+        np.divide(self.P, PF, out=PF)
+        return HF, PF
 
     def assemble(self, lams):
         """Stacked ``Pi(lam)``, shape (L, m*n, m*n)."""
         (n, _), (m, _) = self.H.shape, self.P.shape
         count = len(lams)
-        lcol = lams[:, None, None]
-        HF = lcol - self.H  # (L, n, NY), then H/(lam - H) in place
-        np.divide(self.H, HF, out=HF)
-        PF = lcol - self.P  # (L, m, NX)
-        np.divide(self.P, PF, out=PF)
+        HF, PF = self.fractions(lams)
         Y1 = (HF.reshape(count * n, -1) @ self.At).reshape(count, n, m, m)
         Z = (PF.reshape(count * m, -1) @ self.E).reshape(count, m, -1)
         Z *= self.G
@@ -326,15 +334,30 @@ class _ReductionPlan:
         Z = Z.reshape(count, m, n, m * n).transpose(0, 2, 1, 3)
         return (Y1 @ Z).transpose(0, 2, 1, 3).reshape(count, m * n, m * n)
 
+    def moments(self, values):
+        """``d_(k,j) = <B_(k,j), u> = sum_x wx P_k Phi_j (u @ (wy Psi).T)[x, k]``
+        for grid samples ``u``, shape (m*n,)."""
+        return ((self.WP * (values @ self.WPsi.T).T) @ self.Phi.T).ravel()
+
+    def synthesize(self, lam, coeffs):
+        """``sum_w c_w F_w(., .; lam)`` on the grid, shape (NX, NY): with
+        ``C = c.reshape(m, n)`` and ``M[j,i] = sum_k C[k,j] Y1[j,k,i]``, it is
+        ``Phi.T @ (HF * (C.T @ Psi)) + ((Phi.T @ M) * PF.T) @ Psi``."""
+        (n, _), (m, _) = self.H.shape, self.P.shape
+        (HF,), (PF,) = self.fractions(np.array([lam]))
+        C = coeffs.reshape(m, n)
+        Y1 = (HF @ self.At).reshape(n, m, m)
+        M = (C.T[:, None, :] @ Y1)[:, 0]
+        return self.Phi.T @ (HF * (C.T @ self.Psi)) + ((self.Phi.T @ M) * PF.T) @ self.Psi
+
 
 def _reduction_plan(model):
     return _per_model(model, "_pi_plan", _ReductionPlan.build)
 
 
-def _assemble_pi(model, lams, margin=None, guarded=True):
+def _assemble_pi(model, lams, margin=None):
     """Stacked reduction matrices, shape (L, m*n, m*n)."""
-    if guarded:
-        _guard_lams(model, lams, margin)
+    _guard_lams(model, lams, margin)
     return _reduction_plan(model).assemble(np.asarray(lams))
 
 
@@ -344,14 +367,16 @@ class _ReducedSystem:
     The moments ``c_w = <B_w, f>`` of a solution of ``f - tau T f = g``
     solve it (see ``pie``), and it is singular exactly when ``lam`` is a
     discrete eigenvalue, since ``det(I - tau Pi^T) = (-tau)^{mn} delta(lam)``.
-    ``lam`` and ``tau`` are taken as the caller holds them.  Each query
-    does one SVD and counts the singular values at most
+    ``lam`` and ``tau`` are taken as the caller holds them; ``plan`` turns
+    grid samples into right-hand sides and solutions back into grid samples.
+    Each query does one SVD and counts the singular values at most
     ``rank_tol * max(s_max, 1)`` as null.
     """
 
     def __init__(self, model, lam, tau):
         self.lam, self.tau = lam, tau
-        pim = _assemble_pi(model, np.array([lam]), guarded=False)[0]
+        self.plan = _reduction_plan(model)
+        pim = self.plan.assemble(np.array([lam]))[0]
         self.matrix = np.eye(pim.shape[0]) - tau * pim.T
 
     @staticmethod
@@ -406,22 +431,13 @@ def delta_batch(model, lams, margin=None):
     return dets
 
 
-def _fb_grids(model, lam):
-    """F and B sampled on the model grid, shape (m*n, Nx, Ny)."""
-    Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
-    wy = model.rule_y.weights
-    HF = H / (lam - H)
-    PF = P / (lam - P)
-    Y1 = np.einsum("y,ky,jy,iy->kji", wy, Psi, HF, Psi, optimize=True)
-    term1 = np.einsum("jx,ky,jy->kjxy", Phi, Psi, HF, optimize=True)
-    term2 = np.einsum("jx,ix,iy,kji->kjxy", Phi, PF, Psi, Y1, optimize=True)
-    size = Phi.shape[0] * Psi.shape[0]
-    F = (term1 + term2).reshape(size, Phi.shape[1], Psi.shape[1])
-    B = np.einsum("kx,jx,ky->kjxy", P, Phi, Psi, optimize=True).reshape(F.shape)
-    return F, B
-
-
 # --- root search ------------------------------------------------------------
+
+
+def _search_settings(model, margin=None, scan_points=None, root_tol=None, rank_tol=None):
+    """The model's search settings with the given overrides, checked like a model file's."""
+    given = dict(margin=margin, scan_points=scan_points, root_tol=root_tol, rank_tol=rank_tol)
+    return replace(model.search, **{k: v for k, v in given.items() if v is not None})
 
 
 def _blocked_bands(ess, margin):
@@ -518,11 +534,9 @@ def discrete_spectrum(
     once.  The ``|delta|`` minima are refined one by one (golden section).
     """
     model = _oriented(model, path)
-    search = model.search
-    margin = search.resolved_margin(model.bound) if margin is None else margin
-    scan_points = search.scan_points if scan_points is None else scan_points
-    root_tol = search.root_tol if root_tol is None else root_tol
-    rank_tol = search.rank_tol if rank_tol is None else rank_tol
+    search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
+    margin = search.resolved_margin(model.bound)
+    scan_points, root_tol, rank_tol = search.scan_points, search.root_tol, search.rank_tol
 
     ess = sigma_ess(model)
     box = (-model.bound - 1.0, model.bound + 1.0)
@@ -610,29 +624,18 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
     once per model and reused by every later call on it; the roots are
     refined in lockstep (see ``discrete_spectrum``).
     """
-    search = model.search
+    search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
     bound = model.bound
-    margin = search.resolved_margin(bound) if margin is None else margin
-    scan_points = search.scan_points if scan_points is None else scan_points
-    root_tol = search.root_tol if root_tol is None else root_tol
-    rank_tol = search.rank_tol if rank_tol is None else rank_tol
+    margin = search.resolved_margin(bound)
     ess = sigma_ess(model)
-    disc = discrete_spectrum(
-        model, margin=margin, scan_points=scan_points, root_tol=root_tol, rank_tol=rank_tol
-    )
+    disc = discrete_spectrum(model, margin, search.scan_points, search.root_tol, search.rank_tol)
     box = (-bound - 1.0, bound + 1.0)
     unresolved = tuple(
         (max(lo, box[0]), min(hi, box[1]))
         for lo, hi in _blocked_bands(ess, margin)
         if hi > box[0] and lo < box[1]
     )
-    settings = {
-        "margin": margin,
-        "scan_points": scan_points,
-        "root_tol": root_tol,
-        "rank_tol": rank_tol,
-        "order": model.order,
-    }
+    settings = {**asdict(search), "margin": margin, "order": model.order}
     return SpectrumReport(ess, disc, bound, settings, unresolved)
 
 
@@ -645,29 +648,27 @@ def eigenfunctions_T(model, lam0, rank_tol=None):
     The homogeneous equation reduces to the coefficient system
     ``c = (1/lam) Pi(lam)^T c`` for the moments ``c_w = <B_w, f>``, the null
     space of the reduced system at ``tau = 1/lam``; the eigenfunction is
-    rebuilt as ``f = (1/lam) sum_w c_w F_w``.  Raises if ``lam0`` is in/near
-    the essential set or the system has no null direction.
+    rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the reduction plan's
+    synthesis.  Raises if ``lam0`` is in/near the essential set or the
+    system has no null direction.
     """
-    rank_tol = model.search.rank_tol if rank_tol is None else rank_tol
+    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
     lam0 = float(lam0)
     _guard_lams(model, np.array([lam0]), None)
-    coeffs = _ReducedSystem(model, lam0, 1.0 / lam0).null_space(rank_tol)
+    system = _ReducedSystem(model, lam0, 1.0 / lam0)
+    coeffs = system.null_space(rank_tol)
     if coeffs.shape[1] == 0:
         raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
 
-    F, _ = _fb_grids(model, lam0)
-    wx = model.rule_x.weights
-    wy = model.rule_y.weights
     out = []
-    for idx in range(coeffs.shape[1]):
-        vals = np.einsum("w,wxy->xy", coeffs[:, idx], F) / lam0
-        # grid Gram-Schmidt against what we already kept
-        for g in out:
-            vals = vals - g.inner(Grid2D(model.rule_x, model.rule_y, vals)) * g.values
-        norm = float(np.sqrt(wx @ (np.abs(vals) ** 2) @ wy))
+    for coeff in coeffs.T:
+        f = Grid2D(model.rule_x, model.rule_y, system.plan.synthesize(lam0, coeff) / lam0)
+        for g in out:  # grid Gram-Schmidt against what we already kept
+            f = f - g.inner(f) * g
+        norm = f.norm()
         if norm <= 1e-12:
             continue
-        vals = vals / norm
+        vals = f.values / norm
         # fix the free sign: largest-magnitude sample points up
         peak = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
         if np.real(vals[peak]) < 0:
@@ -715,18 +716,8 @@ def delta_trace_rows(model, lmin, lmax, samples, path=1):
     view = _oriented(model, path)
     lams = np.linspace(float(lmin), float(lmax), int(samples))
     margin = operator_margin(model)
-    rows = []
+    vals = np.full(lams.shape, complex(np.nan, np.nan))
     ok = sigma_ess(view).distances(lams) > margin
-    if np.any(ok):
-        vals = delta_batch(view, lams[ok], margin=margin / 2)
-        vals = np.asarray(vals, dtype=complex)
-    else:
-        vals = np.array([], dtype=complex)
-    it = iter(vals)
-    for lam, good in zip(lams, ok):
-        if good:
-            v = next(it)
-            rows.append((float(lam), float(v.real), float(v.imag), path))
-        else:
-            rows.append((float(lam), float("nan"), float("nan"), path))
-    return rows
+    if ok.any():
+        vals[ok] = delta_batch(view, lams[ok], margin=margin / 2)
+    return [(float(lam), float(v.real), float(v.imag), path) for lam, v in zip(lams, vals)]

@@ -100,6 +100,19 @@ def test_spectrum_search_overrides(model_a, tmp_path):
     assert payload["settings"]["margin"] == 0.01
 
 
+@pytest.mark.parametrize("flag,value", [("--root-tol", "0"), ("--scan-points", "1"),
+                                        ("--margin", "-1")])
+def test_bad_search_override_exits_1(model_a, flag, value):
+    # a child process with a timeout: --root-tol 0 used to hang the bisection
+    proc = subprocess.run(
+        [sys.executable, "-m", "pio.cli", "spectrum", "--model", model_a, flag, value],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "input error: search." in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_discrete_list(model_b, capsys):
     assert main(["discrete", "--model", model_b]) == 0
     payload = json.loads(capsys.readouterr().out)

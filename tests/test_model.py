@@ -6,6 +6,7 @@ import pytest
 from pio.errors import ModelFormatError
 from pio.expr import parse_expr
 from pio.model import (
+    SearchSettings,
     eval_kernel,
     legendre_source,
     make_model,
@@ -151,6 +152,16 @@ def test_model_from_dict_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(ModelFormatError):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(margin=0.0), dict(margin=-1.0), dict(root_tol=0.0), dict(root_tol=-1.0),
+     dict(root_tol=float("nan")), dict(rank_tol=0.0), dict(scan_points=1)],
+)
+def test_search_settings_refuse_bad_values(bad):
+    with pytest.raises(ModelFormatError):
+        SearchSettings(**bad)
 
 
 def test_rules_split_at_weight_breakpoints(fixture_c):

@@ -14,8 +14,10 @@ from pio.operators import (
     resolvent_channel,
     resolvent_T,
 )
+from pio.pie import residual, solve_pie
 from pio.quadrature import integrate_2d
-from pio.spectrum import _fb_grids
+
+from test_spectrum import fb_reference
 
 
 def rich_model():
@@ -202,7 +204,7 @@ def test_apply_W_matches_separable_kernel():
     tau = 0.11
     wf = apply_W(model, tau, f)
     lam = 1.0 / tau
-    F, B = _fb_grids(model, lam)
+    F, B = fb_reference(model, lam, 1)
     wx, wy = model.rule_x.weights, model.rule_y.weights
     moments = np.einsum("wxy,x,y,xy->w", B, wx, wy, f.values)
     ref = lam * np.einsum("w,wxy->xy", moments, F)
@@ -222,6 +224,20 @@ def test_resolvent_T_identity(fixture_a, fixture_b):
             r = resolvent_T(model, lam, g)
             back = apply_T(model, r) - lam * r
             assert (back - g).norm() < 1e-10 * g.norm()
+
+
+@pytest.mark.parametrize("lam", [0.5 + 0.5j, 2.5 - 0.1j, -1.0 + 2.0j])
+def test_resolvent_and_solve_at_complex_parameters(lam, fixture_a, fixture_b, fixture_c):
+    rng = np.random.default_rng(53)
+    for model in (fixture_a, fixture_b, fixture_c, rich_model()):
+        g = random_grid(model, rng)
+        for path in (1, 2):
+            # path 2 is path 1 of the mirror, on the transposed grid
+            view, gv = (model, g) if path == 1 else (model.mirrored(), g.transposed())
+            r = resolvent_T(view, lam, gv)
+            assert (apply_T(view, r) - lam * r - gv).norm() <= 1e-13 * g.norm()
+            f = solve_pie(model, 1.0 / lam, g, path=path)
+            assert residual(model, 1.0 / lam, f, g) <= 1e-13 * g.norm()
 
 
 def test_resolvent_T_first_resolvent_identity(fixture_a):

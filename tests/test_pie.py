@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from pio.errors import NonUniqueSolution, OutsideTheory
+from pio.errors import ModelFormatError, NonUniqueSolution, OutsideTheory
 from pio.model import make_model
 from pio.operators import resolvent_T
 from pio.pie import TauClass, classify_tau, residual, solve_pie
-from pio.spectrum import discrete_spectrum
+from pio.spectrum import discrete_spectrum, eigenfunctions_T
 
 
 def rich_model():
@@ -104,3 +104,16 @@ def test_eigen_refusal_lines_up_with_homogeneous_solutions(fixture_a):
     assert classify_tau(fixture_a, tau) is TauClass.EIGEN
     h = eigenfunctions_T(fixture_a, 1.0 / tau)[0]
     assert (h - tau * apply_T(fixture_a, h)).norm() < 1e-10
+
+
+def test_rank_tol_override_is_validated(fixture_a):
+    # rank_tol=-1 used to classify the eigenvalue 5 as regular and return a wrong solution
+    g = fixture_a.constant_grid(1.0)
+    for call in (
+        lambda: classify_tau(fixture_a, 0.2, rank_tol=-1.0),
+        lambda: solve_pie(fixture_a, 0.2, g, rank_tol=-1.0),
+        lambda: resolvent_T(fixture_a, 5.0, g, rank_tol=0.0),
+        lambda: eigenfunctions_T(fixture_a, 5.0, rank_tol=-1.0),
+    ):
+        with pytest.raises(ModelFormatError):
+            call()

@@ -13,20 +13,23 @@ data, independently of the implementation):
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pio.spectrum
-from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
+from pio.errors import IndexOutOfRange, ModelFormatError, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import make_model
 from pio.operators import apply_T
 from pio.pie import solve_pie
 from pio.spectrum import (
     _assemble_pi,
-    _fb_grids,
     _reduction_plan,
     atom_eigenfunction,
     delta,
@@ -222,18 +225,22 @@ def ramp_model(n, m):
                       [f"legendre({k})" for k in range(m)], [f"{k + 1}*t^2" for k in range(m)])
 
 
+def path_arrays(model, path):
+    """``Phi, H, Psi, P, wx, wy`` of one path, axes in that path's order."""
+    if path == 1:
+        return (model.phi_x, model.h_y, model.psi_y, model.p_x,
+                model.rule_x.weights, model.rule_y.weights)
+    return (model.psi_y, model.p_x, model.phi_x, model.h_y,
+            model.rule_y.weights, model.rule_x.weights)
+
+
 def pi_reference(model, lams, path):
     """``Pi(lam)`` contracted term by term from the cross-integral definition.
 
     Written independently of the library's reduction plan: each factor of
     ``<F_(k,j), B_(q,p)>`` is its own einsum over the quadrature nodes.
     """
-    if path == 1:
-        Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
-        wx, wy = model.rule_x.weights, model.rule_y.weights
-    else:
-        Phi, H, Psi, P = model.psi_y, model.p_x, model.phi_x, model.h_y
-        wx, wy = model.rule_y.weights, model.rule_x.weights
+    Phi, H, Psi, P, wx, wy = path_arrays(model, path)
     lcol = np.asarray(lams)[:, None, None]
     HF = H[None] / (lcol - H[None])
     PF = P[None] / (lcol - P[None])
@@ -247,7 +254,28 @@ def pi_reference(model, lams, path):
     return (t1 + t2).reshape(len(lcol), size, size)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 4), (8, 8), (2, 3), (3, 1)])
+def fb_reference(model, lam, path):
+    """``F_w`` and ``B_w`` sampled on the grid, shape (m*n, Nx, Ny).
+
+    The dense formula of the factor functions in the ``spectrum`` module
+    docstring, one einsum per term; the grid axes follow the path.
+    """
+    Phi, H, Psi, P, _, wy = path_arrays(model, path)
+    HF = H / (lam - H)
+    PF = P / (lam - P)
+    Y1 = np.einsum("y,ky,jy,iy->kji", wy, Psi, HF, Psi)
+    term1 = np.einsum("jx,ky,jy->kjxy", Phi, Psi, HF)
+    term2 = np.einsum("jx,ix,iy,kji->kjxy", Phi, PF, Psi, Y1)
+    size = Phi.shape[0] * Psi.shape[0]
+    F = (term1 + term2).reshape(size, Phi.shape[1], Psi.shape[1])
+    B = np.einsum("kx,jx,ky->kjxy", P, Phi, Psi).reshape(F.shape)
+    return F, B
+
+
+PLAN_SHAPES = [(1, 1), (2, 2), (4, 4), (8, 8), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("n,m", PLAN_SHAPES)
 @pytest.mark.parametrize("path", [1, 2])
 def test_reduction_plan_matches_reference(n, m, path):
     model = ramp_model(n, m)
@@ -263,6 +291,31 @@ def test_reduction_plan_matches_reference(n, m, path):
         assert got.shape == ref.shape == (len(lams), n * m, n * m)
         assert got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,m", PLAN_SHAPES)
+@pytest.mark.parametrize("path", [1, 2])
+def test_moments_and_synthesis_match_reference(n, m, path):
+    model = ramp_model(n, m)
+    view = model if path == 1 else model.mirrored()
+    plan = _reduction_plan(view)
+    _, _, _, _, wx, wy = path_arrays(model, path)
+    rng = np.random.default_rng(10 * n + m)
+    top = model.bound
+    for lam in (top + 0.5, -0.7, top + 2.0, 0.5 * top + 0.3j, 0.2 - 0.4j):
+        F, B = fb_reference(model, lam, path)
+        u = rng.standard_normal(F.shape[1:])
+        c = rng.standard_normal(n * m)
+        if np.iscomplexobj(lam):
+            u = u + 1j * rng.standard_normal(u.shape)
+            c = c + 1j * rng.standard_normal(c.shape)
+        for got, ref in (
+            (plan.moments(u), np.einsum("wxy,x,y,xy->w", B, wx, wy, u)),
+            (plan.synthesize(lam, c), np.einsum("w,wxy->xy", c, F)),
+        ):
+            assert got.shape == ref.shape
+            assert got.dtype == ref.dtype
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_reduction_plan_built_once_per_model_and_path():
@@ -299,21 +352,22 @@ def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
 
 
 # --- left factor functions ---
+# (the synthesis of a unit coefficient vector is the factor function itself)
 
 
 def test_factor_function_fixture_a(fixture_a):
-    F, _ = _fb_grids(fixture_a, 4.0)
-    assert F.shape == (1, len(fixture_a.rule_x), len(fixture_a.rule_y))
+    F = _reduction_plan(fixture_a).synthesize(4.0, np.array([1.0]))
+    assert F.shape == (len(fixture_a.rule_x), len(fixture_a.rule_y))
     assert np.allclose(F, 4.0, atol=1e-12)
 
 
 def test_factor_function_fixture_b(fixture_b):
     # F(x, y; 2) = y/(2-y) + x/(2-x) * (2 log 2 - 1), at the grid nodes
-    F, _ = _fb_grids(fixture_b, 2.0)
+    F = _reduction_plan(fixture_b).synthesize(2.0, np.array([1.0]))
     x = fixture_b.rule_x.nodes[:, None]
     y = fixture_b.rule_y.nodes[None, :]
     c = 2.0 * np.log(2.0) - 1.0
-    assert np.abs(F[0] - (y / (2.0 - y) + x / (2.0 - x) * c)).max() < 1e-9
+    assert np.abs(F - (y / (2.0 - y) + x / (2.0 - x) * c)).max() < 1e-9
 
 
 # --- discrete spectrum ---
@@ -465,6 +519,40 @@ def test_sigma_full_settings_override(fixture_a):
     assert rep.settings["scan_points"] == 64
     assert rep.settings["margin"] == 0.5
     assert any(lo < 2.0 and hi > 3.0 for lo, hi in rep.unresolved)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(margin=-1.0), dict(margin=0.0), dict(scan_points=1), dict(rank_tol=0.0),
+     dict(rank_tol=-1.0)],
+)
+def test_search_overrides_are_validated(fixture_a, bad):
+    # margin=-1 used to report the atoms 2 and 3 as eigenvalues, scan_points=1 to return ()
+    with pytest.raises(ModelFormatError):
+        sigma_full(fixture_a, **bad)
+    with pytest.raises(ModelFormatError):
+        discrete_spectrum(fixture_a, **bad)
+
+
+def test_root_tol_override_is_validated():
+    # a root_tol <= 0 used to bisect forever, so the calls run in a child process
+    code = """if True:
+        from pio.errors import ModelFormatError
+        from pio.model import make_model
+        from pio.spectrum import discrete_spectrum, sigma_full
+        model = make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"])
+        for tol in (0.0, -1.0):
+            for fn in (sigma_full, discrete_spectrum):
+                try:
+                    fn(model, root_tol=tol)
+                except ModelFormatError:
+                    continue
+                raise SystemExit(f"{fn.__name__} accepted root_tol={tol}")
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sigma_full_as_dict_roundtrips(fixture_b):
