@@ -9,23 +9,21 @@ rank corrections and no dense linear algebra on the grid is ever needed; the
 only solve is the small reduction system, whose moments and synthesis are
 products on the one-variable factors of the reduction plan.  Projections
 are products with the basis samples, ``(phi * wx) @ f`` and back.
+
+Every entry point admits its parameter by the one rule of
+``spectrum._admit``: ``lam`` (or ``1/tau``) within ``operator_margin(model)``
+of the relevant spectral set raises ``SpectrumHit``.  The rank tolerance of
+the eigenvalue refusal is the model's ``search.rank_tol``; no function here
+takes a per-call margin or tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange, SpectrumHit
+from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange
 from .model import _on_side
-from .spectrum import (
-    _combine,
-    _ReducedSystem,
-    _search_settings,
-    _weight_ranges,
-    operator_margin,
-    sigma_channel,
-    sigma_ess,
-)
+from .spectrum import _admit, _combine, _ReducedSystem, _weight_ranges, sigma_channel, sigma_ess
 
 __all__ = [
     "apply_partial",
@@ -93,60 +91,50 @@ def apply_T(model, f):
     return apply_partial(model, 1, f) + apply_partial(model, 2, f)
 
 
-def _resolvent_channel(model, g, lam, margin):
+def _resolvent_channel(model, g, lam):
     _check_grid(model, g)
-    margin = operator_margin(model) if margin is None else margin
-    dist = sigma_channel(model, 1).distance(lam)
-    if dist <= margin:
-        raise SpectrumHit(
-            f"lambda {lam!r} is within {dist:.3e} of the channel spectrum"
-        )
+    _admit(sigma_channel(model, 1), lam, model, where="the channel spectrum")
     weights = model.h_y
     correction = _apply_weighted(model, g, weights / (weights - lam))
     return (-1.0 / lam) * (g - correction)
 
 
-def resolvent_channel(model, channel, lam, g, margin=None):
+def resolvent_channel(model, channel, lam, g):
     """Inverse of (channel operator - lam) applied to g.
 
     Uses the closed form -(1/lam) * (g - sum_k w_k/(w_k - lam) * proj_k g);
-    refuses lam within the margin of that channel's spectrum.
+    refuses lam within the operator margin of that channel's spectrum.
     """
-    return _on_side(_resolvent_channel, model, channel, g, lam, margin)
+    return _on_side(_resolvent_channel, model, channel, g, lam)
 
 
-def _apply_S(model, g, tau, margin):
+def _apply_S(model, g, tau):
     _check_grid(model, g)
-    margin = operator_margin(model) if margin is None else margin
     if tau != 0:
-        dist = _weight_set(model).distance(1.0 / tau)
-        if dist <= margin:
-            raise SpectrumHit(
-                f"1/tau {1.0 / tau!r} is within {dist:.3e} of the weight ranges"
-            )
+        _admit(_weight_set(model), 1.0 / tau, model, name="1/tau", where="the weight ranges")
     weights = model.h_y
     return _apply_weighted(model, g, weights / (1.0 - tau * weights))
 
 
-def apply_S(model, channel, tau, g, margin=None):
+def apply_S(model, channel, tau, g):
     """Resolvent correction kernel of one channel:
     S(tau) g = sum_k w_k/(1 - tau w_k) proj_k g, so that the inverse of
     (identity - tau * channel) is identity + tau * S(tau).
 
-    Refuses tau with 1/tau closer than the margin to the weight ranges.
+    Refuses tau with 1/tau within the operator margin of the weight ranges.
     """
-    return _on_side(_apply_S, model, channel, g, tau, margin)
+    return _on_side(_apply_S, model, channel, g, tau)
 
 
-def apply_W(model, tau, f, margin=None):
+def apply_W(model, tau, f):
     """The closed composition used by the spectral reduction:
     W(tau) = (identity - tau * channel2)^{-1} S1(tau) channel2."""
     t2 = apply_partial(model, 2, f)
-    s = apply_S(model, 1, tau, t2, margin=margin)
-    return s + tau * apply_S(model, 2, tau, s, margin=margin)
+    s = apply_S(model, 1, tau, t2)
+    return s + tau * apply_S(model, 2, tau, s)
 
 
-def resolvent_T(model, lam, g, margin=None, rank_tol=None):
+def resolvent_T(model, lam, g):
     """Inverse of (T - lam) applied to g via the three-factor split.
 
     With tau = 1/lam,
@@ -162,32 +150,27 @@ def resolvent_T(model, lam, g, margin=None, rank_tol=None):
         (I - tau * Pi(lam)^T) c = d,   d_w = <B_w, u>,
 
     the transpose entering because Pi[i, l] pairs F_i with B_l while the
-    moments c pair with B.  A vanishing singular value there means lam is a
-    discrete eigenvalue and the solve is refused.
+    moments c pair with B.  A singular value at most the model's
+    ``search.rank_tol`` (relative) there means lam is a discrete eigenvalue
+    and the solve is refused.
     """
     _check_grid(model, g)
-    margin = operator_margin(model) if margin is None else margin
-    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
-    dist = sigma_ess(model).distance(lam)
-    if dist <= margin:
-        raise SpectrumHit(
-            f"lambda {lam!r} is within {dist:.3e} of the essential spectrum"
-        )
+    _admit(sigma_ess(model), lam, model)
     system = _ReducedSystem(model, lam, 1.0 / lam)
-    if system.nullity(rank_tol):
+    if system.nullity(model.search.rank_tol):
         raise EigenvalueHit(f"lambda {lam!r} is a discrete eigenvalue")
-    return -system.tau * _second_kind(model, system, g, margin)
+    return -system.tau * _second_kind(model, system, g)
 
 
-def _second_kind(model, system, g, margin):
+def _second_kind(model, system, g):
     """The solution f of f - tau T f = g for a regular tau = system.tau.
 
     Two channel corrections, then the reduced system for the moments of the
     finite correction; the steps are spelled out in the ``pie`` docstring.
     """
     tau = system.tau
-    u = g + tau * apply_S(model, 1, tau, g, margin=margin)
-    u = u + tau * apply_S(model, 2, tau, u, margin=margin)
+    u = g + tau * apply_S(model, 1, tau, g)
+    u = u + tau * apply_S(model, 2, tau, u)
     plan = system.plan
     c = system.solve(plan.moments(u.values))
     return u.with_values(u.values + tau * plan.synthesize(system.lam, c))

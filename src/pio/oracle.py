@@ -11,10 +11,12 @@ Because both kernels are sums of separable terms the discretized matrix is
     S = sum_k (a_k a_k^T) kron diag(h_k)  +  sum_j diag(p_j) kron (b_j b_j^T)
 
 with ``a_k = phi_k(x) sqrt(wx)`` and ``b_j = psi_j(y) sqrt(wy)``; its range
-lies in the span of ``n*Ny + m*Nx`` explicit vectors.  For grids too large
-for a dense eigensolve, projecting onto an orthonormal basis of that span
-gives every nonzero eigenvalue exactly (up to roundoff), with the rest of
-the spectrum filled by zeros.
+lies in the span of ``n*Ny + m*Nx`` explicit vectors.  Projecting onto an
+orthonormal basis of that span gives every nonzero eigenvalue exactly (up to
+roundoff), with the rest of the spectrum filled by zeros.  This holds on
+every grid, also where the span is the whole space (the projection is then
+a change of basis), so the eigensolve never needs the dense ``Nx*Ny``
+matrix; ``NystromSystem.matrix`` stays as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 _MATRIX_CAP = 4096  # largest N for which the dense matrix may be materialized
-_DENSE_EIG_CAP = 2500
 
 
 def _axis_rule(panel_edges, total):
@@ -164,17 +165,12 @@ def _compressed_eigs(sys):
 def oracle_eigs(sys):
     """Sorted real eigenvalues of the discretized operator.
 
-    Dense eigensolve for small grids; exact low-rank compression above
-    that, which is what makes 200 nodes per axis affordable.
+    One path for every grid: the exact range compression described on top,
+    whose eigensolve has the size of the span, at most ``n*Ny + m*Nx``, and
+    which is what makes 200 nodes per axis affordable.
     """
     try:
-        if sys.size <= _DENSE_EIG_CAP:
-            return np.sort(np.linalg.eigvalsh(sys.matrix))
-        if sys.a.shape[0] * sys.ny + sys.b.shape[0] * sys.nx < sys.size:
-            return _compressed_eigs(sys)
-        raise PioError(
-            f"grid {sys.nx}x{sys.ny} needs a dense solve beyond the supported size"
-        )
+        return _compressed_eigs(sys)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
 

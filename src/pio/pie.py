@@ -22,16 +22,19 @@ writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
 so its zero set matches the determinant used by the spectral search.  The
 parameter classification below names the failure modes; the solver refuses
 them instead of returning one arbitrary member of the solution family.
+CHANNEL_SINGULAR is the admission rule of ``spectrum._admit`` (1/tau within
+``operator_margin(model)`` of the essential set), and EIGEN counts null
+directions with the model's ``search.rank_tol``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .errors import NonUniqueSolution, OutsideTheory
+from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _ReducedSystem, _search_settings, operator_margin, sigma_ess
+from .spectrum import _admit, _ReducedSystem, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -45,43 +48,44 @@ class TauClass(enum.Enum):
     REGULAR = "regular"
 
 
-def _classify(model, tau, margin, rank_tol):
+def _classify(model, tau):
     """``(class, reduced system at 1/tau)``; the system is None when the
     reduction does not apply."""
-    margin = operator_margin(model) if margin is None else margin
-    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
     if tau == 0:
         return TauClass.ZERO, None
     lam = 1.0 / tau
-    if sigma_ess(model).distance(lam) <= margin:
+    try:
+        _admit(sigma_ess(model), lam, model)
+    except SpectrumHit:
         return TauClass.CHANNEL_SINGULAR, None
     system = _ReducedSystem(model, lam, tau)
-    return (TauClass.EIGEN if system.nullity(rank_tol) else TauClass.REGULAR), system
+    kind = TauClass.EIGEN if system.nullity(model.search.rank_tol) else TauClass.REGULAR
+    return kind, system
 
 
-def classify_tau(model, tau, margin=None, rank_tol=None):
+def classify_tau(model, tau):
     """Classify the parameter of the second-kind equation.
 
     ZERO: tau = 0, the reduction (which works at lam = 1/tau) does not
-    apply.  CHANNEL_SINGULAR: 1/tau is in or within the margin of the
-    essential set, so a channel factor is not invertible.  EIGEN: the
-    reduced system is singular, 1/tau is a discrete eigenvalue.  REGULAR:
-    everything invertible.
+    apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
+    the essential set, so a channel factor is not invertible.  EIGEN: the
+    reduced system is singular under the model's ``search.rank_tol``, 1/tau
+    is a discrete eigenvalue.  REGULAR: everything invertible.
     """
-    return _classify(model, tau, margin, rank_tol)[0]
+    return _classify(model, tau)[0]
 
 
-def _solve_pie(model, g, tau, margin, rank_tol):
+def _solve_pie(model, g, tau):
     _check_grid(model, g)
-    kind, system = _classify(model, tau, margin, rank_tol)
+    kind, system = _classify(model, tau)
     if kind is TauClass.EIGEN:
         raise NonUniqueSolution(f"1/tau = {1.0 / tau!r} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
         raise OutsideTheory(f"parameter {tau!r} is {kind.value}")
-    return _second_kind(model, system, g, margin)
+    return _second_kind(model, system, g)
 
 
-def solve_pie(model, tau, g, margin=None, rank_tol=None, path=1):
+def solve_pie(model, tau, g, path=1):
     """Unique solution of f - tau * T f = g for a REGULAR parameter.
 
     EIGEN parameters raise NonUniqueSolution (solutions exist only up to
@@ -90,7 +94,7 @@ def solve_pie(model, tau, g, margin=None, rank_tol=None, path=1):
     the opposite order; both paths must agree, and exposing the choice
     makes that easy to test.
     """
-    return _on_side(_solve_pie, model, path, g, tau, margin, rank_tol)
+    return _on_side(_solve_pie, model, path, g, tau)
 
 
 def residual(model, tau, f, g):

@@ -84,6 +84,26 @@ def operator_margin(model):
     return 1e-9 * (1.0 + model.bound)
 
 
+def _admit(spectral_set, params, model, margin=None, name="lambda", where="the essential spectrum"):
+    """Raise ``SpectrumHit`` for the first of ``params`` (a number or an
+    array, real or complex) within ``margin`` of ``spectral_set``.
+
+    The one admission rule of every operator entry point, with the margin
+    ``operator_margin(model)``; the root search passes its own.  The refused
+    parameter is printed as a plain number.
+    """
+    if margin is None:
+        margin = operator_margin(model)
+    if isinstance(params, np.ndarray):
+        dist = spectral_set.distances(params)
+        bad = np.flatnonzero(dist <= margin)
+        param, near = (params.flat[bad[0]], dist.flat[bad[0]]) if bad.size else (None, np.inf)
+    else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
+        param, near = params, spectral_set.distance(params)
+    if near <= margin:
+        raise SpectrumHit(f"{name} {np.asarray(param).item()!r} is within {near:.3e} of {where}")
+
+
 # --- essential part -------------------------------------------------------
 
 
@@ -254,18 +274,6 @@ def sigma_ess(model):
 # --- finite-rank reduction --------------------------------------------------
 
 
-def _guard_lams(model, lams, margin):
-    margin = operator_margin(model) if margin is None else margin
-    lams = np.atleast_1d(lams)
-    dist = sigma_ess(model).distances(lams)
-    bad = np.flatnonzero(dist <= margin)
-    if bad.size:
-        lam, near = lams[bad[0]], dist[bad[0]]
-        raise SpectrumHit(
-            f"lambda {lam!r} is within {near:.3e} of the essential spectrum"
-        )
-
-
 @dataclass(frozen=True)
 class _ReductionPlan:
     """The lambda-independent factors of the reduction.
@@ -357,7 +365,7 @@ def _reduction_plan(model):
 
 def _assemble_pi(model, lams, margin=None):
     """Stacked reduction matrices, shape (L, m*n, m*n)."""
-    _guard_lams(model, lams, margin)
+    _admit(sigma_ess(model), lams, model, margin)
     return _reduction_plan(model).assemble(np.asarray(lams))
 
 
@@ -409,21 +417,22 @@ class PiMatrix:
         return self.entries.shape[0]
 
 
-def pi_matrix(model, lam, path=1, margin=None):
+def pi_matrix(model, lam, path=1):
     """Cross-integral matrix ``Pi(lam)`` for the requested path."""
     view = _oriented(model, path)
-    entries = _assemble_pi(view, np.array([lam]), margin)[0]
+    entries = _assemble_pi(view, np.array([lam]))[0]
     index_map = tuple((k, j) for k in range(1, view.m + 1) for j in range(1, view.n + 1))
     return PiMatrix(lam, path, entries, index_map)
 
 
-def delta(model, lam, margin=None):
+def delta(model, lam):
     """Determinant ``det(Pi(lam) - lam*I)``; real input gives a real value."""
-    return delta_batch(model, np.array([lam]), margin)[0]
+    return delta_batch(model, np.array([lam]))[0]
 
 
 def delta_batch(model, lams, margin=None):
-    """Vectorized determinant over many spectral parameters."""
+    """Vectorized determinant over many spectral parameters; refuses any
+    within ``margin`` (default: the operator margin) of the essential set."""
     lams = np.asarray(lams)
     pis = _assemble_pi(model, lams, margin)
     size = pis.shape[1]
@@ -642,7 +651,7 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
 # --- eigenfunctions -----------------------------------------------------------
 
 
-def eigenfunctions_T(model, lam0, rank_tol=None):
+def eigenfunctions_T(model, lam0):
     """Orthonormal eigenfunctions of the sum at a discrete eigenvalue.
 
     The homogeneous equation reduces to the coefficient system
@@ -650,13 +659,12 @@ def eigenfunctions_T(model, lam0, rank_tol=None):
     space of the reduced system at ``tau = 1/lam``; the eigenfunction is
     rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the reduction plan's
     synthesis.  Raises if ``lam0`` is in/near the essential set or the
-    system has no null direction.
+    system has no null direction under the model's ``search.rank_tol``.
     """
-    rank_tol = _search_settings(model, rank_tol=rank_tol).rank_tol
     lam0 = float(lam0)
-    _guard_lams(model, np.array([lam0]), None)
+    _admit(sigma_ess(model), lam0, model)
     system = _ReducedSystem(model, lam0, 1.0 / lam0)
-    coeffs = system.null_space(rank_tol)
+    coeffs = system.null_space(model.search.rank_tol)
     if coeffs.shape[1] == 0:
         raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
 

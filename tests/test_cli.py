@@ -230,8 +230,11 @@ def test_eigenfunction_not_eigenvalue_exits_3(model_a, capsys):
     assert "NotAnEigenvalue" in capsys.readouterr().err
 
 
-def test_eigenfunction_essential_hit_exits_3(model_a):
+def test_eigenfunction_essential_hit_exits_3(model_a, capsys):
     assert main(["eigenfunction", "--model", model_a, "--lambda", "2.0"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: SpectrumHit: lambda 2.0 is within 0.000e+00 of the essential spectrum\n"
+    )
 
 
 def test_fuzzed_model_files_never_crash(tmp_path, capsys):

@@ -87,10 +87,18 @@ def test_dense_matrix_refused_when_huge(fixture_b):
 
 
 def test_compression_matches_dense(fixture_b):
-    sys = nystrom_matrix(fixture_b, 18, 21)
-    dense = np.sort(np.linalg.eigvalsh(sys.matrix))
-    fast = _compressed_eigs(sys)
-    assert np.max(np.abs(dense - fast)) < 1e-10
+    # Tiny grids of an n = m = 2 model take the same path.  With Nx <= n or
+    # Ny <= m the span of the n*Ny + m*Nx range vectors is the whole grid
+    # space and the compression is a change of basis; 4x4 and 7x3 fall short.
+    two = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["t+2", "1-t"],
+                     ["legendre(0)", "legendre(1)"], ["t+4", "t/2"])
+    grids = [(fixture_b, 18, 21), *((two, nx, ny) for nx, ny in
+                                     ((1, 1), (2, 1), (2, 3), (7, 2), (1, 5), (4, 4), (7, 3)))]
+    for model, nx, ny in grids:
+        sys = nystrom_matrix(model, nx, ny)
+        dense = np.sort(np.linalg.eigvalsh(sys.matrix))
+        assert np.max(np.abs(dense - _compressed_eigs(sys))) < 1e-10
+        assert np.array_equal(oracle_eigs(sys), _compressed_eigs(sys))
 
 
 def test_compression_matches_dense_rank_two_channel():

@@ -1,9 +1,11 @@
 """Second-kind equation: classification, solving, residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pio.errors import ModelFormatError, NonUniqueSolution, OutsideTheory
+from pio.errors import EigenvalueHit, NonUniqueSolution, NotAnEigenvalue, OutsideTheory
 from pio.model import make_model
 from pio.operators import resolvent_T
 from pio.pie import TauClass, classify_tau, residual, solve_pie
@@ -106,14 +108,19 @@ def test_eigen_refusal_lines_up_with_homogeneous_solutions(fixture_a):
     assert (h - tau * apply_T(fixture_a, h)).norm() < 1e-10
 
 
-def test_rank_tol_override_is_validated(fixture_a):
-    # rank_tol=-1 used to classify the eigenvalue 5 as regular and return a wrong solution
-    g = fixture_a.constant_grid(1.0)
-    for call in (
-        lambda: classify_tau(fixture_a, 0.2, rank_tol=-1.0),
-        lambda: solve_pie(fixture_a, 0.2, g, rank_tol=-1.0),
-        lambda: resolvent_T(fixture_a, 5.0, g, rank_tol=0.0),
-        lambda: eigenfunctions_T(fixture_a, 5.0, rank_tol=-1.0),
-    ):
-        with pytest.raises(ModelFormatError):
-            call()
+def test_model_rank_tol_reaches_every_entry_point(fixture_a):
+    # At tau = 0.1 the reduced system of model A is I - 0.1 * 60/56, one singular
+    # value 0.893: regular under the default rank_tol, null under rank_tol = 0.95.
+    loose = replace(fixture_a, search=replace(fixture_a.search, rank_tol=0.95))
+    g = loose.constant_grid(1.0)
+    assert classify_tau(fixture_a, 0.1) is TauClass.REGULAR
+    assert classify_tau(loose, 0.1) is TauClass.EIGEN
+    for path in (1, 2):
+        with pytest.raises(NonUniqueSolution):
+            solve_pie(loose, 0.1, g, path=path)
+    resolvent_T(fixture_a, 10.0, g)
+    with pytest.raises(EigenvalueHit):
+        resolvent_T(loose, 10.0, g)
+    with pytest.raises(NotAnEigenvalue):
+        eigenfunctions_T(fixture_a, 10.0)
+    assert len(eigenfunctions_T(loose, 10.0)) == 1

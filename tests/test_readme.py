@@ -1,9 +1,11 @@
 """The README's examples run against the code as it is."""
 
+import inspect
 import json
 import re
 from pathlib import Path
 
+import pio
 from pio.model import model_from_dict, validate_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +38,22 @@ def test_model_file_examples_parse_and_validate():
     assert len(docs) >= 2
     for doc in docs:
         assert validate_model(model_from_dict(json.loads(doc))).ok
+
+
+def api_table_entries():
+    """The code spans of the first column of the README's API table."""
+    rows = [line for line in section("Quick start (library)").splitlines()
+            if line.startswith("| `")]
+    return [span for row in rows for span in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_api_table_call_forms_bind_to_the_signatures():
+    entries = api_table_entries()
+    assert len(entries) >= 16
+    for entry in entries:
+        name, paren, args = entry.partition("(")
+        assert paren, f"{entry!r} gives no call form"
+        given = [a.strip() for a in args.rstrip(")").split(",") if a.strip()]
+        keywords = dict(a.split("=", 1) for a in given if "=" in a)
+        positional = [a for a in given if "=" not in a]
+        inspect.signature(getattr(pio, name)).bind(*positional, **keywords)  # TypeError on drift
