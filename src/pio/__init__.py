@@ -9,25 +9,8 @@ the associated second-kind equation, plus a brute-force discretization
 oracle to check all of it.
 """
 
-from .errors import (
-    BadBreakpoint,
-    BadInterval,
-    ConvergenceFailure,
-    DomainError,
-    EigenvalueHit,
-    EmptyPiecewise,
-    ExprSyntaxError,
-    GridMismatch,
-    IndexOutOfRange,
-    ModelFormatError,
-    NoAtom,
-    NonUniqueSolution,
-    NotAnEigenvalue,
-    OutsideTheory,
-    PioError,
-    SpectrumHit,
-    UnknownIdentifier,
-)
+from . import errors
+from .errors import *  # noqa: F403 - every error type is public
 from .expr import Expression, eval_expr, format_expr, parse_expr, parse_expr2
 from .quadrature import Grid2D, QuadRule1D, build_rule, gauss_legendre, integrate_1d, integrate_2d
 from .model import (
@@ -81,12 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PioError", "ExprSyntaxError", "UnknownIdentifier", "EmptyPiecewise",
-    "DomainError", "BadInterval", "BadBreakpoint", "GridMismatch",
-    "IndexOutOfRange", "ModelFormatError", "SpectrumHit", "EigenvalueHit",
-    "NotAnEigenvalue", "NoAtom", "ConvergenceFailure", "NonUniqueSolution",
-    "OutsideTheory",
+    *errors.__all__,
     # expressions
     "Expression", "parse_expr", "parse_expr2", "eval_expr", "format_expr",
     # quadrature

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     EigenvalueHit,
     ExprSyntaxError,
+    InvalidModel,
     ModelFormatError,
     NoAtom,
     NonUniqueSolution,
@@ -26,7 +27,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .expr import parse_expr2
-from .model import load_model_file, validate_model
+from .model import load_model_file
 from .oracle import compare_spectra, nystrom_matrix, oracle_eigs
 from .pie import residual, solve_pie
 from .spectrum import (
@@ -160,16 +161,15 @@ def _build_parser():
 
 
 def _load(args):
+    """The model and its validation report, the one the library checks too."""
     model = load_model_file(args.model)
-    report = validate_model(model)
-    return model, report
+    return model, model._validation
 
 
 def _require_valid(args):
     model, report = _load(args)
     if not report.ok:
-        bad = ", ".join(c.name for c in report.checks if not c.passed)
-        sys.stderr.write(f"model failed validation: {bad}\n")
+        sys.stderr.write(f"{InvalidModel(report)}\n")
         raise SystemExit(_INVALID_EXIT)
     return model
 

@@ -16,6 +16,7 @@ __all__ = [
     "GridMismatch",
     "IndexOutOfRange",
     "ModelFormatError",
+    "InvalidModel",
     "SpectrumHit",
     "EigenvalueHit",
     "NotAnEigenvalue",
@@ -76,6 +77,15 @@ class IndexOutOfRange(PioError):
 
 class ModelFormatError(PioError):
     """Model description does not match the documented JSON layout."""
+
+
+class InvalidModel(PioError):
+    """Model fails ``validate_model``; ``report`` holds the ``ValidationReport``."""
+
+    def __init__(self, report):
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        super().__init__(f"model failed validation: {failed}")
+        self.report = report
 
 
 class SpectrumHit(PioError):

@@ -9,10 +9,10 @@ A model consists of two channels acting on L2 of ``[a, b] x [c, d]``:
   ``sum_j p_j(x) psi_j(y) psi_j(t)`` with an orthonormal family ``psi_j``
   on ``[c, d]`` and bounded real weights ``p_j`` on ``[a, b]``.
 
-Orthonormality is validated, never enforced.  Basis and weight entries are
-expression strings; the shorthands ``legendre(k)`` and ``trig(k)`` expand to
-explicit orthonormal polynomials / trigonometric functions on the interval
-the entry lives on.
+Orthonormality is validated, never enforced (the spectral computations refuse
+a model that fails validation).  Basis and weight entries are expression
+strings; the shorthands ``legendre(k)`` and ``trig(k)`` expand to explicit
+orthonormal polynomials / trigonometric functions on their interval.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ class PIOModel:
     def bound(self):
         return norm_bound(self)
 
+    @cached_property
+    def _validation(self):
+        """``validate_model(self)``, the report the library gates on."""
+        return validate_model(self)
+
     def grid(self, f):
         """Sample a callable of (x, y) arrays on the model's tensor grid."""
         return Grid2D.from_function(self.rule_x, self.rule_y, f)
@@ -169,10 +174,10 @@ class PIOModel:
         breakpoints.  It is unitary on L2 of the rectangle and carries this
         operator onto the mirror's, so both have the same spectrum; channel 2
         and path 2 of this model are channel 1 and path 1 of its mirror.  The
-        mirror shares this model's rules, sampled arrays and norm bound (and,
-        through the spectrum module, its essential set) instead of computing
-        them again.  It is made once and kept on the model; its own mirror is
-        this model.
+        mirror shares this model's rules, sampled arrays, norm bound and
+        validation report (and, through the spectrum module, its essential
+        set) instead of computing them again, so a refusal names this model's
+        channels.  It is made once and kept on the model; its mirror is this.
         """
         memo = self.__dict__
         if "_mirror" not in memo:
@@ -190,7 +195,7 @@ class PIOModel:
 # each derived attribute of the mirror and the attribute of the model it equals
 _MIRRORED_ATTRS = {
     "rule_x": "rule_y", "rule_y": "rule_x", "phi_x": "psi_y", "h_y": "p_x",
-    "psi_y": "phi_x", "p_x": "h_y", "bound": "bound",
+    "psi_y": "phi_x", "p_x": "h_y", "bound": "bound", "_validation": "_validation",
 }
 
 
@@ -231,25 +236,24 @@ def _interior(points, interval):
 
 
 def legendre_source(k, interval):
-    """Expression text of the degree-``k`` orthonormal polynomial on the interval."""
+    """Expression text of the degree-``k`` orthonormal polynomial on the interval,
+    in powers of ``(2t - lo - hi)/(hi - lo)`` (in powers of ``t``, 14 members fail validation)."""
     lo, hi = (float(v) for v in interval)
     coeff = np.zeros(k + 1)
-    coeff[k] = 1.0
-    mono = np.polynomial.legendre.leg2poly(coeff)
-    shift = np.polynomial.Polynomial([-(lo + hi) / (hi - lo), 2.0 / (hi - lo)])
-    composed = np.polynomial.Polynomial(mono)(shift)
-    scale = np.sqrt((2.0 * k + 1.0) / (hi - lo))
+    coeff[k] = np.sqrt((2.0 * k + 1.0) / (hi - lo))
+    shift = (lo + hi) / (hi - lo)
+    u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
     terms = []
-    for power, c in enumerate(np.atleast_1d(composed.coef) * scale):
+    for power, c in enumerate(np.polynomial.legendre.leg2poly(coeff)):
         if c == 0.0:
             continue
         if power == 0:
             terms.append(repr(float(c)))
         elif power == 1:
-            terms.append(f"{float(c)!r}*t")
+            terms.append(f"{float(c)!r}*{u}")
         else:
-            terms.append(f"{float(c)!r}*t^{power}")
-    return " + ".join(terms) if terms else "0"
+            terms.append(f"{float(c)!r}*{u}^{power}")
+    return " + ".join(terms)
 
 
 def trig_source(k, interval):

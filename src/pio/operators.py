@@ -6,9 +6,9 @@ onto its basis, reweighted along the second variable); channel 2 is channel
 1 of the mirrored model, applied to the transposed grid.  Because each
 channel has finite rank in its own variable, all resolvents are explicit
 rank corrections and no dense linear algebra on the grid is ever needed; the
-only solve is the small reduction system, whose moments and synthesis are
-products on the one-variable factors of the reduction plan.  Projections
-are products with the basis samples, ``(phi * wx) @ f`` and back.
+only solve is the small reduction system, whose matrix ``lam K N``, moments
+and synthesis are products on the Gram factors of the reduction plan (built
+only for valid models).  Projections are ``(phi * wx) @ f`` and back.
 
 Every entry point admits its parameter by the one rule of
 ``spectrum._admit``: ``lam`` (or ``1/tau``) within ``operator_margin(model)``
@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange
 from .model import _on_side
-from .spectrum import _admit, _combine, _ReducedSystem, _weight_ranges, sigma_channel, sigma_ess
+from .spectrum import _admit, _combine, _plain, _ReducedSystem, _weight_ranges
+from .spectrum import sigma_channel, sigma_ess
 
 __all__ = [
     "apply_partial",
@@ -158,7 +159,7 @@ def resolvent_T(model, lam, g):
     _admit(sigma_ess(model), lam, model)
     system = _ReducedSystem(model, lam, 1.0 / lam)
     if system.nullity(model.search.rank_tol):
-        raise EigenvalueHit(f"lambda {lam!r} is a discrete eigenvalue")
+        raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
     return -system.tau * _second_kind(model, system, g)
 
 

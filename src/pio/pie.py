@@ -9,9 +9,9 @@ channel corrections followed by one small linear solve:
     (I - tau * Pi(1/tau)^T) c = d,   d_w = <B_w, u'>
     f  = u' + tau * sum_w c_w F_w(., .; 1/tau)
 
-The moments ``d`` and the sum over ``F_w`` are matrix products on the
-one-variable factors held by the reduction plan (``spectrum``); neither
-``F_w`` nor ``B_w`` is sampled on the grid.
+``Pi = lam K N``, the moments ``d`` and the sum over ``F_w`` are products on
+the Gram factors of the reduction plan (``spectrum``), which needs
+orthonormal bases: a model that fails validation raises ``InvalidModel``.
 
 The small system is singular exactly when 1/tau is a discrete eigenvalue:
 writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
@@ -34,7 +34,7 @@ import enum
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _admit, _ReducedSystem, sigma_ess
+from .spectrum import _admit, _plain, _ReducedSystem, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -79,9 +79,9 @@ def _solve_pie(model, g, tau):
     _check_grid(model, g)
     kind, system = _classify(model, tau)
     if kind is TauClass.EIGEN:
-        raise NonUniqueSolution(f"1/tau = {1.0 / tau!r} is a discrete eigenvalue")
+        raise NonUniqueSolution(f"1/tau = {_plain(1.0 / tau)} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
-        raise OutsideTheory(f"parameter {tau!r} is {kind.value}")
+        raise OutsideTheory(f"parameter {_plain(tau)} is {kind.value}")
     return _second_kind(model, system, g)
 
 

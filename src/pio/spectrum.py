@@ -14,28 +14,29 @@ separable:
     W(1/lam) f = lam * sum_w F_w(x, y; lam) * <B_w, f>,
 
 where ``w`` runs over pairs (k, j), ``k`` indexing channel 2 and ``j``
-channel 1, and
+channel 1, ``B_(k,j)(s, t) = p_k(s) phi_j(s) psi_k(t)`` and
 
     F_(k,j)(x, y) = phi_j(x) * ( psi_k(y) h_j(y) / (lam - h_j(y))
-        + sum_i p_i(x) psi_i(y) / (lam - p_i(x)) * c_i ),
-    c_i = integral of h_j(xi) / (lam - h_j(xi)) psi_k(xi) psi_i(xi) d(xi),
-    B_(k,j)(s, t) = p_k(s) phi_j(s) psi_k(t).
+        + sum_i p_i(x) psi_i(y) / (lam - p_i(x)) * K_j[k,i] ),
+    K_j[k,i] = <psi_k, h_j/(lam - h_j) psi_i>_y    (n blocks of m x m).
 
-``Pi`` collects the cross integrals ``Pi[i, l] = <F_(w_i), B_(w_l)>``; pairs
-are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 is path 1 of
-the mirrored model (channels and axes swapped, ``PIOModel.mirrored``); both
-paths must produce determinants with identical zero sets.
+With orthonormal bases (``<psi_i, psi_q> = delta_iq``; models that fail
+``validate_model`` are refused with ``InvalidModel``) and
+``p + p^2/(lam - p) = lam p/(lam - p)``, the cross integrals factor as
 
-Everything in ``Pi`` that does not depend on ``lam`` (products of the basis
-samples, the weights and the quadrature weights) is collected once per model
-in a reduction plan that lives on the model.  One assembly is then
-three matrix products against ``H/(lam - H)`` and ``P/(lam - P)``, for any
-number of real or complex parameters at once.  The same factors give the
-moments ``<B_w, u>`` of a grid function and the synthesis ``sum_w c_w F_w``
-as a few more products, so ``F_w`` and ``B_w`` are never sampled on the grid.
-The root search uses the batching: it scans every gap, collects the
-sign-change brackets of all gaps, and bisects them in lockstep, one
-determinant batch per bisection step.
+    Pi[(k,j), (q,p)] = <F_(k,j), B_(q,p)> = lam * K_j[k,q] * N_q[j,p],
+    N_q[j,p] = <phi_j, p_q/(lam - p_q) phi_p>_x    (m blocks of n x n).
+
+Pairs are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 is path 1
+of the mirrored model (``PIOModel.mirrored``), the same two families in the
+other order; both paths must give the same zero set.
+
+The lambda-independent factors live in a reduction plan kept on the model:
+one assembly is two matrix products and one broadcast product, for any
+number of real or complex parameters at once, and the same factors give the
+moments ``<B_w, u>`` and the synthesis ``sum_w c_w F_w``, so ``F_w`` and
+``B_w`` are never sampled on the grid.  The root search bisects the
+sign-change brackets of all gaps in lockstep, one determinant batch per step.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidModel,
     NoAtom,
     NotAnEigenvalue,
     SpectrumHit,
@@ -84,6 +86,11 @@ def operator_margin(model):
     return 1e-9 * (1.0 + model.bound)
 
 
+def _plain(number):
+    """``repr`` of a number as Python writes it, for numpy scalars too."""
+    return repr(np.asarray(number).item())
+
+
 def _admit(spectral_set, params, model, margin=None, name="lambda", where="the essential spectrum"):
     """Raise ``SpectrumHit`` for the first of ``params`` (a number or an
     array, real or complex) within ``margin`` of ``spectral_set``.
@@ -101,7 +108,7 @@ def _admit(spectral_set, params, model, margin=None, name="lambda", where="the e
     else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
         param, near = params, spectral_set.distance(params)
     if near <= margin:
-        raise SpectrumHit(f"{name} {np.asarray(param).item()!r} is within {near:.3e} of {where}")
+        raise SpectrumHit(f"{name} {_plain(param)} is within {near:.3e} of {where}")
 
 
 # --- essential part -------------------------------------------------------
@@ -279,19 +286,14 @@ class _ReductionPlan:
     """The lambda-independent factors of the reduction.
 
     With ``Phi, H, Psi, P = phi_x, h_y, psi_y, p_x``, quadrature weights
-    ``wx``, ``wy``, ``HF = H/(lam - H)`` and ``PF = P/(lam - P)``:
-
-        A[(k,i), y]      = wy Psi_k Psi_i
-        E[x, (j,q,p)]    = wx Phi_j P_q Phi_p
-        G[i, (j,q,p)]    = G2[i,q] = <Psi_i, Psi_q>
-        D[i, (j,q,p)]    = delta_iq sum_x E[x, (j,q,p)]
-
-    so that ``Y1 = HF @ A.T``, ``Z = (PF @ E) * G + D`` and
-    ``Pi[(k,j), (q,p)] = sum_i Y1[j,k,i] Z[i,j,(q,p)]``: three matrix
-    products per assembly, for real and complex ``lam`` alike.  ``G``
-    scales the product instead of being folded into a stored
-    ``G2[i,q] E[x,(j,q,p)]``, which would be ``m`` times the size of ``E``.
-    ``moments`` and ``synthesize`` are the grid sides of the reduction.
+    ``wx``, ``wy``, ``HF = H/(lam - H)`` and ``PF = P/(lam - P)``, the Gram
+    factors ``At[y, (k,i)] = wy Psi_k Psi_i`` and ``Bt[x, (j,p)] = wx Phi_j Phi_p``
+    give ``K = HF @ At`` and ``N = PF @ Bt``.  No factor for the channel-2
+    Gram matrix ``G2 = <psi_i, psi_q>`` is kept: the plan is built only for
+    models that pass validation, where ``G2`` is the identity to the
+    validation tolerance, and the rest of the reduction (the closed-form
+    channel resolvents too) assumes it anyway, so a ``G2`` term would make
+    nothing exact.  ``moments`` and ``synthesize`` are the grid sides.
     """
 
     Phi: np.ndarray  # (n, NX)
@@ -300,47 +302,41 @@ class _ReductionPlan:
     P: np.ndarray  # (m, NX)
     WP: np.ndarray  # (m, NX), wx P
     WPsi: np.ndarray  # (m, NY), wy Psi
-    At: np.ndarray  # (NY, m*m), A transposed
-    E: np.ndarray  # (NX, n*m*n)
-    G: np.ndarray  # (m, n*m*n)
-    D: np.ndarray  # (m, n*m*n)
+    At: np.ndarray  # (NY, m*m)
+    Bt: np.ndarray  # (NX, n*n)
 
     @classmethod
     def build(cls, model):
         Phi, H, Psi, P = model.phi_x, model.h_y, model.psi_y, model.p_x
-        wx, WPsi = model.rule_x.weights, model.rule_y.weights * Psi
-        n, m = Phi.shape[0], Psi.shape[0]
-        At = (WPsi[:, None] * Psi[None]).reshape(m * m, -1).T
-        E = wx[:, None, None, None] * (
-            Phi.T[:, :, None, None] * P.T[:, None, :, None] * Phi.T[:, None, None, :]
-        )  # E[x, j, q, p]
-        G = np.broadcast_to((WPsi @ Psi.T)[:, None, :, None], (m, n, m, n))
-        D = np.eye(m)[:, None, :, None] * E.sum(axis=0)[None]
-        return cls(
-            Phi, Psi, H, P, wx * P, WPsi, np.ascontiguousarray(At), E.reshape(len(wx), -1),
-            G.reshape(m, -1), D.reshape(m, -1),
-        )
+        WPhi, WPsi = model.rule_x.weights * Phi, model.rule_y.weights * Psi
 
-    def fractions(self, lams):
-        """``H/(lam - H)`` and ``P/(lam - P)``, shapes (L, n, NY) and (L, m, NX)."""
+        def gram(weighted, basis):  # [node, (a, b)] = w basis_a basis_b
+            products = (weighted[:, None] * basis[None]).reshape(-1, basis.shape[1])
+            return np.ascontiguousarray(products.T)
+
+        return cls(Phi, Psi, H, P, model.rule_x.weights * P, WPsi, gram(WPsi, Psi), gram(WPhi, Phi))
+
+    def families(self, lams):
+        """``HF``, ``PF``, ``K`` and ``N`` at each parameter, shapes (L, n, NY),
+        (L, m, NX), (L, n, m, m) and (L, m, n, n)."""
+        (n, ny), (m, nx) = self.H.shape, self.P.shape
         lcol = lams[:, None, None]
         HF = lcol - self.H
         np.divide(self.H, HF, out=HF)
         PF = lcol - self.P
         np.divide(self.P, PF, out=PF)
-        return HF, PF
+        K = (HF.reshape(-1, ny) @ self.At).reshape(len(lams), n, m, m)
+        N = (PF.reshape(-1, nx) @ self.Bt).reshape(len(lams), m, n, n)
+        return HF, PF, K, N
 
     def assemble(self, lams):
         """Stacked ``Pi(lam)``, shape (L, m*n, m*n)."""
-        (n, _), (m, _) = self.H.shape, self.P.shape
-        count = len(lams)
-        HF, PF = self.fractions(lams)
-        Y1 = (HF.reshape(count * n, -1) @ self.At).reshape(count, n, m, m)
-        Z = (PF.reshape(count * m, -1) @ self.E).reshape(count, m, -1)
-        Z *= self.G
-        Z += self.D
-        Z = Z.reshape(count, m, n, m * n).transpose(0, 2, 1, 3)
-        return (Y1 @ Z).transpose(0, 2, 1, 3).reshape(count, m * n, m * n)
+        _, _, K, N = self.families(lams)
+        count, n, m, _ = K.shape
+        N *= lams[:, None, None, None]
+        # [l, k, j, q, p] = K[l, j, k, q] * lam N[l, q, j, p]
+        pis = K.transpose(0, 2, 1, 3)[..., None] * N.transpose(0, 2, 1, 3)[:, None]
+        return pis.reshape(count, m * n, m * n)
 
     def moments(self, values):
         """``d_(k,j) = <B_(k,j), u> = sum_x wx P_k Phi_j (u @ (wy Psi).T)[x, k]``
@@ -349,18 +345,23 @@ class _ReductionPlan:
 
     def synthesize(self, lam, coeffs):
         """``sum_w c_w F_w(., .; lam)`` on the grid, shape (NX, NY): with
-        ``C = c.reshape(m, n)`` and ``M[j,i] = sum_k C[k,j] Y1[j,k,i]``, it is
+        ``C = c.reshape(m, n)`` and ``M[j,i] = sum_k C[k,j] K_j[k,i]``, it is
         ``Phi.T @ (HF * (C.T @ Psi)) + ((Phi.T @ M) * PF.T) @ Psi``."""
-        (n, _), (m, _) = self.H.shape, self.P.shape
-        (HF,), (PF,) = self.fractions(np.array([lam]))
-        C = coeffs.reshape(m, n)
-        Y1 = (HF @ self.At).reshape(n, m, m)
-        M = (C.T[:, None, :] @ Y1)[:, 0]
+        (HF,), (PF,), (K,), _ = self.families(np.array([lam]))
+        C = coeffs.reshape(self.P.shape[0], self.H.shape[0])
+        M = (C.T[:, None, :] @ K)[:, 0]
         return self.Phi.T @ (HF * (C.T @ self.Psi)) + ((self.Phi.T @ M) * PF.T) @ self.Psi
 
 
+def _checked_plan(model):
+    """The reduction plan, for models that pass validation only."""
+    if not model._validation.ok:
+        raise InvalidModel(model._validation)
+    return _ReductionPlan.build(model)
+
+
 def _reduction_plan(model):
-    return _per_model(model, "_pi_plan", _ReductionPlan.build)
+    return _per_model(model, "_pi_plan", _checked_plan)
 
 
 def _assemble_pi(model, lams, margin=None):
@@ -573,7 +574,7 @@ def discrete_spectrum(
         for prev, _ in found:
             if abs(lam - prev) <= 100.0 * root_tol * (1.0 + abs(prev)):
                 return
-        found.append((lam, mult))
+        found.append((float(lam), mult))
 
     for lams, vals in scans:
         scale = float(np.max(np.abs(vals)))
@@ -703,7 +704,7 @@ def atom_eigenfunction(model, channel, j0, lam0):
             level.append((plo, phi))
             measure += phi - plo
     if not level:
-        raise NoAtom(f"weight {j0} of channel {channel} has no level set at {lam0!r}")
+        raise NoAtom(f"weight {j0} of channel {channel} has no level set at {_plain(lam0)}")
 
     def indicator(ts):
         mask = np.zeros(ts.shape, dtype=float)

@@ -1,0 +1,115 @@
+"""What crosses the library boundary: refusal of models that fail validation,
+and plain Python numbers in results and refusal messages."""
+
+import json
+
+import numpy as np
+import pytest
+
+import pio.model
+from pio.cli import main
+from pio.errors import EigenvalueHit, InvalidModel, NoAtom, NonUniqueSolution, OutsideTheory
+from pio.model import make_model, validate_model
+from pio.operators import resolvent_T
+from pio.pie import classify_tau, solve_pie
+from pio.spectrum import (
+    atom_eigenfunction,
+    delta,
+    discrete_spectrum,
+    eigenfunctions_T,
+    sigma_full,
+)
+
+from conftest import fixture_a_dict
+
+
+def not_orthonormal():
+    # fixture a with the channel-1 basis 2 instead of 1: Gram deviation 3
+    return make_model((0, 1), (0, 1), ["2"], ["2"], ["1"], ["3"])
+
+
+ENTRY_POINTS = {
+    "sigma_full": lambda model: sigma_full(model),
+    "discrete_spectrum": lambda model: discrete_spectrum(model),
+    "discrete_spectrum path 2": lambda model: discrete_spectrum(model, path=2),
+    "delta": lambda model: delta(model, 7.0),
+    "classify_tau": lambda model: classify_tau(model, 0.1),
+    "solve_pie": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0)),
+    "solve_pie path 2": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0), path=2),
+    "resolvent_T": lambda model: resolvent_T(model, 7.0, model.constant_grid(1.0)),
+    "eigenfunctions_T": lambda model: eigenfunctions_T(model, 7.0),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_refuse_a_model_that_fails_validation(call):
+    # before the check, sigma_full reported the eigenvalue -2.4244 for this model
+    model = not_orthonormal()
+    with pytest.raises(InvalidModel) as err:
+        call(model)
+    assert str(err.value) == "model failed validation: channel1.basis orthonormal"
+    assert err.value.report == validate_model(model)
+    assert not err.value.report.ok
+
+
+def test_validation_runs_once_per_model_and_mirror(monkeypatch):
+    calls = []
+    counted = pio.model.validate_model
+
+    def counting(model):
+        calls.append(model)
+        return counted(model)
+
+    monkeypatch.setattr(pio.model, "validate_model", counting)
+    model = make_model((0, 1), (0, 1), ["1"], ["t"], ["1"], ["t"])
+    sigma_full(model)
+    discrete_spectrum(model, path=2)
+    solve_pie(model, 0.3, model.constant_grid(1.0), path=2)
+    eigenfunctions_T(model, discrete_spectrum(model)[0][0])
+    assert calls == [model]
+    assert model.mirrored()._validation is model._validation
+
+
+def test_cli_keeps_its_own_validation_exit(tmp_path, capsys):
+    doc = fixture_a_dict()
+    doc["channel1"]["basis"] = ["2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in (["spectrum"], ["delta-trace", "--lmin", "4", "--lmax", "6", "--samples", "3"]):
+        assert main([*command, "--model", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "model failed validation: channel1.basis orthonormal\n")
+
+
+PLAIN = {
+    "resolvent_T eigenvalue": (
+        lambda m: resolvent_T(m, np.float64(5.0), m.constant_grid(1.0)),
+        EigenvalueHit, "lambda 5.0 is a discrete eigenvalue",
+    ),
+    "solve_pie eigenvalue": (
+        lambda m: solve_pie(m, np.float64(0.2), m.constant_grid(1.0)),
+        NonUniqueSolution, "1/tau = 5.0 is a discrete eigenvalue",
+    ),
+    "solve_pie channel-singular": (
+        lambda m: solve_pie(m, np.float64(0.5), m.constant_grid(1.0)),
+        OutsideTheory, "parameter 0.5 is channel-singular",
+    ),
+    "atom_eigenfunction": (
+        lambda m: atom_eigenfunction(m, 1, 1, np.float64(4.0)),
+        NoAtom, "weight 1 of channel 1 has no level set at 4.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,message", PLAIN.values(), ids=PLAIN.keys())
+def test_refusals_print_numpy_scalars_as_plain_numbers(fixture_a, call, error, message):
+    with pytest.raises(error) as err:
+        call(fixture_a)
+    assert str(err.value) == message
+
+
+def test_discrete_eigenvalues_are_python_floats(fixture_a):
+    for disc in (sigma_full(fixture_a).discrete, discrete_spectrum(fixture_a, path=2)):
+        ((lam, mult),) = disc
+        assert type(lam) is float and type(mult) is int
+        assert abs(lam - 5.0) < 1e-8

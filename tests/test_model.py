@@ -97,6 +97,12 @@ def test_legendre_generator_is_orthonormal():
     )
     report = validate_model(model)
     assert report.ok, [c for c in report.checks if not c.passed]
+    # degrees 0..15: written in powers of t, 14 members on [0, 1] missed by 4.5e-8
+    basis = [f"legendre({k})" for k in range(16)]
+    for interval in ((0.0, 1.0), (-2.0, 5.0)):
+        model = make_model(interval, interval, basis, ["1"] * 16, basis, ["t"] * 16)
+        report = validate_model(model)
+        assert report.ok, [c for c in report.checks if not c.passed]
 
 
 def test_legendre_source_degree_one():
