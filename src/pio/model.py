@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelFormatError, PioError
+from .errors import InvalidModel, ModelFormatError, PioError
 from .expr import Expression, parse_expr
 from .quadrature import Grid2D, build_rule
 
@@ -153,6 +153,11 @@ class PIOModel:
 
     @cached_property
     def bound(self):
+        """``norm_bound(self)``; a model with a weight that cannot be
+        evaluated has none and is refused with ``InvalidModel``."""
+        report = self._validation
+        if any(not c.passed for c in report.checks if c.name.endswith(".weights evaluable")):
+            raise InvalidModel(report)
         return norm_bound(self)
 
     @cached_property

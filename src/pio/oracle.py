@@ -11,12 +11,18 @@ Because both kernels are sums of separable terms the discretized matrix is
     S = sum_k (a_k a_k^T) kron diag(h_k)  +  sum_j diag(p_j) kron (b_j b_j^T)
 
 with ``a_k = phi_k(x) sqrt(wx)`` and ``b_j = psi_j(y) sqrt(wy)``; its range
-lies in the span of ``n*Ny + m*Nx`` explicit vectors.  Projecting onto an
-orthonormal basis of that span gives every nonzero eigenvalue exactly (up to
-roundoff), with the rest of the spectrum filled by zeros.  This holds on
-every grid, also where the span is the whole space (the projection is then
-a change of basis), so the eigensolve never needs the dense ``Nx*Ny``
-matrix; ``NystromSystem.matrix`` stays as the reference for the tests.
+lies in the span of the vectors ``a_k kron e_y`` and ``e_x kron b_j``.  With
+``Qa`` (Nx x ra) an orthonormal basis of the row space of the n x Nx factor
+``a``, ``Qa_perp`` its complement and ``Qb`` (Ny x rb) that of ``b``, the
+span has the orthonormal basis ``[Qa kron I, Qa_perp kron Qb]`` of size
+``r = ra*Ny + (Nx - ra)*rb``, and ``Qa_perp^T a_k = 0`` leaves the projected
+matrix three Kronecker-sum blocks.  Its eigenvalues are every nonzero
+eigenvalue of ``S`` exactly (up to roundoff); the other ``Nx*Ny - r`` are
+zeros.  This holds on every grid, also where the span is the whole space
+(the projection is then a change of basis), so the eigensolve needs only
+SVDs of the two small factors and one ``eigvalsh`` of size ``r``, never a
+matrix with ``Nx*Ny`` rows; ``NystromSystem.matrix`` stays as the reference
+for the tests.
 """
 
 from __future__ import annotations
@@ -113,14 +119,6 @@ class NystromSystem:
             out += np.kron(np.diag(self.p[j]), np.outer(self.b[j], self.b[j]))
         return out
 
-    def apply(self, block):
-        """Matrix action on vectors given as (nx, ny, ...) arrays."""
-        d1 = np.einsum("kp,pq...->kq...", self.a, block, optimize=True)
-        t1 = np.einsum("kp,kq,kq...->pq...", self.a, self.h, d1, optimize=True)
-        d2 = np.einsum("jq,pq...->jp...", self.b, block, optimize=True)
-        t2 = np.einsum("jq,jp,jp...->pq...", self.b, self.p, d2, optimize=True)
-        return t1 + t2
-
 
 def nystrom_matrix(model, Nx, Ny):
     """Discretize the model on an Nx-by-Ny tensor quadrature grid.
@@ -140,34 +138,50 @@ def nystrom_matrix(model, Nx, Ny):
     return NystromSystem(xs, wx, ys, wy, a, h, b, p)
 
 
+def _row_basis(factor):
+    """Orthogonal ``Q`` whose first ``rank`` columns span the row space of
+    ``factor`` and whose others span its complement.
+
+    Singular values at most ``1e-12 * s_max`` count as zero, so a factor
+    that vanishes on every node has rank 0.
+    """
+    _, svals, vt = np.linalg.svd(factor)
+    return vt.T, int(np.sum(svals > 1e-12 * svals.max(initial=0.0)))
+
+
+def _kron_sum(left, right):
+    """``sum_j kron(left[j], right[j])`` for two stacks of matrices."""
+    (_, r1, c1), (_, r2, c2) = left.shape, right.shape
+    return np.tensordot(left, right, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(r1 * r2, c1 * c2)
+
+
+def _outers(u, v):
+    """The stack of ``outer(u[j], v[j])``."""
+    return u[:, :, None] * v[:, None, :]
+
+
 def _compressed_eigs(sys):
     """All eigenvalues via the exact range compression described on top."""
-    n, nx = sys.a.shape
-    m, ny = sys.b.shape
-    span = np.concatenate(
-        [
-            np.einsum("kp,qu->pqku", sys.a, np.eye(ny)).reshape(sys.size, n * ny),
-            np.einsum("rp,jq->pqjr", np.eye(nx), sys.b).reshape(sys.size, m * nx),
-        ],
-        axis=1,
-    )
-    basis, svals, _ = np.linalg.svd(span, full_matrices=False)
-    keep = svals > svals[0] * 1e-12 if svals.size else np.zeros(0, bool)
-    basis = basis[:, keep]
-    rank = basis.shape[1]
-    image = sys.apply(basis.reshape(nx, ny, rank)).reshape(sys.size, rank)
-    small = basis.T @ image
-    small = 0.5 * (small + small.T)
-    eigs = np.linalg.eigvalsh(small)
-    return np.sort(np.concatenate([np.zeros(sys.size - rank), eigs]))
+    qx, ra = _row_basis(sys.a)
+    qy, rb = _row_basis(sys.b)
+    c = sys.a @ qx[:, :ra]  # rows c_k = Qa^T a_k
+    bq = sys.b @ qy[:, :rb]  # rows Qb^T b_j
+    pq = qx.T @ (sys.p[:, :, None] * qx)  # Q^T diag(p_j) Q for Q = [Qa, Qa_perp]
+    x11 = _kron_sum(_outers(c, c), sys.h[:, :, None] * np.eye(sys.ny))
+    x11 += _kron_sum(pq[:, :ra, :ra], _outers(sys.b, sys.b))
+    x12 = _kron_sum(pq[:, :ra, ra:], _outers(sys.b, bq))
+    x22 = _kron_sum(pq[:, ra:, ra:], _outers(bq, bq))
+    eigs = np.linalg.eigvalsh(np.block([[x11, x12], [x12.T, x22]]))
+    return np.sort(np.concatenate([np.zeros(sys.size - eigs.size), eigs]))
 
 
 def oracle_eigs(sys):
     """Sorted real eigenvalues of the discretized operator.
 
     One path for every grid: the exact range compression described on top,
-    whose eigensolve has the size of the span, at most ``n*Ny + m*Nx``, and
-    which is what makes 200 nodes per axis affordable.
+    whose eigensolve has the size ``ra*Ny + (Nx - ra)*rb`` of the range, at
+    most ``n*Ny + m*Nx``, and which is what makes 200 nodes per axis
+    affordable.
     """
     try:
         return _compressed_eigs(sys)
@@ -201,17 +215,14 @@ def compare_spectra(report, eigs, tol_disc, tol_ess):
     returned as data, one entry each.
     """
     eigs = np.asarray(eigs, dtype=float)
-    discrete = [lam for lam, _ in report.discrete]
-    mismatches = []
-    for lam in discrete:
-        if eigs.size == 0 or np.min(np.abs(eigs - lam)) > tol_disc:
-            mismatches.append({"kind": "missing-discrete", "value": float(lam)})
-    for e in eigs:
-        if abs(e) <= tol_ess:
-            continue
-        if report.essential.distance(e) <= tol_ess:
-            continue
-        if discrete and min(abs(e - lam) for lam in discrete) <= tol_disc:
-            continue
-        mismatches.append({"kind": "unexplained-eigenvalue", "value": float(e)})
+    discrete = np.array([lam for lam, _ in report.discrete], dtype=float)
+    gaps = np.abs(eigs[:, None] - discrete)  # (eigs, discrete)
+    missing = discrete[gaps.min(axis=0, initial=np.inf) > tol_disc]
+    unexplained = eigs[
+        (np.abs(eigs) > tol_ess)
+        & (report.essential.distances(eigs) > tol_ess)
+        & (gaps.min(axis=1, initial=np.inf) > tol_disc)
+    ]
+    mismatches = [{"kind": "missing-discrete", "value": float(lam)} for lam in missing]
+    mismatches += [{"kind": "unexplained-eigenvalue", "value": float(e)} for e in unexplained]
     return ComparisonReport(not mismatches, tuple(mismatches), int(eigs.size))

@@ -27,7 +27,9 @@ def fixture_c():
 
 @pytest.fixture(scope="session")
 def oracle_b_200(fixture_b):
-    # several tests need this discretization; it costs seconds, share it
+    # several tests need this discretization; share it.  Its 40000 grid points
+    # reduce to an eigensolve of size 200 + 199 = 399, so it costs hundredths
+    # of a second
     from pio.oracle import nystrom_matrix, oracle_eigs
 
     return oracle_eigs(nystrom_matrix(fixture_b, 200, 200))

@@ -52,6 +52,20 @@ def test_entry_points_refuse_a_model_that_fails_validation(call):
     assert not err.value.report.ok
 
 
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_refuse_a_weight_that_cannot_be_evaluated(call):
+    # 1/t divides by zero on the dense sample, which includes t = 0, so the
+    # model has no norm bound; before the check this raised DomainError
+    for channel, model in (
+        (1, make_model((0, 1), (0, 1), ["1"], ["1/t"], ["1"], ["3"])),
+        (2, make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["1/t"])),
+    ):
+        with pytest.raises(InvalidModel) as err:
+            call(model)
+        assert str(err.value) == f"model failed validation: channel{channel}.weights evaluable"
+        assert err.value.report == validate_model(model)
+
+
 def test_validation_runs_once_per_model_and_mirror(monkeypatch):
     calls = []
     counted = pio.model.validate_model

@@ -23,6 +23,23 @@ from pio.oracle import (
 from pio.spectrum import sigma_full
 
 
+def legendre_model(n, m, weights1, weights2):
+    """Legendre bases of sizes n and m on the unit square."""
+    return make_model((0, 1), (0, 1), [f"legendre({k})" for k in range(n)], weights1,
+                      [f"legendre({k})" for k in range(m)], weights2)
+
+
+def assert_matches_dense(sys):
+    """``oracle_eigs`` against ``eigvalsh`` of the dense matrix, and its exact
+    zeros against the size ``ra*Ny + (Nx - ra)*rb`` of the range."""
+    dense = np.sort(np.linalg.eigvalsh(sys.matrix))
+    fast = _compressed_eigs(sys)
+    assert np.max(np.abs(dense - fast)) < 1e-10
+    assert np.array_equal(oracle_eigs(sys), fast)
+    ra, rb = np.linalg.matrix_rank(sys.a), np.linalg.matrix_rank(sys.b)
+    assert np.sum(fast == 0.0) == sys.size - (ra * sys.ny + (sys.nx - ra) * rb)
+
+
 def multiset(eigs, digits=9):
     vals, counts = np.unique(np.round(eigs, digits), return_counts=True)
     return dict(zip(vals.tolist(), counts.tolist()))
@@ -88,17 +105,31 @@ def test_dense_matrix_refused_when_huge(fixture_b):
 
 def test_compression_matches_dense(fixture_b):
     # Tiny grids of an n = m = 2 model take the same path.  With Nx <= n or
-    # Ny <= m the span of the n*Ny + m*Nx range vectors is the whole grid
-    # space and the compression is a change of basis; 4x4 and 7x3 fall short.
+    # Ny <= m the range is the whole grid space and the compression is a
+    # change of basis; 4x4 and 7x3 fall short.
     two = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["t+2", "1-t"],
                      ["legendre(0)", "legendre(1)"], ["t+4", "t/2"])
     grids = [(fixture_b, 18, 21), *((two, nx, ny) for nx, ny in
                                      ((1, 1), (2, 1), (2, 3), (7, 2), (1, 5), (4, 4), (7, 3)))]
     for model, nx, ny in grids:
-        sys = nystrom_matrix(model, nx, ny)
-        dense = np.sort(np.linalg.eigvalsh(sys.matrix))
-        assert np.max(np.abs(dense - _compressed_eigs(sys))) < 1e-10
-        assert np.array_equal(oracle_eigs(sys), _compressed_eigs(sys))
+        assert_matches_dense(nystrom_matrix(model, nx, ny))
+
+
+FACTOR_SHAPES = {
+    # legendre(1) vanishes at the midpoint, the only node of Nx = 1: rank 0
+    "zero factor": (legendre_model(1, 1, ["t+2"], ["t+4"]), 1, 5),
+    "rank-deficient factor": (legendre_model(2, 2, ["t+2", "1-t"], ["t+4", "t/2"]), 1, 6),
+    "n=3, m=1": (legendre_model(3, 1, ["t+2", "1-t", "3*t"], ["t+4"]), 9, 7),
+    "n=1, m=3": (legendre_model(1, 3, ["t+2"], ["t+4", "t/2", "2-t"]), 7, 9),
+    "panels": (legendre_model(2, 1, ["t+2", "piecewise([0,0.4]:t+1; [0.4,1]:3-t)"],
+                              ["piecewise([0,0.3]:2; [0.3,1]:t-4)"]), 11, 13),
+    "near the dense cap": (legendre_model(3, 2, ["t+2", "1-t", "3*t"], ["t+4", "t/2"]), 48, 80),
+}
+
+
+@pytest.mark.parametrize("model,nx,ny", FACTOR_SHAPES.values(), ids=FACTOR_SHAPES.keys())
+def test_compression_matches_dense_on_every_factor_shape(model, nx, ny):
+    assert_matches_dense(nystrom_matrix(model, nx, ny))
 
 
 def test_compression_matches_dense_rank_two_channel():
@@ -178,3 +209,47 @@ def test_channel_one_only_containment():
     for e in eigs:
         dist = min(abs(e), max(0.0, -e, e - 1.0))
         assert dist < 2e-2
+
+
+def compare_by_loop(report, eigs, tol_disc, tol_ess):
+    """Reference for ``compare_spectra``: one eigenvalue at a time."""
+    discrete = [lam for lam, _ in report.discrete]
+    mismatches = []
+    for lam in discrete:
+        if eigs.size == 0 or np.min(np.abs(eigs - lam)) > tol_disc:
+            mismatches.append({"kind": "missing-discrete", "value": float(lam)})
+    for e in eigs:
+        if abs(e) <= tol_ess or report.essential.distance(e) <= tol_ess:
+            continue
+        if discrete and min(abs(e - lam) for lam in discrete) <= tol_disc:
+            continue
+        mismatches.append({"kind": "unexplained-eigenvalue", "value": float(e)})
+    return not mismatches, tuple(mismatches), int(eigs.size)
+
+
+def test_compare_spectra_matches_the_loop(fixture_a, fixture_b):
+    from dataclasses import replace
+
+    rep_a, rep_b = sigma_full(fixture_a), sigma_full(fixture_b)
+    eigs_a = oracle_eigs(nystrom_matrix(fixture_a, 10, 10))
+    eigs_b = oracle_eigs(nystrom_matrix(fixture_b, 30, 30))
+    cases = [
+        (rep_a, eigs_a, 1e-9, 1e-9),
+        (replace(rep_a, discrete=((4.9, 1), (5.0, 1), (7.5, 2))), eigs_a, 1e-9, 1e-9),
+        (replace(rep_a, discrete=()), eigs_a, 1e-9, 1e-9),
+        (rep_a, np.array([1e-12, -3e-11, 2.0, 3.0, 4.0, 5.0, 6.0]), 1e-8, 1e-8),
+        (rep_a, np.zeros(0), 1e-9, 1e-9),
+        (replace(rep_a, discrete=((7.5, 2), (4.9, 1))), np.array([6.0, 2.0, 4.0, -1e-12, 4.9, 5.0]),
+         1e-8, 1e-8),
+        (rep_b, eigs_b, 5e-3, 5e-3),
+        (rep_b, eigs_b, 1e-6, 1e-6),
+        (replace(rep_b, discrete=()), eigs_b, 1e-6, 1e-6),
+    ]
+    for report, eigs, tol_disc, tol_ess in cases:
+        cmp = compare_spectra(report, eigs, tol_disc, tol_ess)
+        reference = compare_by_loop(report, eigs, tol_disc, tol_ess)
+        assert (cmp.ok, cmp.mismatches, cmp.checked) == reference
+    # the cases reach every kind of outcome
+    kinds = {m["kind"] for report, eigs, *tols in cases
+             for m in compare_spectra(report, eigs, *tols).mismatches}
+    assert kinds == {"missing-discrete", "unexplained-eigenvalue"}
