@@ -155,10 +155,15 @@ class PIOModel:
     def bound(self):
         """``norm_bound(self)``; a model with a weight that cannot be
         evaluated has none and is refused with ``InvalidModel``."""
+        self._require_evaluable_weights()
+        return norm_bound(self)
+
+    def _require_evaluable_weights(self):
+        """Raise ``InvalidModel`` with the validation report unless every
+        weight of both channels can be evaluated."""
         report = self._validation
         if any(not c.passed for c in report.checks if c.name.endswith(".weights evaluable")):
             raise InvalidModel(report)
-        return norm_bound(self)
 
     @cached_property
     def _validation(self):

@@ -35,8 +35,11 @@ The lambda-independent factors live in a reduction plan kept on the model:
 one assembly is two matrix products and one broadcast product, for any
 number of real or complex parameters at once, and the same factors give the
 moments ``<B_w, u>`` and the synthesis ``sum_w c_w F_w``, so ``F_w`` and
-``B_w`` are never sampled on the grid.  The root search bisects the
-sign-change brackets of all gaps in lockstep, one determinant batch per step.
+``B_w`` are never sampled on the grid.  The determinant is evaluated as
+``delta = lam^(mn) det(K N - I)``.  The root search scans each gap in one
+determinant batch, then refines the sign-change brackets of all gaps in
+lockstep by a superlinear bracketing method that takes at most one step more
+than bisection, one determinant batch per step.
 """
 
 from __future__ import annotations
@@ -253,12 +256,15 @@ def _per_model(model, key, build):
 def _weight_ranges(model):
     """Essential ranges of the channel-1 weights, computed once per model.
 
-    The channel-2 ranges are the channel-1 ranges of the mirror.
+    The channel-2 ranges are the channel-1 ranges of the mirror.  A model
+    with a weight that cannot be evaluated is refused with ``InvalidModel``.
     """
-    return _per_model(
-        model, "_weight_ranges",
-        lambda mod: tuple(essential_range(w, mod.y_interval) for w in mod.channel1.weights),
-    )
+
+    def build(mod):
+        mod._require_evaluable_weights()
+        return tuple(essential_range(w, mod.y_interval) for w in mod.channel1.weights)
+
+    return _per_model(model, "_weight_ranges", build)
 
 
 def sigma_channel(model, channel):
@@ -330,13 +336,17 @@ class _ReductionPlan:
         return HF, PF, K, N
 
     def assemble(self, lams):
-        """Stacked ``Pi(lam)``, shape (L, m*n, m*n)."""
+        """Stacked ``Pi(lam) = lam K N``, shape (L, m*n, m*n)."""
         _, _, K, N = self.families(lams)
-        count, n, m, _ = K.shape
         N *= lams[:, None, None, None]
-        # [l, k, j, q, p] = K[l, j, k, q] * lam N[l, q, j, p]
-        pis = K.transpose(0, 2, 1, 3)[..., None] * N.transpose(0, 2, 1, 3)[:, None]
-        return pis.reshape(count, m * n, m * n)
+        return _block_product(K, N)
+
+    def shifted_coupling(self, lams):
+        """Stacked ``K N - I = (Pi(lam) - lam I) / lam``, shape (L, m*n, m*n)."""
+        _, _, K, N = self.families(lams)
+        kn = _block_product(K, N)
+        kn.reshape(len(kn), -1)[:, :: kn.shape[1] + 1] -= 1.0
+        return kn
 
     def moments(self, values):
         """``d_(k,j) = <B_(k,j), u> = sum_x wx P_k Phi_j (u @ (wy Psi).T)[x, k]``
@@ -351,6 +361,16 @@ class _ReductionPlan:
         C = coeffs.reshape(self.P.shape[0], self.H.shape[0])
         M = (C.T[:, None, :] @ K)[:, 0]
         return self.Phi.T @ (HF * (C.T @ self.Psi)) + ((self.Phi.T @ M) * PF.T) @ self.Psi
+
+
+def _block_product(K, N):
+    """``[(k,j), (q,p)] = K_j[k,q] * N_q[j,p]`` for stacked families, written
+    into one contiguous array of shape (L, m*n, m*n)."""
+    count, n, m, _ = K.shape
+    out = np.empty((count, m, n, m, n), dtype=np.result_type(K, N))
+    # [l, k, j, q, p] = K[l, j, k, q] * N[l, q, j, p]
+    np.multiply(K.transpose(0, 2, 1, 3)[..., None], N.transpose(0, 2, 1, 3)[:, None], out=out)
+    return out.reshape(count, m * n, m * n)
 
 
 def _checked_plan(model):
@@ -433,12 +453,15 @@ def delta(model, lam):
 
 def delta_batch(model, lams, margin=None):
     """Vectorized determinant over many spectral parameters; refuses any
-    within ``margin`` (default: the operator margin) of the essential set."""
+    within ``margin`` (default: the operator margin) of the essential set.
+
+    Since ``Pi = lam K N``, it is evaluated as ``lam^(mn) det(K N - I)``.
+    """
     lams = np.asarray(lams)
-    pis = _assemble_pi(model, lams, margin)
-    size = pis.shape[1]
-    dets = np.linalg.det(pis - lams[:, None, None] * np.eye(size)[None])
-    return dets
+    _admit(sigma_ess(model), lams, model, margin)
+    shifted = _reduction_plan(model).shifted_coupling(lams)
+    dets = np.linalg.det(shifted)
+    return dets * np.power(lams, shifted.shape[1], dtype=dets.dtype)
 
 
 # --- root search ------------------------------------------------------------
@@ -476,49 +499,124 @@ def _search_gaps(ess, box, margin):
     return [(a, b) for a, b in gaps if b - a > 1e-12]
 
 
-def _bisect_all(fn, lo, hi, flo, root_tol):
-    """Bisect many sign-change brackets in lockstep.
+def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
+    """Refine many sign-change brackets in lockstep by the ITP method
+    (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS 47(1),
+    2020), interpolating as Chandrupatla does (Adv. Eng. Softw. 28, 1997).
 
-    ``fn`` maps an array of parameters to an array of values.  Each bracket
-    takes exactly the iterates of a scalar bisection (midpoint, stop when
-    narrower than ``root_tol`` or on an exact zero), but all brackets still
-    open are evaluated together, one ``fn`` call per step.
+    ``fn`` maps an array of parameters to an array of values; ``flo`` and
+    ``fhi`` are its values at the bracket ends, of opposite signs, so no
+    call is spent on them.  Each step:
+
+    * interpolates: inverse quadratic interpolation through the two ends
+      and the point replaced last, where Chandrupatla's test finds the
+      three points well placed; otherwise regula falsi, truncated as in ITP
+      (moved ``0.2 w^2 / w0`` towards the midpoint, ``w`` the width and
+      ``w0`` the first), which keeps it from creeping in from one side;
+    * keeps the point ``root_tol / 2`` inside the bracket, so that a
+      converged estimate steps across the root and closes the bracket;
+    * projects it onto the interval around the midpoint that keeps the
+      next width at most ``root_tol * 2^(budget - steps)``, so a bracket
+      takes at most ``budget = ceil(log2(w0 / root_tol)) + 1`` steps, one
+      more than bisection.
+
+    A bracket stops once narrower than ``root_tol`` (its midpoint is
+    returned), on an exact zero (returned as is) or at its budget.  All
+    brackets still open share one ``fn`` call per step; the arithmetic is
+    elementwise, so a bracket's iterates do not depend on which others are
+    refined with it.
     """
-    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
-    exact = np.zeros(lo.shape, dtype=bool)
-    zeros = np.empty(lo.shape)
-    live = np.flatnonzero(hi - lo > root_tol)
+    # x1 is the newest end, x2 the other end, x3 the point replaced last
+    x1, f1, x2, f2 = (np.array(v, dtype=float) for v in (hi, fhi, lo, flo))
+    x3, f3 = np.full(x1.shape, np.nan), np.full(x1.shape, np.nan)
+    width0 = x1 - x2
+    mant, expo = np.frexp(width0 / root_tol)
+    budget = expo - (mant == 0.5) + 1  # ceil(log2(width0 / root_tol)) + 1, exactly
+    exact = np.zeros(x1.shape, dtype=bool)
+    live = np.flatnonzero(width0 > root_tol)
+    steps = 0
     while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = fn(mid)
-        zero = fmid == 0.0
-        exact[live[zero]], zeros[live[zero]] = True, mid[zero]
-        left = (flo[live] < 0.0) != (fmid < 0.0)
-        hi[live[left]] = mid[left]
-        lo[live[~left]], flo[live[~left]] = mid[~left], fmid[~left]
-        live = live[~zero]
-        live = live[hi[live] - lo[live] > root_tol]
-    return np.where(exact, zeros, 0.5 * (lo + hi))
+        a, fa, b, fb, c, fc = (v[live] for v in (x1, f1, x2, f2, x3, f3))
+        left, right = np.minimum(a, b), np.maximum(a, b)
+        width, mid = right - left, 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # no third point yet: NaN
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            well_placed = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            iqi = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        falsi = a + fa / (fa - fb) * (b - a)
+        shift = 0.2 / width0[live] * width * width
+        truncated = np.where(
+            shift <= np.abs(mid - falsi), falsi + np.sign(mid - falsi) * shift, mid
+        )
+        x = np.where(well_placed, a + iqi * (b - a), truncated)
+        x = np.clip(x, left + 0.5 * root_tol, right - 0.5 * root_tol)
+        slack = np.maximum(np.ldexp(0.5 * root_tol, budget[live] - steps) - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) <= slack, x, mid - np.sign(mid - x) * slack)
+        fx = fn(x)
+        beside_a = (fx < 0.0) == (fa < 0.0)  # x replaces a, else b (and a is the other end)
+        x3[live], f3[live] = np.where(beside_a, a, b), np.where(beside_a, fa, fb)
+        x2[live], f2[live] = np.where(beside_a, b, a), np.where(beside_a, fb, fa)
+        x1[live], f1[live] = x, fx
+        steps += 1
+        zero = fx == 0.0
+        exact[live[zero]] = True
+        live = live[~zero & (budget[live] > steps)]
+        live = live[np.abs(x1[live] - x2[live]) > root_tol]
+    return np.where(exact, x1, 0.5 * (x1 + x2))
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, lo, hi, xtol):
-    a, b = lo, hi
+def _golden_minima(fn, lo, hi, xtol):
+    """Golden section searches for minima of ``fn`` on many intervals in
+    lockstep.
+
+    Each interval takes the iterates of a scalar golden section search
+    (probes at the golden ratio, stop once narrower than ``xtol``, return
+    the midpoint).  The two first probes of all intervals are one ``fn``
+    call, then each step is one call for all intervals still open.
+    """
+    a, b = (np.array(v, dtype=float) for v in (lo, hi))
+    if not a.size:
+        return a
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    live = np.flatnonzero(b - a > xtol)
+    while live.size:
+        left = fc[live] < fd[live]  # the minimum is left of d: drop (d, b]
+        keep, drop = live[left], live[~left]
+        b[keep], d[keep], fd[keep] = d[keep], c[keep], fc[keep]
+        a[drop], c[drop], fc[drop] = c[drop], d[drop], fd[drop]
+        wide = b[live] - a[live]
+        probe = np.where(left, b[live] - _INVPHI * wide, a[live] + _INVPHI * wide)
+        fprobe = fn(probe)
+        c[keep], fc[keep] = probe[left], fprobe[left]
+        d[drop], fd[drop] = probe[~left], fprobe[~left]
+        live = live[b[live] - a[live] > xtol]
     return 0.5 * (a + b)
+
+
+def _scan_events(vals, root_tol):
+    """Where a scan of ``delta`` calls for refinement.
+
+    Returns the masks ``zero`` (``vals[i] == 0``) and ``change`` (a sign
+    change between ``i`` and ``i+1``) over the scan intervals, and the
+    interior points ``i`` where ``|delta|`` dips: a local minimum below
+    ``sqrt(root_tol) * max(1, max|delta|)``, not next to a zero or a change.
+    """
+    zero = vals[:-1] == 0.0
+    change = vals[:-1] * vals[1:] < 0.0
+    hits = np.zeros(len(vals), dtype=bool)
+    hits[:-1] = zero | change
+    hits[:-2] |= zero[1:]
+    mags = np.abs(vals)
+    gate = np.sqrt(root_tol) * max(1.0, float(mags.max()))
+    a, b, c = mags[:-2], mags[1:-1], mags[2:]
+    near_hit = hits[:-2] | hits[1:-1] | hits[2:]
+    dips = 1 + np.flatnonzero((b <= a) & (b <= c) & (b < gate) & ~near_hit)
+    return zero, change, dips
 
 
 def discrete_spectrum(
@@ -532,16 +630,20 @@ def discrete_spectrum(
     """Real zeros of the determinant outside the essential set.
 
     Scans each gap of ``[-bound-1, bound+1]`` minus a margin neighborhood of
-    the essential set, bisects sign changes, and additionally refines local
+    the essential set, refines sign changes, and additionally refines local
     minima of ``|delta|`` (to catch even-order zeros).  Every zero reported
     comes with the algebraic multiplicity of the reduced linear system: the
     rank deficiency of ``I - Pi(lam)^T / lam``.  Path 2 runs the same search
     on the mirrored model.
 
-    The sign-change brackets of all gaps are bisected together, one
-    ``delta_batch`` call per step; each bracket follows the iterates of a
-    scalar bisection, so the roots do not depend on how many are refined at
-    once.  The ``|delta|`` minima are refined one by one (golden section).
+    Each gap is scanned in one ``delta_batch`` call.  The sign-change
+    brackets of all gaps are then refined together (``_refine_roots``),
+    seeded with both scan values, one call per step: at most one step more
+    than bisection, and a few steps on the simple zeros of the analytic
+    ``delta``.  The ``|delta|`` dips of all gaps are refined together by
+    golden section, one call per step.  Each bracket and each dip follows
+    the iterates of its own scalar search, so the results do not depend on
+    how many are refined at once.
     """
     model = _oriented(model, path)
     search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
@@ -554,16 +656,18 @@ def discrete_spectrum(
     def dvals(lams):
         return delta_batch(model, lams, margin=margin / 2).real
 
-    scans = []
+    scans, brackets, dips = [], [], []
     for glo, ghi in _search_gaps(ess, box, margin):
         lams = np.linspace(glo, ghi, scan_points)
-        scans.append((lams, dvals(lams)))
-    brackets = [
-        (lams[i], lams[i + 1], vals[i])
-        for lams, vals in scans
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    ]
-    roots = iter(_bisect_all(dvals, *np.array(brackets).reshape(-1, 3).T, root_tol))
+        vals = dvals(lams)
+        zero, change, dip = _scan_events(vals, root_tol)
+        scans.append((lams, zero, change, dip))
+        brackets += [(lams[i], lams[i + 1], vals[i], vals[i + 1]) for i in np.flatnonzero(change)]
+        dips += [(lams[i - 1], lams[i + 1]) for i in dip]
+    roots = iter(_refine_roots(dvals, *np.array(brackets).reshape(-1, 4).T, root_tol))
+    minima = iter(
+        _golden_minima(lambda t: np.abs(dvals(t)), *np.array(dips).reshape(-1, 2).T, root_tol)
+    )
 
     found = []
 
@@ -576,27 +680,12 @@ def discrete_spectrum(
                 return
         found.append((float(lam), mult))
 
-    for lams, vals in scans:
-        scale = float(np.max(np.abs(vals)))
-        hits = np.zeros(len(lams), dtype=bool)
-        zero = vals[:-1] == 0.0
-        change = vals[:-1] * vals[1:] < 0.0
+    for lams, zero, change, dip in scans:
         for i in np.flatnonzero(zero | change):
-            if zero[i]:
-                push(lams[i], max(1, multiplicity(lams[i])))
-                hits[max(i - 1, 0) : i + 1] = True
-            else:
-                root = next(roots)
-                push(root, max(1, multiplicity(root)))
-                hits[i] = True
-        # even-order zeros: |delta| dips without a sign change
-        min_gate = np.sqrt(root_tol) * max(1.0, scale)
-        a, b, c = np.abs(vals[:-2]), np.abs(vals[1:-1]), np.abs(vals[2:])
-        near_hit = hits[:-2] | hits[1:-1] | hits[2:]
-        for i in 1 + np.flatnonzero((b <= a) & (b <= c) & (b < min_gate) & ~near_hit):
-            lam = _golden_min(
-                lambda t: abs(float(dvals(np.array([t]))[0])), lams[i - 1], lams[i + 1], root_tol
-            )
+            lam = lams[i] if zero[i] else next(roots)
+            push(lam, max(1, multiplicity(lam)))
+        for _ in dip:  # even-order zeros: |delta| dips without a sign change
+            lam = next(minima)
             mult = multiplicity(lam)
             if mult >= 1:
                 push(lam, mult)
@@ -631,8 +720,10 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
     reported as unresolved bands rather than as certified absence of
     eigenvalues.  The discrete list carries no completeness claim beyond the
     scan resolution.  The essential set and the reduction plan are computed
-    once per model and reused by every later call on it; the roots are
-    refined in lockstep (see ``discrete_spectrum``).
+    once per model and reused by every later call on it.  The search costs
+    one ``delta_batch`` call per gap for the scan, then one per refinement
+    step for all roots together and one per golden-section step for all
+    ``|delta|`` dips together (see ``discrete_spectrum``).
     """
     search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
     bound = model.bound

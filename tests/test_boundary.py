@@ -10,13 +10,14 @@ import pio.model
 from pio.cli import main
 from pio.errors import EigenvalueHit, InvalidModel, NoAtom, NonUniqueSolution, OutsideTheory
 from pio.model import make_model, validate_model
-from pio.operators import resolvent_T
+from pio.operators import resolvent_channel, resolvent_T
 from pio.pie import classify_tau, solve_pie
 from pio.spectrum import (
     atom_eigenfunction,
     delta,
     discrete_spectrum,
     eigenfunctions_T,
+    sigma_channel,
     sigma_full,
 )
 
@@ -64,6 +65,38 @@ def test_entry_points_refuse_a_weight_that_cannot_be_evaluated(call):
             call(model)
         assert str(err.value) == f"model failed validation: channel{channel}.weights evaluable"
         assert err.value.report == validate_model(model)
+
+
+CHANNEL_CALLS = {
+    "resolvent_channel 1": lambda model: resolvent_channel(model, 1, 7.0, model.constant_grid(1.0)),
+    "resolvent_channel 2": lambda model: resolvent_channel(model, 2, 7.0, model.constant_grid(1.0)),
+    "sigma_channel 1": lambda model: sigma_channel(model, 1),
+    "sigma_channel 2": lambda model: sigma_channel(model, 2),
+}
+
+
+@pytest.mark.parametrize("call", CHANNEL_CALLS.values(), ids=CHANNEL_CALLS.keys())
+def test_channel_operators_refuse_a_weight_that_cannot_be_evaluated(call):
+    # the weight ranges are read before any other gate; this raised DomainError
+    for channel, model in (
+        (1, make_model((0, 1), (0, 1), ["1"], ["1/t"], ["1"], ["3"])),
+        (2, make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["1/t"])),
+    ):
+        with pytest.raises(InvalidModel) as err:
+            call(model)
+        assert str(err.value) == f"model failed validation: channel{channel}.weights evaluable"
+        assert err.value.report == validate_model(model)
+
+
+def test_channel_operators_serve_a_model_that_is_only_not_orthonormal():
+    # the channel formulas need evaluable weights, not orthonormal bases
+    model = not_orthonormal()
+    g = model.constant_grid(1.0)
+    # -(1/lam) (g - w/(w - lam) <phi, g> phi): phi = 2, w = 2 in channel 1; phi = 1, w = 3 in channel 2
+    for channel, w, proj in ((1, 2.0, 4.0), (2, 3.0, 1.0)):
+        expected = -(1.0 / 7.0) * (1.0 - w / (w - 7.0) * proj)
+        assert np.allclose(resolvent_channel(model, channel, 7.0, g).values, expected, rtol=1e-13)
+        assert sigma_channel(model, channel).points == (0.0, w)
 
 
 def test_validation_runs_once_per_model_and_mirror(monkeypatch):

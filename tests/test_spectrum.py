@@ -30,7 +30,9 @@ from pio.operators import apply_T
 from pio.pie import solve_pie
 from pio.spectrum import (
     _assemble_pi,
+    _golden_minima,
     _reduction_plan,
+    _refine_roots,
     atom_eigenfunction,
     delta,
     delta_batch,
@@ -191,6 +193,37 @@ def test_delta_batch_matches_scalar(fixture_a):
     batch = delta_batch(fixture_a, lams)
     singles = [delta(fixture_a, lam) for lam in lams]
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+def sumrule_model(a, b):
+    """Legendre bases, constant weights: the eigenvalues are the sums ``a_i + b_j``."""
+    basis = [f"legendre({k})" for k in range(max(len(a), len(b)))]
+    return make_model((0, 1), (0, 1), basis[:len(a)], [repr(v) for v in a],
+                      basis[:len(b)], [repr(v) for v in b])
+
+
+SUMRULE_4 = ([1.5, -2.25, 3.125, -0.625], [2.75, -1.125, 0.875, -3.5])
+
+
+@pytest.mark.parametrize("name", ["ramp-8", "sumrule-4", "ramp-3x1", "ramp-1x3"])
+@pytest.mark.parametrize("path", [1, 2])
+def test_delta_batch_is_the_determinant_of_pi_minus_lambda(name, path):
+    # delta_batch evaluates lam^(mn) det(K N - I); the definition is det(Pi - lam I)
+    model = {
+        "ramp-8": lambda: ramp_model(8, 8),
+        "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
+        "ramp-3x1": lambda: ramp_model(3, 1),
+        "ramp-1x3": lambda: ramp_model(1, 3),
+    }[name]()
+    view = model if path == 1 else model.mirrored()
+    top = model.bound
+    for lams in (np.array([-top - 0.9, -0.7, top + 0.5]), np.array([0.5 * top + 0.3j, 0.2 - 0.4j])):
+        got = delta_batch(view, lams)
+        assert got.dtype == lams.dtype
+        for lam, value in zip(lams, got):
+            entries = pi_matrix(model, lam, path).entries
+            ref = np.linalg.det(entries - lam * np.eye(len(entries)))
+            assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_delta_refuses_essential_neighborhood(fixture_a):
@@ -472,7 +505,9 @@ def test_random_constant_weight_models_match_sum_rule():
         assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-7
 
 
-def test_root_search_batches_the_bisection(monkeypatch):
+@pytest.fixture
+def delta_batch_calls(monkeypatch):
+    """The number of parameters of each ``delta_batch`` call the search makes."""
     calls = []
     counted = pio.spectrum.delta_batch
 
@@ -481,6 +516,11 @@ def test_root_search_batches_the_bisection(monkeypatch):
         return counted(model, lams, *args, **kwargs)
 
     monkeypatch.setattr(pio.spectrum, "delta_batch", counting)
+    return calls
+
+
+def test_root_search_batches_the_bisection(delta_batch_calls):
+    calls = delta_batch_calls
 
     # oracle eigenvalues of this model at N = 100 (bench/refs.json)
     disc = sigma_full(ramp_model(4, 4)).discrete
@@ -488,15 +528,134 @@ def test_root_search_batches_the_bisection(monkeypatch):
     assert np.allclose([lam for lam, _ in disc], [4.21049925, 4.55933721, 5.77136126], atol=1e-7)
 
     calls.clear()
-    a = [1.5, -2.25, 3.125, -0.625]
-    b = [2.75, -1.125, 0.875, -3.5]
-    basis = [f"legendre({k})" for k in range(4)]
-    model = make_model((0, 1), (0, 1), basis, [repr(v) for v in a], basis, [repr(v) for v in b])
-    disc = sigma_full(model).discrete
+    a, b = SUMRULE_4
+    disc = sigma_full(sumrule_model(a, b)).discrete
     assert len(calls) <= 200
     expected = sorted(ai + bj for ai in a for bj in b)  # 16 distinct sums, none excluded
     assert [mult for _, mult in disc] == [1] * len(expected)
     assert max(abs(lam - e) for (lam, _), e in zip(disc, expected)) < 1e-8
+
+
+def test_root_search_call_budget(delta_batch_calls, fixture_a):
+    # delta_batch calls per sigma_full: one per gap for the scan, then one per
+    # refinement step; bisection took 30, 29 and 151 here
+    for model, budget in ((fixture_a, 8), (ramp_model(4, 4), 10), (sumrule_model(*SUMRULE_4), 60)):
+        delta_batch_calls.clear()
+        sigma_full(model)
+        assert len(delta_batch_calls) <= budget
+
+
+def bisection_steps(lo, hi, tol):
+    """``ceil(log2((hi - lo) / tol))``, the steps of bisection to width ``tol``."""
+    return int(np.ceil(np.log2((hi - lo) / tol)))
+
+
+def counted_calls(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(len(x))
+        return fn(x)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: (x - 1.3) * (x - 1.3) * (x - 1.3),
+        lambda x: np.sign(x - 1.3) * np.abs(x - 1.3) ** (1.0 / 9.0),
+        lambda x: np.tanh(1e4 * (x - 1.3)),
+    ],
+    ids=["cube", "ninth root", "tanh step"],
+)
+def test_refinement_keeps_within_one_step_of_bisection(fn):
+    # interpolation creeps in from one side here; without the projection onto
+    # bisection's budget the cube's bracket is still wide when the budget ends
+    lo, hi, tol = 1.0, 1.9, 1e-10
+    counted, calls = counted_calls(fn)
+    (root,) = _refine_roots(counted, [lo], [hi], fn(np.array([lo])), fn(np.array([hi])), tol)
+    assert len(calls) <= bisection_steps(lo, hi, tol) + 1
+    assert abs(root - 1.3) <= tol
+
+
+def test_refinement_is_superlinear_on_a_smooth_root():
+    def fn(x):
+        return np.exp(x) - 2.74
+
+    lo, hi, tol = 1.0, 1.01, 1e-10
+    counted, calls = counted_calls(fn)
+    (root,) = _refine_roots(counted, [lo], [hi], fn(np.array([lo])), fn(np.array([hi])), tol)
+    assert len(calls) <= 6 < bisection_steps(lo, hi, tol)
+    assert abs(root - np.log(2.74)) <= tol
+
+
+def test_refinement_ends_where_floats_are_coarser_than_root_tol(monkeypatch):
+    # near 5e6 neighbouring floats are 9.3e-10 apart, so no bracket can get
+    # narrower than root_tol = 1e-10: bisection looped forever on this model
+    counted = pio.spectrum.delta_batch
+    calls = []
+
+    def bounded(model, lams, *args, **kwargs):
+        calls.append(len(lams))
+        assert len(calls) <= 100, "the root search does not end"
+        return counted(model, lams, *args, **kwargs)
+
+    monkeypatch.setattr(pio.spectrum, "delta_batch", bounded)
+    model = make_model((0, 1), (0, 1), ["1"], ["2e6"], ["1"], ["3e6"])
+    ((lam, mult),) = sigma_full(model).discrete
+    assert abs(lam - 5e6) <= 1e-9 and mult == 1
+
+
+def test_refinement_of_a_bracket_does_not_depend_on_the_batch():
+    # roots 0.3, 1.3 and 2.7 of a product, each in a bracket of its own, and
+    # 1.3 once more in a bracket centred on it
+    def fn(x):
+        return (x - 0.3) * (x - 1.3) * (x - 2.7) * (1.0 + x * x)
+
+    lo = np.array([0.0, 1.1, 2.6, 1.25])
+    hi = np.array([0.55, 1.45, 3.5, 1.35])
+    together = _refine_roots(fn, lo, hi, fn(lo), fn(hi), 1e-10)
+    for i in range(len(lo)):
+        alone = _refine_roots(fn, lo[i:i + 1], hi[i:i + 1], fn(lo[i:i + 1]), fn(hi[i:i + 1]), 1e-10)
+        assert alone[0] == together[i]  # the same bits
+    assert np.allclose(together, [0.3, 1.3, 2.7, 1.3], atol=1e-10)
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(fn, lo, hi, xtol):
+    """Scalar golden section search, the reference for the lockstep one."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def test_lockstep_golden_section_equals_the_scalar_search():
+    def fn(x):
+        return np.abs((x - 0.37) * (x - 1.81) * (x + 2.2))
+
+    lo = [0.1, 1.5, -2.5, 0.3, 1.8]
+    hi = [0.6, 2.3, -1.9, 0.3 + 5e-11, 1.9]  # the fourth starts narrower than xtol
+    counted, calls = counted_calls(fn)
+    got = _golden_minima(counted, lo, hi, 1e-10)
+    ref = [golden_min(lambda t: float(fn(np.float64(t))), a, b, 1e-10) for a, b in zip(lo, hi)]
+    assert got.tolist() == ref  # the same bits
+    assert calls[0] == 2 * len(lo)  # both first probes of every interval in one call
+    calls.clear()
+    assert _golden_minima(counted, [], [], 1e-10).size == 0 and not calls
 
 
 # --- full report ---
