@@ -52,7 +52,13 @@ _DENSE_SAMPLES = 1024
 @dataclass(frozen=True)
 class SearchSettings:
     """Root search policy, checked on construction (model files and call
-    overrides alike); ``margin=None`` means ``1e-3 * (1 + norm bound)``."""
+    overrides alike); ``margin=None`` means ``1e-3 * (1 + norm bound)``.
+
+    The discrete search reads ``margin`` and ``root_tol`` only: it counts
+    eigenvalues by inertia, so no scan resolution decides what it finds.
+    ``scan_points`` is checked and echoed, nothing more; ``rank_tol`` is the
+    rank decision of ``classify_tau``/``solve_pie`` and ``eigenfunctions_T``.
+    """
 
     margin: float | None = None
     scan_points: int = 512

@@ -34,7 +34,7 @@ import enum
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _admit, _plain, _ReducedSystem, sigma_ess
+from .spectrum import _admit, _plain, _reduction_plan, _ReducedSystem, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -50,7 +50,9 @@ class TauClass(enum.Enum):
 
 def _classify(model, tau):
     """``(class, reduced system at 1/tau)``; the system is None when the
-    reduction does not apply."""
+    reduction does not apply.  A model that fails validation is refused
+    first, whatever ``tau`` is."""
+    _reduction_plan(model)
     if tau == 0:
         return TauClass.ZERO, None
     lam = 1.0 / tau

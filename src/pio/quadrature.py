@@ -25,6 +25,15 @@ __all__ = [
 ]
 
 
+def _legendre_with_derivative(n, x):
+    """``P_n(x)`` by the three-term recurrence, and ``P_n'(x)``."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for deg in range(2, n + 1):
+        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gauss_reference(order):
     """Nodes and weights on [-1, 1], computed to machine accuracy."""
@@ -37,20 +46,12 @@ def _gauss_reference(order):
     k = np.arange(n)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for deg in range(2, n + 1):
-            p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre_with_derivative(n, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for deg in range(2, n + 1):
-        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    _, dp = _legendre_with_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # enforce the symmetry the exact nodes have
     x = 0.5 * (x - x[::-1])

@@ -36,10 +36,44 @@ one assembly is two matrix products and one broadcast product, for any
 number of real or complex parameters at once, and the same factors give the
 moments ``<B_w, u>`` and the synthesis ``sum_w c_w F_w``, so ``F_w`` and
 ``B_w`` are never sampled on the grid.  The determinant is evaluated as
-``delta = lam^(mn) det(K N - I)``.  The root search scans each gap in one
-determinant batch, then refines the sign-change brackets of all gaps in
-lockstep by a superlinear bracketing method that takes at most one step more
-than bisection, one determinant batch per step.
+``delta = lam^(mn) det(K N - I)``.
+
+The root search is spectrum slicing (Sylvester's law of inertia; Parlett,
+*The Symmetric Eigenvalue Problem*, 1980).  For real ``lam`` off the
+essential set,
+
+    X(lam) = [[K~, I], [I, N~]],    K~ = blockdiag_j K_j,  N~ = blockdiag_q N_q,
+
+is real symmetric of size 2mn (``K~`` acts in the (k, j) order, so
+``K~ N~ = K N``), and ``det X = det(K N - I) = delta / lam^(mn)``.  Let
+``nu(lam)`` be its number of negative eigenvalues.  Then ``|nu(b) - nu(a)|``
+is the number of eigenvalues of T in ``(a, b)``, counted with multiplicity,
+for any ``a < b`` in one gap of the essential set:
+
+* ``nu`` is constant where ``X`` is nonsingular, since ``X`` is analytic in
+  ``lam`` on the gap, so it changes only at the eigenvalues.
+* ``ker X(lam0)`` is in bijection with the eigenspace of T at ``lam0``.
+  With ``S = diag(I, -I)``, the kernel of ``S X S = [[K~, -I], [-I, N~]]``
+  is the pairs ``d = K~ c``, ``c = N~ d``.  Projecting ``lam0 f = T f`` on
+  ``phi_j`` in x and on ``psi_k`` in y shows that the moments
+  ``c_(k,j) = <phi_j, p_k beta_k>_x`` and ``d_(k,j) = <psi_k, h_j alpha_j>_y``
+  of an eigenfunction are such a pair, where ``alpha_j = <phi_j, f>_x`` and
+  ``beta_k = <psi_k, f>_y``; conversely ``alpha_j = sum_k psi_k
+  c_(k,j) / (lam0 - h_j)`` and ``beta_k = sum_j phi_j d_(k,j) / (lam0 - p_k)``
+  rebuild ``f``, and ``f = 0`` forces ``c = d = 0``.
+* Since ``d/dlam h/(lam - h) = -h/(lam - h)^2``, the derivative of the
+  quadratic form of ``S X S`` on that kernel is
+  ``-sum_j int h_j alpha_j^2 - sum_k int p_k beta_k^2 = -<f, T f> = -lam0 |f|^2``,
+  definite.  To first order the zero eigenvalues of the analytic symmetric
+  family move as the eigenvalues of that form (Rellich), so every one of
+  them crosses in the same direction: ``nu`` rises by the multiplicity at
+  ``lam0 > 0`` and falls by it at ``lam0 < 0`` (``S`` is a congruence, so
+  ``X`` and ``S X S`` share their inertia).
+
+On the grid the integrals are quadrature sums and the argument holds for
+the discretized operator: the count certifies that the search misses no
+eigenvalue outside the margin neighborhoods of the essential set, and its
+jump is the multiplicity (see ``discrete_spectrum``).
 """
 
 from __future__ import annotations
@@ -348,6 +382,21 @@ class _ReductionPlan:
         kn.reshape(len(kn), -1)[:, :: kn.shape[1] + 1] -= 1.0
         return kn
 
+    def slicing_matrix(self, lams):
+        """Stacked ``X(lam) = [[K~, I], [I, N~]]``, shape (L, 2mn, 2mn), with
+        ``K~[(k,j), (q,j)] = K_j[k,q]`` and ``N~[(q,j), (q,p)] = N_q[j,p]``."""
+        _, _, K, N = self.families(lams)
+        count, n, m, _ = K.shape
+        size = m * n
+        X = np.zeros((count, 2, m, n, 2, m, n))
+        j, q = np.arange(n), np.arange(m)
+        X[:, 0, :, j, 0, :, j] = K.transpose(1, 0, 2, 3)  # [j, l, k, q]
+        X[:, 1, q, :, 1, q, :] = N.transpose(1, 0, 2, 3)  # [q, l, j, p]
+        X = X.reshape(count, 2 * size, 2 * size)
+        w = np.arange(size)
+        X[:, w, size + w] = X[:, size + w, w] = 1.0
+        return X
+
     def moments(self, values):
         """``d_(k,j) = <B_(k,j), u> = sum_x wx P_k Phi_j (u @ (wy Psi).T)[x, k]``
         for grid samples ``u``, shape (m*n,)."""
@@ -481,22 +530,9 @@ def _blocked_bands(ess, margin):
 
 
 def _search_gaps(ess, box, margin):
-    lo, hi = box
-    gaps = []
-    cursor = lo
-    for blo, bhi in _blocked_bands(ess, margin):
-        if bhi <= cursor:
-            continue
-        if blo >= hi:
-            break
-        if blo > cursor:
-            gaps.append((cursor, min(blo, hi)))
-        cursor = max(cursor, bhi)
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return [(a, b) for a, b in gaps if b - a > 1e-12]
+    """The pieces of ``box`` between the blocked bands, shape (G, 2)."""
+    edges = np.clip([box[0], *np.ravel(_blocked_bands(ess, margin)), box[1]], *box).reshape(-1, 2)
+    return edges[edges[:, 1] - edges[:, 0] > 1e-12]
 
 
 def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
@@ -565,58 +601,26 @@ def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
     return np.where(exact, x1, 0.5 * (x1 + x2))
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_minima(fn, lo, hi, xtol):
-    """Golden section searches for minima of ``fn`` on many intervals in
-    lockstep.
-
-    Each interval takes the iterates of a scalar golden section search
-    (probes at the golden ratio, stop once narrower than ``xtol``, return
-    the midpoint).  The two first probes of all intervals are one ``fn``
-    call, then each step is one call for all intervals still open.
+def _inertia(model, lams, margin):
+    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, refused
+    within ``margin`` of the essential set, from one batched ``eigvalsh``.
+    As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
+    or is 0, so the ends of a piece whose counts differ by one carry
+    opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
+    that within roundoff of a root.
     """
-    a, b = (np.array(v, dtype=float) for v in (lo, hi))
-    if not a.size:
-        return a
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
-    live = np.flatnonzero(b - a > xtol)
-    while live.size:
-        left = fc[live] < fd[live]  # the minimum is left of d: drop (d, b]
-        keep, drop = live[left], live[~left]
-        b[keep], d[keep], fd[keep] = d[keep], c[keep], fc[keep]
-        a[drop], c[drop], fc[drop] = c[drop], d[drop], fd[drop]
-        wide = b[live] - a[live]
-        probe = np.where(left, b[live] - _INVPHI * wide, a[live] + _INVPHI * wide)
-        fprobe = fn(probe)
-        c[keep], fc[keep] = probe[left], fprobe[left]
-        d[drop], fd[drop] = probe[~left], fprobe[~left]
-        live = live[b[live] - a[live] > xtol]
-    return 0.5 * (a + b)
+    _admit(sigma_ess(model), lams, model, margin)
+    eigs = np.linalg.eigvalsh(_reduction_plan(model).slicing_matrix(lams))
+    size = eigs.shape[1] // 2
+    return np.count_nonzero(eigs < 0.0, axis=1), eigs.prod(axis=1) * lams**size
 
 
-def _scan_events(vals, root_tol):
-    """Where a scan of ``delta`` calls for refinement.
-
-    Returns the masks ``zero`` (``vals[i] == 0``) and ``change`` (a sign
-    change between ``i`` and ``i+1``) over the scan intervals, and the
-    interior points ``i`` where ``|delta|`` dips: a local minimum below
-    ``sqrt(root_tol) * max(1, max|delta|)``, not next to a zero or a change.
-    """
-    zero = vals[:-1] == 0.0
-    change = vals[:-1] * vals[1:] < 0.0
-    hits = np.zeros(len(vals), dtype=bool)
-    hits[:-1] = zero | change
-    hits[:-2] |= zero[1:]
-    mags = np.abs(vals)
-    gate = np.sqrt(root_tol) * max(1.0, float(mags.max()))
-    a, b, c = mags[:-2], mags[1:-1], mags[2:]
-    near_hit = hits[:-2] | hits[1:-1] | hits[2:]
-    dips = 1 + np.flatnonzero((b <= a) & (b <= c) & (b < gate) & ~near_hit)
-    return zero, change, dips
+_SUBSCAN_POINTS = 8
+# Where a piece is split: an irrational fraction near 1/2.  A probe within
+# roundoff of a multiple eigenvalue may split its count between the two
+# halves, which would report it as several simple ones; midpoints land on the
+# round values where structured models (constant weights) put eigenvalues.
+_SPLIT = np.sqrt(2.0) - 0.9
 
 
 def discrete_spectrum(
@@ -627,69 +631,57 @@ def discrete_spectrum(
     rank_tol=None,
     path=1,
 ):
-    """Real zeros of the determinant outside the essential set.
+    """Real zeros of the determinant outside the essential set, with their
+    multiplicities, certified complete by the slicing count.
 
-    Scans each gap of ``[-bound-1, bound+1]`` minus a margin neighborhood of
-    the essential set, refines sign changes, and additionally refines local
-    minima of ``|delta|`` (to catch even-order zeros).  Every zero reported
-    comes with the algebraic multiplicity of the reduced linear system: the
-    rank deficiency of ``I - Pi(lam)^T / lam``.  Path 2 runs the same search
-    on the mirrored model.
-
-    Each gap is scanned in one ``delta_batch`` call.  The sign-change
-    brackets of all gaps are then refined together (``_refine_roots``),
-    seeded with both scan values, one call per step: at most one step more
-    than bisection, and a few steps on the simple zeros of the analytic
-    ``delta``.  The ``|delta|`` dips of all gaps are refined together by
-    golden section, one call per step.  Each bracket and each dip follows
-    the iterates of its own scalar search, so the results do not depend on
-    how many are refined at once.
+    The gaps of ``[-bound-1, bound+1]`` minus a margin neighborhood of the
+    essential set are counted at their ends in one batch.  The pieces that
+    hold two or more eigenvalues are split on counts (at ``_SPLIT``) in
+    lockstep, one batch per step; a piece narrower than ``root_tol`` that
+    still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  The
+    pieces that hold one are sub-scanned together in one ``delta_batch``
+    call, and their sign-change brackets are refined by ``_refine_roots``,
+    one call per step.  Path 2 runs the same search on the mirrored model.
+    ``scan_points`` and ``rank_tol`` are checked and echoed, but the search
+    reads neither.
     """
     model = _oriented(model, path)
     search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
-    margin = search.resolved_margin(model.bound)
-    scan_points, root_tol, rank_tol = search.scan_points, search.root_tol, search.rank_tol
-
-    ess = sigma_ess(model)
+    margin, root_tol = search.resolved_margin(model.bound), search.root_tol
     box = (-model.bound - 1.0, model.bound + 1.0)
+
+    gaps = _search_gaps(sigma_ess(model), box, margin)
+    nu, vals = _inertia(model, gaps.ravel(), margin / 2)
+    # the open intervals: ends, counts and values at the ends
+    lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
+    multiple, simple = [], []
+    while True:
+        count, mid = np.abs(nhi - nlo), lo + _SPLIT * (hi - lo)
+        split = (count >= 2) & (hi - lo > root_tol) & (lo < mid) & (mid < hi)
+        done = (count >= 2) & ~split  # too narrow to split: one multiple eigenvalue
+        multiple += zip((0.5 * (lo + hi))[done].tolist(), count[done].tolist())
+        simple.append(np.stack([lo, hi, flo, fhi])[:, count == 1])
+        if not split.any():
+            break
+        lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
+        nmid, fmid = _inertia(model, mid, margin / 2)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
 
     def dvals(lams):
         return delta_batch(model, lams, margin=margin / 2).real
 
-    scans, brackets, dips = [], [], []
-    for glo, ghi in _search_gaps(ess, box, margin):
-        lams = np.linspace(glo, ghi, scan_points)
-        vals = dvals(lams)
-        zero, change, dip = _scan_events(vals, root_tol)
-        scans.append((lams, zero, change, dip))
-        brackets += [(lams[i], lams[i + 1], vals[i], vals[i + 1]) for i in np.flatnonzero(change)]
-        dips += [(lams[i - 1], lams[i + 1]) for i in dip]
-    roots = iter(_refine_roots(dvals, *np.array(brackets).reshape(-1, 4).T, root_tol))
-    minima = iter(
-        _golden_minima(lambda t: np.abs(dvals(t)), *np.array(dips).reshape(-1, 2).T, root_tol)
-    )
-
-    found = []
-
-    def multiplicity(lam):
-        return _ReducedSystem(model, lam, 1.0 / lam).nullity(rank_tol)
-
-    def push(lam, mult):
-        for prev, _ in found:
-            if abs(lam - prev) <= 100.0 * root_tol * (1.0 + abs(prev)):
-                return
-        found.append((float(lam), mult))
-
-    for lams, zero, change, dip in scans:
-        for i in np.flatnonzero(zero | change):
-            lam = lams[i] if zero[i] else next(roots)
-            push(lam, max(1, multiplicity(lam)))
-        for _ in dip:  # even-order zeros: |delta| dips without a sign change
-            lam = next(minima)
-            mult = multiplicity(lam)
-            if mult >= 1:
-                push(lam, mult)
-
+    # one eigenvalue per piece: the first sign change of a sub-scan brackets it
+    lo, hi, flo, fhi = np.concatenate(simple, axis=1)
+    ts = np.linspace(lo, hi, _SUBSCAN_POINTS, axis=1)
+    inner = dvals(ts[:, 1:-1].ravel()) if len(ts) else np.empty(0)
+    fs = np.column_stack([flo, inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi])
+    rows, first = np.arange(len(ts)), np.argmax(fs[:, :-1] * fs[:, 1:] <= 0.0, axis=1)
+    a, b, fa, fb = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
+    a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)  # an exact zero is the root
+    refined = _refine_roots(dvals, a, b, fa, fb, root_tol)
+    found = [(lam, 1) for lam in refined.tolist()] + multiple
     return tuple(sorted(found))
 
 
@@ -718,12 +710,10 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
 
     Margin neighborhoods of the essential set are not searched; they are
     reported as unresolved bands rather than as certified absence of
-    eigenvalues.  The discrete list carries no completeness claim beyond the
-    scan resolution.  The essential set and the reduction plan are computed
-    once per model and reused by every later call on it.  The search costs
-    one ``delta_batch`` call per gap for the scan, then one per refinement
-    step for all roots together and one per golden-section step for all
-    ``|delta|`` dips together (see ``discrete_spectrum``).
+    eigenvalues.  Outside them the discrete list is complete, with
+    multiplicities, as the slicing count certifies (see ``discrete_spectrum``
+    for the search and its cost).  The essential set and the reduction plan
+    are computed once per model and reused by every later call on it.
     """
     search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
     bound = model.bound

@@ -35,7 +35,10 @@ ENTRY_POINTS = {
     "discrete_spectrum path 2": lambda model: discrete_spectrum(model, path=2),
     "delta": lambda model: delta(model, 7.0),
     "classify_tau": lambda model: classify_tau(model, 0.1),
+    "classify_tau at 0": lambda model: classify_tau(model, 0.0),
+    "classify_tau on the essential set": lambda model: classify_tau(model, 0.5),
     "solve_pie": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0)),
+    "solve_pie at 0": lambda model: solve_pie(model, 0.0, model.constant_grid(1.0)),
     "solve_pie path 2": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0), path=2),
     "resolvent_T": lambda model: resolvent_T(model, 7.0, model.constant_grid(1.0)),
     "eigenfunctions_T": lambda model: eigenfunctions_T(model, 7.0),

@@ -133,3 +133,39 @@ def test_grid_shape_checked():
     ry = build_rule((0.0, 1.0), 5)
     with pytest.raises(GridMismatch):
         Grid2D(rx, ry, np.zeros((3, 3)))
+
+
+def gauss_reference_two_recurrences(n):
+    """The node and weight computation as first written, with the Legendre
+    recurrence spelt out once in the Newton loop and once for the weights."""
+    if n == 1:
+        return np.array([0.0]), np.array([2.0])
+    k = np.arange(n)
+    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev = np.ones_like(x)
+        p = x.copy()
+        for deg in range(2, n + 1):
+            p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for deg in range(2, n + 1):
+        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    order_idx = np.argsort(x)
+    return x[order_idx], w[order_idx]
+
+
+def test_gauss_nodes_and_weights_are_those_of_the_two_recurrence_version():
+    for order in range(1, 201):
+        x, w = gauss_legendre(order)
+        ref_x, ref_w = gauss_reference_two_recurrences(order)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), order

@@ -28,11 +28,13 @@ from pio.expr import parse_expr
 from pio.model import make_model
 from pio.operators import apply_T
 from pio.pie import solve_pie
+from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
     _assemble_pi,
-    _golden_minima,
+    _inertia,
     _reduction_plan,
     _refine_roots,
+    _search_gaps,
     atom_eigenfunction,
     delta,
     delta_batch,
@@ -545,6 +547,113 @@ def test_root_search_call_budget(delta_batch_calls, fixture_a):
         assert len(delta_batch_calls) <= budget
 
 
+# --- the slicing count ---
+
+
+def double_root_model():
+    """Constant weights 1, 3 and 2.2, 0.2: the sum 3.2 comes from two pairs."""
+    return make_model((0, 1), (0, 1),
+                      ["legendre(0)", "legendre(1)"], ["1", "3"],
+                      ["legendre(0)", "legendre(1)"], ["2.2", "0.2"])
+
+
+def search_gaps(model):
+    margin = model.search.resolved_margin(model.bound)
+    return _search_gaps(sigma_ess(model), (-model.bound - 1.0, model.bound + 1.0), margin), margin
+
+
+def gap_counts(model):
+    """``|nu(b) - nu(a)|`` on each search gap ``(a, b)`` of the model."""
+    gaps, margin = search_gaps(model)
+    nu, _ = _inertia(model, gaps.ravel(), margin / 2)
+    return gaps, np.abs(nu.reshape(-1, 2) @ [-1, 1]).tolist()
+
+
+@pytest.mark.parametrize("name", ["fixture-b", "ramp-4"])
+def test_gap_counts_equal_the_oracle_counts(name, fixture_b):
+    model = fixture_b if name == "fixture-b" else ramp_model(4, 4)
+    eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
+    gaps, counts = gap_counts(model)
+    assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps]
+    assert sum(counts) == (1 if name == "fixture-b" else 3)
+
+
+def test_gap_counts_equal_the_sum_rule():
+    # weights on a 0.25 grid, so sums coincide (a multiple eigenvalue counts
+    # once per pair) and a sum is either an essential point or 0.25 from it
+    rng = np.random.default_rng(11)
+    models = [double_root_model(), sumrule_model(*SUMRULE_4)]
+    for _ in range(12):
+        a = rng.integers(-12, 13, size=rng.integers(1, 5)) / 4.0
+        b = rng.integers(-12, 13, size=rng.integers(1, 5)) / 4.0
+        models.append(sumrule_model(a.tolist(), b.tolist()))
+    coincident = 0
+    for model in models:
+        a = [float(w.source) for w in model.channel1.weights]
+        b = [float(w.source) for w in model.channel2.weights]
+        sums = [ai + bj for ai in a for bj in b]
+        coincident += len(sums) - len(set(sums))
+        gaps, counts = gap_counts(model)
+        assert counts == [sum(lo < s < hi for s in sums) for lo, hi in gaps], (a, b)
+    assert coincident >= 5
+
+
+@pytest.mark.parametrize("name", ["fixture-a", "fixture-b", "ramp-2", "ramp-4", "sumrule-4",
+                                  "double root"])
+def test_slicing_count_is_monotone_across_every_gap(name, fixture_a, fixture_b):
+    # nu rises across eigenvalues lam > 0 and falls across lam < 0
+    model = {
+        "fixture-a": lambda: fixture_a,
+        "fixture-b": lambda: fixture_b,
+        "ramp-2": lambda: ramp_model(2, 2),
+        "ramp-4": lambda: ramp_model(4, 4),
+        "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
+        "double root": double_root_model,
+    }[name]()
+    gaps, margin = search_gaps(model)
+    for lo, hi in gaps:
+        nu, _ = _inertia(model, np.linspace(lo, hi, 400), margin / 2)
+        steps = np.diff(nu) if lo > 0 else -np.diff(nu)
+        assert steps.min() >= 0, (lo, hi)
+
+
+@pytest.mark.parametrize("scan_points", [2, 8, 512])
+def test_scan_points_do_not_change_what_is_found(scan_points):
+    # ramp-4 with scan_points=8 lost 4.2105 and 4.5593 to the scan it had;
+    # the reference is the oracle at N = 100 (bench/refs.json)
+    report = sigma_full(ramp_model(4, 4), scan_points=scan_points)
+    assert report.settings["scan_points"] == scan_points
+    assert [mult for _, mult in report.discrete] == [1, 1, 1]
+    assert np.allclose([lam for lam, _ in report.discrete], [4.21049925, 4.55933721, 5.77136126],
+                       atol=1e-7)
+
+
+def test_multiple_eigenvalue_at_a_gap_midpoint_keeps_its_multiplicity():
+    # 0.5 = -1.25 + 1.75 twice is the midpoint of the gap (0, 1): a split
+    # there gave its count half to each side, and so 0.5 twice as simple
+    model = sumrule_model([-0.375, -1.25], [1.75, 1.75, 1.0])
+    got = {round(lam, 9): mult for lam, mult in discrete_spectrum(model)}
+    assert got == {-0.25: 1, 0.5: 2, 0.625: 1, 1.375: 2}
+
+
+def test_root_search_probe_budget(monkeypatch, fixture_a):
+    # eigvalsh batches per sigma_full: one for the gap ends, then one per step
+    # of bisection on counts; only the double root needs that to root_tol
+    calls = []
+    counted = pio.spectrum._inertia
+
+    def counting(model, lams, *args):
+        calls.append(len(lams))
+        return counted(model, lams, *args)
+
+    monkeypatch.setattr(pio.spectrum, "_inertia", counting)
+    for model, budget in ((fixture_a, 1), (ramp_model(4, 4), 6), (sumrule_model(*SUMRULE_4), 8),
+                          (double_root_model(), 40)):
+        calls.clear()
+        sigma_full(model)
+        assert len(calls) <= budget
+
+
 def bisection_steps(lo, hi, tol):
     """``ceil(log2((hi - lo) / tol))``, the steps of bisection to width ``tol``."""
     return int(np.ceil(np.log2((hi - lo) / tol)))
@@ -620,42 +729,6 @@ def test_refinement_of_a_bracket_does_not_depend_on_the_batch():
         alone = _refine_roots(fn, lo[i:i + 1], hi[i:i + 1], fn(lo[i:i + 1]), fn(hi[i:i + 1]), 1e-10)
         assert alone[0] == together[i]  # the same bits
     assert np.allclose(together, [0.3, 1.3, 2.7, 1.3], atol=1e-10)
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(fn, lo, hi, xtol):
-    """Scalar golden section search, the reference for the lockstep one."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def test_lockstep_golden_section_equals_the_scalar_search():
-    def fn(x):
-        return np.abs((x - 0.37) * (x - 1.81) * (x + 2.2))
-
-    lo = [0.1, 1.5, -2.5, 0.3, 1.8]
-    hi = [0.6, 2.3, -1.9, 0.3 + 5e-11, 1.9]  # the fourth starts narrower than xtol
-    counted, calls = counted_calls(fn)
-    got = _golden_minima(counted, lo, hi, 1e-10)
-    ref = [golden_min(lambda t: float(fn(np.float64(t))), a, b, 1e-10) for a, b in zip(lo, hi)]
-    assert got.tolist() == ref  # the same bits
-    assert calls[0] == 2 * len(lo)  # both first probes of every interval in one call
-    calls.clear()
-    assert _golden_minima(counted, [], [], 1e-10).size == 0 and not calls
 
 
 # --- full report ---
