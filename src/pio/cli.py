@@ -116,13 +116,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _add_search_overrides(sub):
-    sub.add_argument("--margin", type=float, default=None)
-    sub.add_argument("--scan-points", type=int, default=None)
-    sub.add_argument("--root-tol", type=float, default=None)
-    sub.add_argument("--rank-tol", type=float, default=None)
-
-
 def _build_parser():
     parser = _Parser(prog="pio", description="spectral toolkit for two-channel partial integral operators")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -134,10 +127,8 @@ def _build_parser():
         return sub
 
     cmd("validate", help="check the model and report")
-    sub = cmd("spectrum", help="full spectrum report")
-    _add_search_overrides(sub)
-    sub = cmd("discrete", help="discrete eigenvalues only")
-    _add_search_overrides(sub)
+    cmd("spectrum", help="full spectrum report")
+    cmd("discrete", help="discrete eigenvalues only")
 
     sub = cmd("solve", help="solve f - tau*T f = g")
     sub.add_argument("--tau", type=float, required=True)
@@ -183,25 +174,13 @@ def _run_validate(args):
 
 def _run_spectrum(args):
     model = _require_valid(args)
-    report = sigma_full(
-        model,
-        margin=args.margin,
-        scan_points=args.scan_points,
-        root_tol=args.root_tol,
-        rank_tol=args.rank_tol,
-    )
+    report = sigma_full(model)
     return _emit_json(report.as_dict(), args.out)
 
 
 def _run_discrete(args):
     model = _require_valid(args)
-    disc = discrete_spectrum(
-        model,
-        margin=args.margin,
-        scan_points=args.scan_points,
-        root_tol=args.root_tol,
-        rank_tol=args.rank_tol,
-    )
+    disc = discrete_spectrum(model)
     return _emit_json([[lam, mult] for lam, mult in disc], args.out)
 
 

@@ -51,13 +51,17 @@ _DENSE_SAMPLES = 1024
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Root search policy, checked on construction (model files and call
-    overrides alike); ``margin=None`` means ``1e-3 * (1 + norm bound)``.
+    """Root search policy of a model, the only source of search settings,
+    checked on construction since model files come from outside the program;
+    ``margin=None`` means ``1e-3 * (1 + norm bound)``.  A model file sets it
+    in its ``search`` block, a program with
+    ``dataclasses.replace(model, search=SearchSettings(margin=0.01))``.
 
     The discrete search reads ``margin`` and ``root_tol`` only: it counts
     eigenvalues by inertia, so no scan resolution decides what it finds.
     ``scan_points`` is checked and echoed, nothing more; ``rank_tol`` is the
-    rank decision of ``classify_tau``/``solve_pie`` and ``eigenfunctions_T``.
+    rank decision of ``classify_tau``/``solve_pie``, ``resolvent_T`` and
+    ``eigenfunctions_T``.
     """
 
     margin: float | None = None
@@ -505,8 +509,9 @@ def _try_eval(exprs, points):
     return out
 
 
-def validate_model(model, ortho_tol=DEFAULT_ORTHO_TOL):
-    """Check orthonormality of both bases and evaluability/boundedness of all pieces."""
+def validate_model(model):
+    """Check orthonormality of both bases (to ``DEFAULT_ORTHO_TOL``, the one
+    tolerance the library gates on) and evaluability/boundedness of all pieces."""
     checks = []
 
     slots = (
@@ -547,9 +552,9 @@ def validate_model(model, ortho_tol=DEFAULT_ORTHO_TOL):
         checks.append(
             CheckResult(
                 f"{name} orthonormal",
-                dev <= ortho_tol,
+                dev <= DEFAULT_ORTHO_TOL,
                 dev,
-                f"max Gram deviation {dev:.3e} (tolerance {ortho_tol:g})",
+                f"max Gram deviation {dev:.3e} (tolerance {DEFAULT_ORTHO_TOL:g})",
             )
         )
 

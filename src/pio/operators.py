@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange
 from .model import _on_side
-from .spectrum import _admit, _combine, _plain, _ReducedSystem, _weight_ranges
+from .spectrum import _admit, _combine, _per_model, _plain, _ReducedSystem, _weight_ranges
 from .spectrum import sigma_channel, sigma_ess
 
 __all__ = [
@@ -49,8 +49,11 @@ def _check_grid(model, f):
 
 
 def _weight_set(model):
-    """Union of the channel-1 weight ranges, without the automatic zero."""
-    return _combine(_weight_ranges(model), include_zero=False)
+    """Union of the channel-1 weight ranges, without the automatic zero,
+    built once per model."""
+    return _per_model(
+        model, "_weight_set", lambda mod: _combine(_weight_ranges(mod), include_zero=False)
+    )
 
 
 def _coefficients(model, f):
@@ -174,4 +177,4 @@ def _second_kind(model, system, g):
     u = u + tau * apply_S(model, 2, tau, u)
     plan = system.plan
     c = system.solve(plan.moments(u.values))
-    return u.with_values(u.values + tau * plan.synthesize(system.lam, c))
+    return u.with_values(u.values + tau * plan.synthesize(system.families, c))

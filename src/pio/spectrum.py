@@ -79,7 +79,7 @@ jump is the multiplicity (see ``discrete_spectrum``).
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -302,8 +302,10 @@ def _weight_ranges(model):
 
 
 def sigma_channel(model, channel):
-    """Spectrum of a single channel: {0} plus its weights' essential ranges."""
-    return _combine(_weight_ranges(_oriented(model, channel)))
+    """Spectrum of a single channel: {0} plus its weights' essential ranges,
+    built once per model and channel."""
+    view = _oriented(model, channel)
+    return _per_model(view, "_sigma_channel", lambda mod: _combine(_weight_ranges(mod)))
 
 
 def _build_sigma_ess(model):
@@ -369,12 +371,6 @@ class _ReductionPlan:
         N = (PF.reshape(-1, nx) @ self.Bt).reshape(len(lams), m, n, n)
         return HF, PF, K, N
 
-    def assemble(self, lams):
-        """Stacked ``Pi(lam) = lam K N``, shape (L, m*n, m*n)."""
-        _, _, K, N = self.families(lams)
-        N *= lams[:, None, None, None]
-        return _block_product(K, N)
-
     def shifted_coupling(self, lams):
         """Stacked ``K N - I = (Pi(lam) - lam I) / lam``, shape (L, m*n, m*n)."""
         _, _, K, N = self.families(lams)
@@ -402,11 +398,12 @@ class _ReductionPlan:
         for grid samples ``u``, shape (m*n,)."""
         return ((self.WP * (values @ self.WPsi.T).T) @ self.Phi.T).ravel()
 
-    def synthesize(self, lam, coeffs):
-        """``sum_w c_w F_w(., .; lam)`` on the grid, shape (NX, NY): with
-        ``C = c.reshape(m, n)`` and ``M[j,i] = sum_k C[k,j] K_j[k,i]``, it is
+    def synthesize(self, families, coeffs):
+        """``sum_w c_w F_w(., .; lam)`` on the grid, shape (NX, NY), from the
+        ``families`` at the one parameter ``lam``: with ``C = c.reshape(m, n)``
+        and ``M[j,i] = sum_k C[k,j] K_j[k,i]``, it is
         ``Phi.T @ (HF * (C.T @ Psi)) + ((Phi.T @ M) * PF.T) @ Psi``."""
-        (HF,), (PF,), (K,), _ = self.families(np.array([lam]))
+        (HF,), (PF,), (K,), _ = families
         C = coeffs.reshape(self.P.shape[0], self.H.shape[0])
         M = (C.T[:, None, :] @ K)[:, 0]
         return self.Phi.T @ (HF * (C.T @ self.Psi)) + ((self.Phi.T @ M) * PF.T) @ self.Psi
@@ -433,12 +430,6 @@ def _reduction_plan(model):
     return _per_model(model, "_pi_plan", _checked_plan)
 
 
-def _assemble_pi(model, lams, margin=None):
-    """Stacked reduction matrices, shape (L, m*n, m*n)."""
-    _admit(sigma_ess(model), lams, model, margin)
-    return _reduction_plan(model).assemble(np.asarray(lams))
-
-
 class _ReducedSystem:
     """The small system ``(I - tau * Pi(lam)^T) c = d`` at ``lam = 1/tau``.
 
@@ -446,15 +437,18 @@ class _ReducedSystem:
     solve it (see ``pie``), and it is singular exactly when ``lam`` is a
     discrete eigenvalue, since ``det(I - tau Pi^T) = (-tau)^{mn} delta(lam)``.
     ``lam`` and ``tau`` are taken as the caller holds them; ``plan`` turns
-    grid samples into right-hand sides and solutions back into grid samples.
-    Each query does one SVD and counts the singular values at most
-    ``rank_tol * max(s_max, 1)`` as null.
+    grid samples into right-hand sides and solutions back into grid samples,
+    from the ``families`` it evaluated once at ``lam``.  Each query does one
+    SVD and counts the singular values at most ``rank_tol * max(s_max, 1)``
+    as null.
     """
 
     def __init__(self, model, lam, tau):
-        self.lam, self.tau = lam, tau
+        self.tau = tau
         self.plan = _reduction_plan(model)
-        pim = self.plan.assemble(np.array([lam]))[0]
+        self.families = self.plan.families(np.array([lam]))
+        _, _, K, N = self.families
+        pim = _block_product(K, lam * N)[0]
         self.matrix = np.eye(pim.shape[0]) - tau * pim.T
 
     @staticmethod
@@ -488,9 +482,11 @@ class PiMatrix:
 
 
 def pi_matrix(model, lam, path=1):
-    """Cross-integral matrix ``Pi(lam)`` for the requested path."""
+    """Cross-integral matrix ``Pi(lam) = lam K N`` for the requested path."""
     view = _oriented(model, path)
-    entries = _assemble_pi(view, np.array([lam]))[0]
+    _admit(sigma_ess(view), lam, view)
+    _, _, K, N = _reduction_plan(view).families(np.array([lam]))
+    entries = _block_product(K, lam * N)[0]
     index_map = tuple((k, j) for k in range(1, view.m + 1) for j in range(1, view.n + 1))
     return PiMatrix(lam, path, entries, index_map)
 
@@ -514,12 +510,6 @@ def delta_batch(model, lams, margin=None):
 
 
 # --- root search ------------------------------------------------------------
-
-
-def _search_settings(model, margin=None, scan_points=None, root_tol=None, rank_tol=None):
-    """The model's search settings with the given overrides, checked like a model file's."""
-    given = dict(margin=margin, scan_points=scan_points, root_tol=root_tol, rank_tol=rank_tol)
-    return replace(model.search, **{k: v for k, v in given.items() if v is not None})
 
 
 def _blocked_bands(ess, margin):
@@ -623,14 +613,7 @@ _SUBSCAN_POINTS = 8
 _SPLIT = np.sqrt(2.0) - 0.9
 
 
-def discrete_spectrum(
-    model,
-    margin=None,
-    scan_points=None,
-    root_tol=None,
-    rank_tol=None,
-    path=1,
-):
+def discrete_spectrum(model, path=1):
     """Real zeros of the determinant outside the essential set, with their
     multiplicities, certified complete by the slicing count.
 
@@ -642,12 +625,13 @@ def discrete_spectrum(
     pieces that hold one are sub-scanned together in one ``delta_batch``
     call, and their sign-change brackets are refined by ``_refine_roots``,
     one call per step.  Path 2 runs the same search on the mirrored model.
-    ``scan_points`` and ``rank_tol`` are checked and echoed, but the search
-    reads neither.
+
+    The search reads ``margin`` and ``root_tol`` from the model's ``search``
+    settings and nothing else; other settings go on the model, as in
+    ``replace(model, search=SearchSettings(root_tol=1e-12))``.
     """
     model = _oriented(model, path)
-    search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
-    margin, root_tol = search.resolved_margin(model.bound), search.root_tol
+    margin, root_tol = model.search.resolved_margin(model.bound), model.search.root_tol
     box = (-model.bound - 1.0, model.bound + 1.0)
 
     gaps = _search_gaps(sigma_ess(model), box, margin)
@@ -705,8 +689,9 @@ class SpectrumReport:
         }
 
 
-def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=None):
-    """Essential plus discrete spectrum with the policy echoed back.
+def sigma_full(model):
+    """Essential plus discrete spectrum with the model's search settings
+    echoed back (``discrete_spectrum`` says how to change them).
 
     Margin neighborhoods of the essential set are not searched; they are
     reported as unresolved bands rather than as certified absence of
@@ -715,18 +700,17 @@ def sigma_full(model, margin=None, scan_points=None, root_tol=None, rank_tol=Non
     for the search and its cost).  The essential set and the reduction plan
     are computed once per model and reused by every later call on it.
     """
-    search = _search_settings(model, margin, scan_points, root_tol, rank_tol)
     bound = model.bound
-    margin = search.resolved_margin(bound)
+    margin = model.search.resolved_margin(bound)
     ess = sigma_ess(model)
-    disc = discrete_spectrum(model, margin, search.scan_points, search.root_tol, search.rank_tol)
+    disc = discrete_spectrum(model)
     box = (-bound - 1.0, bound + 1.0)
     unresolved = tuple(
         (max(lo, box[0]), min(hi, box[1]))
         for lo, hi in _blocked_bands(ess, margin)
         if hi > box[0] and lo < box[1]
     )
-    settings = {**asdict(search), "margin": margin, "order": model.order}
+    settings = {**asdict(model.search), "margin": margin, "order": model.order}
     return SpectrumReport(ess, disc, bound, settings, unresolved)
 
 
@@ -752,7 +736,8 @@ def eigenfunctions_T(model, lam0):
 
     out = []
     for coeff in coeffs.T:
-        f = Grid2D(model.rule_x, model.rule_y, system.plan.synthesize(lam0, coeff) / lam0)
+        values = system.plan.synthesize(system.families, coeff) / lam0
+        f = Grid2D(model.rule_x, model.rule_y, values)
         for g in out:  # grid Gram-Schmidt against what we already kept
             f = f - g.inner(f) * g
         norm = f.norm()

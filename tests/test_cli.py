@@ -91,26 +91,43 @@ def test_spectrum_deterministic_bytes(model_b, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_spectrum_search_overrides(model_a, tmp_path):
+def model_with_search(tmp_path, search):
+    doc = fixture_a_dict()
+    doc["search"] = search
+    path = tmp_path / "searched.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_spectrum_search_overrides(tmp_path):
+    # search settings come from the model file's search block, and are echoed
+    model = model_with_search(tmp_path, {"scan_points": 128, "margin": 0.01})
     out = tmp_path / "rep.json"
-    assert main(["spectrum", "--model", model_a, "--out", str(out),
-                 "--scan-points", "128", "--margin", "0.01"]) == 0
+    assert main(["spectrum", "--model", model, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["settings"]["scan_points"] == 128
     assert payload["settings"]["margin"] == 0.01
 
 
-@pytest.mark.parametrize("flag,value", [("--root-tol", "0"), ("--scan-points", "1"),
-                                        ("--margin", "-1")])
-def test_bad_search_override_exits_1(model_a, flag, value):
-    # a child process with a timeout: --root-tol 0 used to hang the bisection
+@pytest.mark.parametrize("key,value", [("root_tol", 0), ("scan_points", 1), ("margin", -1)])
+def test_bad_search_override_exits_1(tmp_path, key, value):
+    # a child process with a timeout: root_tol 0 used to hang the bisection
+    model = model_with_search(tmp_path, {key: value})
     proc = subprocess.run(
-        [sys.executable, "-m", "pio.cli", "spectrum", "--model", model_a, flag, value],
+        [sys.executable, "-m", "pio.cli", "spectrum", "--model", model],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
     assert "input error: search." in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--margin", "--scan-points", "--root-tol", "--rank-tol"])
+@pytest.mark.parametrize("command", ["spectrum", "discrete"])
+def test_search_flags_are_gone(model_a, command, flag, capsys):
+    # settings live in the model file only; the old flags are unrecognised
+    assert main([command, "--model", model_a, flag, "0.1"]) == 1
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
 
 
 def test_discrete_list(model_b, capsys):

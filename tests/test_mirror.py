@@ -8,12 +8,13 @@ through ``mirrored()``.
 import numpy as np
 import pytest
 
+import pio.operators
 import pio.spectrum
 from pio.errors import PioError
 from pio.model import eval_kernel, make_model
-from pio.operators import apply_partial, apply_S, project, resolvent_channel
+from pio.operators import apply_partial, apply_S, project, resolvent_channel, resolvent_T
 from pio.pie import solve_pie
-from pio.spectrum import atom_eigenfunction, discrete_spectrum, sigma_ess
+from pio.spectrum import atom_eigenfunction, discrete_spectrum, eigenfunctions_T, sigma_ess
 
 
 def rich_model():
@@ -130,15 +131,22 @@ def test_channel2_atom_eigenfunction():
     assert (apply_partial(model, 2, got) - 3.0 * got).norm() < 1e-12
 
 
-def test_solve_pie_assembles_pi_once(monkeypatch):
+def count_families(monkeypatch):
+    """The parameter counts of every ``families`` call from now on."""
     calls = []
-    assemble = pio.spectrum._ReductionPlan.assemble
+    families = pio.spectrum._ReductionPlan.families
 
     def counting(plan, lams):
         calls.append(len(lams))
-        return assemble(plan, lams)
+        return families(plan, lams)
 
-    monkeypatch.setattr(pio.spectrum._ReductionPlan, "assemble", counting)
+    monkeypatch.setattr(pio.spectrum._ReductionPlan, "families", counting)
+    return calls
+
+
+def test_solve_pie_assembles_pi_once(monkeypatch):
+    # the reduction is evaluated once per parameter: assembly and synthesis share it
+    calls = count_families(monkeypatch)
     model = rich_model()
     g = random_grid(model, 9)
     for path in (1, 2):
@@ -147,22 +155,45 @@ def test_solve_pie_assembles_pi_once(monkeypatch):
         assert calls == [1]
 
 
+def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch, fixture_a):
+    calls = count_families(monkeypatch)
+    model = rich_model()
+    resolvent_T(model, -4.0, random_grid(model, 11))
+    assert calls == [1]
+    calls.clear()
+    (lam, _), = discrete_spectrum(fixture_a)
+    calls.clear()
+    eigenfunctions_T(fixture_a, lam)
+    assert calls == [1]
+
+
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
-    calls = []
+    calls, combined = [], []
     essential_range = pio.spectrum.essential_range
+    combine = pio.spectrum._combine
 
     def counting(expr, interval):
         calls.append(interval)
         return essential_range(expr, interval)
 
+    def counting_combine(*args, **kwargs):
+        combined.append(args)
+        return combine(*args, **kwargs)
+
     monkeypatch.setattr(pio.spectrum, "essential_range", counting)
+    for module in (pio.spectrum, pio.operators):  # the admission sets of both
+        monkeypatch.setattr(module, "_combine", counting_combine)
     model = rich_model()
     g = random_grid(model, 10)
     solve_pie(model, -0.25, g)
+    for channel in (1, 2):
+        resolvent_channel(model, channel, -0.5, g)
     assert len(calls) == model.n + model.m
     calls.clear()
+    combined.clear()
     solve_pie(model, -0.25, g)
     for channel in (1, 2):
         resolvent_channel(model, channel, -0.5, g)
         apply_S(model, channel, 0.1, g)
     assert calls == []
+    assert combined == []

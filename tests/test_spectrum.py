@@ -13,24 +13,21 @@ data, independently of the implementation):
 """
 
 import gc
-import os
-import subprocess
-import sys
+import inspect
 import weakref
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pio.spectrum
-from pio.errors import IndexOutOfRange, ModelFormatError, NoAtom, NotAnEigenvalue, SpectrumHit
+from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
-from pio.model import make_model
+from pio.model import SearchSettings, make_model, validate_model
 from pio.operators import apply_T
 from pio.pie import solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
-    _assemble_pi,
     _inertia,
     _reduction_plan,
     _refine_roots,
@@ -321,7 +318,7 @@ def test_reduction_plan_matches_reference(n, m, path):
         np.array([-0.7, top + 0.5, top + 2.0]),
         np.array([0.5 * top + 0.3j, 0.2 - 0.4j, top + 1.0 + 0.0j]),
     ):
-        got = _assemble_pi(model if path == 1 else model.mirrored(), lams)
+        got = np.stack([pi_matrix(model, lam, path).entries for lam in lams])
         ref = pi_reference(model, lams, path)
         assert got.shape == ref.shape == (len(lams), n * m, n * m)
         assert got.dtype == ref.dtype
@@ -346,7 +343,7 @@ def test_moments_and_synthesis_match_reference(n, m, path):
             c = c + 1j * rng.standard_normal(c.shape)
         for got, ref in (
             (plan.moments(u), np.einsum("wxy,x,y,xy->w", B, wx, wy, u)),
-            (plan.synthesize(lam, c), np.einsum("w,wxy->xy", c, F)),
+            (plan.synthesize(plan.families(np.array([lam])), c), np.einsum("w,wxy->xy", c, F)),
         ):
             assert got.shape == ref.shape
             assert got.dtype == ref.dtype
@@ -355,9 +352,9 @@ def test_moments_and_synthesis_match_reference(n, m, path):
 
 def test_reduction_plan_built_once_per_model_and_path():
     model = ramp_model(2, 3)
-    _assemble_pi(model, np.array([5.0]))
+    pi_matrix(model, 5.0)
     plan = _reduction_plan(model)
-    _assemble_pi(model, np.array([6.0, 7.0]))
+    pi_matrix(model, 6.0)
     delta(model, 5.5)
     discrete_spectrum(model, path=2)
     assert _reduction_plan(model) is plan
@@ -391,14 +388,16 @@ def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
 
 
 def test_factor_function_fixture_a(fixture_a):
-    F = _reduction_plan(fixture_a).synthesize(4.0, np.array([1.0]))
+    plan = _reduction_plan(fixture_a)
+    F = plan.synthesize(plan.families(np.array([4.0])), np.array([1.0]))
     assert F.shape == (len(fixture_a.rule_x), len(fixture_a.rule_y))
     assert np.allclose(F, 4.0, atol=1e-12)
 
 
 def test_factor_function_fixture_b(fixture_b):
     # F(x, y; 2) = y/(2-y) + x/(2-x) * (2 log 2 - 1), at the grid nodes
-    F = _reduction_plan(fixture_b).synthesize(2.0, np.array([1.0]))
+    plan = _reduction_plan(fixture_b)
+    F = plan.synthesize(plan.families(np.array([2.0])), np.array([1.0]))
     x = fixture_b.rule_x.nodes[:, None]
     y = fixture_b.rule_y.nodes[None, :]
     c = 2.0 * np.log(2.0) - 1.0
@@ -621,7 +620,8 @@ def test_slicing_count_is_monotone_across_every_gap(name, fixture_a, fixture_b):
 def test_scan_points_do_not_change_what_is_found(scan_points):
     # ramp-4 with scan_points=8 lost 4.2105 and 4.5593 to the scan it had;
     # the reference is the oracle at N = 100 (bench/refs.json)
-    report = sigma_full(ramp_model(4, 4), scan_points=scan_points)
+    model = ramp_model(4, 4)
+    report = sigma_full(replace(model, search=replace(model.search, scan_points=scan_points)))
     assert report.settings["scan_points"] == scan_points
     assert [mult for _, mult in report.discrete] == [1, 1, 1]
     assert np.allclose([lam for lam, _ in report.discrete], [4.21049925, 4.55933721, 5.77136126],
@@ -747,44 +747,18 @@ def test_sigma_full_fixture_a(fixture_a):
 
 
 def test_sigma_full_settings_override(fixture_a):
-    rep = sigma_full(fixture_a, scan_points=64, margin=0.5)
+    rep = sigma_full(replace(fixture_a, search=SearchSettings(scan_points=64, margin=0.5)))
     assert rep.settings["scan_points"] == 64
     assert rep.settings["margin"] == 0.5
     assert any(lo < 2.0 and hi > 3.0 for lo, hi in rep.unresolved)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [dict(margin=-1.0), dict(margin=0.0), dict(scan_points=1), dict(rank_tol=0.0),
-     dict(rank_tol=-1.0)],
-)
-def test_search_overrides_are_validated(fixture_a, bad):
-    # margin=-1 used to report the atoms 2 and 3 as eigenvalues, scan_points=1 to return ()
-    with pytest.raises(ModelFormatError):
-        sigma_full(fixture_a, **bad)
-    with pytest.raises(ModelFormatError):
-        discrete_spectrum(fixture_a, **bad)
-
-
-def test_root_tol_override_is_validated():
-    # a root_tol <= 0 used to bisect forever, so the calls run in a child process
-    code = """if True:
-        from pio.errors import ModelFormatError
-        from pio.model import make_model
-        from pio.spectrum import discrete_spectrum, sigma_full
-        model = make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"])
-        for tol in (0.0, -1.0):
-            for fn in (sigma_full, discrete_spectrum):
-                try:
-                    fn(model, root_tol=tol)
-                except ModelFormatError:
-                    continue
-                raise SystemExit(f"{fn.__name__} accepted root_tol={tol}")
-    """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
+def test_search_settings_come_from_the_model_alone():
+    # the model's search block is the one source: no per-call override exists
+    assert list(inspect.signature(sigma_full).parameters) == ["model"]
+    assert list(inspect.signature(discrete_spectrum).parameters) == ["model", "path"]
+    assert list(inspect.signature(validate_model).parameters) == ["model"]
+    assert not hasattr(pio.spectrum, "_search_settings")
 
 
 def test_sigma_full_as_dict_roundtrips(fixture_b):
