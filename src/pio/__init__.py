@@ -11,15 +11,14 @@ oracle to check all of it.
 
 from . import errors
 from .errors import *  # noqa: F403 - every error type is public
-from .expr import Expression, eval_expr, format_expr, parse_expr, parse_expr2
-from .quadrature import Grid2D, QuadRule1D, build_rule, gauss_legendre, integrate_1d, integrate_2d
+from .expr import Expression, parse_expr, parse_expr2
+from .quadrature import Grid2D, QuadRule1D, build_rule
 from .model import (
     Channel,
     CheckResult,
     PIOModel,
     SearchSettings,
     ValidationReport,
-    eval_kernel,
     load_model_file,
     make_model,
     model_from_dict,
@@ -27,7 +26,6 @@ from .model import (
 )
 from .spectrum import (
     EssRange,
-    PiMatrix,
     SpectralSet,
     SpectrumReport,
     atom_eigenfunction,
@@ -66,16 +64,14 @@ __all__ = [
     "__version__",
     *errors.__all__,
     # expressions
-    "Expression", "parse_expr", "parse_expr2", "eval_expr", "format_expr",
+    "Expression", "parse_expr", "parse_expr2",
     # quadrature
-    "QuadRule1D", "Grid2D", "gauss_legendre", "build_rule", "integrate_1d",
-    "integrate_2d",
+    "QuadRule1D", "Grid2D", "build_rule",
     # model
     "Channel", "PIOModel", "SearchSettings", "CheckResult", "ValidationReport",
     "make_model", "model_from_dict", "load_model_file", "validate_model",
-    "eval_kernel",
     # spectrum
-    "EssRange", "SpectralSet", "PiMatrix", "SpectrumReport", "essential_range",
+    "EssRange", "SpectralSet", "SpectrumReport", "essential_range",
     "sigma_channel", "sigma_ess", "pi_matrix", "delta", "delta_batch",
     "discrete_spectrum", "sigma_full", "eigenfunctions_T", "atom_eigenfunction",
     "delta_trace_rows",

@@ -107,6 +107,27 @@ def _csv_rows(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _number(kind, low, what):
+    """Flag type that parses ``kind`` and refuses values that are not finite
+    or are below ``low``, so that argparse exits 1 before anything runs."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = np.nan
+        if not (abs(value) < np.inf and value >= low):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_finite = _number(float, -np.inf, "a finite number")
+_tolerance = _number(float, 0.0, "a finite number >= 0")
+_positive = _number(int, 1, "an integer >= 1")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here says 1."""
 
@@ -131,23 +152,23 @@ def _build_parser():
     cmd("discrete", help="discrete eigenvalues only")
 
     sub = cmd("solve", help="solve f - tau*T f = g")
-    sub.add_argument("--tau", type=float, required=True)
+    sub.add_argument("--tau", type=_finite, required=True)
     sub.add_argument("--rhs", required=True, help="right-hand side, expression in x and y")
 
     sub = cmd("delta-trace", help="determinant samples over a real window")
-    sub.add_argument("--lmin", type=float, required=True)
-    sub.add_argument("--lmax", type=float, required=True)
+    sub.add_argument("--lmin", type=_finite, required=True)
+    sub.add_argument("--lmax", type=_finite, required=True)
     sub.add_argument("--samples", type=int, required=True)
     sub.add_argument("--path", type=int, default=1, choices=(1, 2))
 
     sub = cmd("oracle-check", help="discretization cross-check")
-    sub.add_argument("--nx", type=int, default=60)
-    sub.add_argument("--ny", type=int, default=60)
-    sub.add_argument("--tol-disc", type=float, default=5e-3)
-    sub.add_argument("--tol-ess", type=float, default=5e-3)
+    sub.add_argument("--nx", type=_positive, default=60)
+    sub.add_argument("--ny", type=_positive, default=60)
+    sub.add_argument("--tol-disc", type=_tolerance, default=5e-3)
+    sub.add_argument("--tol-ess", type=_tolerance, default=5e-3)
 
     sub = cmd("eigenfunction", help="orthonormal eigenfunctions at an eigenvalue")
-    sub.add_argument("--lambda", dest="lam", type=float, required=True)
+    sub.add_argument("--lambda", dest="lam", type=_finite, required=True)
     return parser
 
 

@@ -56,7 +56,7 @@ class EmptyPiecewise(PioError):
 
 
 class DomainError(PioError):
-    """Evaluation left the domain of a function or produced a non-finite value."""
+    """A value or parameter is outside a function's domain or not finite."""
 
 
 class BadInterval(PioError):

@@ -32,8 +32,6 @@ __all__ = [
     "Expression",
     "parse_expr",
     "parse_expr2",
-    "eval_expr",
-    "format_expr",
     "constant_value",
 ]
 
@@ -415,71 +413,6 @@ def _eval_piecewise(node, env):
         sub["t"] = tv[mask]
         out[mask] = np.asarray(_eval(seg.body, sub), dtype=float)
     return out[0] if scalar else out
-
-
-def eval_expr(e, *values):
-    """Evaluate at scalar points; returns a float."""
-    for v in values:
-        if not np.isfinite(v):
-            raise DomainError("evaluation point is not finite")
-    return float(e(*[float(v) for v in values]))
-
-
-# --- printing ---------------------------------------------------------------
-
-
-def format_expr(e):
-    """Render the syntax tree back to grammar text; reparsing reproduces it."""
-    node = e.ast if isinstance(e, Expression) else e
-    return _fmt(node)
-
-
-def _fmt(node):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, PiConst):
-        return "pi"
-    if isinstance(node, Neg):
-        return "-" + _fmt_atom(node.arg)
-    if isinstance(node, Call):
-        return f"{node.func}({_fmt(node.arg)})"
-    if isinstance(node, Piecewise):
-        segs = "; ".join(f"[{s.lo!r},{s.hi!r}]:{_fmt(s.body)}" for s in node.segments)
-        return f"piecewise({segs})"
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            # the left operand of '^' parses as a unary, the right as a factor
-            left = f"({_fmt(node.left)})" if isinstance(node.left, BinOp) else _fmt(node.left)
-            right = _fmt(node.right)
-            if isinstance(node.right, BinOp) and node.right.op != "^":
-                right = f"({right})"
-            return f"{left}^{right}"
-        lp, rp = _PREC[node.op]
-        return f"{_fmt_at(node.left, lp)} {node.op} {_fmt_at(node.right, rp)}"
-    raise TypeError(f"unexpected node {node!r}")
-
-
-_PREC = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3)}
-
-
-def _prec_of(node):
-    if isinstance(node, BinOp):
-        return 4 if node.op == "^" else (2 if node.op in "*/" else 1)
-    return 5  # atoms and unary minus
-
-
-def _fmt_at(node, min_prec):
-    text = _fmt(node)
-    return f"({text})" if _prec_of(node) < min_prec else text
-
-
-def _fmt_atom(node):
-    # a negated operand must parse as an atom
-    if isinstance(node, (BinOp, Neg)):
-        return f"({_fmt(node)})"
-    return _fmt(node)
 
 
 # --- analysis helpers -------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "model_from_dict",
     "load_model_file",
     "validate_model",
-    "eval_kernel",
     "norm_bound",
     "legendre_source",
     "trig_source",
@@ -72,8 +71,8 @@ class SearchSettings:
     def __post_init__(self):
         for label in ("margin", "root_tol", "rank_tol"):
             value = getattr(self, label)
-            if value is not None and not value > 0:
-                raise ModelFormatError(f"search.{label} must be positive")
+            if value is not None and not 0 < value < np.inf:  # JSON reads Infinity
+                raise ModelFormatError(f"search.{label} must be finite and positive")
         if self.scan_points < 2:
             raise ModelFormatError("search.scan_points must be >= 2")
 
@@ -479,18 +478,7 @@ class ValidationReport:
     checks: tuple
 
     def as_dict(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "deviation": c.deviation,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 def _dense_points(interval):
@@ -559,20 +547,6 @@ def validate_model(model):
         )
 
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
-
-
-# --- pointwise model queries ---------------------------------------------------
-
-
-def eval_kernel(model, channel, x, s, y):
-    """Kernel value; for channel 1 ``s`` pairs with x, for channel 2 with y."""
-    view = _oriented(model, channel)
-    if view is not model:
-        x, y = y, x
-    return sum(
-        float(f(np.float64(x))) * float(f(np.float64(s))) * float(w(np.float64(y)))
-        for f, w in zip(view.channel1.basis, view.channel1.weights)
-    )
 
 
 def norm_bound(model):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange
 from .model import _on_side
 from .spectrum import _admit, _combine, _per_model, _plain, _ReducedSystem, _weight_ranges
-from .spectrum import sigma_channel, sigma_ess
+from .spectrum import _require_finite, sigma_channel, sigma_ess
 
 __all__ = [
     "apply_partial",
@@ -114,6 +114,7 @@ def resolvent_channel(model, channel, lam, g):
 
 def _apply_S(model, g, tau):
     _check_grid(model, g)
+    _require_finite(tau, "tau")
     if tau != 0:
         _admit(_weight_set(model), 1.0 / tau, model, name="1/tau", where="the weight ranges")
     weights = model.h_y

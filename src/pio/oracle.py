@@ -21,19 +21,17 @@ eigenvalue of ``S`` exactly (up to roundoff); the other ``Nx*Ny - r`` are
 zeros.  This holds on every grid, also where the span is the whole space
 (the projection is then a change of basis), so the eigensolve needs only
 SVDs of the two small factors and one ``eigvalsh`` of size ``r``, never a
-matrix with ``Nx*Ny`` rows; ``NystromSystem.matrix`` stays as the reference
-for the tests.
+matrix with ``Nx*Ny`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceFailure, PioError
-from .quadrature import gauss_legendre
+from .quadrature import _gauss_reference
 
 __all__ = [
     "NystromSystem",
@@ -42,8 +40,6 @@ __all__ = [
     "ComparisonReport",
     "compare_spectra",
 ]
-
-_MATRIX_CAP = 4096  # largest N for which the dense matrix may be materialized
 
 
 def _axis_rule(panel_edges, total):
@@ -68,7 +64,7 @@ def _axis_rule(panel_edges, total):
     nodes = []
     weights = []
     for lo, hi, order in zip(edges[:-1], edges[1:], orders):
-        x, w = gauss_legendre(int(order))
+        x, w = _gauss_reference(int(order))
         half = 0.5 * (hi - lo)
         nodes.append(lo + half * (x + 1.0))
         weights.append(half * w)
@@ -77,12 +73,9 @@ def _axis_rule(panel_edges, total):
 
 @dataclass(frozen=True, eq=False)
 class NystromSystem:
-    """Symmetrized grid discretization of the two-channel operator.
-
-    Holds the grid and the low-rank factors; the dense matrix is assembled
-    on demand and refused outright for grids where it would not fit in
-    memory comfortably.
-    """
+    """Symmetrized grid discretization of the two-channel operator: the
+    grid and the low-rank factors of the matrix described on top, which is
+    never assembled."""
 
     nodes_x: np.ndarray
     weights_x: np.ndarray
@@ -105,20 +98,6 @@ class NystromSystem:
     def size(self):
         return self.nx * self.ny
 
-    @cached_property
-    def matrix(self):
-        if self.size > _MATRIX_CAP:
-            raise PioError(
-                f"dense {self.size}x{self.size} matrix refused; "
-                "use oracle_eigs, which works from the factors"
-            )
-        out = np.zeros((self.size, self.size))
-        for k in range(self.a.shape[0]):
-            out += np.kron(np.outer(self.a[k], self.a[k]), np.diag(self.h[k]))
-        for j in range(self.b.shape[0]):
-            out += np.kron(np.diag(self.p[j]), np.outer(self.b[j], self.b[j]))
-        return out
-
 
 def nystrom_matrix(model, Nx, Ny):
     """Discretize the model on an Nx-by-Ny tensor quadrature grid.
@@ -126,7 +105,7 @@ def nystrom_matrix(model, Nx, Ny):
     Nodes are Gauss points on the model's panels (so kinks and steps of the
     weights never sit inside a panel), allotted per panel by length.
     """
-    if Nx < 1 or Ny < 1:
+    if not (1 <= Nx < np.inf and 1 <= Ny < np.inf):
         raise PioError(f"grid sizes must be at least 1, got {Nx}x{Ny}")
     xs, wx = _axis_rule(model.rule_x.panel_edges, int(Nx))
     ys, wy = _axis_rule(model.rule_y.panel_edges, int(Ny))
@@ -197,13 +176,6 @@ class ComparisonReport:
     mismatches: tuple
     checked: int
 
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "mismatches": [dict(m) for m in self.mismatches],
-            "checked": self.checked,
-        }
-
 
 def compare_spectra(report, eigs, tol_disc, tol_ess):
     """Two-sided check of a spectrum report against oracle eigenvalues.
@@ -212,8 +184,12 @@ def compare_spectra(report, eigs, tol_disc, tol_ess):
     eigenvalue within ``tol_disc``; every oracle eigenvalue larger than
     ``tol_ess`` in magnitude must lie within ``tol_ess`` of the essential
     set or within ``tol_disc`` of a discrete eigenvalue.  Failures are
-    returned as data, one entry each.
+    returned as data, one entry each.  Both tolerances must be finite and
+    at least 0; a NaN one would pass every check.
     """
+    for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)):
+        if not 0.0 <= tol < np.inf:
+            raise PioError(f"{name} must be finite and >= 0, got {tol}")
     eigs = np.asarray(eigs, dtype=float)
     discrete = np.array([lam for lam, _ in report.discrete], dtype=float)
     gaps = np.abs(eigs[:, None] - discrete)  # (eigs, discrete)

@@ -34,7 +34,7 @@ import enum
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _admit, _plain, _reduction_plan, _ReducedSystem, sigma_ess
+from .spectrum import _admit, _plain, _reduction_plan, _ReducedSystem, _require_finite, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -53,6 +53,7 @@ def _classify(model, tau):
     reduction does not apply.  A model that fails validation is refused
     first, whatever ``tau`` is."""
     _reduction_plan(model)
+    _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO, None
     lam = 1.0 / tau
@@ -72,7 +73,8 @@ def classify_tau(model, tau):
     apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
     the essential set, so a channel factor is not invertible.  EIGEN: the
     reduced system is singular under the model's ``search.rank_tol``, 1/tau
-    is a discrete eigenvalue.  REGULAR: everything invertible.
+    is a discrete eigenvalue.  REGULAR: everything invertible.  A tau that
+    is not finite raises ``DomainError``.
     """
     return _classify(model, tau)[0]
 

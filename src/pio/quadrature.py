@@ -18,10 +18,7 @@ from .errors import BadBreakpoint, BadInterval, GridMismatch
 __all__ = [
     "QuadRule1D",
     "Grid2D",
-    "gauss_legendre",
     "build_rule",
-    "integrate_1d",
-    "integrate_2d",
 ]
 
 
@@ -61,12 +58,6 @@ def _gauss_reference(order):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_legendre(order):
-    """Gauss-Legendre nodes and weights on [-1, 1] (copies)."""
-    x, w = _gauss_reference(order)
-    return x.copy(), w.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,34 +102,6 @@ def build_rule(interval, order, breakpoints=()):
     return QuadRule1D(lo, hi, int(order), tuple(edges.tolist()), nodes, weights)
 
 
-def _values_on(f, nodes):
-    try:
-        vals = np.asarray(f(nodes))
-    except Exception:
-        vals = None
-    if vals is None or vals.shape != nodes.shape:
-        vals = np.asarray([f(float(t)) for t in nodes])
-    return vals
-
-
-def integrate_1d(f, rule):
-    """Integral of ``f`` over the rule's interval; ``f`` maps arrays to arrays."""
-    vals = _values_on(f, rule.nodes)
-    total = np.sum(rule.weights * vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
-def integrate_2d(f, rule_x, rule_y):
-    """Integral over the rectangle of a function of two array arguments."""
-    vals = np.asarray(f(rule_x.nodes[:, None], rule_y.nodes[None, :]))
-    if vals.shape != (len(rule_x), len(rule_y)):
-        vals = np.asarray(
-            [[f(float(x), float(y)) for y in rule_y.nodes] for x in rule_x.nodes]
-        )
-    total = rule_x.weights @ vals @ rule_y.weights
-    return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
 @dataclass(frozen=True, eq=False)
 class Grid2D:
     """Samples of a function on the tensor grid of two 1D rules."""
@@ -170,9 +133,6 @@ class Grid2D:
     def transposed(self):
         """The same samples as a function of (y, x)."""
         return Grid2D(self.rule_y, self.rule_x, self.values.T)
-
-    def integral(self):
-        return self.rule_x.weights @ self.values @ self.rule_y.weights
 
     def inner(self, other):
         """L2 inner product, conjugate-linear in ``self``."""

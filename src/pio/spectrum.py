@@ -78,6 +78,7 @@ jump is the multiplicity (see ``discrete_spectrum``).
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -85,6 +86,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DomainError,
     IndexOutOfRange,
     InvalidModel,
     NoAtom,
@@ -98,7 +100,6 @@ from .quadrature import Grid2D
 __all__ = [
     "EssRange",
     "SpectralSet",
-    "PiMatrix",
     "SpectrumReport",
     "essential_range",
     "sigma_channel",
@@ -128,9 +129,17 @@ def _plain(number):
     return repr(np.asarray(number).item())
 
 
+def _require_finite(value, name):
+    """Raise ``DomainError`` unless the number ``value``, real or complex, is
+    finite; in plain Python, since it runs on every operator call."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} {_plain(value)} is not finite")
+
+
 def _admit(spectral_set, params, model, margin=None, name="lambda", where="the essential spectrum"):
-    """Raise ``SpectrumHit`` for the first of ``params`` (a number or an
-    array, real or complex) within ``margin`` of ``spectral_set``.
+    """Raise ``DomainError`` for a non-finite parameter, and ``SpectrumHit``
+    for the first of ``params`` (a number or an array, real or complex)
+    within ``margin`` of ``spectral_set``.
 
     The one admission rule of every operator entry point, with the margin
     ``operator_margin(model)``; the root search passes its own.  The refused
@@ -140,10 +149,13 @@ def _admit(spectral_set, params, model, margin=None, name="lambda", where="the e
         margin = operator_margin(model)
     if isinstance(params, np.ndarray):
         dist = spectral_set.distances(params)
-        bad = np.flatnonzero(dist <= margin)
-        param, near = (params.flat[bad[0]], dist.flat[bad[0]]) if bad.size else (None, np.inf)
+        bad = np.flatnonzero((dist <= margin) | ~np.isfinite(params))
+        if not bad.size:
+            return
+        param, near = params.flat[bad[0]], dist.flat[bad[0]]
     else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
         param, near = params, spectral_set.distance(params)
+    _require_finite(param, name)
     if near <= margin:
         raise SpectrumHit(f"{name} {_plain(param)} is within {near:.3e} of {where}")
 
@@ -202,9 +214,6 @@ class SpectralSet:
         """Interval ends and the isolated values (points and atoms) as arrays."""
         lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
         return lo, hi, np.array([*self.points, *(v for v, _ in self.atoms)], dtype=float)
-
-    def contains(self, lam, tol=0.0):
-        return self.distance(lam) <= tol
 
     def as_dict(self):
         return {
@@ -467,28 +476,13 @@ class _ReducedSystem:
         return np.linalg.solve(self.matrix, d)
 
 
-@dataclass(frozen=True)
-class PiMatrix:
-    """Reduction matrix at one spectral parameter."""
-
-    lam: complex
-    path: int
-    entries: np.ndarray
-    index_map: tuple
-
-    @property
-    def size(self):
-        return self.entries.shape[0]
-
-
 def pi_matrix(model, lam, path=1):
-    """Cross-integral matrix ``Pi(lam) = lam K N`` for the requested path."""
+    """Cross-integral matrix ``Pi(lam) = lam K N`` for the requested path, an
+    ``(mn, mn)`` array indexed by the row-major pairs described on top."""
     view = _oriented(model, path)
     _admit(sigma_ess(view), lam, view)
     _, _, K, N = _reduction_plan(view).families(np.array([lam]))
-    entries = _block_product(K, lam * N)[0]
-    index_map = tuple((k, j) for k in range(1, view.m + 1) for j in range(1, view.n + 1))
-    return PiMatrix(lam, path, entries, index_map)
+    return _block_product(K, lam * N)[0]
 
 
 def delta(model, lam):
@@ -788,6 +782,8 @@ def atom_eigenfunction(model, channel, j0, lam0):
 
 def delta_trace_rows(model, lmin, lmax, samples, path=1):
     """Rows (lambda, Re delta, Im delta, path); NaN inside the guard margin."""
+    _require_finite(lmin, "lmin")
+    _require_finite(lmax, "lmax")
     view = _oriented(model, path)
     lams = np.linspace(float(lmin), float(lmax), int(samples))
     margin = operator_margin(model)

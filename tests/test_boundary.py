@@ -1,22 +1,37 @@
-"""What crosses the library boundary: refusal of models that fail validation,
-and plain Python numbers in results and refusal messages."""
+"""What crosses the library boundary: refusal of models that fail validation
+and of parameters that are not finite, plain Python numbers in results and
+refusal messages, and which public names exist."""
 
 import json
 
 import numpy as np
 import pytest
 
+import pio
 import pio.model
 from pio.cli import main
-from pio.errors import EigenvalueHit, InvalidModel, NoAtom, NonUniqueSolution, OutsideTheory
+from pio.errors import (
+    DomainError,
+    EigenvalueHit,
+    InvalidModel,
+    NoAtom,
+    NonUniqueSolution,
+    OutsideTheory,
+)
 from pio.model import make_model, validate_model
-from pio.operators import resolvent_channel, resolvent_T
+from pio.operators import apply_S, resolvent_channel, resolvent_T
+from pio.oracle import ComparisonReport, NystromSystem
 from pio.pie import classify_tau, solve_pie
+from pio.quadrature import Grid2D
 from pio.spectrum import (
+    SpectralSet,
     atom_eigenfunction,
     delta,
+    delta_batch,
+    delta_trace_rows,
     discrete_spectrum,
     eigenfunctions_T,
+    pi_matrix,
     sigma_channel,
     sigma_full,
 )
@@ -163,3 +178,53 @@ def test_discrete_eigenvalues_are_python_floats(fixture_a):
         ((lam, mult),) = disc
         assert type(lam) is float and type(mult) is int
         assert abs(lam - 5.0) < 1e-8
+
+
+NAN, INF = float("nan"), float("inf")
+# (call, accepts complex parameters)
+PARAMETER_CALLS = {
+    "resolvent_T": (lambda m, v: resolvent_T(m, v, m.constant_grid(1.0)), True),
+    "eigenfunctions_T": (lambda m, v: eigenfunctions_T(m, v), False),
+    "pi_matrix": (lambda m, v: pi_matrix(m, v), True),
+    "delta": (lambda m, v: delta(m, v), True),
+    "delta_batch": (lambda m, v: delta_batch(m, np.array([1.5, v])), True),
+    "resolvent_channel 2": (lambda m, v: resolvent_channel(m, 2, v, m.constant_grid(1.0)), True),
+    "classify_tau": (lambda m, v: classify_tau(m, v), True),
+    "solve_pie": (lambda m, v: solve_pie(m, v, m.constant_grid(1.0)), True),
+    "apply_S": (lambda m, v: apply_S(m, 1, v, m.constant_grid(1.0)), True),
+    "delta_trace_rows lmin": (lambda m, v: delta_trace_rows(m, v, 2.0, 4), False),
+    "delta_trace_rows lmax": (lambda m, v: delta_trace_rows(m, 1.1, v, 4), False),
+}
+NON_FINITE = [
+    (name, value)
+    for name, (_, complex_ok) in PARAMETER_CALLS.items()
+    for value in (NAN, INF, -INF, *((complex(NAN, 0.5), complex(1.5, INF)) if complex_ok else ()))
+]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE, ids=[f"{n}-{v}" for n, v in NON_FINITE])
+def test_non_finite_parameters_are_refused(fixture_b, name, value):
+    # NaN used to pass the admission rule: a raw LinAlgError, or NaN results
+    # with RuntimeWarnings; tau = inf was classified as 1/tau = 0
+    with pytest.raises(DomainError, match="is not finite"):
+        PARAMETER_CALLS[name][0](fixture_b, value)
+
+
+def test_unused_public_names_are_gone():
+    # no caller in the library, the benchmark, the CLI or the README table
+    gone = {
+        pio.expr: ("eval_expr", "format_expr"),
+        pio.quadrature: ("gauss_legendre", "integrate_1d", "integrate_2d"),
+        pio.model: ("eval_kernel",),
+        pio.spectrum: ("PiMatrix",),
+        pio.oracle: ("_MATRIX_CAP",),
+        Grid2D: ("integral",),
+        SpectralSet: ("contains",),
+        NystromSystem: ("matrix",),
+        ComparisonReport: ("as_dict",),
+    }
+    for owner, names in gone.items():
+        assert not [name for name in names if hasattr(owner, name) or hasattr(pio, name)]
+        assert not set(names) & set(getattr(owner, "__all__", ()))
+    assert isinstance(pi_matrix(make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"]), 7.0),
+                      np.ndarray)

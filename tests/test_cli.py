@@ -211,6 +211,28 @@ def test_delta_trace_bad_window_exits_1(model_a):
                  "--lmax", "4", "--samples", "6"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tau", "inf", "--rhs", "1"],
+    ["solve", "--tau", "nan", "--rhs", "1"],
+    ["eigenfunction", "--lambda", "nan"],
+    ["eigenfunction", "--lambda=-inf"],
+    ["delta-trace", "--lmin", "nan", "--lmax", "2", "--samples", "4"],
+    ["delta-trace", "--lmin", "1.1", "--lmax", "inf", "--samples", "4"],
+    ["oracle-check", "--nx", "0"],
+    ["oracle-check", "--ny=-3"],
+    ["oracle-check", "--nx", "2.5"],
+    ["oracle-check", "--tol-disc", "nan"],
+    ["oracle-check", "--tol-ess", "inf"],
+    ["oracle-check", "--tol-disc=-1e-9"],
+], ids=" ".join)
+def test_numeric_flags_are_checked_at_parse_time(model_b, argv, capsys):
+    # were: solve --tau inf exit 3, oracle-check --nx 0 exit 2, delta-trace
+    # --lmin nan NaN rows with exit 0, --tol-disc nan "ok": true
+    assert main([argv[0], "--model", model_b, *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument --" in err and "Traceback" not in err
+
+
 def test_oracle_check_fixture_a(model_a, tmp_path):
     out = tmp_path / "oracle.json"
     assert main(["oracle-check", "--model", model_a, "--nx", "10", "--ny", "10",

@@ -11,7 +11,7 @@ import pytest
 import pio.operators
 import pio.spectrum
 from pio.errors import PioError
-from pio.model import eval_kernel, make_model
+from pio.model import make_model
 from pio.operators import apply_partial, apply_S, project, resolvent_channel, resolvent_T
 from pio.pie import solve_pie
 from pio.spectrum import atom_eigenfunction, discrete_spectrum, eigenfunctions_T, sigma_ess
@@ -83,8 +83,6 @@ def test_channel_and_path_must_be_one_or_two(fixture_a):
             apply_partial(fixture_a, bad, one)
         with pytest.raises(PioError):
             discrete_spectrum(fixture_a, path=bad)
-        with pytest.raises(PioError):
-            eval_kernel(fixture_a, bad, 0.1, 0.2, 0.3)
 
 
 def test_channel2_apply_partial_and_project(fixture_b):
@@ -108,14 +106,6 @@ def test_channel2_resolvent_and_S(fixture_b):
         assert np.allclose(resolvent_channel(model, 2, lam, g).values, ref, atol=1e-12)
         ref = channel2_weighted(model, g, P / (1.0 - tau * P))
         assert np.allclose(apply_S(model, 2, tau, g).values, ref, atol=1e-12)
-
-
-def test_channel2_kernel_matches_expressions():
-    model = rectangle_model()
-    for x, s, y in ((0.3, 0.7, -0.2), (1.9, -0.5, 0.4)):
-        ref = sum(float(w(np.float64(x))) * float(f(np.float64(y))) * float(f(np.float64(s)))
-                  for f, w in zip(model.channel2.basis, model.channel2.weights))
-        assert eval_kernel(model, 2, x, s, y) == pytest.approx(ref, abs=1e-14)
 
 
 def test_channel2_atom_eigenfunction():

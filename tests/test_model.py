@@ -1,4 +1,6 @@
-"""Model construction, validation, kernels, norm bound, shorthand generators."""
+"""Model construction, validation, norm bound, shorthand generators."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from pio.errors import ModelFormatError
 from pio.expr import parse_expr
 from pio.model import (
     SearchSettings,
-    eval_kernel,
     legendre_source,
+    load_model_file,
     make_model,
     model_from_dict,
     norm_bound,
@@ -45,38 +47,6 @@ def test_unnormalized_basis_fails():
     model = make_model((0, 1), (0, 1), ["2"], ["1"], ["1"], ["0"])
     report = validate_model(model)
     assert not report.ok
-
-
-def test_eval_kernel_constant_channel(fixture_a):
-    assert eval_kernel(fixture_a, 1, 0.3, 0.7, 0.9) == pytest.approx(2.0, abs=1e-15)
-    assert eval_kernel(fixture_a, 2, 0.3, 0.7, 0.9) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_eval_kernel_channel2_depends_on_x(fixture_b):
-    for t, y in [(0.1, 0.9), (0.5, 0.5), (0.99, 0.01)]:
-        assert eval_kernel(fixture_b, 2, 0.3, t, y) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_eval_kernel_step_weight(fixture_c):
-    assert eval_kernel(fixture_c, 1, 0.2, 0.8, 0.25) == 2.0
-    assert eval_kernel(fixture_c, 1, 0.2, 0.8, 0.75) == 4.0
-
-
-def test_kernel_symmetry_random_points():
-    model = make_model(
-        (0, 1), (0, 1),
-        ["legendre(0)", "legendre(1)"], ["t", "1 - t"],
-        ["trig(0)", "trig(1)"], ["t^2", "0.5"],
-    )
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        x, s, y = rng.uniform(0, 1, size=3)
-        assert eval_kernel(model, 1, x, s, y) == pytest.approx(
-            eval_kernel(model, 1, s, x, y), abs=1e-13
-        )
-        assert eval_kernel(model, 2, x, s, y) == pytest.approx(
-            eval_kernel(model, 2, x, y, s), abs=1e-13
-        )
 
 
 def test_norm_bound_values(fixture_a, fixture_b):
@@ -170,6 +140,16 @@ def test_search_settings_refuse_bad_values(bad):
         SearchSettings(**bad)
 
 
+@pytest.mark.parametrize("key", ["margin", "root_tol", "rank_tol"])
+def test_search_block_refuses_infinity(tmp_path, key):
+    # Python's json writes and reads the literal Infinity
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({**fixture_a_dict(), "search": {key: float("inf")}}))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ModelFormatError, match=f"search.{key} must be finite and positive"):
+        load_model_file(str(path))
+
+
 def test_rules_split_at_weight_breakpoints(fixture_c):
     assert 0.5 in fixture_c.rule_y.panel_edges
     assert fixture_c.rule_x.panel_edges == (0.0, 1.0)
@@ -178,4 +158,4 @@ def test_rules_split_at_weight_breakpoints(fixture_c):
 def test_grid_helper(fixture_a):
     g = fixture_a.grid(lambda x, y: x * y)
     assert g.values.shape == (len(fixture_a.rule_x), len(fixture_a.rule_y))
-    assert g.integral() == pytest.approx(0.25, rel=1e-14)
+    assert fixture_a.constant_grid(1.0).inner(g) == pytest.approx(0.25, rel=1e-14)

@@ -15,7 +15,6 @@ from pio.operators import (
     resolvent_T,
 )
 from pio.pie import residual, solve_pie
-from pio.quadrature import integrate_2d
 
 from test_spectrum import fb_reference
 
@@ -105,9 +104,13 @@ def test_self_adjoint_on_grid(fixture_a, fixture_b):
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_kernel_values_integrate_to_operator_action(fixture_b):
-    from pio.model import eval_kernel
+def channel1_kernel(model, x, s, y):
+    """``sum_k phi_k(x) phi_k(s) h_k(y)`` from the model's expressions."""
+    return sum(float(f(x)) * float(f(s)) * float(w(y))
+               for f, w in zip(model.channel1.basis, model.channel1.weights))
 
+
+def test_kernel_values_integrate_to_operator_action(fixture_b):
     rng = np.random.default_rng(8)
     f = random_grid(fixture_b, rng)
     xs, ws = fixture_b.rule_x.nodes, fixture_b.rule_x.weights
@@ -116,7 +119,7 @@ def test_kernel_values_integrate_to_operator_action(fixture_b):
     for j in (0, 11, 30):
         y = fixture_b.rule_y.nodes[j]
         ref = sum(
-            w * eval_kernel(fixture_b, 1, x0, s, y) * f.values[i, j]
+            w * channel1_kernel(fixture_b, x0, s, y) * f.values[i, j]
             for i, (s, w) in enumerate(zip(xs, ws))
         )
         assert abs(got[j] - ref) < 1e-12

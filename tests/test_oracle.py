@@ -29,10 +29,21 @@ def legendre_model(n, m, weights1, weights2):
                       [f"legendre({k})" for k in range(m)], weights2)
 
 
+def dense_matrix(sys):
+    """The ``Nx*Ny`` square matrix the factors stand for:
+    ``sum_k (a_k a_k^T) kron diag(h_k) + sum_j diag(p_j) kron (b_j b_j^T)``."""
+    out = np.zeros((sys.size, sys.size))
+    for a, h in zip(sys.a, sys.h):
+        out += np.kron(np.outer(a, a), np.diag(h))
+    for b, p in zip(sys.b, sys.p):
+        out += np.kron(np.diag(p), np.outer(b, b))
+    return out
+
+
 def assert_matches_dense(sys):
     """``oracle_eigs`` against ``eigvalsh`` of the dense matrix, and its exact
     zeros against the size ``ra*Ny + (Nx - ra)*rb`` of the range."""
-    dense = np.sort(np.linalg.eigvalsh(sys.matrix))
+    dense = np.sort(np.linalg.eigvalsh(dense_matrix(sys)))
     fast = _compressed_eigs(sys)
     assert np.max(np.abs(dense - fast)) < 1e-10
     assert np.array_equal(oracle_eigs(sys), fast)
@@ -69,7 +80,7 @@ def test_axis_rule_proportional_to_length():
 
 def test_matrix_symmetric(fixture_a, fixture_b):
     for model, n in ((fixture_a, 10), (fixture_b, 14)):
-        M = nystrom_matrix(model, n, n).matrix
+        M = dense_matrix(nystrom_matrix(model, n, n))
         assert np.max(np.abs(M - M.T)) < 1e-12
 
 
@@ -87,20 +98,14 @@ def test_fixture_a_single_node(fixture_a):
 def test_zero_model_all_zero():
     m = make_model((0, 1), (0, 1), ["1"], ["0"], ["1"], ["0"])
     sys = nystrom_matrix(m, 6, 7)
-    assert np.max(np.abs(sys.matrix)) == 0.0
+    assert np.max(np.abs(dense_matrix(sys))) == 0.0
     assert np.max(np.abs(oracle_eigs(sys))) == 0.0
 
 
 def test_grid_size_validation(fixture_a):
-    with pytest.raises(PioError):
-        nystrom_matrix(fixture_a, 0, 5)
-
-
-def test_dense_matrix_refused_when_huge(fixture_b):
-    sys = nystrom_matrix(fixture_b, 200, 200)
-    assert sys.size == 40000
-    with pytest.raises(PioError):
-        sys.matrix
+    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf"))):
+        with pytest.raises(PioError):
+            nystrom_matrix(fixture_a, nx, ny)
 
 
 def test_compression_matches_dense(fixture_b):
@@ -136,7 +141,7 @@ def test_compression_matches_dense_rank_two_channel():
     m = make_model((0, 1), (0, 1), ["1"], ["t+2"],
                    ["legendre(0)", "legendre(1)"], ["t+4", "t/2"])
     sys = nystrom_matrix(m, 16, 15)
-    dense = np.sort(np.linalg.eigvalsh(sys.matrix))
+    dense = np.sort(np.linalg.eigvalsh(dense_matrix(sys)))
     fast = _compressed_eigs(sys)
     assert np.max(np.abs(dense - fast)) < 1e-10
 
@@ -193,6 +198,17 @@ def test_compare_spectra_flags_corruption(fixture_a):
     assert "missing-discrete" in kinds
     values = {round(m["value"], 6) for m in cmp.mismatches}
     assert 4.9 in values
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("which", ["tol_disc", "tol_ess"])
+def test_compare_spectra_refuses_bad_tolerances(fixture_b, which, tol):
+    # a NaN tolerance used to pass every check: ok was True where 1e-14 gives False
+    rep, eigs = sigma_full(fixture_b), oracle_eigs(nystrom_matrix(fixture_b, 20, 20))
+    assert not compare_spectra(rep, eigs, 1e-14, 1e-14).ok
+    tols = {"tol_disc": 1e-14, "tol_ess": 1e-14, which: tol}
+    with pytest.raises(PioError, match=f"{which} must be finite and >= 0"):
+        compare_spectra(rep, eigs, **tols)
 
 
 def test_compare_spectra_ignores_zero_cluster(fixture_a):
