@@ -17,11 +17,17 @@ sides on the rectangle) use ``x`` and ``y`` and may not contain
 ``piecewise``.  Piecewise segments must tile an interval; each boundary
 belongs to the segment on its right, except the last one.  Segment bounds
 are numeric literals, optionally negated.
+
+The parser compiles as it reads: each production returns a function of the
+variable environment (name -> array), so an ``Expression`` holds its
+evaluator, not a syntax tree.  Piecewise breakpoints are recorded while the
+segments are checked to continue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+import operator
 import re
 
 import numpy as np
@@ -35,8 +41,6 @@ __all__ = [
     "constant_value",
 ]
 
-_FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
-
 _TOKEN_RE = re.compile(
     r"""(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?   # number
       | [A-Za-z_][A-Za-z_0-9]*                 # identifier
@@ -46,66 +50,26 @@ _TOKEN_RE = re.compile(
 )
 
 
-# --- syntax tree ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class PiConst:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Segment:
-    lo: float
-    hi: float
-    body: object
-
-
-@dataclass(frozen=True)
-class Piecewise:
-    segments: tuple
+# --- compiled expressions ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression together with its source and breakpoints.
+    """A parsed expression: its source, its evaluator and its breakpoints.
 
+    ``evaluate`` maps a variable environment (name -> array) to the value;
+    equality ignores it, since it is a function of the source.
     ``breakpoints`` are the piecewise segment boundaries that are interior
-    to the segment tiling; smoothness may fail only there.
+    to the segment tiling; smoothness may fail only there.  ``constant`` is
+    the value of a source that is a numeric literal or a negated one, else
+    ``None``.
     """
 
     source: str
     variables: tuple
-    ast: object
+    evaluate: object = field(compare=False)
     breakpoints: tuple
+    constant: float | None
 
     def __call__(self, *values):
         """Evaluate on numpy arrays (broadcasting applies)."""
@@ -114,9 +78,8 @@ class Expression:
             raise DomainError(
                 f"expression over {self.variables} called with {len(arrays)} arguments"
             )
-        env = dict(zip(self.variables, arrays))
         with np.errstate(all="ignore"):  # overflow surfaces as the finite check below
-            out = _eval(self.ast, env)
+            out = self.evaluate(dict(zip(self.variables, arrays)))
         shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
         out = np.broadcast_to(np.asarray(out, dtype=float), shape)
         if not np.all(np.isfinite(out)):
@@ -160,11 +123,14 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; each production returns a function of the environment."""
+
     def __init__(self, text, variables):
         self.text = text
         self.variables = variables
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.breakpoints = set()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -195,27 +161,28 @@ class _Parser:
         node = self.term()
         while (tok := self.peek()) is not None and tok.kind in ("+", "-"):
             self.next()
-            node = BinOp(tok.kind, node, self.term())
+            node = _binary(tok.kind, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while (tok := self.peek()) is not None and tok.kind in ("*", "/"):
             self.next()
-            node = BinOp(tok.kind, node, self.factor())
+            node = _binary(tok.kind, node, self.factor())
         return node
 
     def factor(self):
         node = self.unary()
         if (tok := self.peek()) is not None and tok.kind == "^":
             self.next()
-            node = BinOp("^", node, self.factor())
+            node = _binary("^", node, self.factor())
         return node
 
     def unary(self):
         if (tok := self.peek()) is not None and tok.kind == "-":
             self.next()
-            return Neg(self.atom())
+            arg = self.atom()
+            return lambda env: -arg(env)
         return self.atom()
 
     def atom(self):
@@ -224,7 +191,8 @@ class _Parser:
             raise ExprSyntaxError("unexpected end of input", self.offset())
         if tok.kind == "number":
             self.next()
-            return Num(self._literal(tok))
+            value = self._literal(tok)
+            return lambda env: value
         if tok.kind == "(":
             self.next()
             node = self.expr()
@@ -234,14 +202,15 @@ class _Parser:
             self.next()
             name = tok.text
             if name in self.variables:
-                return Var(name)
+                return lambda env: env[name]
             if name == "pi":
-                return PiConst()
+                return lambda env: np.pi
             if name in _FUNCS:
                 self.expect("(", f"'(' after {name}")
                 arg = self.expr()
                 self.expect(")", "')'")
-                return Call(name, arg)
+                func = _FUNCS[name]
+                return lambda env: func(arg(env))
             if name == "piecewise":
                 if len(self.variables) != 1:
                     raise ExprSyntaxError(
@@ -261,13 +230,14 @@ class _Parser:
             self.next()
             segments.append(self.segment())
         self.expect(")", "')' or ';'")
-        for prev, cur in zip(segments, segments[1:]):
-            if cur.lo != prev.hi:
+        for (_, prev_hi, _), (lo, hi, _) in zip(segments, segments[1:]):
+            if lo != prev_hi:
                 raise ExprSyntaxError(
-                    f"segment [{cur.lo!r},{cur.hi!r}] does not continue at {prev.hi!r}",
+                    f"segment [{lo!r},{hi!r}] does not continue at {prev_hi!r}",
                     self.offset(),
                 )
-        return Piecewise(tuple(segments))
+            self.breakpoints.add(lo)
+        return _piecewise(segments)
 
     def segment(self):
         self.expect("[", "'['")
@@ -279,7 +249,7 @@ class _Parser:
         body = self.expr()
         if not lo < hi:
             raise ExprSyntaxError(f"segment bounds [{lo!r},{hi!r}] are not increasing", self.offset())
-        return Segment(lo, hi, body)
+        return lo, hi, body
 
     def _signed_number(self):
         sign = 1.0
@@ -296,21 +266,6 @@ class _Parser:
         return value
 
 
-def _collect_breakpoints(node, acc):
-    if isinstance(node, Piecewise):
-        for seg in node.segments[1:]:
-            acc.add(seg.lo)
-        for seg in node.segments:
-            _collect_breakpoints(seg.body, acc)
-    elif isinstance(node, Neg):
-        _collect_breakpoints(node.arg, acc)
-    elif isinstance(node, BinOp):
-        _collect_breakpoints(node.left, acc)
-        _collect_breakpoints(node.right, acc)
-    elif isinstance(node, Call):
-        _collect_breakpoints(node.arg, acc)
-
-
 def parse_expr(text):
     """Parse a one-variable expression in ``t``."""
     return _parse(text, ("t",))
@@ -324,52 +279,29 @@ def parse_expr2(text):
 def _parse(text, variables):
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    ast = _Parser(text, variables).parse()
-    bps = set()
-    _collect_breakpoints(ast, bps)
-    return Expression(text, variables, ast, tuple(sorted(bps)))
+    parser = _Parser(text, variables)
+    evaluate = parser.parse()
+    # a numeric literal, possibly negated and parenthesized, is constant by construction
+    core = [tok for tok in parser.tokens if tok.kind not in ("(", ")")]
+    constant = None
+    if [tok.kind for tok in core] in (["number"], ["-", "number"]):
+        value = float(core[-1].text)
+        constant = -value if len(core) == 2 else value
+    return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), constant)
 
 
 # --- evaluation -------------------------------------------------------------
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, PiConst):
-        return np.pi
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        if node.func == "log":
-            if np.any(np.asarray(arg) <= 0.0):
-                raise DomainError("log of a non-positive value")
-            return np.log(arg)
-        if node.func == "sqrt":
-            if np.any(np.asarray(arg) < 0.0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(arg)
-        return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}[node.func](arg)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0.0):
-                raise DomainError("division by zero")
-            return left / right
-        return _power(left, right)
-    if isinstance(node, Piecewise):
-        return _eval_piecewise(node, env)
-    raise TypeError(f"unexpected node {node!r}")
+def _binary(op, left, right):
+    func = _BINARY[op]
+    return lambda env: func(left(env), right(env))
+
+
+def _divide(left, right):
+    if np.any(np.asarray(right) == 0.0):
+        raise DomainError("division by zero")
+    return left / right
 
 
 def _power(base, exponent):
@@ -392,27 +324,42 @@ def _power(base, exponent):
     return np.power(b, e)
 
 
-def _eval_piecewise(node, env):
-    t = np.asarray(env["t"], dtype=float)
-    segs = node.segments
-    lo, hi = segs[0].lo, segs[-1].hi
-    if np.any(t < lo) or np.any(t > hi):
-        raise DomainError(f"point outside piecewise coverage [{lo!r},{hi!r}]")
-    bounds = np.array([s.lo for s in segs] + [hi])
-    idx = np.searchsorted(bounds, t, side="right") - 1
-    idx = np.minimum(idx, len(segs) - 1)  # t == hi belongs to the last segment
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t)
-    iv = np.atleast_1d(idx)
-    out = np.empty(tv.shape, dtype=float)
-    for i, seg in enumerate(segs):
-        mask = iv == i
-        if not np.any(mask):
-            continue
-        sub = dict(env)
-        sub["t"] = tv[mask]
-        out[mask] = np.asarray(_eval(seg.body, sub), dtype=float)
-    return out[0] if scalar else out
+def _log(arg):
+    if np.any(np.asarray(arg) <= 0.0):
+        raise DomainError("log of a non-positive value")
+    return np.log(arg)
+
+
+def _sqrt(arg):
+    if np.any(np.asarray(arg) < 0.0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(arg)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt, "abs": np.abs}
+
+
+def _piecewise(segments):
+    lo, hi = segments[0][0], segments[-1][1]
+    bounds = np.array([seg[0] for seg in segments] + [hi])
+
+    def evaluate(env):
+        t = np.asarray(env["t"], dtype=float)
+        if np.any(t < lo) or np.any(t > hi):
+            raise DomainError(f"point outside piecewise coverage [{lo!r},{hi!r}]")
+        idx = np.searchsorted(bounds, t, side="right") - 1
+        idx = np.minimum(idx, len(segments) - 1)  # t == hi belongs to the last segment
+        tv = np.atleast_1d(t)
+        iv = np.atleast_1d(idx)
+        out = np.empty(tv.shape, dtype=float)
+        for i, (_, _, body) in enumerate(segments):
+            mask = iv == i
+            if np.any(mask):
+                out[mask] = np.asarray(body({"t": tv[mask]}), dtype=float)
+        return out[0] if t.ndim == 0 else out
+
+    return evaluate
 
 
 # --- analysis helpers -------------------------------------------------------
@@ -421,13 +368,12 @@ def _eval_piecewise(node, env):
 def constant_value(e, lo, hi):
     """Value of ``e`` on ``[lo, hi]`` if it is constant there, else ``None``.
 
-    A literal is constant by construction; otherwise 257 samples strictly
-    inside the interval must agree to within ``1e-12 * (1 + max|value|)``.
+    A literal (``e.constant``) is constant by construction; otherwise 257
+    samples strictly inside the interval must agree to within
+    ``1e-12 * (1 + max|value|)``.
     """
-    if isinstance(e.ast, Num):
-        return e.ast.value
-    if isinstance(e.ast, Neg) and isinstance(e.ast.arg, Num):
-        return -e.ast.arg.value
+    if e.constant is not None:
+        return e.constant
     ts = lo + (hi - lo) * (np.arange(257) + 0.5) / 257.0
     vals = e(ts)
     spread = float(vals.max() - vals.min())

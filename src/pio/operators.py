@@ -162,7 +162,7 @@ def resolvent_T(model, lam, g):
     _check_grid(model, g)
     _admit(sigma_ess(model), lam, model)
     system = _ReducedSystem(model, lam, 1.0 / lam)
-    if system.nullity(model.search.rank_tol):
+    if system.nullity():
         raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
     return -system.tau * _second_kind(model, system, g)
 

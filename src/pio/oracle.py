@@ -105,8 +105,8 @@ def nystrom_matrix(model, Nx, Ny):
     Nodes are Gauss points on the model's panels (so kinks and steps of the
     weights never sit inside a panel), allotted per panel by length.
     """
-    if not (1 <= Nx < np.inf and 1 <= Ny < np.inf):
-        raise PioError(f"grid sizes must be at least 1, got {Nx}x{Ny}")
+    if not all(1 <= n < np.inf and n == int(n) for n in (Nx, Ny)):
+        raise PioError(f"grid sizes must be whole numbers of at least 1, got {Nx}x{Ny}")
     xs, wx = _axis_rule(model.rule_x.panel_edges, int(Nx))
     ys, wy = _axis_rule(model.rule_y.panel_edges, int(Ny))
     sx, sy = np.sqrt(wx), np.sqrt(wy)

@@ -62,7 +62,7 @@ def _classify(model, tau):
     except SpectrumHit:
         return TauClass.CHANNEL_SINGULAR, None
     system = _ReducedSystem(model, lam, tau)
-    kind = TauClass.EIGEN if system.nullity(model.search.rank_tol) else TauClass.REGULAR
+    kind = TauClass.EIGEN if system.nullity() else TauClass.REGULAR
     return kind, system
 
 
@@ -103,6 +103,7 @@ def solve_pie(model, tau, g, path=1):
 
 def residual(model, tau, f, g):
     """Norm of f - tau * T f - g, the direct check of a claimed solution."""
+    _require_finite(tau, "tau")
     _check_grid(model, f)
     _check_grid(model, g)
     return (f - tau * apply_T(model, f) - g).norm()

@@ -190,6 +190,8 @@ class SpectralSet:
 
     def distance(self, lam):
         lam = complex(lam)
+        if cmath.isnan(lam) and not cmath.isinf(lam):
+            return np.nan  # as ``distances``: a NaN part makes every distance NaN
         best = np.inf
         for lo, hi in self.intervals:
             dx = max(lo - lam.real, lam.real - hi, 0.0)
@@ -448,29 +450,29 @@ class _ReducedSystem:
     ``lam`` and ``tau`` are taken as the caller holds them; ``plan`` turns
     grid samples into right-hand sides and solutions back into grid samples,
     from the ``families`` it evaluated once at ``lam``.  Each query does one
-    SVD and counts the singular values at most ``rank_tol * max(s_max, 1)``
-    as null.
+    SVD and counts the singular values at most
+    ``model.search.rank_tol * max(s_max, 1)`` as null.
     """
 
     def __init__(self, model, lam, tau):
         self.tau = tau
+        self.rank_tol = model.search.rank_tol
         self.plan = _reduction_plan(model)
         self.families = self.plan.families(np.array([lam]))
         _, _, K, N = self.families
         pim = _block_product(K, lam * N)[0]
         self.matrix = np.eye(pim.shape[0]) - tau * pim.T
 
-    @staticmethod
-    def _null_count(svals, rank_tol):
-        return int(np.sum(svals <= rank_tol * max(float(svals.max(initial=0.0)), 1.0)))
+    def nullity(self, svals=None):
+        """Null count of ``svals``, by default of a values-only SVD."""
+        if svals is None:
+            svals = np.linalg.svd(self.matrix, compute_uv=False)
+        return int(np.sum(svals <= self.rank_tol * max(float(svals.max(initial=0.0)), 1.0)))
 
-    def nullity(self, rank_tol):
-        return self._null_count(np.linalg.svd(self.matrix, compute_uv=False), rank_tol)
-
-    def null_space(self, rank_tol):
+    def null_space(self):
         """Orthonormal null vectors as columns, shape (m*n, nullity)."""
         _, svals, vh = np.linalg.svd(self.matrix)
-        return vh[len(svals) - self._null_count(svals, rank_tol) :].conj().T
+        return vh[len(svals) - self.nullity(svals) :].conj().T
 
     def solve(self, d):
         return np.linalg.solve(self.matrix, d)
@@ -724,7 +726,7 @@ def eigenfunctions_T(model, lam0):
     lam0 = float(lam0)
     _admit(sigma_ess(model), lam0, model)
     system = _ReducedSystem(model, lam0, 1.0 / lam0)
-    coeffs = system.null_space(model.search.rank_tol)
+    coeffs = system.null_space()
     if coeffs.shape[1] == 0:
         raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
 

@@ -21,7 +21,7 @@ from pio.errors import (
 from pio.model import make_model, validate_model
 from pio.operators import apply_S, resolvent_channel, resolvent_T
 from pio.oracle import ComparisonReport, NystromSystem
-from pio.pie import classify_tau, solve_pie
+from pio.pie import classify_tau, residual, solve_pie
 from pio.quadrature import Grid2D
 from pio.spectrum import (
     SpectralSet,
@@ -191,6 +191,7 @@ PARAMETER_CALLS = {
     "resolvent_channel 2": (lambda m, v: resolvent_channel(m, 2, v, m.constant_grid(1.0)), True),
     "classify_tau": (lambda m, v: classify_tau(m, v), True),
     "solve_pie": (lambda m, v: solve_pie(m, v, m.constant_grid(1.0)), True),
+    "residual": (lambda m, v: residual(m, v, m.constant_grid(1.0), m.constant_grid(1.0)), True),
     "apply_S": (lambda m, v: apply_S(m, 1, v, m.constant_grid(1.0)), True),
     "delta_trace_rows lmin": (lambda m, v: delta_trace_rows(m, v, 2.0, 4), False),
     "delta_trace_rows lmax": (lambda m, v: delta_trace_rows(m, 1.1, v, 4), False),
@@ -226,5 +227,10 @@ def test_unused_public_names_are_gone():
     for owner, names in gone.items():
         assert not [name for name in names if hasattr(owner, name) or hasattr(pio, name)]
         assert not set(names) & set(getattr(owner, "__all__", ()))
+    # the parser compiles to an evaluator: no syntax tree and no tree walkers
+    tree = ("Num", "Var", "PiConst", "Neg", "BinOp", "Call", "Segment", "Piecewise",
+            "_eval", "_collect_breakpoints")
+    assert not [name for name in tree if hasattr(pio.expr, name)]
+    assert not hasattr(pio.expr.parse_expr("piecewise([0,1]:t)"), "ast")
     assert isinstance(pi_matrix(make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"]), 7.0),
                       np.ndarray)

@@ -159,13 +159,17 @@ def test_t_rejected_in_two_variables():
 def test_deterministic_reparse():
     a = parse_expr("piecewise([0,0.5]:sin(t); [0.5,1]:2*t^2)")
     b = parse_expr("piecewise([0,0.5]:sin(t); [0.5,1]:2*t^2)")
-    assert a.ast == b.ast
-    assert eval_expr(a, 0.77) == eval_expr(b, 0.77)
+    assert (a.source, a.breakpoints, a.constant) == (b.source, b.breakpoints, b.constant)
+    assert a == b and hash(a) == hash(b)
+    ts = np.linspace(0.0, 1.0, 41)
+    assert np.array_equal(a(ts), b(ts))
 
 
 def test_constant_detection():
     assert constant_value(parse_expr("2"), 0.0, 1.0) == 2.0
     assert constant_value(parse_expr("-3.5"), 0.0, 1.0) == -3.5
+    assert [parse_expr(src).constant for src in ("(2)", "-(0.1)", "(-(0.1))", "- 3")] == [2.0, -0.1, -0.1, -3.0]
+    assert [parse_expr(src).constant for src in ("-(-3)", "2*1", "t", "pi")] == [None] * 4
     assert constant_value(parse_expr("cos(0)*2"), 0.0, 1.0) == pytest.approx(2.0)
     assert constant_value(parse_expr("t"), 0.0, 1.0) is None
     pw = parse_expr("piecewise([0,0.5]:2; [0.5,1]:4)")
@@ -204,6 +208,22 @@ def _random_ast_source(rng, depth=0):
         for i in range(len(bounds) - 1)
     )
     return f"piecewise({segs})"
+
+
+def test_matches_python_evaluation_of_the_same_text():
+    """Reference oracle: Python's own arithmetic on the source text."""
+    rng = np.random.default_rng(1504)
+    ts = np.linspace(0.0, 1.0, 33)
+    env = {"t": ts, "pi": np.pi, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+    checked = 0
+    for _ in range(300):
+        src = _random_ast_source(rng)
+        if "piecewise" in src:
+            continue
+        want = np.broadcast_to(eval(src.replace("^", "**"), {"__builtins__": {}}, env), ts.shape)
+        np.testing.assert_allclose(parse_expr(src)(ts), want, rtol=1e-12, atol=0.0, err_msg=src)
+        checked += 1
+    assert checked >= 150
 
 
 def test_parser_totality_on_fuzz_input():

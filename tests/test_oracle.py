@@ -103,7 +103,7 @@ def test_zero_model_all_zero():
 
 
 def test_grid_size_validation(fixture_a):
-    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf"))):
+    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf")), (2.5, 3)):
         with pytest.raises(PioError):
             nystrom_matrix(fixture_a, nx, ny)
 

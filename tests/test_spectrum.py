@@ -377,12 +377,13 @@ def test_per_model_caches_do_not_pin_the_model():
 
 
 def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
-    lams = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.4, 3.0, 7.0])
+    lams = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.4, 3.0, 7.0, np.nan])
     for ess in (sigma_ess(fixture_a), sigma_ess(fixture_b)):
         for values in (lams, lams + 0.25j, lams - 3.0j):
             got = ess.distances(values)
             assert got.shape == values.shape
-            assert list(got) == [ess.distance(v) for v in values]
+            assert np.isnan(got[-1])
+            np.testing.assert_array_equal(got, [ess.distance(v) for v in values])
 
 
 # --- left factor functions ---
