@@ -21,18 +21,21 @@ are numeric literals, optionally negated.
 The parser compiles as it reads: each production returns a function of the
 variable environment (name -> array), so an ``Expression`` holds its
 evaluator, not a syntax tree.  Piecewise breakpoints are recorded while the
-segments are checked to continue.
+segments are checked to continue, and the domain tests of a literal exponent
+are decided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
+import math
 import operator
 import re
 
 import numpy as np
 
-from .errors import DomainError, EmptyPiecewise, ExprSyntaxError, UnknownIdentifier
+from .errors import DomainError, EmptyPiecewise, ExprSyntaxError, PioError, UnknownIdentifier
 
 __all__ = [
     "Expression",
@@ -41,10 +44,12 @@ __all__ = [
     "constant_value",
 ]
 
+# one scan per source: whitespace, then a token, or the character that starts none
 _TOKEN_RE = re.compile(
-    r"""(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?   # number
-      | [A-Za-z_][A-Za-z_0-9]*                 # identifier
-      | [-+*/^()\[\],;:]                       # punctuation
+    r"""\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)   # number
+      | ([A-Za-z_][A-Za-z_0-9]*)                       # identifier
+      | ([-+*/^()\[\],;:])                             # punctuation
+      | (\S))                                          # no token
     """,
     re.VERBOSE,
 )
@@ -90,36 +95,32 @@ class Expression:
 # --- tokenizer / parser -----------------------------------------------------
 
 
-class _Token:
-    __slots__ = ("text", "offset", "kind")
-
-    def __init__(self, text, offset):
-        self.text = text
-        self.offset = offset
-        if text[0].isdigit() or text[0] == ".":
-            self.kind = "number"
-        elif text[0].isalpha() or text[0] == "_":
-            self.kind = "ident"
-        else:
-            self.kind = text
-
-
 def _tokenize(text):
+    """Kinds and texts of the tokens and an end sentinel (kind ``None``)."""
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
         raise ExprSyntaxError("non-ASCII character", bad)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append(_Token(m.group(), pos))
-        pos = m.end()
-    return tokens
+    kinds, texts = [], []
+    for number, ident, punct, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ExprSyntaxError(f"unexpected character {bad!r}", _offsets(text)[len(kinds)])
+        kinds.append(punct or ("number" if number else "ident"))
+        texts.append(number or ident or punct)
+    return kinds + [None], texts + [None]
+
+
+def _offsets(text):
+    """Offset of each token and of the end, for error messages."""
+    return [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+
+
+def _literal_value(kinds, texts, start, stop):
+    """Value of tokens ``start..stop-1`` that are a numeric literal, maybe negated and parenthesized."""
+    core = [i for i in range(start, stop) if kinds[i] != "(" and kinds[i] != ")"]
+    if [kinds[i] for i in core] not in (["number"], ["-", "number"]):
+        return None
+    value = float(texts[core[-1]])
+    return -value if len(core) == 2 else value
 
 
 class _Parser:
@@ -128,113 +129,103 @@ class _Parser:
     def __init__(self, text, variables):
         self.text = text
         self.variables = variables
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
         self.breakpoints = set()
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
+    @property
+    def offsets(self):
+        return _offsets(self.text)
 
     def expect(self, kind, what):
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise ExprSyntaxError(f"expected {what}", self.offset())
-        return self.next()
-
-    def offset(self):
-        tok = self.peek()
-        return tok.offset if tok is not None else len(self.text)
+        if self.kinds[self.pos] != kind:
+            raise ExprSyntaxError(f"expected {what}", self.offsets[self.pos])
+        self.pos += 1
+        return self.pos - 1
 
     def parse(self):
         node = self.expr()
-        if self.peek() is not None:
-            raise ExprSyntaxError("unexpected trailing input", self.offset())
+        if self.kinds[self.pos] is not None:
+            raise ExprSyntaxError("unexpected trailing input", self.offsets[self.pos])
         return node
 
     def expr(self):
         node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in ("+", "-"):
-            self.next()
-            node = _binary(tok.kind, node, self.term())
+        while (kind := self.kinds[self.pos]) == "+" or kind == "-":
+            self.pos += 1
+            node = _binary(kind, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in ("*", "/"):
-            self.next()
-            node = _binary(tok.kind, node, self.factor())
+        while (kind := self.kinds[self.pos]) == "*" or kind == "/":
+            self.pos += 1
+            node = _binary(kind, node, self.factor())
         return node
 
     def factor(self):
         node = self.unary()
-        if (tok := self.peek()) is not None and tok.kind == "^":
-            self.next()
-            node = _binary("^", node, self.factor())
+        if self.kinds[self.pos] == "^":
+            start = self.pos = self.pos + 1
+            exponent = self.factor()
+            value = _literal_value(self.kinds, self.texts, start, self.pos)
+            node = _binary("^", node, exponent) if value is None else _literal_power(node, value)
         return node
 
     def unary(self):
-        if (tok := self.peek()) is not None and tok.kind == "-":
-            self.next()
+        if self.kinds[self.pos] == "-":
+            self.pos += 1
             arg = self.atom()
             return lambda env: -arg(env)
         return self.atom()
 
     def atom(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", self.offset())
-        if tok.kind == "number":
-            self.next()
-            value = self._literal(tok)
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind is None:
+            raise ExprSyntaxError("unexpected end of input", self.offsets[pos])
+        self.pos += 1
+        if kind == "number":
+            value = self._literal(pos)
             return lambda env: value
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
             node = self.expr()
             self.expect(")", "')'")
             return node
-        if tok.kind == "ident":
-            self.next()
-            name = tok.text
-            if name in self.variables:
-                return lambda env: env[name]
-            if name == "pi":
+        if kind == "ident":
+            if text in self.variables:
+                return lambda env: env[text]
+            if text == "pi":
                 return lambda env: np.pi
-            if name in _FUNCS:
-                self.expect("(", f"'(' after {name}")
+            if text in _FUNCS:
+                self.expect("(", f"'(' after {text}")
                 arg = self.expr()
                 self.expect(")", "')'")
-                func = _FUNCS[name]
+                func = _FUNCS[text]
                 return lambda env: func(arg(env))
-            if name == "piecewise":
+            if text == "piecewise":
                 if len(self.variables) != 1:
                     raise ExprSyntaxError(
-                        "piecewise is not allowed in two-variable expressions",
-                        tok.offset,
+                        "piecewise is not allowed in two-variable expressions", self.offsets[pos]
                     )
                 return self.piecewise()
-            raise UnknownIdentifier(name, tok.offset)
-        raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.offset)
+            raise UnknownIdentifier(text, self.offsets[pos])
+        raise ExprSyntaxError(f"unexpected {text!r}", self.offsets[pos])
 
     def piecewise(self):
         self.expect("(", "'(' after piecewise")
-        if (tok := self.peek()) is not None and tok.kind == ")":
+        if self.kinds[self.pos] == ")":
             raise EmptyPiecewise("piecewise needs at least one segment")
         segments = [self.segment()]
-        while (tok := self.peek()) is not None and tok.kind == ";":
-            self.next()
+        while self.kinds[self.pos] == ";":
+            self.pos += 1
             segments.append(self.segment())
         self.expect(")", "')' or ';'")
         for (_, prev_hi, _), (lo, hi, _) in zip(segments, segments[1:]):
             if lo != prev_hi:
                 raise ExprSyntaxError(
                     f"segment [{lo!r},{hi!r}] does not continue at {prev_hi!r}",
-                    self.offset(),
+                    self.offsets[self.pos],
                 )
             self.breakpoints.add(lo)
         return _piecewise(segments)
@@ -248,21 +239,22 @@ class _Parser:
         self.expect(":", "':'")
         body = self.expr()
         if not lo < hi:
-            raise ExprSyntaxError(f"segment bounds [{lo!r},{hi!r}] are not increasing", self.offset())
+            raise ExprSyntaxError(
+                f"segment bounds [{lo!r},{hi!r}] are not increasing", self.offsets[self.pos]
+            )
         return lo, hi, body
 
     def _signed_number(self):
         sign = 1.0
-        if (tok := self.peek()) is not None and tok.kind == "-":
-            self.next()
+        if self.kinds[self.pos] == "-":
+            self.pos += 1
             sign = -1.0
-        tok = self.expect("number", "a numeric segment bound")
-        return sign * self._literal(tok)
+        return sign * self._literal(self.expect("number", "a numeric segment bound"))
 
-    def _literal(self, tok):
-        value = float(tok.text)
+    def _literal(self, pos):
+        value = float(self.texts[pos])
         if not np.isfinite(value):
-            raise ExprSyntaxError("numeric literal overflows", tok.offset)
+            raise ExprSyntaxError("numeric literal overflows", self.offsets[pos])
         return value
 
 
@@ -282,11 +274,7 @@ def _parse(text, variables):
     parser = _Parser(text, variables)
     evaluate = parser.parse()
     # a numeric literal, possibly negated and parenthesized, is constant by construction
-    core = [tok for tok in parser.tokens if tok.kind not in ("(", ")")]
-    constant = None
-    if [tok.kind for tok in core] in (["number"], ["-", "number"]):
-        value = float(core[-1].text)
-        constant = -value if len(core) == 2 else value
+    constant = _literal_value(parser.kinds, parser.texts, 0, len(parser.kinds) - 1)
     return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), constant)
 
 
@@ -314,14 +302,37 @@ def _power(base, exponent):
         raise DomainError("negative base with a non-integer exponent")
     if np.any(neg):
         b, e = np.broadcast_arrays(b, e)
-        out = np.empty_like(b)
-        out[~neg] = np.power(b[~neg], e[~neg])
-        # integer exponents on negative bases: route through the sign by hand
-        odd = np.mod(e[neg], 2.0) == 1.0
-        mag = np.power(-b[neg], e[neg])
-        out[neg] = np.where(odd, -mag, mag)
-        return out
+        return _signed_power(b, e, neg, np.mod(e[neg], 2.0) == 1.0)
     return np.power(b, e)
+
+
+def _signed_power(b, e, neg, odd):
+    """Integer exponents on negative bases: route through the sign by hand."""
+    out = np.empty_like(b)
+    out[~neg] = np.power(b[~neg], e[~neg])
+    mag = np.power(-b[neg], e[neg])
+    out[neg] = np.where(odd, -mag, mag)
+    return out
+
+
+def _literal_power(base, e):
+    """``base ^ e`` for a literal ``e``, whose tests are decided here; each
+    call makes ``_power``'s ``np.power`` calls on the same operands."""
+    exponent = np.asarray(e, dtype=float)
+    negative, whole, odd = e < 0.0, e == math.floor(e), e % 2.0 == 1.0  # as np.floor, np.mod
+
+    def evaluate(env):
+        b = np.asarray(base(env), dtype=float)
+        if negative and np.any(b == 0.0):
+            raise DomainError("zero raised to a negative power")
+        neg = b < 0.0
+        if not np.any(neg):
+            return np.power(b, exponent)
+        if not whole:
+            raise DomainError("negative base with a non-integer exponent")
+        return _signed_power(b, np.broadcast_to(exponent, b.shape), neg, odd)
+
+    return evaluate
 
 
 def _log(arg):
@@ -364,19 +375,58 @@ def _piecewise(segments):
 
 # --- analysis helpers -------------------------------------------------------
 
+_RANGE_SAMPLES = 4096
+
+
+def _sampled(expr, parts):
+    """``sample(i, j)``: ``expr`` on point sets ``i`` to ``j - 1`` (default ``i``) from one evaluation
+    on all sets; if that raises, each request evaluates its own sets and gets their values or error."""
+    try:
+        values = expr(np.concatenate(parts)) if parts else None
+    except PioError:
+        return lambda i, j=None: expr(np.concatenate(parts[i : j or i + 1]))
+    ends = [0, *itertools.accumulate(map(len, parts))]
+    return lambda i, j=None: values[ends[i] : ends[j or i + 1]]
+
+
+def _pieces(expr, interval):
+    """The pieces of the interval between the expression's breakpoints."""
+    lo, hi = interval
+    cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _probe_points(lo, hi):
+    return lo + (hi - lo) * (np.arange(257) + 0.5) / 257.0
+
+
+def _range_parts(expr, interval):
+    """Per piece of a non-literal weight, ``constant_value``'s probe and the range samples."""
+    if expr.constant is not None:
+        return []
+    pieces = _pieces(expr, interval)
+    parts = []
+    for pos, (plo, phi) in enumerate(pieces):
+        ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
+        if pos < len(pieces) - 1:
+            ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
+        parts += [_probe_points(plo, phi), ts]
+    return parts
+
+
+def _level(vals):
+    """The value of samples that agree to ``1e-12 * (1 + max|value|)``, else ``None``."""
+    spread = float(vals.max() - vals.min())
+    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
+        return float(vals.mean())
+    return None
+
 
 def constant_value(e, lo, hi):
     """Value of ``e`` on ``[lo, hi]`` if it is constant there, else ``None``.
 
     A literal (``e.constant``) is constant by construction; otherwise 257
-    samples strictly inside the interval must agree to within
-    ``1e-12 * (1 + max|value|)``.
+    samples strictly inside the interval must agree (``_level``), the test
+    that ``essential_range`` applies to the same samples of each piece.
     """
-    if e.constant is not None:
-        return e.constant
-    ts = lo + (hi - lo) * (np.arange(257) + 0.5) / 257.0
-    vals = e(ts)
-    spread = float(vals.max() - vals.min())
-    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
-        return float(vals.mean())
-    return None
+    return e.constant if e.constant is not None else _level(e(_probe_points(lo, hi)))

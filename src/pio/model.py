@@ -18,14 +18,17 @@ orthonormal polynomials / trigonometric functions on their interval.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidModel, ModelFormatError, PioError
-from .expr import Expression, parse_expr
+from .expr import Expression, _range_parts, _sampled, parse_expr
 from .quadrature import Grid2D, build_rule
 
 __all__ = [
@@ -124,41 +127,42 @@ class PIOModel:
 
     @cached_property
     def rule_x(self):
-        bps = _interior(
-            [*_breaks(self.channel1.basis), *_breaks(self.channel2.weights),
-             *self.extra_breakpoints_x],
-            self.x_interval,
-        )
-        return build_rule(self.x_interval, self.order, bps)
+        exprs = (*self.channel1.basis, *self.channel2.weights)
+        return _rule(self.x_interval, self.order, exprs, self.extra_breakpoints_x)
 
     @cached_property
     def rule_y(self):
-        bps = _interior(
-            [*_breaks(self.channel1.weights), *_breaks(self.channel2.basis),
-             *self.extra_breakpoints_y],
-            self.y_interval,
-        )
-        return build_rule(self.y_interval, self.order, bps)
+        exprs = (*self.channel1.weights, *self.channel2.basis)
+        return _rule(self.y_interval, self.order, exprs, self.extra_breakpoints_y)
+
+    @cached_property
+    def _samples1(self):
+        """Channel-1 basis and weights, each evaluated once (``_sample_channel``)."""
+        return _sample_channel(self.channel1, self.rule_x, self.x_interval, self.rule_y, self.y_interval)
+
+    @cached_property
+    def _samples2(self):
+        return _sample_channel(self.channel2, self.rule_y, self.y_interval, self.rule_x, self.x_interval)
 
     @cached_property
     def phi_x(self):
         """Channel-1 basis sampled on the x rule, shape (n, Nx)."""
-        return np.vstack([f(self.rule_x.nodes) for f in self.channel1.basis])
+        return np.vstack([s(0) for s in self._samples1[0]])
 
     @cached_property
     def h_y(self):
         """Channel-1 weights sampled on the y rule, shape (n, Ny)."""
-        return np.vstack([w(self.rule_y.nodes) for w in self.channel1.weights])
+        return np.vstack([s(0) for s in self._samples1[1]])
 
     @cached_property
     def psi_y(self):
         """Channel-2 basis sampled on the y rule, shape (m, Ny)."""
-        return np.vstack([f(self.rule_y.nodes) for f in self.channel2.basis])
+        return np.vstack([s(0) for s in self._samples2[0]])
 
     @cached_property
     def p_x(self):
         """Channel-2 weights sampled on the x rule, shape (m, Nx)."""
-        return np.vstack([w(self.rule_x.nodes) for w in self.channel2.weights])
+        return np.vstack([s(0) for s in self._samples2[1]])
 
     @cached_property
     def bound(self):
@@ -196,25 +200,28 @@ class PIOModel:
         mirror shares this model's rules, sampled arrays, norm bound and
         validation report (and, through the spectrum module, its essential
         set) instead of computing them again, so a refusal names this model's
-        channels.  It is made once and kept on the model; its mirror is this.
+        channels.  It is made once and kept on the model; its mirror is this, held weakly
+        so that no cycle keeps a dropped model alive (a mirror left alone makes a new one).
         """
-        memo = self.__dict__
-        if "_mirror" not in memo:
+        twin = self.__dict__.get("_mirror")
+        twin = twin() if isinstance(twin, weakref.ref) else twin
+        if twin is None:
             twin = PIOModel(
                 self.y_interval, self.x_interval, self.channel2, self.channel1, self.order,
                 self.extra_breakpoints_y, self.extra_breakpoints_x, self.search,
             )
             for mine, theirs in _MIRRORED_ATTRS.items():
                 twin.__dict__[mine] = getattr(self, theirs)
-            twin.__dict__["_mirror"] = self
-            memo["_mirror"] = twin
-        return memo["_mirror"]
+            twin.__dict__["_mirror"] = weakref.ref(self)
+            self.__dict__["_mirror"] = twin
+        return twin
 
 
 # each derived attribute of the mirror and the attribute of the model it equals
 _MIRRORED_ATTRS = {
     "rule_x": "rule_y", "rule_y": "rule_x", "phi_x": "psi_y", "h_y": "p_x",
     "psi_y": "phi_x", "p_x": "h_y", "bound": "bound", "_validation": "_validation",
+    "_samples1": "_samples2", "_samples2": "_samples1",
 }
 
 
@@ -239,16 +246,25 @@ def _on_side(act, model, which, f, *args):
     return act(view, f.transposed(), *args).transposed()
 
 
-def _breaks(exprs):
-    out = []
-    for e in exprs:
-        out.extend(e.breakpoints)
-    return out
-
-
-def _interior(points, interval):
+def _rule(interval, order, exprs, extra):
+    """The axis rule, split at the interior breakpoints of its expressions and the extra ones."""
+    if not all(map(math.isfinite, extra)):
+        raise ModelFormatError(f"quadrature: extra breakpoints must be finite, got {list(extra)}")
     lo, hi = interval
-    return sorted({float(p) for p in points if lo < p < hi})
+    points = [*(b for e in exprs for b in e.breakpoints), *extra]
+    return build_rule(interval, order, sorted({float(p) for p in points if lo < p < hi}))
+
+
+def _sample_channel(channel, basis_rule, basis_interval, weight_rule, weight_interval):
+    """``(basis, weights)`` of a channel, each expression ``_sampled`` once on its rule's
+    nodes (set 0), the dense sample (set 1) and, for a weight, its ``_range_parts``
+    (from set 2); validation, norm bound, sampled arrays and weight ranges read slices."""
+    basis_head = [basis_rule.nodes, np.linspace(*basis_interval, _DENSE_SAMPLES)]
+    weight_head = [weight_rule.nodes, np.linspace(*weight_interval, _DENSE_SAMPLES)]
+    return (
+        tuple(_sampled(f, basis_head) for f in channel.basis),
+        tuple(_sampled(w, weight_head + _range_parts(w, weight_interval)) for w in channel.weights),
+    )
 
 
 # --- shorthand generators -----------------------------------------------------
@@ -258,21 +274,30 @@ def legendre_source(k, interval):
     """Expression text of the degree-``k`` orthonormal polynomial on the interval,
     in powers of ``(2t - lo - hi)/(hi - lo)`` (in powers of ``t``, 14 members fail validation)."""
     lo, hi = (float(v) for v in interval)
-    coeff = np.zeros(k + 1)
-    coeff[k] = np.sqrt((2.0 * k + 1.0) / (hi - lo))
     shift = (lo + hi) / (hi - lo)
     u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
     terms = []
-    for power, c in enumerate(np.polynomial.legendre.leg2poly(coeff)):
-        if c == 0.0:
-            continue
-        if power == 0:
-            terms.append(repr(float(c)))
-        elif power == 1:
-            terms.append(f"{float(c)!r}*{u}")
-        else:
-            terms.append(f"{float(c)!r}*{u}^{power}")
+    for power, c in enumerate(_leg2poly(k, math.sqrt((2.0 * k + 1.0) / (hi - lo)))):
+        if c != 0.0:
+            terms.append(repr(c) + ("" if power == 0 else f"*{u}" if power == 1 else f"*{u}^{power}"))
     return " + ".join(terms)
+
+
+def _leg2poly(k, top):
+    """``numpy.polynomial.legendre.leg2poly`` of ``top`` P_k in plain floats, with its
+    operations in its order (no series it meets ends in a zero, so it never trims)."""
+
+    def add(a, b):  # polyadd: the shorter series added into the longer
+        short, long = (b, a) if len(a) > len(b) else (a, b)
+        return [x + y for x, y in zip(long, short)] + long[len(short) :]
+
+    if k < 2:
+        return [0.0] * k + [top]
+    c0, c1 = [0.0], [top]
+    for i in range(k, 1, -1):  # polysub(0, s) is add([0.0], -s); polymulx prepends c[0] * 0
+        c0, c1 = (add([0.0], [-(v * (i - 1) / i) for v in c1]),
+                  add(c0, [v * (2 * i - 1) / i for v in [c1[0] * 0, *c1]]))
+    return add(c0, [c1[0] * 0, *c1])
 
 
 def trig_source(k, interval):
@@ -298,14 +323,15 @@ def _expand_source(text, interval):
     return legendre_source(k, interval) if kind == "legendre" else trig_source(k, interval)
 
 
-def _parse_sources(sources, interval, where):
-    out = []
+def _parse_sources(sources, interval, where, parsed):
+    """The sources as expressions, parsed once per model (``parsed``) and interval."""
     for src in sources:
-        try:
-            out.append(parse_expr(_expand_source(src, interval)))
-        except PioError as err:
-            raise ModelFormatError(f"{where}: cannot parse {src!r}: {err}") from err
-    return tuple(out)
+        if (src, interval) not in parsed:
+            try:
+                parsed[src, interval] = parse_expr(_expand_source(src, interval))
+            except PioError as err:
+                raise ModelFormatError(f"{where}: cannot parse {src!r}: {err}") from err
+    return tuple(parsed[src, interval] for src in sources)
 
 
 # --- construction ---------------------------------------------------------
@@ -323,17 +349,22 @@ def make_model(
     extra_breakpoints_y=(),
     search=SearchSettings(),
 ):
-    """Build a model from expression strings (shorthands allowed)."""
+    """Build a model from expression strings (shorthands allowed), parsing each distinct
+    source once per interval; refuses a fractional or non-finite ``order`` (``PioError``)
+    and a non-finite extra breakpoint (``ModelFormatError``)."""
     xi = (float(x_interval[0]), float(x_interval[1]))
     yi = (float(y_interval[0]), float(y_interval[1]))
+    parsed = {}
     channel1 = Channel(
-        _parse_sources(basis1, xi, "channel1.basis"),
-        _parse_sources(weights1, yi, "channel1.weights"),
+        _parse_sources(basis1, xi, "channel1.basis", parsed),
+        _parse_sources(weights1, yi, "channel1.weights", parsed),
     )
     channel2 = Channel(
-        _parse_sources(basis2, yi, "channel2.basis"),
-        _parse_sources(weights2, xi, "channel2.weights"),
+        _parse_sources(basis2, yi, "channel2.basis", parsed),
+        _parse_sources(weights2, xi, "channel2.weights", parsed),
     )
+    if isinstance(order, numbers.Real) and not (math.isfinite(order) and order == int(order)):
+        raise PioError(f"quadrature order must be a whole number, got {order}")
     model = PIOModel(
         xi,
         yi,
@@ -481,43 +512,27 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
-def _dense_points(interval):
-    lo, hi = interval
-    return np.linspace(lo, hi, _DENSE_SAMPLES)
-
-
-def _try_eval(exprs, points):
-    """(values or None, error text) per expression."""
-    out = []
-    for e in exprs:
-        try:
-            out.append((e(points), ""))
-        except PioError as err:
-            out.append((None, str(err)))
-    return out
+def _head(sample):
+    """(values on the nodes and the dense sample or None, error text)."""
+    try:
+        return sample(0, 2), ""
+    except PioError as err:
+        return None, str(err)
 
 
 def validate_model(model):
     """Check orthonormality of both bases (to ``DEFAULT_ORTHO_TOL``, the one
-    tolerance the library gates on) and evaluability/boundedness of all pieces."""
+    tolerance the library gates on) and evaluability/boundedness of all pieces
+    on the nodes and the dense sample, read from the model's one evaluation of
+    each expression (``_sample_channel``)."""
     checks = []
-
-    slots = (
-        ("channel1.basis", model.channel1.basis, model.rule_x, model.x_interval),
-        ("channel1.weights", model.channel1.weights, model.rule_y, model.y_interval),
-        ("channel2.basis", model.channel2.basis, model.rule_y, model.y_interval),
-        ("channel2.weights", model.channel2.weights, model.rule_x, model.x_interval),
-    )
-    evaluated = {}
-    for name, exprs, rule, interval in slots:
-        points = np.concatenate([rule.nodes, _dense_points(interval)])
-        results = _try_eval(exprs, points)
-        evaluated[name] = results
+    names = ("channel1.basis", "channel1.weights", "channel2.basis", "channel2.weights")
+    slots = zip(names, (*model._samples1, *model._samples2))
+    evaluated = {name: [_head(s) for s in samples] for name, samples in slots}
+    for name, results in evaluated.items():
         bad = [f"#{i + 1}: {msg}" for i, (vals, msg) in enumerate(results) if vals is None]
-        sup = max(
-            (float(np.abs(vals).max()) for vals, _ in results if vals is not None),
-            default=0.0,
-        )
+        sups = [float(np.abs(vals).max()) for vals, _ in results if vals is not None]
+        sup = max(sups, default=0.0)
         checks.append(
             CheckResult(
                 f"{name} evaluable",
@@ -550,12 +565,8 @@ def validate_model(model):
 
 
 def norm_bound(model):
-    """``max_k sup|h_k| + max_j sup|p_j|`` over nodes plus a dense sample."""
-
-    def channel_sup(exprs, rule, interval):
-        points = np.concatenate([rule.nodes, _dense_points(interval)])
-        return max(float(np.abs(e(points)).max()) for e in exprs)
-
-    return channel_sup(model.channel1.weights, model.rule_y, model.y_interval) + channel_sup(
-        model.channel2.weights, model.rule_x, model.x_interval
-    )
+    """``max_k sup|h_k| + max_j sup|p_j|`` over nodes plus a dense sample: the
+    sups of the two weight slots that ``validate_model`` takes, from the same
+    evaluation, so on a validated model nothing is evaluated again."""
+    weights = (model._samples1[1], model._samples2[1])
+    return sum(max(float(np.abs(s(0, 2)).max()) for s in slot) for slot in weights)

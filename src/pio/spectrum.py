@@ -93,7 +93,7 @@ from .errors import (
     NotAnEigenvalue,
     SpectrumHit,
 )
-from .expr import constant_value
+from .expr import _level, _pieces, _range_parts, _sampled, constant_value
 from .model import _oriented
 from .quadrature import Grid2D
 
@@ -115,7 +115,6 @@ __all__ = [
     "operator_margin",
 ]
 
-_RANGE_SAMPLES = 4096
 _VALUE_MERGE_TOL = 1e-12
 
 
@@ -225,12 +224,6 @@ class SpectralSet:
         }
 
 
-def _pieces(expr, interval):
-    lo, hi = interval
-    cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
-    return list(zip(cuts, cuts[1:]))
-
-
 def _merge_intervals(intervals):
     merged = []
     for lo, hi in sorted(intervals):
@@ -252,21 +245,25 @@ def _add_atom(atoms, value, measure, fold):
 def essential_range(expr, interval):
     """Essential range of a weight over the interval, piece by piece.
 
-    Constant pieces become atoms ``(value, piece length)``; every other
-    piece contributes the interval between its sampled extrema.
+    Constant pieces (``constant_value``'s test) become atoms ``(value,
+    piece length)``; every other piece contributes the interval between its
+    sampled extrema.  All pieces are sampled in one evaluation; a model's
+    weight ranges are the same derivation on the evaluation it holds.
     """
+    return _derive_range(expr, interval, _sampled(expr, _range_parts(expr, interval)), 0)
+
+
+def _derive_range(expr, interval, samples, first):
+    """The essential range from ``samples``, whose sets from ``first`` on are ``expr``'s
+    ``_range_parts``; a piece that its probe finds constant never reads its range samples."""
     intervals = []
     atoms = []
-    pieces = _pieces(expr, interval)
-    for pos, (plo, phi) in enumerate(pieces):
-        cval = constant_value(expr, plo, phi)
+    for pos, (plo, phi) in enumerate(_pieces(expr, interval)):
+        cval = expr.constant if expr.constant is not None else _level(samples(first + 2 * pos))
         if cval is not None:
             _add_atom(atoms, cval, phi - plo, operator.add)
             continue
-        ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
-        if pos < len(pieces) - 1:
-            ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-        vals = expr(ts)
+        vals = samples(first + 2 * pos + 1)
         intervals.append((float(vals.min()), float(vals.max())))
     return EssRange(_merge_intervals(intervals), tuple(sorted(atoms)))
 
@@ -303,11 +300,13 @@ def _weight_ranges(model):
 
     The channel-2 ranges are the channel-1 ranges of the mirror.  A model
     with a weight that cannot be evaluated is refused with ``InvalidModel``.
+    They are read from the model's one evaluation of each weight.
     """
 
     def build(mod):
         mod._require_evaluable_weights()
-        return tuple(essential_range(w, mod.y_interval) for w in mod.channel1.weights)
+        pairs = zip(mod.channel1.weights, mod._samples1[1])  # range parts from set 2
+        return tuple(_derive_range(w, mod.y_interval, samples, 2) for w, samples in pairs)
 
     return _per_model(model, "_weight_ranges", build)
 

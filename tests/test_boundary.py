@@ -14,9 +14,11 @@ from pio.errors import (
     DomainError,
     EigenvalueHit,
     InvalidModel,
+    ModelFormatError,
     NoAtom,
     NonUniqueSolution,
     OutsideTheory,
+    PioError,
 )
 from pio.model import make_model, validate_model
 from pio.operators import apply_S, resolvent_channel, resolvent_T
@@ -209,6 +211,33 @@ def test_non_finite_parameters_are_refused(fixture_b, name, value):
     # with RuntimeWarnings; tau = inf was classified as 1/tau = 0
     with pytest.raises(DomainError, match="is not finite"):
         PARAMETER_CALLS[name][0](fixture_b, value)
+
+
+@pytest.mark.parametrize("order", [2.5, np.float64(0.5), INF, -INF, NAN])
+def test_fractional_or_non_finite_order_is_refused(order):
+    # 2.5 used to build order 2 silently; inf and nan raised a raw
+    # OverflowError or ValueError
+    with pytest.raises(PioError, match="quadrature order must be a whole number"):
+        make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=order)
+    for whole in (3.0, np.int64(3)):
+        assert make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=whole).order == 3
+
+
+@pytest.mark.parametrize("points", [[NAN, INF, 0.5], [-INF], [0.25, NAN]])
+def test_non_finite_extra_breakpoints_are_refused(tmp_path, capsys, points):
+    # they used to be dropped with no flag, and `pio validate` reported ok
+    for axis in ("x", "y"):
+        with pytest.raises(ModelFormatError, match="extra breakpoints must be finite"):
+            make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"],
+                       **{f"extra_breakpoints_{axis}": points})
+        doc = fixture_a_dict()
+        doc["quadrature"] = {f"extra_breakpoints_{axis}": points}
+        path = tmp_path / "breakpoints.json"
+        path.write_text(json.dumps(doc))  # Python's json writes NaN and Infinity
+        assert main(["validate", "--model", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: quadrature: extra breakpoints must be finite")
 
 
 def test_unused_public_names_are_gone():

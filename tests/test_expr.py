@@ -1,5 +1,7 @@
 """Expression language: parsing, evaluation, breakpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,30 @@ def test_fractional_power_of_negative_base():
 def test_zero_to_negative_power():
     with pytest.raises(DomainError):
         eval_expr(parse_expr("t^-1"), 0.0)
+
+
+@pytest.mark.parametrize("base", ["t", "t - 0.5", "-t", "(t - 1)*t", "2"])
+@pytest.mark.parametrize("exponent", ["2", "3", "-1", "-2", "0.5", "-0.5", "0", "1e300", "(2)", "-(3)"])
+def test_literal_exponent_agrees_with_the_general_power(base, exponent):
+    # a literal exponent's tests are decided at parse; "+ 0" keeps the same
+    # exponent on the general path, which decides them per call
+    literal = parse_expr(f"({base})^{exponent}")
+    general = parse_expr(f"({base})^({exponent} + 0)")
+    for ts in (np.linspace(-2, 2, 41), np.linspace(0.1, 2, 7), np.array(0.0), np.array(-1.5)):
+        try:
+            want = general(ts)
+        except DomainError as err:
+            message = str(err).replace(general.source, literal.source)
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                literal(ts)
+            continue
+        got = literal(ts)
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == want.shape
+        # and Python's own power, sign of odd powers of negative bases included
+        bases = np.broadcast_to(parse_expr(base)(ts), got.shape).ravel()
+        power = parse_expr(exponent).constant
+        np.testing.assert_allclose(got.ravel(), [b ** power for b in bases.tolist()], rtol=1e-14)
 
 
 def test_overflow_is_a_domain_error():

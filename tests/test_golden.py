@@ -3,7 +3,12 @@
 ``tests/golden/`` holds the stdout of ``pio spectrum``, ``pio discrete`` and
 ``pio delta-trace --path 1|2`` on ``models/fixture_{a,b,c}.json``, written
 before the operator entry points shared one admission rule.  The trace
-window crosses the guard bands, so it holds NaN rows.  Keys, lengths and
+window crosses the guard bands, so it holds NaN rows.  It also holds
+``legendre_trig_model.json``, whose bases are ``legendre(0..3)`` and
+``trig(0..2)`` and whose weights have odd and even literal powers, a
+piecewise weight and literal ones, with the stdout of ``pio validate`` and
+``pio spectrum`` on it, written before its expressions were sampled once
+per model.  Keys, lengths and
 NaN positions must match exactly, and every number to within the default
 ``search.root_tol``, relative: a change that moves a result by more than
 the search's own resolution fails here.
@@ -35,6 +40,9 @@ for which in "abc":
     for path in "12":
         CASES[f"delta-trace_fixture_{which}_path{path}.csv"] = [
             "delta-trace", *model, *WINDOW, "--path", path]
+for command in ("validate", "spectrum"):
+    CASES[f"{command}_legendre_trig.json"] = [
+        command, "--model", str(GOLDEN / "legendre_trig_model.json")]
 
 
 def run(argv):

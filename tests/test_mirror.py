@@ -5,16 +5,21 @@ Every reference below is written from the model's own sampled arrays
 through ``mirrored()``.
 """
 
+import collections
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import pio.operators
 import pio.spectrum
 from pio.errors import PioError
+from pio.expr import Expression
 from pio.model import make_model
 from pio.operators import apply_partial, apply_S, project, resolvent_channel, resolvent_T
 from pio.pie import solve_pie
-from pio.spectrum import atom_eigenfunction, discrete_spectrum, eigenfunctions_T, sigma_ess
+from pio.spectrum import atom_eigenfunction, discrete_spectrum, eigenfunctions_T, sigma_ess, sigma_full
 
 
 def rich_model():
@@ -158,19 +163,21 @@ def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch, f
 
 
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
-    calls, combined = [], []
-    essential_range = pio.spectrum.essential_range
+    # every expression is evaluated once per model, the weight ranges and the
+    # admission sets of both channels included; later calls evaluate nothing
+    calls, combined = collections.Counter(), []
+    call = Expression.__call__
     combine = pio.spectrum._combine
 
-    def counting(expr, interval):
-        calls.append(interval)
-        return essential_range(expr, interval)
+    def counting(expr, *values):
+        calls[expr.source] += 1
+        return call(expr, *values)
 
     def counting_combine(*args, **kwargs):
         combined.append(args)
         return combine(*args, **kwargs)
 
-    monkeypatch.setattr(pio.spectrum, "essential_range", counting)
+    monkeypatch.setattr(Expression, "__call__", counting)
     for module in (pio.spectrum, pio.operators):  # the admission sets of both
         monkeypatch.setattr(module, "_combine", counting_combine)
     model = rich_model()
@@ -178,12 +185,33 @@ def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
     solve_pie(model, -0.25, g)
     for channel in (1, 2):
         resolvent_channel(model, channel, -0.5, g)
-    assert len(calls) == model.n + model.m
+    slots = [*model.channel1.basis, *model.channel1.weights,
+             *model.channel2.basis, *model.channel2.weights]
+    assert calls == collections.Counter(e.source for e in slots)
     calls.clear()
     combined.clear()
     solve_pie(model, -0.25, g)
     for channel in (1, 2):
         resolvent_channel(model, channel, -0.5, g)
         apply_S(model, channel, 0.1, g)
-    assert calls == []
+    assert not calls
     assert combined == []
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    # the mirror holds its model weakly, so no cycle keeps a model and its
+    # samples alive; a mirror that outlives its model makes a fresh one
+    model = rich_model()
+    report = sigma_full(model)
+    mirror = model.mirrored()
+    gone = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert gone() is None
+        again = mirror.mirrored()
+        assert again.mirrored() is mirror
+        assert again.phi_x is mirror.psi_y and again._validation is mirror._validation
+        assert sigma_full(again).as_dict() == report.as_dict()
+    finally:
+        gc.enable()

@@ -1,12 +1,15 @@
 """Model construction, validation, norm bound, shorthand generators."""
 
+import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pio.errors import ModelFormatError
-from pio.expr import parse_expr
+import pio.model
+from pio.errors import DomainError, ModelFormatError
+from pio.expr import Expression, parse_expr
 from pio.model import (
     SearchSettings,
     legendre_source,
@@ -17,7 +20,10 @@ from pio.model import (
     trig_source,
     validate_model,
 )
+from pio.spectrum import sigma_ess, sigma_full
 from conftest import fixture_a_dict
+
+GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"
 
 
 def test_reference_models_validate(fixture_a, fixture_b, fixture_c):
@@ -79,6 +85,92 @@ def test_legendre_source_degree_one():
     e = parse_expr(legendre_source(1, (0.0, 1.0)))
     ts = np.linspace(0, 1, 7)
     np.testing.assert_allclose(e(ts), np.sqrt(3.0) * (2.0 * ts - 1.0), atol=1e-12)
+
+
+def _leg2poly_source(k, interval):
+    """``legendre_source`` as written on ``numpy.polynomial.legendre.leg2poly``."""
+    lo, hi = (float(v) for v in interval)
+    coeff = np.zeros(k + 1)
+    coeff[k] = np.sqrt((2.0 * k + 1.0) / (hi - lo))
+    shift = (lo + hi) / (hi - lo)
+    u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
+    terms = []
+    for power, c in enumerate(np.polynomial.legendre.leg2poly(coeff)):
+        if c == 0.0:
+            continue
+        text = repr(float(c))
+        terms.append(text if power == 0 else f"{text}*{u}" if power == 1 else f"{text}*{u}^{power}")
+    return " + ".join(terms)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0), (-2.5, 0.7), (1e-3, 3.25)])
+def test_legendre_source_matches_numpy_leg2poly(interval):
+    for k in range(31):
+        assert legendre_source(k, interval) == _leg2poly_source(k, interval), k
+
+
+def test_legendre_shorthand_does_not_call_leg2poly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leg2poly called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leg2poly", refuse)
+    basis = [f"legendre({k})" for k in range(31)]
+    make_model((-2.5, 0.7), (0, 1), basis, ["1"] * 31, ["1"], ["2"])
+
+
+def test_shared_sources_are_parsed_once_per_interval(monkeypatch):
+    parsed = []
+    parse = pio.model.parse_expr
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(pio.model, "parse_expr", counting)
+    basis = ["legendre(0)", "legendre(1)"]
+    model = make_model((0, 1), (0, 1), basis, ["t", "1"], basis, ["t^2", "1"])
+    assert len(parsed) == 5  # two bases, t, 1 and t^2
+    assert model.channel1.basis[1] is model.channel2.basis[1]
+    parsed.clear()
+    model = make_model((0, 1), (0, 2), basis, ["t", "1"], basis, ["t^2", "1"])
+    assert len(parsed) == 8  # a source is keyed by its interval, and the intervals differ
+
+
+def test_sigma_full_evaluates_each_expression_once(monkeypatch):
+    calls = collections.Counter()
+    call = Expression.__call__
+
+    def counting(expr, *values):
+        calls[expr.source] += 1
+        return call(expr, *values)
+
+    monkeypatch.setattr(Expression, "__call__", counting)
+    for model in (load_model_file(str(GOLDEN_MODEL)),
+                  make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["t", "2*t"],
+                             ["legendre(0)", "legendre(1)"], ["t^2", "2*t^2"])):
+        calls.clear()
+        report = sigma_full(model)
+        assert report.discrete
+        slots = [*model.channel1.basis, *model.channel1.weights,
+                 *model.channel2.basis, *model.channel2.weights]
+        assert calls == collections.Counter(e.source for e in slots)
+        calls.clear()
+        assert norm_bound(model) == model.bound
+        assert validate_model(model) == model._validation
+        assert not calls
+
+
+def test_weight_that_fails_only_on_range_samples():
+    # 1/(t - 0.25) misses the nodes and the dense sample but not the range
+    # samples: it validates, and its essential range is refused
+    model = make_model((0, 1), (0, 1), ["1"], ["1/(t - 0.25)"], ["1"], ["t"])
+    report = validate_model(model)
+    assert report.ok
+    assert "sup 4092" in report.checks[1].detail
+    with pytest.raises(DomainError, match="division by zero"):
+        sigma_ess(model)
+    with pytest.raises(DomainError, match="division by zero"):
+        sigma_full(model)
 
 
 def test_trig_source_normalization():
