@@ -172,22 +172,17 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    """The model and its validation report, the one the library checks too."""
-    model = load_model_file(args.model)
-    return model, model._validation
-
-
 def _require_valid(args):
-    model, report = _load(args)
-    if not report.ok:
-        sys.stderr.write(f"{InvalidModel(report)}\n")
+    """The model, exiting 2 on the validation report the library gates on too."""
+    model = load_model_file(args.model)
+    if not model._validation.ok:
+        sys.stderr.write(f"{InvalidModel(model._validation)}\n")
         raise SystemExit(_INVALID_EXIT)
     return model
 
 
 def _run_validate(args):
-    _, report = _load(args)
+    report = load_model_file(args.model)._validation
     code = 0 if report.ok else _INVALID_EXIT
     _emit_json(report.as_dict(), args.out)
     return code
@@ -231,7 +226,8 @@ def _run_delta_trace(args):
     if args.samples < 2 or args.lmax <= args.lmin:
         sys.stderr.write("need lmin < lmax and at least 2 samples\n")
         return _USAGE_EXIT
-    rows = delta_trace_rows(model, args.lmin, args.lmax, args.samples, path=args.path)
+    view = model if args.path == 1 else model.mirrored()
+    rows = [(*row, args.path) for row in delta_trace_rows(view, args.lmin, args.lmax, args.samples)]
     return _emit(_csv_rows("lambda,re_delta,im_delta,path", rows), args.out)
 
 

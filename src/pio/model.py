@@ -9,8 +9,8 @@ A model consists of two channels acting on L2 of ``[a, b] x [c, d]``:
   ``sum_j p_j(x) psi_j(y) psi_j(t)`` with an orthonormal family ``psi_j``
   on ``[c, d]`` and bounded real weights ``p_j`` on ``[a, b]``.
 
-Orthonormality is validated, never enforced (the spectral computations refuse
-a model that fails validation).  Basis and weight entries are expression
+Orthonormality is validated, never enforced: every computation on a model's
+samples refuses one that fails validation.  Basis and weight entries are expression
 strings; the shorthands ``legendre(k)`` and ``trig(k)`` expand to explicit
 orthonormal polynomials / trigonometric functions on their interval.
 """
@@ -147,36 +147,38 @@ class PIOModel:
     @cached_property
     def phi_x(self):
         """Channel-1 basis sampled on the x rule, shape (n, Nx)."""
-        return np.vstack([s(0) for s in self._samples1[0]])
+        return self._node_rows(self._samples1[0])
 
     @cached_property
     def h_y(self):
         """Channel-1 weights sampled on the y rule, shape (n, Ny)."""
-        return np.vstack([s(0) for s in self._samples1[1]])
+        return self._node_rows(self._samples1[1])
 
     @cached_property
     def psi_y(self):
         """Channel-2 basis sampled on the y rule, shape (m, Ny)."""
-        return np.vstack([s(0) for s in self._samples2[0]])
+        return self._node_rows(self._samples2[0])
 
     @cached_property
     def p_x(self):
         """Channel-2 weights sampled on the x rule, shape (m, Nx)."""
-        return np.vstack([s(0) for s in self._samples2[1]])
+        return self._node_rows(self._samples2[1])
 
     @cached_property
     def bound(self):
-        """``norm_bound(self)``; a model with a weight that cannot be
-        evaluated has none and is refused with ``InvalidModel``."""
-        self._require_evaluable_weights()
+        """``norm_bound(self)``, for a model that passes validation only."""
+        self._require_valid()
         return norm_bound(self)
 
-    def _require_evaluable_weights(self):
-        """Raise ``InvalidModel`` with the validation report unless every
-        weight of both channels can be evaluated."""
-        report = self._validation
-        if any(not c.passed for c in report.checks if c.name.endswith(".weights evaluable")):
-            raise InvalidModel(report)
+    def _require_valid(self):
+        """The one validation gate, ``InvalidModel`` with the report unless the model passes
+        ``validate_model``; the sampled arrays, ``bound`` and the weight ranges read it."""
+        if not self._validation.ok:
+            raise InvalidModel(self._validation)
+
+    def _node_rows(self, samples):
+        self._require_valid()
+        return np.vstack([s(0) for s in samples])
 
     @cached_property
     def _validation(self):
@@ -195,12 +197,14 @@ class PIOModel:
 
         The swap exchanges the intervals, the channels and the extra
         breakpoints.  It is unitary on L2 of the rectangle and carries this
-        operator onto the mirror's, so both have the same spectrum; channel 2
-        and path 2 of this model are channel 1 and path 1 of its mirror.  The
+        operator onto the mirror's, so both have the same spectrum.  Channel 2
+        of this model is channel 1 of its mirror, and path 2 (the channels in
+        the other order) is the mirror itself, passed to any computation.  The
         mirror shares this model's rules, sampled arrays, norm bound and
         validation report (and, through the spectrum module, its essential
         set) instead of computing them again, so a refusal names this model's
-        channels.  It is made once and kept on the model; its mirror is this, held weakly
+        channels; a model that fails validation has no mirror (``InvalidModel``).
+        It is made once and kept on the model; its mirror is this, held weakly
         so that no cycle keeps a dropped model alive (a mirror left alone makes a new one).
         """
         twin = self.__dict__.get("_mirror")
@@ -225,22 +229,22 @@ _MIRRORED_ATTRS = {
 }
 
 
-def _oriented(model, which):
-    """The model for channel or path 1, its mirror for channel or path 2."""
-    if which == 1:
+def _oriented(model, channel):
+    """The model for channel 1, its mirror for channel 2."""
+    if channel == 1:
         return model
-    if which == 2:
+    if channel == 2:
         return model.mirrored()
-    raise PioError(f"channel or path must be 1 or 2, got {which!r}")
+    raise PioError(f"channel must be 1 or 2, got {channel!r}")
 
 
-def _on_side(act, model, which, f, *args):
-    """``act(view, f, *args)`` with ``view = _oriented(model, which)``.
+def _on_side(act, model, channel, f, *args):
+    """``act(view, f, *args)`` with ``view = _oriented(model, channel)``.
 
     On the mirror the grid function is transposed into the mirror's axis
     order and the grid result is transposed back.
     """
-    view = _oriented(model, which)
+    view = _oriented(model, channel)
     if view is model:
         return act(view, f, *args)
     return act(view, f.transposed(), *args).transposed()

@@ -7,8 +7,9 @@ onto its basis, reweighted along the second variable); channel 2 is channel
 channel has finite rank in its own variable, all resolvents are explicit
 rank corrections and no dense linear algebra on the grid is ever needed; the
 only solve is the small reduction system, whose matrix ``lam K N``, moments
-and synthesis are products on the Gram factors of the reduction plan (built
-only for valid models).  Projections are ``(phi * wx) @ f`` and back.
+and synthesis are products on the Gram factors of the reduction plan.
+Projections are ``(phi * wx) @ f`` and back.  All of them read the sampled
+arrays, so a model that fails validation is refused on either channel.
 
 Every entry point admits its parameter by the one rule of
 ``spectrum._admit``: ``lam`` (or ``1/tau``) within ``operator_margin(model)``

@@ -11,7 +11,8 @@ channel corrections followed by one small linear solve:
 
 ``Pi = lam K N``, the moments ``d`` and the sum over ``F_w`` are products on
 the Gram factors of the reduction plan (``spectrum``), which needs
-orthonormal bases: a model that fails validation raises ``InvalidModel``.
+orthonormal bases: a model that fails validation has no sampled arrays and
+raises ``InvalidModel``, whatever ``tau`` is.
 
 The small system is singular exactly when 1/tau is a discrete eigenvalue:
 writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
@@ -32,9 +33,8 @@ from __future__ import annotations
 import enum
 
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
-from .model import _on_side
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _admit, _plain, _reduction_plan, _ReducedSystem, _require_finite, sigma_ess
+from .spectrum import _admit, _plain, _ReducedSystem, _require_finite, sigma_ess
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -52,7 +52,7 @@ def _classify(model, tau):
     """``(class, reduced system at 1/tau)``; the system is None when the
     reduction does not apply.  A model that fails validation is refused
     first, whatever ``tau`` is."""
-    _reduction_plan(model)
+    model._require_valid()
     _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO, None
@@ -79,7 +79,15 @@ def classify_tau(model, tau):
     return _classify(model, tau)[0]
 
 
-def _solve_pie(model, g, tau):
+def solve_pie(model, tau, g):
+    """Unique solution of f - tau * T f = g for a REGULAR parameter.
+
+    EIGEN parameters raise NonUniqueSolution (solutions exist only up to
+    the eigenspace); ZERO and CHANNEL_SINGULAR raise OutsideTheory.  Path 2
+    is ``solve_pie(model.mirrored(), tau, g.transposed()).transposed()``: the
+    mirror applies the channel corrections in the opposite order, and both
+    paths must agree.
+    """
     _check_grid(model, g)
     kind, system = _classify(model, tau)
     if kind is TauClass.EIGEN:
@@ -87,18 +95,6 @@ def _solve_pie(model, g, tau):
     if kind is not TauClass.REGULAR:
         raise OutsideTheory(f"parameter {_plain(tau)} is {kind.value}")
     return _second_kind(model, system, g)
-
-
-def solve_pie(model, tau, g, path=1):
-    """Unique solution of f - tau * T f = g for a REGULAR parameter.
-
-    EIGEN parameters raise NonUniqueSolution (solutions exist only up to
-    the eigenspace); ZERO and CHANNEL_SINGULAR raise OutsideTheory.  Path 2
-    solves on the mirrored model, which applies the channel corrections in
-    the opposite order; both paths must agree, and exposing the choice
-    makes that easy to test.
-    """
-    return _on_side(_solve_pie, model, path, g, tau)
 
 
 def residual(model, tau, f, g):

@@ -20,16 +20,17 @@ channel 1, ``B_(k,j)(s, t) = p_k(s) phi_j(s) psi_k(t)`` and
         + sum_i p_i(x) psi_i(y) / (lam - p_i(x)) * K_j[k,i] ),
     K_j[k,i] = <psi_k, h_j/(lam - h_j) psi_i>_y    (n blocks of m x m).
 
-With orthonormal bases (``<psi_i, psi_q> = delta_iq``; models that fail
-``validate_model`` are refused with ``InvalidModel``) and
+With orthonormal bases (``<psi_i, psi_q> = delta_iq``; a model that fails
+``validate_model`` has no sampled arrays and is refused with ``InvalidModel``) and
 ``p + p^2/(lam - p) = lam p/(lam - p)``, the cross integrals factor as
 
     Pi[(k,j), (q,p)] = <F_(k,j), B_(q,p)> = lam * K_j[k,q] * N_q[j,p],
     N_q[j,p] = <phi_j, p_q/(lam - p_q) phi_p>_x    (m blocks of n x n).
 
-Pairs are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 is path 1
-of the mirrored model (``PIOModel.mirrored``), the same two families in the
-other order; both paths must give the same zero set.
+Pairs are flattened row-major, (k, j) -> (k-1)*n + (j-1).  Path 2 is the
+mirrored model (``PIOModel.mirrored``): every function here called on
+``model.mirrored()`` runs the same reduction with the two families in the
+other order, and both paths must give the same zero set.
 
 The lambda-independent factors live in a reduction plan kept on the model:
 one assembly is two matrix products and one broadcast product, for any
@@ -88,7 +89,6 @@ import numpy as np
 from .errors import (
     DomainError,
     IndexOutOfRange,
-    InvalidModel,
     NoAtom,
     NotAnEigenvalue,
     SpectrumHit,
@@ -299,12 +299,12 @@ def _weight_ranges(model):
     """Essential ranges of the channel-1 weights, computed once per model.
 
     The channel-2 ranges are the channel-1 ranges of the mirror.  A model
-    with a weight that cannot be evaluated is refused with ``InvalidModel``.
+    that fails validation is refused with ``InvalidModel``.
     They are read from the model's one evaluation of each weight.
     """
 
     def build(mod):
-        mod._require_evaluable_weights()
+        mod._require_valid()
         pairs = zip(mod.channel1.weights, mod._samples1[1])  # range parts from set 2
         return tuple(_derive_range(w, mod.y_interval, samples, 2) for w, samples in pairs)
 
@@ -429,15 +429,8 @@ def _block_product(K, N):
     return out.reshape(count, m * n, m * n)
 
 
-def _checked_plan(model):
-    """The reduction plan, for models that pass validation only."""
-    if not model._validation.ok:
-        raise InvalidModel(model._validation)
-    return _ReductionPlan.build(model)
-
-
 def _reduction_plan(model):
-    return _per_model(model, "_pi_plan", _checked_plan)
+    return _per_model(model, "_pi_plan", _ReductionPlan.build)
 
 
 class _ReducedSystem:
@@ -477,12 +470,11 @@ class _ReducedSystem:
         return np.linalg.solve(self.matrix, d)
 
 
-def pi_matrix(model, lam, path=1):
-    """Cross-integral matrix ``Pi(lam) = lam K N`` for the requested path, an
-    ``(mn, mn)`` array indexed by the row-major pairs described on top."""
-    view = _oriented(model, path)
-    _admit(sigma_ess(view), lam, view)
-    _, _, K, N = _reduction_plan(view).families(np.array([lam]))
+def pi_matrix(model, lam):
+    """Cross-integral matrix ``Pi(lam) = lam K N``, an ``(mn, mn)`` array indexed
+    by the row-major pairs described on top; path 2 is ``pi_matrix(model.mirrored(), lam)``."""
+    _admit(sigma_ess(model), lam, model)
+    _, _, K, N = _reduction_plan(model).families(np.array([lam]))
     return _block_product(K, lam * N)[0]
 
 
@@ -608,7 +600,7 @@ _SUBSCAN_POINTS = 8
 _SPLIT = np.sqrt(2.0) - 0.9
 
 
-def discrete_spectrum(model, path=1):
+def discrete_spectrum(model):
     """Real zeros of the determinant outside the essential set, with their
     multiplicities, certified complete by the slicing count.
 
@@ -619,13 +611,12 @@ def discrete_spectrum(model, path=1):
     still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  The
     pieces that hold one are sub-scanned together in one ``delta_batch``
     call, and their sign-change brackets are refined by ``_refine_roots``,
-    one call per step.  Path 2 runs the same search on the mirrored model.
+    one call per step.  Path 2 is the same search on ``model.mirrored()``.
 
     The search reads ``margin`` and ``root_tol`` from the model's ``search``
     settings and nothing else; other settings go on the model, as in
     ``replace(model, search=SearchSettings(root_tol=1e-12))``.
     """
-    model = _oriented(model, path)
     margin, root_tol = model.search.resolved_margin(model.bound), model.search.root_tol
     box = (-model.bound - 1.0, model.bound + 1.0)
 
@@ -751,8 +742,10 @@ def eigenfunctions_T(model, lam0):
 
 def atom_eigenfunction(model, channel, j0, lam0):
     """Indicator-type eigenfunction for a weight that sits at ``lam0``
-    on a set of positive measure."""
+    on a set of positive measure; a ``lam0`` that is not finite raises ``DomainError``."""
     view = _oriented(model, channel)
+    view._require_valid()
+    _require_finite(lam0, "lam0")
     if not 1 <= j0 <= view.n:
         raise IndexOutOfRange(f"member index must be in 1..{view.n}, got {j0}")
     weight = view.channel1.weights[j0 - 1]
@@ -781,15 +774,20 @@ def atom_eigenfunction(model, channel, j0, lam0):
 # --- determinant trace --------------------------------------------------------
 
 
-def delta_trace_rows(model, lmin, lmax, samples, path=1):
-    """Rows (lambda, Re delta, Im delta, path); NaN inside the guard margin."""
+def delta_trace_rows(model, lmin, lmax, samples):
+    """Rows (lambda, Re delta, Im delta) at ``samples`` equally spaced points
+    from ``lmin`` to ``lmax``; NaN inside the guard margin.  Path 2 is the trace
+    of ``model.mirrored()``.  A window with non-finite ends, ``lmin >= lmax`` or
+    a ``samples`` that is not a whole number >= 2 raises ``DomainError``."""
     _require_finite(lmin, "lmin")
     _require_finite(lmax, "lmax")
-    view = _oriented(model, path)
+    if not (lmin < lmax and samples >= 2 and float(samples).is_integer()):
+        raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
+                          f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")
     lams = np.linspace(float(lmin), float(lmax), int(samples))
     margin = operator_margin(model)
     vals = np.full(lams.shape, complex(np.nan, np.nan))
-    ok = sigma_ess(view).distances(lams) > margin
+    ok = sigma_ess(model).distances(lams) > margin
     if ok.any():
-        vals[ok] = delta_batch(view, lams[ok], margin=margin / 2)
-    return [(float(lam), float(v.real), float(v.imag), path) for lam, v in zip(lams, vals)]
+        vals[ok] = delta_batch(model, lams[ok], margin=margin / 2)
+    return [(float(lam), float(v.real), float(v.imag)) for lam, v in zip(lams, vals)]

@@ -20,9 +20,10 @@ from pio.errors import (
     OutsideTheory,
     PioError,
 )
-from pio.model import make_model, validate_model
-from pio.operators import apply_S, resolvent_channel, resolvent_T
-from pio.oracle import ComparisonReport, NystromSystem
+from pio.expr import constant_value
+from pio.model import make_model, norm_bound, validate_model
+from pio.operators import apply_partial, apply_S, apply_T, project, resolvent_channel, resolvent_T
+from pio.oracle import ComparisonReport, NystromSystem, nystrom_matrix, oracle_eigs
 from pio.pie import classify_tau, residual, solve_pie
 from pio.quadrature import Grid2D
 from pio.spectrum import (
@@ -33,8 +34,10 @@ from pio.spectrum import (
     delta_trace_rows,
     discrete_spectrum,
     eigenfunctions_T,
+    essential_range,
     pi_matrix,
     sigma_channel,
+    sigma_ess,
     sigma_full,
 )
 
@@ -46,19 +49,48 @@ def not_orthonormal():
     return make_model((0, 1), (0, 1), ["2"], ["2"], ["1"], ["3"])
 
 
+# (x interval, y interval, channel-1 basis and weights, channel-2 basis and weights)
+ONE_OVER_T = {  # 1/t divides by zero on the dense sample, which includes t = 0
+    1: ((0, 1), (0, 1), ["1"], ["1/t"], ["1"], ["3"]),
+    2: ((0, 1), (0, 1), ["1"], ["2"], ["1"], ["1/t"]),
+}
+
+# the calls that take a channel, as (model, channel, grid)
+ON_CHANNEL = {
+    "apply_partial": apply_partial,
+    "project": lambda m, c, g: project(m, c, 1, g),
+    "resolvent_channel": lambda m, c, g: resolvent_channel(m, c, 7.0, g),
+    "apply_S": lambda m, c, g: apply_S(m, c, 0.1, g),
+    "atom_eigenfunction": lambda m, c, g: atom_eigenfunction(m, c, 1, 3.0),
+    "sigma_channel": lambda m, c, g: sigma_channel(m, c),
+}
+
+# every entry point that reads the model's samples, so refuses a model that fails validation
 ENTRY_POINTS = {
     "sigma_full": lambda model: sigma_full(model),
+    "sigma_ess": lambda model: sigma_ess(model),
     "discrete_spectrum": lambda model: discrete_spectrum(model),
-    "discrete_spectrum path 2": lambda model: discrete_spectrum(model, path=2),
+    "discrete_spectrum path 2": lambda model: discrete_spectrum(model.mirrored()),
+    "pi_matrix": lambda model: pi_matrix(model, 7.0),
     "delta": lambda model: delta(model, 7.0),
+    "delta_batch": lambda model: delta_batch(model, np.array([7.0, 8.0])),
+    "delta_trace_rows": lambda model: delta_trace_rows(model, 4.0, 6.0, 3),
     "classify_tau": lambda model: classify_tau(model, 0.1),
     "classify_tau at 0": lambda model: classify_tau(model, 0.0),
     "classify_tau on the essential set": lambda model: classify_tau(model, 0.5),
     "solve_pie": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0)),
     "solve_pie at 0": lambda model: solve_pie(model, 0.0, model.constant_grid(1.0)),
-    "solve_pie path 2": lambda model: solve_pie(model, 0.1, model.constant_grid(1.0), path=2),
+    "solve_pie path 2": lambda model: solve_pie(model.mirrored(), 0.1, model.constant_grid(1.0).transposed()),
+    "residual": lambda model: residual(model, 0.1, model.constant_grid(1.0), model.constant_grid(1.0)),
+    "apply_T": lambda model: apply_T(model, model.constant_grid(1.0)),
     "resolvent_T": lambda model: resolvent_T(model, 7.0, model.constant_grid(1.0)),
     "eigenfunctions_T": lambda model: eigenfunctions_T(model, 7.0),
+    **{
+        f"{name} {channel}": lambda model, call=call, channel=channel: call(
+            model, channel, model.constant_grid(1.0))
+        for name, call in ON_CHANNEL.items()
+        for channel in (1, 2)
+    },
 }
 
 
@@ -75,48 +107,85 @@ def test_entry_points_refuse_a_model_that_fails_validation(call):
 
 @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_entry_points_refuse_a_weight_that_cannot_be_evaluated(call):
-    # 1/t divides by zero on the dense sample, which includes t = 0, so the
-    # model has no norm bound; before the check this raised DomainError
-    for channel, model in (
-        (1, make_model((0, 1), (0, 1), ["1"], ["1/t"], ["1"], ["3"])),
-        (2, make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["1/t"])),
-    ):
+    # the model has no norm bound; before the check this raised DomainError,
+    # and channel-1 operators on the channel-2 model computed
+    for channel, args in ONE_OVER_T.items():
+        model = make_model(*args)
         with pytest.raises(InvalidModel) as err:
             call(model)
         assert str(err.value) == f"model failed validation: channel{channel}.weights evaluable"
         assert err.value.report == validate_model(model)
 
 
-CHANNEL_CALLS = {
-    "resolvent_channel 1": lambda model: resolvent_channel(model, 1, 7.0, model.constant_grid(1.0)),
-    "resolvent_channel 2": lambda model: resolvent_channel(model, 2, 7.0, model.constant_grid(1.0)),
-    "sigma_channel 1": lambda model: sigma_channel(model, 1),
-    "sigma_channel 2": lambda model: sigma_channel(model, 2),
-}
-
-
-@pytest.mark.parametrize("call", CHANNEL_CALLS.values(), ids=CHANNEL_CALLS.keys())
-def test_channel_operators_refuse_a_weight_that_cannot_be_evaluated(call):
-    # the weight ranges are read before any other gate; this raised DomainError
-    for channel, model in (
-        (1, make_model((0, 1), (0, 1), ["1"], ["1/t"], ["1"], ["3"])),
-        (2, make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["1/t"])),
-    ):
-        with pytest.raises(InvalidModel) as err:
-            call(model)
-        assert str(err.value) == f"model failed validation: channel{channel}.weights evaluable"
-        assert err.value.report == validate_model(model)
-
-
-def test_channel_operators_serve_a_model_that_is_only_not_orthonormal():
-    # the channel formulas need evaluable weights, not orthonormal bases
+def test_the_oracle_sees_the_channel_spectrum_that_the_closed_forms_miss():
+    # Channel 1 of not_orthonormal() integrates 2 * 2 * 2 f(s, y) ds = 8 P f, with
+    # P the mean over x, and channel 2 is 3 Q, so T has the eigenvalues 0, 3, 8, 11.
+    # The closed-form channel resolvent and spectrum assume an orthonormal basis:
+    # they gave the points {0, 2} and a resolvent with relative residual 1.37.
     model = not_orthonormal()
-    g = model.constant_grid(1.0)
-    # -(1/lam) (g - w/(w - lam) <phi, g> phi): phi = 2, w = 2 in channel 1; phi = 1, w = 3 in channel 2
-    for channel, w, proj in ((1, 2.0, 4.0), (2, 3.0, 1.0)):
-        expected = -(1.0 / 7.0) * (1.0 - w / (w - 7.0) * proj)
-        assert np.allclose(resolvent_channel(model, channel, 7.0, g).values, expected, rtol=1e-13)
-        assert sigma_channel(model, channel).points == (0.0, w)
+    eigs = oracle_eigs(nystrom_matrix(model, 20, 20))
+    assert np.abs(np.subtract.outer([0.0, 3.0, 8.0, 11.0], eigs)).min(axis=1).max() < 1e-9
+    assert np.abs(eigs - 2.0).min() > 0.5
+    for channel in (1, 2):
+        with pytest.raises(InvalidModel):
+            sigma_channel(model, channel)
+
+
+def test_ungated_functions_accept_a_model_that_fails_validation():
+    # validation, the norm bound, essential ranges, constant values, grids and
+    # the oracle compute on a failing model; 1/t meets its own DomainError
+    model = not_orthonormal()
+    assert not validate_model(model).ok and norm_bound(model) == 5.0
+    assert essential_range(model.channel1.weights[0], model.y_interval).atoms == ((2.0, 1.0),)
+    assert constant_value(model.channel2.weights[0], 0.0, 1.0) == 3.0
+    assert model.grid(lambda x, y: x * y).values.shape == model.constant_grid(2.0).values.shape
+    for channel, args in ONE_OVER_T.items():
+        model = make_model(*args)
+        assert not validate_model(model).ok
+        weight = getattr(model, f"channel{channel}").weights[0]
+        with pytest.raises(DomainError):
+            norm_bound(model)
+        with pytest.raises(DomainError):
+            essential_range(weight, (0.0, 1.0))
+        assert constant_value(weight, 0.0, 1.0) is None
+        assert np.isfinite(model.constant_grid(1.0).values).all()
+        assert np.isfinite(oracle_eigs(nystrom_matrix(model, 12, 12))).all()
+
+
+def by_hand_mirror(x_interval, y_interval, basis1, weights1, basis2, weights2):
+    """The model with its channels and intervals swapped, built without ``mirrored()``."""
+    return make_model(y_interval, x_interval, basis2, weights2, basis1, weights1)
+
+
+def channel_outcome(call, model, channel, f, transpose):
+    """The values of ``call`` (a grid's transposed if asked), or its error class."""
+    try:
+        result = call(model, channel, model.grid(f))
+    except PioError as err:
+        return type(err)
+    if isinstance(result, Grid2D):
+        return result.transposed().values if transpose else result.values
+    return result
+
+
+# channel-2 weight 1 sits at 3 on x in [0, 0.5]: an atom for atom_eigenfunction to find
+ATOM_MODEL = ((0, 2), (0, 1), ["legendre(0)"], ["t"], ["legendre(0)", "legendre(1)"],
+              ["piecewise([0,0.5]:3; [0.5,2]:t)", "t/2"])
+
+
+@pytest.mark.parametrize("name", ON_CHANNEL)
+@pytest.mark.parametrize("args", [ATOM_MODEL, *ONE_OVER_T.values()],
+                         ids=["valid", "1/t ch1", "1/t ch2"])
+def test_channel_2_is_channel_1_of_the_swapped_model(name, args):
+    model, swapped = make_model(*args), by_hand_mirror(*args)
+    got = channel_outcome(ON_CHANNEL[name], model, 2, lambda x, y: 1.0 + x * y * y + np.sin(x), True)
+    ref = channel_outcome(ON_CHANNEL[name], swapped, 1, lambda x, y: 1.0 + y * x * x + np.sin(y), False)
+    if isinstance(ref, np.ndarray):  # the same products on transposed memory: roundoff apart
+        assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
+    else:
+        assert got == ref
+    if args is not ATOM_MODEL:
+        assert ref is InvalidModel
 
 
 def test_validation_runs_once_per_model_and_mirror(monkeypatch):
@@ -130,8 +199,8 @@ def test_validation_runs_once_per_model_and_mirror(monkeypatch):
     monkeypatch.setattr(pio.model, "validate_model", counting)
     model = make_model((0, 1), (0, 1), ["1"], ["t"], ["1"], ["t"])
     sigma_full(model)
-    discrete_spectrum(model, path=2)
-    solve_pie(model, 0.3, model.constant_grid(1.0), path=2)
+    discrete_spectrum(model.mirrored())
+    solve_pie(model.mirrored(), 0.3, model.constant_grid(1.0).transposed())
     eigenfunctions_T(model, discrete_spectrum(model)[0][0])
     assert calls == [model]
     assert model.mirrored()._validation is model._validation
@@ -176,7 +245,7 @@ def test_refusals_print_numpy_scalars_as_plain_numbers(fixture_a, call, error, m
 
 
 def test_discrete_eigenvalues_are_python_floats(fixture_a):
-    for disc in (sigma_full(fixture_a).discrete, discrete_spectrum(fixture_a, path=2)):
+    for disc in (sigma_full(fixture_a).discrete, discrete_spectrum(fixture_a.mirrored())):
         ((lam, mult),) = disc
         assert type(lam) is float and type(mult) is int
         assert abs(lam - 5.0) < 1e-8
@@ -197,6 +266,7 @@ PARAMETER_CALLS = {
     "apply_S": (lambda m, v: apply_S(m, 1, v, m.constant_grid(1.0)), True),
     "delta_trace_rows lmin": (lambda m, v: delta_trace_rows(m, v, 2.0, 4), False),
     "delta_trace_rows lmax": (lambda m, v: delta_trace_rows(m, 1.1, v, 4), False),
+    "atom_eigenfunction": (lambda m, v: atom_eigenfunction(m, 1, 1, v), False),
 }
 NON_FINITE = [
     (name, value)
@@ -211,6 +281,23 @@ def test_non_finite_parameters_are_refused(fixture_b, name, value):
     # with RuntimeWarnings; tau = inf was classified as 1/tau = 0
     with pytest.raises(DomainError, match="is not finite"):
         PARAMETER_CALLS[name][0](fixture_b, value)
+
+
+def test_atom_eigenfunction_refuses_an_infinite_level(fixture_c):
+    # the level tolerance 1e-9 * (1 + |lam0|) was infinite, so both levels of
+    # the step weight matched and a unit "eigenfunction" came back
+    with pytest.raises(DomainError, match="lam0 inf is not finite"):
+        atom_eigenfunction(fixture_c, 1, 1, INF)
+
+
+@pytest.mark.parametrize("window", [(1.1, 2.0, 2.5), (1.1, 2.0, -1), (1.1, 2.0, NAN), (1.1, 2.0, 1),
+                                    (1.1, 2.0, INF), (2.0, 1.1, 4), (2.0, 2.0, 4)])
+def test_delta_trace_rows_refuses_a_bad_window(fixture_b, window):
+    # 2.5 samples gave 2 rows with no flag; -1 and NaN raised numpy's ValueError
+    with pytest.raises(DomainError, match="need lmin < lmax and a whole number of samples >= 2"):
+        delta_trace_rows(fixture_b, *window)
+    for whole in (3.0, np.int64(3)):
+        assert len(delta_trace_rows(fixture_b, 1.1, 2.0, whole)) == 3
 
 
 @pytest.mark.parametrize("order", [2.5, np.float64(0.5), INF, -INF, NAN])

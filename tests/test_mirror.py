@@ -7,6 +7,7 @@ through ``mirrored()``.
 
 import collections
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -19,7 +20,15 @@ from pio.expr import Expression
 from pio.model import make_model
 from pio.operators import apply_partial, apply_S, project, resolvent_channel, resolvent_T
 from pio.pie import solve_pie
-from pio.spectrum import atom_eigenfunction, discrete_spectrum, eigenfunctions_T, sigma_ess, sigma_full
+from pio.spectrum import (
+    atom_eigenfunction,
+    delta_trace_rows,
+    discrete_spectrum,
+    eigenfunctions_T,
+    pi_matrix,
+    sigma_ess,
+    sigma_full,
+)
 
 
 def rich_model():
@@ -82,12 +91,13 @@ def test_mirrored_is_memoised():
 
 
 def test_channel_and_path_must_be_one_or_two(fixture_a):
+    # a channel is 1 or 2; path 2 is no argument but the mirrored model
     one = fixture_a.constant_grid(1.0)
     for bad in (0, 3, "2"):
-        with pytest.raises(PioError):
+        with pytest.raises(PioError, match="channel must be 1 or 2"):
             apply_partial(fixture_a, bad, one)
-        with pytest.raises(PioError):
-            discrete_spectrum(fixture_a, path=bad)
+    for call in (discrete_spectrum, pi_matrix, solve_pie, delta_trace_rows):
+        assert "path" not in inspect.signature(call).parameters
 
 
 def test_channel2_apply_partial_and_project(fixture_b):
@@ -144,9 +154,9 @@ def test_solve_pie_assembles_pi_once(monkeypatch):
     calls = count_families(monkeypatch)
     model = rich_model()
     g = random_grid(model, 9)
-    for path in (1, 2):
+    for view, gv in ((model, g), (model.mirrored(), g.transposed())):  # paths 1 and 2
         calls.clear()
-        solve_pie(model, -0.25, g, path=path)
+        solve_pie(view, -0.25, gv)
         assert calls == [1]
 
 

@@ -219,7 +219,7 @@ def test_delta_batch_is_the_determinant_of_pi_minus_lambda(name, path):
         got = delta_batch(view, lams)
         assert got.dtype == lams.dtype
         for lam, value in zip(lams, got):
-            entries = pi_matrix(model, lam, path)
+            entries = pi_matrix(view, lam)
             ref = np.linalg.det(entries - lam * np.eye(len(entries)))
             assert abs(value - ref) <= 1e-12 * abs(ref)
 
@@ -246,7 +246,7 @@ def test_index_map_asymmetric_model():
     # (j, k) -> j*m + k on path 2 (0-based), where Pi_2[(j,k), (p,q)] = Pi_1[(q,p), (k,j)]
     m = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["t+2", "t"],
                    ["legendre(0)", "legendre(1)", "legendre(2)"], ["t+4", "t/2", "2*t"])
-    one, two = pi_matrix(m, 9.0), pi_matrix(m, 9.0, path=2)
+    one, two = pi_matrix(m, 9.0), pi_matrix(m.mirrored(), 9.0)
     assert one.shape == two.shape == (6, 6)
     swap = [k * m.n + j for j in range(m.n) for k in range(m.m)]
     assert np.abs(two - one[np.ix_(swap, swap)].T).max() <= 1e-14 * np.abs(one).max()
@@ -320,7 +320,8 @@ def test_reduction_plan_matches_reference(n, m, path):
         np.array([-0.7, top + 0.5, top + 2.0]),
         np.array([0.5 * top + 0.3j, 0.2 - 0.4j, top + 1.0 + 0.0j]),
     ):
-        got = np.stack([pi_matrix(model, lam, path) for lam in lams])
+        view = model if path == 1 else model.mirrored()
+        got = np.stack([pi_matrix(view, lam) for lam in lams])
         ref = pi_reference(model, lams, path)
         assert got.shape == ref.shape == (len(lams), n * m, n * m)
         assert got.dtype == ref.dtype
@@ -358,7 +359,7 @@ def test_reduction_plan_built_once_per_model_and_path():
     plan = _reduction_plan(model)
     pi_matrix(model, 6.0)
     delta(model, 5.5)
-    discrete_spectrum(model, path=2)
+    discrete_spectrum(model.mirrored())
     assert _reduction_plan(model) is plan
     assert _reduction_plan(model.mirrored()) is not plan
     assert _reduction_plan(ramp_model(2, 3)) is not plan
@@ -367,7 +368,7 @@ def test_reduction_plan_built_once_per_model_and_path():
 def test_per_model_caches_do_not_pin_the_model():
     model = ramp_model(2, 2)
     sigma_full(model)
-    discrete_spectrum(model, path=2)
+    discrete_spectrum(model.mirrored())
     solve_pie(model, -0.5, model.constant_grid(1.0))
     assert sigma_ess(model) is sigma_ess(model)
     ref = weakref.ref(model)
@@ -448,8 +449,8 @@ def test_discrete_paths_agree(fixture_a, fixture_b):
     m = make_model((0, 1), (0, 1), ["1"], ["t+2"],
                    ["legendre(0)", "legendre(1)"], ["t+4", "t/2"])
     for model in (fixture_a, fixture_b, m):
-        d1 = discrete_spectrum(model, path=1)
-        d2 = discrete_spectrum(model, path=2)
+        d1 = discrete_spectrum(model)
+        d2 = discrete_spectrum(model.mirrored())
         assert len(d1) == len(d2)
         for (l1, m1), (l2, m2) in zip(d1, d2):
             assert abs(l1 - l2) < 1e-7
@@ -759,7 +760,7 @@ def test_sigma_full_settings_override(fixture_a):
 def test_search_settings_come_from_the_model_alone():
     # the model's search block is the one source: no per-call override exists
     assert list(inspect.signature(sigma_full).parameters) == ["model"]
-    assert list(inspect.signature(discrete_spectrum).parameters) == ["model", "path"]
+    assert list(inspect.signature(discrete_spectrum).parameters) == ["model"]
     assert list(inspect.signature(validate_model).parameters) == ["model"]
     assert not hasattr(pio.spectrum, "_search_settings")
 
@@ -842,8 +843,8 @@ def test_atom_eigenfunction_rejections(fixture_b, fixture_c):
 def test_delta_trace_golden_row(fixture_a):
     rows = delta_trace_rows(fixture_a, 3.5, 6.0, 6)
     assert len(rows) == 6
-    lam, re, im, path = rows[1]
-    assert lam == 4.0 and abs(re - 8.0) < 1e-9 and im == 0.0 and path == 1
+    lam, re, im = rows[1]
+    assert lam == 4.0 and abs(re - 8.0) < 1e-9 and im == 0.0
 
 
 def test_delta_trace_masks_guard_bands(fixture_a):
@@ -855,5 +856,10 @@ def test_delta_trace_masks_guard_bands(fixture_a):
 
 
 def test_delta_trace_path_column(fixture_b):
-    rows = delta_trace_rows(fixture_b, 1.5, 2.0, 3, path=2)
-    assert all(r[3] == 2 for r in rows)
+    # the CLI writes the path column; path 2 is the trace of the mirror, whose
+    # Pi is a permuted transpose of path 1's, so it has the same determinant
+    one = np.array(delta_trace_rows(fixture_b, 1.5, 2.0, 3))
+    two = np.array(delta_trace_rows(fixture_b.mirrored(), 1.5, 2.0, 3))
+    assert one.shape == two.shape == (3, 3)
+    assert np.array_equal(one[:, 0], two[:, 0]) and not two[:, 2].any()
+    assert np.allclose(two[:, 1], one[:, 1], rtol=1e-12, atol=0.0)
