@@ -22,10 +22,10 @@ from .model import (
     load_model_file,
     make_model,
     model_from_dict,
+    norm_bound,
     validate_model,
 )
 from .spectrum import (
-    EssRange,
     SpectralSet,
     SpectrumReport,
     atom_eigenfunction,
@@ -69,9 +69,9 @@ __all__ = [
     "QuadRule1D", "Grid2D", "build_rule",
     # model
     "Channel", "PIOModel", "SearchSettings", "CheckResult", "ValidationReport",
-    "make_model", "model_from_dict", "load_model_file", "validate_model",
+    "make_model", "model_from_dict", "load_model_file", "validate_model", "norm_bound",
     # spectrum
-    "EssRange", "SpectralSet", "SpectrumReport", "essential_range",
+    "SpectralSet", "SpectrumReport", "essential_range",
     "sigma_channel", "sigma_ess", "pi_matrix", "delta", "delta_batch",
     "discrete_spectrum", "sigma_full", "eigenfunctions_T", "atom_eigenfunction",
     "delta_trace_rows",

@@ -41,7 +41,6 @@ __all__ = [
     "Expression",
     "parse_expr",
     "parse_expr2",
-    "constant_value",
 ]
 
 # one scan per source: whitespace, then a token, or the character that starts none
@@ -396,12 +395,9 @@ def _pieces(expr, interval):
     return list(zip(cuts, cuts[1:]))
 
 
-def _probe_points(lo, hi):
-    return lo + (hi - lo) * (np.arange(257) + 0.5) / 257.0
-
-
 def _range_parts(expr, interval):
-    """Per piece of a non-literal weight, ``constant_value``'s probe and the range samples."""
+    """Per piece of a non-literal weight, the probe of the constancy test
+    (``spectrum._piece_levels``) and the range samples."""
     if expr.constant is not None:
         return []
     pieces = _pieces(expr, interval)
@@ -410,7 +406,7 @@ def _range_parts(expr, interval):
         ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
         if pos < len(pieces) - 1:
             ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-        parts += [_probe_points(plo, phi), ts]
+        parts += [plo + (phi - plo) * (np.arange(257) + 0.5) / 257.0, ts]  # probe strictly inside
     return parts
 
 
@@ -421,12 +417,3 @@ def _level(vals):
         return float(vals.mean())
     return None
 
-
-def constant_value(e, lo, hi):
-    """Value of ``e`` on ``[lo, hi]`` if it is constant there, else ``None``.
-
-    A literal (``e.constant``) is constant by construction; otherwise 257
-    samples strictly inside the interval must agree (``_level``), the test
-    that ``essential_range`` applies to the same samples of each piece.
-    """
-    return e.constant if e.constant is not None else _level(e(_probe_points(lo, hi)))

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidModel, ModelFormatError, PioError
+from .errors import IndexOutOfRange, InvalidModel, ModelFormatError, PioError
 from .expr import Expression, _range_parts, _sampled, parse_expr
 from .quadrature import Grid2D, build_rule
 
@@ -42,8 +42,6 @@ __all__ = [
     "load_model_file",
     "validate_model",
     "norm_bound",
-    "legendre_source",
-    "trig_source",
 ]
 
 DEFAULT_ORDER = 32
@@ -236,6 +234,13 @@ def _oriented(model, channel):
     if channel == 2:
         return model.mirrored()
     raise PioError(f"channel must be 1 or 2, got {channel!r}")
+
+
+def _member(model, k):
+    """Row of channel-1 member ``k``: an integer in ``1..n``, else ``IndexOutOfRange``."""
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= model.n):
+        raise IndexOutOfRange(f"member index must be an integer in 1..{model.n}, got {k}")
+    return int(k) - 1
 
 
 def _on_side(act, model, channel, f, *args):

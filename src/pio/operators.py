@@ -12,8 +12,9 @@ Projections are ``(phi * wx) @ f`` and back.  All of them read the sampled
 arrays, so a model that fails validation is refused on either channel.
 
 Every entry point admits its parameter by the one rule of
-``spectrum._admit``: ``lam`` (or ``1/tau``) within ``operator_margin(model)``
-of the relevant spectral set raises ``SpectrumHit``.  The rank tolerance of
+``spectrum._admit``: ``lam`` within ``operator_margin(model)`` of the
+essential or channel spectrum, or ``1/tau`` that near the channel's weight
+set (``spectrum._weight_ranges``), raises ``SpectrumHit``.  The rank tolerance of
 the eigenvalue refusal is the model's ``search.rank_tol``; no function here
 takes a per-call margin or tolerance.
 """
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenvalueHit, GridMismatch, IndexOutOfRange
-from .model import _on_side
-from .spectrum import _admit, _combine, _per_model, _plain, _ReducedSystem, _weight_ranges
+from .errors import EigenvalueHit, GridMismatch
+from .model import _member, _on_side
+from .spectrum import _admit, _plain, _ReducedSystem, _weight_ranges
 from .spectrum import _require_finite, sigma_channel, sigma_ess
 
 __all__ = [
@@ -49,14 +50,6 @@ def _check_grid(model, f):
 # ``_on_side``, which hands channel 2 to channel 1 of the mirrored model.
 
 
-def _weight_set(model):
-    """Union of the channel-1 weight ranges, without the automatic zero,
-    built once per model."""
-    return _per_model(
-        model, "_weight_set", lambda mod: _combine(_weight_ranges(mod), include_zero=False)
-    )
-
-
 def _coefficients(model, f):
     """Channel-1 basis coefficients of f, shape (n, Ny): coefficient k as a
     function of the second variable."""
@@ -70,10 +63,9 @@ def _apply_weighted(model, f, factors):
 
 def _project(model, f, k):
     _check_grid(model, f)
-    basis = model.phi_x
-    if not 1 <= k <= basis.shape[0]:
-        raise IndexOutOfRange(f"member index must be in 1..{basis.shape[0]}, got {k}")
-    return f.with_values(np.multiply.outer(basis[k - 1], _coefficients(model, f)[k - 1]))
+    basis = model.phi_x  # the validation gate before the index check
+    row = _member(model, k)
+    return f.with_values(np.multiply.outer(basis[row], _coefficients(model, f)[row]))
 
 
 def project(model, channel, k, f):
@@ -117,7 +109,7 @@ def _apply_S(model, g, tau):
     _check_grid(model, g)
     _require_finite(tau, "tau")
     if tau != 0:
-        _admit(_weight_set(model), 1.0 / tau, model, name="1/tau", where="the weight ranges")
+        _admit(_weight_ranges(model), 1.0 / tau, model, name="1/tau", where="the weight ranges")
     weights = model.h_y
     return _apply_weighted(model, g, weights / (1.0 - tau * weights))
 

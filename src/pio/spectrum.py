@@ -1,7 +1,8 @@
 """Spectral analysis of the two-channel operator sum.
 
 The essential part of the spectrum is read off the weights: it is ``{0}``
-together with the essential range of every weight in both channels.  The
+together with the essential range of every weight in both channels, each a
+``SpectralSet`` from one constancy test per piece (``_piece_levels``).  The
 rest (the discrete part) consists of the real zeros of the determinant
 
     delta(lam) = det(Pi(lam) - lam*I)
@@ -88,17 +89,15 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    IndexOutOfRange,
     NoAtom,
     NotAnEigenvalue,
     SpectrumHit,
 )
-from .expr import _level, _pieces, _range_parts, _sampled, constant_value
-from .model import _oriented
+from .expr import _level, _pieces, _range_parts, _sampled
+from .model import _member, _oriented
 from .quadrature import Grid2D
 
 __all__ = [
-    "EssRange",
     "SpectralSet",
     "SpectrumReport",
     "essential_range",
@@ -112,7 +111,6 @@ __all__ = [
     "eigenfunctions_T",
     "atom_eigenfunction",
     "delta_trace_rows",
-    "operator_margin",
 ]
 
 _VALUE_MERGE_TOL = 1e-12
@@ -163,24 +161,13 @@ def _admit(spectral_set, params, model, margin=None, name="lambda", where="the e
 
 
 @dataclass(frozen=True)
-class EssRange:
-    """Essential range of one weight: closed intervals plus value atoms.
-
-    An atom ``(value, measure)`` records a value attained on a set of
-    positive measure; its value may also lie inside one of the intervals.
-    """
-
-    intervals: tuple
-    atoms: tuple
-
-
-@dataclass(frozen=True)
 class SpectralSet:
     """A closed subset of the real line: intervals plus isolated points.
 
-    ``atoms`` flags the values that are eigenvalues of infinite multiplicity
-    because a weight attains them on positive measure; 0 is always an
-    eigenvalue of infinite multiplicity and is always a member of the set.
+    ``atoms`` ``(value, measure)`` flags the values that a weight attains on
+    positive measure, eigenvalues of infinite multiplicity; such a value may
+    lie inside an interval.  0 belongs to every channel spectrum and to
+    ``sigma_ess``, not to a weight's range or the operators' weight set.
     """
 
     intervals: tuple
@@ -224,6 +211,9 @@ class SpectralSet:
         }
 
 
+_ZERO = SpectralSet((), (0.0,), ())
+
+
 def _merge_intervals(intervals):
     merged = []
     for lo, hi in sorted(intervals):
@@ -242,45 +232,59 @@ def _add_atom(atoms, value, measure, fold):
     atoms.append((value, measure))
 
 
-def essential_range(expr, interval):
-    """Essential range of a weight over the interval, piece by piece.
+def _closed_set(intervals, atoms, points=()):
+    """The ``SpectralSet`` of the intervals (merged), the atoms and the extra
+    ``points``; the atom values and points inside no interval are isolated."""
+    intervals = _merge_intervals(intervals)
+    values = {*(v for v, _ in atoms), *points}
+    isolated = sorted(p for p in values if not any(lo <= p <= hi for lo, hi in intervals))
+    return SpectralSet(intervals, tuple(isolated), tuple(sorted(atoms)))
 
-    Constant pieces (``constant_value``'s test) become atoms ``(value,
-    piece length)``; every other piece contributes the interval between its
-    sampled extrema.  All pieces are sampled in one evaluation; a model's
-    weight ranges are the same derivation on the evaluation it holds.
+
+def essential_range(expr, interval):
+    """Essential range of a weight over the interval, a ``SpectralSet`` without 0.
+
+    Constant pieces (``_piece_levels``) become atoms ``(value, piece
+    length)``; every other piece contributes the interval between its sampled
+    extrema.  All pieces are sampled in one evaluation; a model's weight
+    ranges are the same derivation on the evaluation it holds.
     """
     return _derive_range(expr, interval, _sampled(expr, _range_parts(expr, interval)), 0)
 
 
+def _piece_levels(expr, interval, samples, first):
+    """``(lo, hi, value)`` per piece of ``expr`` over the interval, ``value`` the
+    piece's constant value or ``None``: the one constancy test.  A literal is
+    constant; any other piece is when its 257 probe samples agree (``_level``),
+    set ``first + 2 * position`` of ``samples`` (laid out by ``_range_parts``)."""
+    constant = expr.constant
+    return [(lo, hi, constant if constant is not None else _level(samples(first + 2 * pos)))
+            for pos, (lo, hi) in enumerate(_pieces(expr, interval))]
+
+
 def _derive_range(expr, interval, samples, first):
-    """The essential range from ``samples``, whose sets from ``first`` on are ``expr``'s
-    ``_range_parts``; a piece that its probe finds constant never reads its range samples."""
+    """The essential range from ``samples`` (as ``_piece_levels`` reads them); a
+    constant piece never reads its range samples, and its length adds to its atom."""
     intervals = []
     atoms = []
-    for pos, (plo, phi) in enumerate(_pieces(expr, interval)):
-        cval = expr.constant if expr.constant is not None else _level(samples(first + 2 * pos))
-        if cval is not None:
-            _add_atom(atoms, cval, phi - plo, operator.add)
+    for pos, (plo, phi, value) in enumerate(_piece_levels(expr, interval, samples, first)):
+        if value is not None:
+            _add_atom(atoms, value, phi - plo, operator.add)
             continue
         vals = samples(first + 2 * pos + 1)
         intervals.append((float(vals.min()), float(vals.max())))
-    return EssRange(_merge_intervals(intervals), tuple(sorted(atoms)))
+    return _closed_set(intervals, atoms)
 
 
-def _combine(ranges, include_zero=True):
-    intervals = _merge_intervals([iv for r in ranges for iv in r.intervals])
+def _combine(sets):
+    """Union of ``SpectralSet``s; an atom in several of them keeps its largest
+    measure, and the points that are no atom of their set (the zero) stay."""
     atoms = []
-    for r in ranges:
-        for value, measure in r.atoms:
+    for s in sets:
+        for value, measure in s.atoms:
             _add_atom(atoms, value, measure, max)
-    points = {v for v, _ in atoms}
-    if include_zero:
-        points.add(0.0)
-    isolated = tuple(
-        sorted(p for p in points if not any(lo <= p <= hi for lo, hi in intervals))
-    )
-    return SpectralSet(intervals, isolated, tuple(sorted(atoms)))
+    lone = [p for s in sets for p in s.points if all(p != v for v, _ in s.atoms)]
+    return _closed_set([iv for s in sets for iv in s.intervals], atoms, lone)
 
 
 def _per_model(model, key, build):
@@ -296,17 +300,17 @@ def _per_model(model, key, build):
 
 
 def _weight_ranges(model):
-    """Essential ranges of the channel-1 weights, computed once per model.
+    """Union of the essential ranges of the channel-1 weights, without the
+    zero, computed once per model from its one evaluation of each weight.
 
-    The channel-2 ranges are the channel-1 ranges of the mirror.  A model
-    that fails validation is refused with ``InvalidModel``.
-    They are read from the model's one evaluation of each weight.
+    The operators admit ``1/tau`` against it; the channel-2 set is the
+    mirror's.  A model that fails validation is refused with ``InvalidModel``.
     """
 
     def build(mod):
         mod._require_valid()
         pairs = zip(mod.channel1.weights, mod._samples1[1])  # range parts from set 2
-        return tuple(_derive_range(w, mod.y_interval, samples, 2) for w, samples in pairs)
+        return _combine([_derive_range(w, mod.y_interval, samples, 2) for w, samples in pairs])
 
     return _per_model(model, "_weight_ranges", build)
 
@@ -315,12 +319,12 @@ def sigma_channel(model, channel):
     """Spectrum of a single channel: {0} plus its weights' essential ranges,
     built once per model and channel."""
     view = _oriented(model, channel)
-    return _per_model(view, "_sigma_channel", lambda mod: _combine(_weight_ranges(mod)))
+    return _per_model(view, "_sigma_channel", lambda mod: _combine([_weight_ranges(mod), _ZERO]))
 
 
 def _build_sigma_ess(model):
     mirror = model.mirrored()
-    ess = _combine([*_weight_ranges(model), *_weight_ranges(mirror)])
+    ess = _combine([_weight_ranges(model), _weight_ranges(mirror), _ZERO])
     mirror.__dict__["_sigma_ess"] = ess  # the swap leaves the spectrum unchanged
     return ess
 
@@ -710,9 +714,12 @@ def eigenfunctions_T(model, lam0):
     ``c = (1/lam) Pi(lam)^T c`` for the moments ``c_w = <B_w, f>``, the null
     space of the reduced system at ``tau = 1/lam``; the eigenfunction is
     rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the reduction plan's
-    synthesis.  Raises if ``lam0`` is in/near the essential set or the
-    system has no null direction under the model's ``search.rank_tol``.
+    synthesis.  Raises ``DomainError`` for a complex ``lam0`` (``+0j`` too), and
+    refuses one in/near the essential set or where the system has no null
+    direction under the model's ``search.rank_tol``.
     """
+    if isinstance(lam0, (complex, np.complexfloating)):
+        raise DomainError(f"lam0 {_plain(lam0)} is not real")
     lam0 = float(lam0)
     _admit(sigma_ess(model), lam0, model)
     system = _ReducedSystem(model, lam0, 1.0 / lam0)
@@ -746,28 +753,17 @@ def atom_eigenfunction(model, channel, j0, lam0):
     view = _oriented(model, channel)
     view._require_valid()
     _require_finite(lam0, "lam0")
-    if not 1 <= j0 <= view.n:
-        raise IndexOutOfRange(f"member index must be in 1..{view.n}, got {j0}")
-    weight = view.channel1.weights[j0 - 1]
+    row = _member(view, j0)
+    weight, samples = view.channel1.weights[row], view._samples1[1][row]
     tol = 1e-9 * (1.0 + abs(lam0))
-    level = []
-    measure = 0.0
-    for plo, phi in _pieces(weight, view.y_interval):
-        cval = constant_value(weight, plo, phi)
-        if cval is not None and abs(cval - lam0) <= tol:
-            level.append((plo, phi))
-            measure += phi - plo
+    pieces = _piece_levels(weight, view.y_interval, samples, 2)  # range parts from set 2
+    level = [(lo, hi) for lo, hi, value in pieces if value is not None and abs(value - lam0) <= tol]
     if not level:
         raise NoAtom(f"weight {j0} of channel {channel} has no level set at {_plain(lam0)}")
-
-    def indicator(ts):
-        mask = np.zeros(ts.shape, dtype=float)
-        for plo, phi in level:
-            mask[(ts >= plo) & (ts <= phi)] = 1.0
-        return mask
-
-    fy = indicator(view.rule_y.nodes) / np.sqrt(measure)
-    grid = Grid2D(view.rule_x, view.rule_y, np.outer(view.phi_x[j0 - 1], fy))
+    measure = sum(hi - lo for lo, hi in level)
+    ys = view.rule_y.nodes
+    fy = np.any([(ys >= lo) & (ys <= hi) for lo, hi in level], axis=0) / np.sqrt(measure)
+    grid = Grid2D(view.rule_x, view.rule_y, np.outer(view.phi_x[row], fy))
     return grid if view is model else grid.transposed()
 
 

@@ -3,6 +3,7 @@ and of parameters that are not finite, plain Python numbers in results and
 refusal messages, and which public names exist."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pio.cli import main
 from pio.errors import (
     DomainError,
     EigenvalueHit,
+    IndexOutOfRange,
     InvalidModel,
     ModelFormatError,
     NoAtom,
@@ -20,7 +22,6 @@ from pio.errors import (
     OutsideTheory,
     PioError,
 )
-from pio.expr import constant_value
 from pio.model import make_model, norm_bound, validate_model
 from pio.operators import apply_partial, apply_S, apply_T, project, resolvent_channel, resolvent_T
 from pio.oracle import ComparisonReport, NystromSystem, nystrom_matrix, oracle_eigs
@@ -132,12 +133,12 @@ def test_the_oracle_sees_the_channel_spectrum_that_the_closed_forms_miss():
 
 
 def test_ungated_functions_accept_a_model_that_fails_validation():
-    # validation, the norm bound, essential ranges, constant values, grids and
-    # the oracle compute on a failing model; 1/t meets its own DomainError
+    # validation, the norm bound, essential ranges, grids and the oracle
+    # compute on a failing model; 1/t meets its own DomainError
     model = not_orthonormal()
     assert not validate_model(model).ok and norm_bound(model) == 5.0
     assert essential_range(model.channel1.weights[0], model.y_interval).atoms == ((2.0, 1.0),)
-    assert constant_value(model.channel2.weights[0], 0.0, 1.0) == 3.0
+    assert essential_range(model.channel2.weights[0], model.x_interval).atoms == ((3.0, 1.0),)
     assert model.grid(lambda x, y: x * y).values.shape == model.constant_grid(2.0).values.shape
     for channel, args in ONE_OVER_T.items():
         model = make_model(*args)
@@ -147,7 +148,6 @@ def test_ungated_functions_accept_a_model_that_fails_validation():
             norm_bound(model)
         with pytest.raises(DomainError):
             essential_range(weight, (0.0, 1.0))
-        assert constant_value(weight, 0.0, 1.0) is None
         assert np.isfinite(model.constant_grid(1.0).values).all()
         assert np.isfinite(oracle_eigs(nystrom_matrix(model, 12, 12))).all()
 
@@ -330,10 +330,11 @@ def test_non_finite_extra_breakpoints_are_refused(tmp_path, capsys, points):
 def test_unused_public_names_are_gone():
     # no caller in the library, the benchmark, the CLI or the README table
     gone = {
-        pio.expr: ("eval_expr", "format_expr"),
+        pio.expr: ("eval_expr", "format_expr", "constant_value"),
         pio.quadrature: ("gauss_legendre", "integrate_1d", "integrate_2d"),
         pio.model: ("eval_kernel",),
-        pio.spectrum: ("PiMatrix",),
+        pio.spectrum: ("PiMatrix", "EssRange"),
+        pio.operators: ("_weight_set",),
         pio.oracle: ("_MATRIX_CAP",),
         Grid2D: ("integral",),
         SpectralSet: ("contains",),
@@ -350,3 +351,44 @@ def test_unused_public_names_are_gone():
     assert not hasattr(pio.expr.parse_expr("piecewise([0,1]:t)"), "ast")
     assert isinstance(pi_matrix(make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"]), 7.0),
                       np.ndarray)
+
+
+def test_the_package_exports_exactly_the_module_lists():
+    # every name a module declares public is exported by the package, and the
+    # package exports nothing else; the CLI is the ``pio`` command, not an import
+    modules = (pio.errors, pio.expr, pio.quadrature, pio.model, pio.spectrum, pio.operators,
+               pio.pie, pio.oracle)
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert set(pio.__all__) - {"__version__"} == set(declared)
+    assert all(hasattr(pio, name) for name in pio.__all__)
+
+
+@pytest.mark.parametrize("channel", [1, 2])
+def test_a_member_index_must_be_an_integer_in_range(channel):
+    # 1.5 and 1.0 passed the range test: project raised numpy's IndexError and
+    # atom_eigenfunction a TypeError
+    model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["1", "3"],
+                       ["legendre(0)", "legendre(1)", "legendre(2)"], ["2", "4", "5"])
+    rank, level = (2, 3.0) if channel == 1 else (3, 5.0)
+    g = model.constant_grid(1.0)
+    for k in (1.5, 1.0, NAN, 0, rank + 1, np.float64(2.0), "1"):
+        match = f"member index must be an integer in 1..{rank}, got {k}"
+        with pytest.raises(IndexOutOfRange, match=re.escape(match)):
+            project(model, channel, k, g)
+        with pytest.raises(IndexOutOfRange, match=re.escape(match)):
+            atom_eigenfunction(model, channel, k, level)
+    for k in (rank, np.int64(rank)):
+        assert project(model, channel, k, g).values.shape == g.values.shape
+        assert atom_eigenfunction(model, channel, k, level).norm() == pytest.approx(1.0)
+
+
+def test_eigenfunctions_T_refuses_a_complex_lam0():
+    # float() kept the real part of np.complex128(lam + 1j), with a
+    # ComplexWarning only, and a Python complex raised a raw TypeError
+    model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["1", "3"], ["1"], ["2"])
+    (lam, _), = discrete_spectrum(model)
+    assert len(eigenfunctions_T(model, lam)) == 1
+    for value in (np.complex128(lam + 1j), complex(lam, 1.0), np.complex128(lam), complex(lam)):
+        with pytest.raises(DomainError, match="is not real"):
+            eigenfunctions_T(model, value)

@@ -11,7 +11,8 @@ from pio.errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from pio.expr import constant_value, parse_expr, parse_expr2
+from pio.expr import parse_expr, parse_expr2
+from pio.spectrum import essential_range
 
 
 def eval_expr(e, *values):
@@ -192,15 +193,17 @@ def test_deterministic_reparse():
 
 
 def test_constant_detection():
-    assert constant_value(parse_expr("2"), 0.0, 1.0) == 2.0
-    assert constant_value(parse_expr("-3.5"), 0.0, 1.0) == -3.5
+    def atoms(src):
+        return essential_range(parse_expr(src), (0.0, 1.0)).atoms
+
+    assert atoms("2") == ((2.0, 1.0),)
+    assert atoms("-3.5") == ((-3.5, 1.0),)
     assert [parse_expr(src).constant for src in ("(2)", "-(0.1)", "(-(0.1))", "- 3")] == [2.0, -0.1, -0.1, -3.0]
     assert [parse_expr(src).constant for src in ("-(-3)", "2*1", "t", "pi")] == [None] * 4
-    assert constant_value(parse_expr("cos(0)*2"), 0.0, 1.0) == pytest.approx(2.0)
-    assert constant_value(parse_expr("t"), 0.0, 1.0) is None
-    pw = parse_expr("piecewise([0,0.5]:2; [0.5,1]:4)")
-    assert constant_value(pw, 0.0, 0.5) == 2.0
-    assert constant_value(pw, 0.5, 1.0) == 4.0
+    (value, measure), = atoms("cos(0)*2")
+    assert value == pytest.approx(2.0) and measure == 1.0
+    assert atoms("t") == ()
+    assert atoms("piecewise([0,0.5]:2; [0.5,1]:4)") == ((2.0, 0.5), (4.0, 0.5))
 
 
 # --- property-style checks ---------------------------------------------------

@@ -173,23 +173,22 @@ def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch, f
 
 
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
-    # every expression is evaluated once per model, the weight ranges and the
-    # admission sets of both channels included; later calls evaluate nothing
-    calls, combined = collections.Counter(), []
-    call = Expression.__call__
-    combine = pio.spectrum._combine
+    # every expression is evaluated once per model, and each weight's range is
+    # derived once, the admission sets of both channels included; later calls
+    # evaluate and derive nothing
+    calls, derived = collections.Counter(), collections.Counter()
+    call, derive = Expression.__call__, pio.spectrum._derive_range
 
     def counting(expr, *values):
         calls[expr.source] += 1
         return call(expr, *values)
 
-    def counting_combine(*args, **kwargs):
-        combined.append(args)
-        return combine(*args, **kwargs)
+    def counting_derive(expr, *args):
+        derived[expr.source] += 1
+        return derive(expr, *args)
 
     monkeypatch.setattr(Expression, "__call__", counting)
-    for module in (pio.spectrum, pio.operators):  # the admission sets of both
-        monkeypatch.setattr(module, "_combine", counting_combine)
+    monkeypatch.setattr(pio.spectrum, "_derive_range", counting_derive)
     model = rich_model()
     g = random_grid(model, 10)
     solve_pie(model, -0.25, g)
@@ -198,14 +197,16 @@ def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
     slots = [*model.channel1.basis, *model.channel1.weights,
              *model.channel2.basis, *model.channel2.weights]
     assert calls == collections.Counter(e.source for e in slots)
+    assert derived == collections.Counter(e.source for e in (*model.channel1.weights,
+                                                             *model.channel2.weights))
     calls.clear()
-    combined.clear()
+    derived.clear()
     solve_pie(model, -0.25, g)
     for channel in (1, 2):
         resolvent_channel(model, channel, -0.5, g)
         apply_S(model, channel, 0.1, g)
     assert not calls
-    assert combined == []
+    assert not derived
 
 
 def test_a_dropped_model_is_freed_without_the_cycle_collector():

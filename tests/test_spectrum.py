@@ -24,7 +24,7 @@ import pio.spectrum
 from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
-from pio.operators import apply_T
+from pio.operators import apply_partial, apply_T
 from pio.pie import solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
@@ -835,6 +835,31 @@ def test_atom_eigenfunction_rejections(fixture_b, fixture_c):
         atom_eigenfunction(fixture_b, 1, 1, 0.5)
     with pytest.raises(IndexOutOfRange):
         atom_eigenfunction(fixture_c, 1, 2, 2.0)
+
+
+PLATEAU = "piecewise([0,0.25]:3; [0.25,0.75]:4*t; [0.75,1]:3)"
+
+
+@pytest.mark.parametrize("channel", [1, 2])
+def test_an_atom_on_two_pieces_is_one_level_set(channel):
+    # 3 on [0, 0.25] and [0.75, 1], 4t between: both constant pieces fold into
+    # the atom (3, 0.5), and the eigenfunction of the atom lives on both
+    plateau = (["legendre(0)", "legendre(1)"], [PLATEAU, PLATEAU])
+    other = (["legendre(0)"], ["2"])
+    sides = (plateau, other) if channel == 1 else (other, plateau)
+    model = make_model((0, 1), (0, 1), *sides[0], *sides[1])
+    weight = (model.channel1 if channel == 1 else model.channel2).weights[0]
+    ess = essential_range(weight, (0.0, 1.0))
+    assert ess.atoms == ((3.0, 0.5),)
+    (lo, hi), = ess.intervals
+    assert abs(lo - 1.0) <= 1e-12 and abs(hi - 3.0) <= 1e-12
+    for j0 in (1, 2):
+        f = atom_eigenfunction(model, channel, j0, 3.0)
+        assert abs(f.norm() - 1.0) <= 1e-12
+        assert (apply_partial(model, channel, f) - 3.0 * f).norm() <= 1e-12
+    spec = sigma_channel(model, channel)
+    assert (spec.intervals, spec.atoms) == (ess.intervals, ess.atoms)
+    assert spec.points == tuple(sorted({*ess.points, 0.0}))
 
 
 # --- determinant trace ---
