@@ -59,18 +59,16 @@ class SearchSettings:
 
     The discrete search reads ``margin`` and ``root_tol`` only: it counts
     eigenvalues by inertia, so no scan resolution decides what it finds.
-    ``scan_points`` is checked and echoed, nothing more; ``rank_tol`` is the
-    rank decision of ``classify_tau``/``solve_pie``, ``resolvent_T`` and
-    ``eigenfunctions_T``.
+    ``scan_points`` is checked and echoed, nothing more.  The rank rule of the
+    solvers and ``eigenfunctions_T`` is no setting: ``spectrum._RANK_TOL``.
     """
 
     margin: float | None = None
     scan_points: int = 512
     root_tol: float = 1e-10
-    rank_tol: float = 1e-8
 
     def __post_init__(self):
-        for label in ("margin", "root_tol", "rank_tol"):
+        for label in ("margin", "root_tol"):
             value = getattr(self, label)
             if value is not None and not 0 < value < np.inf:  # JSON reads Infinity
                 raise ModelFormatError(f"search.{label} must be finite and positive")
@@ -469,7 +467,7 @@ def model_from_dict(data):
     )
 
     sdata = _want(data, "search", dict, "model", required=False, default={})
-    _no_extras(sdata, ("margin", "scan_points", "root_tol", "rank_tol"), "search")
+    _no_extras(sdata, ("margin", "scan_points", "root_tol"), "search")
     given = {}  # the defaults are SearchSettings' own
     for key in sdata:
         if key == "scan_points":

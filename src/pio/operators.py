@@ -6,7 +6,7 @@ onto its basis, reweighted along the second variable); channel 2 is channel
 1 of the mirrored model, applied to the transposed grid.  Because each
 channel has finite rank in its own variable, all resolvents are explicit
 rank corrections and no dense linear algebra on the grid is ever needed; the
-only solve is the small reduction system, whose matrix ``lam K N``, moments
+only solve is the small reduction system, whose matrix ``I - KN^T``, moments
 and synthesis are products on the Gram factors of the reduction plan.
 Projections are ``(phi * wx) @ f`` and back.  All of them read the sampled
 arrays, so a model that fails validation is refused on either channel.
@@ -14,9 +14,9 @@ arrays, so a model that fails validation is refused on either channel.
 Every entry point admits its parameter by the one rule of
 ``spectrum._admit``: ``lam`` within ``operator_margin(model)`` of the
 essential or channel spectrum, or ``1/tau`` that near the channel's weight
-set (``spectrum._weight_ranges``), raises ``SpectrumHit``.  The rank tolerance of
-the eigenvalue refusal is the model's ``search.rank_tol``; no function here
-takes a per-call margin or tolerance.
+set (``spectrum._weight_ranges``), raises ``SpectrumHit``.  The eigenvalue
+refusal is the one rank rule, ``spectrum._nullity``; no function here takes a
+per-call margin or tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import EigenvalueHit, GridMismatch
 from .model import _member, _on_side
-from .spectrum import _admit, _plain, _ReducedSystem, _weight_ranges
-from .spectrum import _require_finite, sigma_channel, sigma_ess
+from .spectrum import _admit, _nullity, _plain, _reduction_plan, _require_finite
+from .spectrum import _small_system, _weight_ranges, sigma_channel
 
 __all__ = [
     "apply_partial",
@@ -145,30 +145,29 @@ def resolvent_T(model, lam, g):
     matrix.  Substituting f = u + tau * sum_w c_w F_w into
     (identity - tau^2 W) f = u and pairing with the B factors gives
 
-        (I - tau * Pi(lam)^T) c = d,   d_w = <B_w, u>,
+        (I - tau * Pi(lam)^T) c = (I - KN^T) c = d,   d_w = <B_w, u>,
 
     the transpose entering because Pi[i, l] pairs F_i with B_l while the
-    moments c pair with B.  A singular value at most the model's
-    ``search.rank_tol`` (relative) there means lam is a discrete eigenvalue
-    and the solve is refused.
+    moments c pair with B.  A null direction there under the rank rule
+    (``spectrum._nullity``) means lam is a discrete eigenvalue and the solve
+    is refused.
     """
     _check_grid(model, g)
-    _admit(sigma_ess(model), lam, model)
-    system = _ReducedSystem(model, lam, 1.0 / lam)
-    if system.nullity():
+    system = _small_system(model, lam)
+    if _nullity(system[1]):
         raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
-    return -system.tau * _second_kind(model, system, g)
+    tau = 1.0 / lam
+    return -tau * _second_kind(model, tau, g, *system)
 
 
-def _second_kind(model, system, g):
-    """The solution f of f - tau T f = g for a regular tau = system.tau.
+def _second_kind(model, tau, g, families, matrix):
+    """The solution f of f - tau T f = g for a regular tau, given ``_small_system(model, 1/tau)``.
 
-    Two channel corrections, then the reduced system for the moments of the
+    Two channel corrections, then the small system for the moments of the
     finite correction; the steps are spelled out in the ``pie`` docstring.
     """
-    tau = system.tau
     u = g + tau * apply_S(model, 1, tau, g)
     u = u + tau * apply_S(model, 2, tau, u)
-    plan = system.plan
-    c = system.solve(plan.moments(u.values))
-    return u.with_values(u.values + tau * plan.synthesize(system.families, c))
+    plan = _reduction_plan(model)
+    c = np.linalg.solve(matrix, plan.moments(u.values))
+    return u.with_values(u.values + tau * plan.synthesize(families, c))

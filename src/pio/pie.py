@@ -6,26 +6,26 @@ channel corrections followed by one small linear solve:
 
     u  = g + tau * S1(tau) g
     u' = u + tau * S2(tau) u
-    (I - tau * Pi(1/tau)^T) c = d,   d_w = <B_w, u'>
+    (I - KN^T) c = d,   d_w = <B_w, u'>
     f  = u' + tau * sum_w c_w F_w(., .; 1/tau)
 
-``Pi = lam K N``, the moments ``d`` and the sum over ``F_w`` are products on
-the Gram factors of the reduction plan (``spectrum``), which needs
+with ``KN = tau * Pi(1/tau)``: it, the moments ``d`` and the sum over ``F_w`` are
+products on the Gram factors of the reduction plan (``spectrum``), which needs
 orthonormal bases: a model that fails validation has no sampled arrays and
 raises ``InvalidModel``, whatever ``tau`` is.
 
 The small system is singular exactly when 1/tau is a discrete eigenvalue:
 writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
 
-    det(I - tau * Pi^T) = prod_i (1 - mu_i / lam)
-                        = (-1/lam)^{m n} det(Pi(lam) - lam I),
+    det(I - KN^T) = prod_i (1 - mu_i / lam)
+                  = (-1/lam)^{m n} det(Pi(lam) - lam I),
 
 so its zero set matches the determinant used by the spectral search.  The
 parameter classification below names the failure modes; the solver refuses
 them instead of returning one arbitrary member of the solution family.
 CHANNEL_SINGULAR is the admission rule of ``spectrum._admit`` (1/tau within
 ``operator_margin(model)`` of the essential set), and EIGEN counts null
-directions with the model's ``search.rank_tol``.
+directions with the one rank rule, ``spectrum._nullity``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import enum
 
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _admit, _plain, _ReducedSystem, _require_finite, sigma_ess
+from .spectrum import _nullity, _plain, _require_finite, _small_system
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -49,20 +49,18 @@ class TauClass(enum.Enum):
 
 
 def _classify(model, tau):
-    """``(class, reduced system at 1/tau)``; the system is None when the
-    reduction does not apply.  A model that fails validation is refused
+    """``(class, spectrum._small_system at 1/tau)``; the system is None when
+    the reduction does not apply.  A model that fails validation is refused
     first, whatever ``tau`` is."""
     model._require_valid()
     _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO, None
-    lam = 1.0 / tau
     try:
-        _admit(sigma_ess(model), lam, model)
+        system = _small_system(model, 1.0 / tau)
     except SpectrumHit:
         return TauClass.CHANNEL_SINGULAR, None
-    system = _ReducedSystem(model, lam, tau)
-    kind = TauClass.EIGEN if system.nullity() else TauClass.REGULAR
+    kind = TauClass.EIGEN if _nullity(system[1]) else TauClass.REGULAR
     return kind, system
 
 
@@ -72,7 +70,7 @@ def classify_tau(model, tau):
     ZERO: tau = 0, the reduction (which works at lam = 1/tau) does not
     apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
     the essential set, so a channel factor is not invertible.  EIGEN: the
-    reduced system is singular under the model's ``search.rank_tol``, 1/tau
+    small system is singular under the rank rule (``spectrum._nullity``), 1/tau
     is a discrete eigenvalue.  REGULAR: everything invertible.  A tau that
     is not finite raises ``DomainError``.
     """
@@ -94,7 +92,7 @@ def solve_pie(model, tau, g):
         raise NonUniqueSolution(f"1/tau = {_plain(1.0 / tau)} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
         raise OutsideTheory(f"parameter {_plain(tau)} is {kind.value}")
-    return _second_kind(model, system, g)
+    return _second_kind(model, tau, g, *system)
 
 
 def residual(model, tau, f, g):

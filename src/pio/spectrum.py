@@ -114,6 +114,7 @@ __all__ = [
 ]
 
 _VALUE_MERGE_TOL = 1e-12
+_RANK_TOL = 1e-8  # the rank rule of the small system, relative (``_nullity``)
 
 
 def operator_margin(model):
@@ -131,6 +132,13 @@ def _require_finite(value, name):
     finite; in plain Python, since it runs on every operator call."""
     if not cmath.isfinite(value):
         raise DomainError(f"{name} {_plain(value)} is not finite")
+
+
+def _require_real(value, name):
+    """``_require_finite`` for a real parameter; a complex one (``+0j`` too) raises ``DomainError``."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise DomainError(f"{name} {_plain(value)} is not real")
+    _require_finite(value, name)
 
 
 def _admit(spectral_set, params, model, margin=None, name="lambda", where="the essential spectrum"):
@@ -385,12 +393,11 @@ class _ReductionPlan:
         N = (PF.reshape(-1, nx) @ self.Bt).reshape(len(lams), m, n, n)
         return HF, PF, K, N
 
-    def shifted_coupling(self, lams):
-        """Stacked ``K N - I = (Pi(lam) - lam I) / lam``, shape (L, m*n, m*n)."""
-        _, _, K, N = self.families(lams)
-        kn = _block_product(K, N)
-        kn.reshape(len(kn), -1)[:, :: kn.shape[1] + 1] -= 1.0
-        return kn
+    def coupling(self, lams):
+        """``(families, KN)`` at each parameter: the stacked coupling ``KN = Pi(lam) / lam``,
+        shape (L, m*n, m*n), the one product of the determinant, ``Pi`` and the small system."""
+        families = self.families(lams)
+        return families, _block_product(*families[2:])
 
     def slicing_matrix(self, lams):
         """Stacked ``X(lam) = [[K~, I], [I, N~]]``, shape (L, 2mn, 2mn), with
@@ -437,49 +444,32 @@ def _reduction_plan(model):
     return _per_model(model, "_pi_plan", _ReductionPlan.build)
 
 
-class _ReducedSystem:
-    """The small system ``(I - tau * Pi(lam)^T) c = d`` at ``lam = 1/tau``.
-
-    The moments ``c_w = <B_w, f>`` of a solution of ``f - tau T f = g``
-    solve it (see ``pie``), and it is singular exactly when ``lam`` is a
-    discrete eigenvalue, since ``det(I - tau Pi^T) = (-tau)^{mn} delta(lam)``.
-    ``lam`` and ``tau`` are taken as the caller holds them; ``plan`` turns
-    grid samples into right-hand sides and solutions back into grid samples,
-    from the ``families`` it evaluated once at ``lam``.  Each query does one
-    SVD and counts the singular values at most
-    ``model.search.rank_tol * max(s_max, 1)`` as null.
+def _small_system(model, lam):
+    """``(families, I - KN^T)`` at ``lam``, admitted by ``_admit``: the families for the plan's
+    moments and synthesis, and the matrix of the small system ``(I - tau Pi^T) c = d``
+    at ``tau = 1/lam`` (``tau Pi = KN``).  The moments ``c_w = <B_w, f>`` of a
+    solution of ``f - tau T f = g`` solve it (see ``pie``), and it is singular exactly
+    at the discrete eigenvalues: ``det(I - KN^T) = (-1/lam)^(mn) delta(lam)``.
     """
+    _admit(sigma_ess(model), lam, model)
+    families, kn = _reduction_plan(model).coupling(np.array([lam]))
+    return families, np.eye(kn.shape[1]) - kn[0].T
 
-    def __init__(self, model, lam, tau):
-        self.tau = tau
-        self.rank_tol = model.search.rank_tol
-        self.plan = _reduction_plan(model)
-        self.families = self.plan.families(np.array([lam]))
-        _, _, K, N = self.families
-        pim = _block_product(K, lam * N)[0]
-        self.matrix = np.eye(pim.shape[0]) - tau * pim.T
 
-    def nullity(self, svals=None):
-        """Null count of ``svals``, by default of a values-only SVD."""
-        if svals is None:
-            svals = np.linalg.svd(self.matrix, compute_uv=False)
-        return int(np.sum(svals <= self.rank_tol * max(float(svals.max(initial=0.0)), 1.0)))
-
-    def null_space(self):
-        """Orthonormal null vectors as columns, shape (m*n, nullity)."""
-        _, svals, vh = np.linalg.svd(self.matrix)
-        return vh[len(svals) - self.nullity(svals) :].conj().T
-
-    def solve(self, d):
-        return np.linalg.solve(self.matrix, d)
+def _nullity(matrix, svals=None):
+    """The rank rule: the number of singular values of ``matrix`` (``svals``,
+    by default from a values-only SVD) at most ``_RANK_TOL * max(s_max, 1)``."""
+    if svals is None:
+        svals = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(svals <= _RANK_TOL * max(float(svals.max(initial=0.0)), 1.0)))
 
 
 def pi_matrix(model, lam):
     """Cross-integral matrix ``Pi(lam) = lam K N``, an ``(mn, mn)`` array indexed
     by the row-major pairs described on top; path 2 is ``pi_matrix(model.mirrored(), lam)``."""
     _admit(sigma_ess(model), lam, model)
-    _, _, K, N = _reduction_plan(model).families(np.array([lam]))
-    return _block_product(K, lam * N)[0]
+    _, kn = _reduction_plan(model).coupling(np.array([lam]))
+    return lam * kn[0]
 
 
 def delta(model, lam):
@@ -495,9 +485,10 @@ def delta_batch(model, lams, margin=None):
     """
     lams = np.asarray(lams)
     _admit(sigma_ess(model), lams, model, margin)
-    shifted = _reduction_plan(model).shifted_coupling(lams)
-    dets = np.linalg.det(shifted)
-    return dets * np.power(lams, shifted.shape[1], dtype=dets.dtype)
+    _, kn = _reduction_plan(model).coupling(lams)
+    kn.reshape(len(kn), -1)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
+    dets = np.linalg.det(kn)
+    return dets * np.power(lams, kn.shape[1], dtype=dets.dtype)
 
 
 # --- root search ------------------------------------------------------------
@@ -710,26 +701,24 @@ def sigma_full(model):
 def eigenfunctions_T(model, lam0):
     """Orthonormal eigenfunctions of the sum at a discrete eigenvalue.
 
-    The homogeneous equation reduces to the coefficient system
-    ``c = (1/lam) Pi(lam)^T c`` for the moments ``c_w = <B_w, f>``, the null
-    space of the reduced system at ``tau = 1/lam``; the eigenfunction is
-    rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the reduction plan's
+    The homogeneous equation reduces to ``c = KN^T c`` for the moments
+    ``c_w = <B_w, f>``, the null space of ``_small_system`` at ``lam0``; the
+    eigenfunction is rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the plan's
     synthesis.  Raises ``DomainError`` for a complex ``lam0`` (``+0j`` too), and
     refuses one in/near the essential set or where the system has no null
-    direction under the model's ``search.rank_tol``.
+    direction under the rank rule (``_nullity``).
     """
-    if isinstance(lam0, (complex, np.complexfloating)):
-        raise DomainError(f"lam0 {_plain(lam0)} is not real")
+    _require_real(lam0, "lam0")
     lam0 = float(lam0)
-    _admit(sigma_ess(model), lam0, model)
-    system = _ReducedSystem(model, lam0, 1.0 / lam0)
-    coeffs = system.null_space()
+    families, matrix = _small_system(model, lam0)
+    _, svals, vh = np.linalg.svd(matrix)
+    coeffs = vh[len(svals) - _nullity(matrix, svals) :].conj().T
     if coeffs.shape[1] == 0:
         raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
 
     out = []
     for coeff in coeffs.T:
-        values = system.plan.synthesize(system.families, coeff) / lam0
+        values = _reduction_plan(model).synthesize(families, coeff) / lam0
         f = Grid2D(model.rule_x, model.rule_y, values)
         for g in out:  # grid Gram-Schmidt against what we already kept
             f = f - g.inner(f) * g
@@ -749,10 +738,10 @@ def eigenfunctions_T(model, lam0):
 
 def atom_eigenfunction(model, channel, j0, lam0):
     """Indicator-type eigenfunction for a weight that sits at ``lam0``
-    on a set of positive measure; a ``lam0`` that is not finite raises ``DomainError``."""
+    on a set of positive measure; a complex or non-finite ``lam0`` raises ``DomainError``."""
     view = _oriented(model, channel)
     view._require_valid()
-    _require_finite(lam0, "lam0")
+    _require_real(lam0, "lam0")
     row = _member(view, j0)
     weight, samples = view.channel1.weights[row], view._samples1[1][row]
     tol = 1e-9 * (1.0 + abs(lam0))
@@ -773,10 +762,10 @@ def atom_eigenfunction(model, channel, j0, lam0):
 def delta_trace_rows(model, lmin, lmax, samples):
     """Rows (lambda, Re delta, Im delta) at ``samples`` equally spaced points
     from ``lmin`` to ``lmax``; NaN inside the guard margin.  Path 2 is the trace
-    of ``model.mirrored()``.  A window with non-finite ends, ``lmin >= lmax`` or
-    a ``samples`` that is not a whole number >= 2 raises ``DomainError``."""
-    _require_finite(lmin, "lmin")
-    _require_finite(lmax, "lmax")
+    of ``model.mirrored()``.  Complex or non-finite ends, ``lmin >= lmax`` or a
+    ``samples`` that is not a whole number >= 2 raise ``DomainError``."""
+    _require_real(lmin, "lmin")
+    _require_real(lmax, "lmax")
     if not (lmin < lmax and samples >= 2 and float(samples).is_integer()):
         raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
                           f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")

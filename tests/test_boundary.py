@@ -392,3 +392,27 @@ def test_eigenfunctions_T_refuses_a_complex_lam0():
     for value in (np.complex128(lam + 1j), complex(lam, 1.0), np.complex128(lam), complex(lam)):
         with pytest.raises(DomainError, match="is not real"):
             eigenfunctions_T(model, value)
+
+
+# (call on fixture a, a real value it serves): atom 2 is channel 1's weight, 3 channel 2's
+REAL_PARAMETERS = {
+    "atom_eigenfunction channel 1": (lambda m, v: atom_eigenfunction(m, 1, 1, v), 2.0),
+    "atom_eigenfunction channel 2": (lambda m, v: atom_eigenfunction(m, 2, 1, v), 3.0),
+    "delta_trace_rows lmin path 1": (lambda m, v: delta_trace_rows(m, v, 6.0, 3), 1.0),
+    "delta_trace_rows lmin path 2": (lambda m, v: delta_trace_rows(m.mirrored(), v, 6.0, 3), 1.0),
+    "delta_trace_rows lmax path 1": (lambda m, v: delta_trace_rows(m, 1.0, v, 3), 6.0),
+    "delta_trace_rows lmax path 2": (lambda m, v: delta_trace_rows(m.mirrored(), 1.0, v, 3), 6.0),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_PARAMETERS))
+def test_real_parameters_refuse_complex_values(fixture_a, name):
+    # complex(1, 0) as lmin raised a raw TypeError, np.complex128(1+1j) gave rows
+    # from 1.0 with a ComplexWarning only, and 2+1e-10j or 2+0j as lam0 returned
+    # the unit eigenfunction of the real atom 2
+    call, real = REAL_PARAMETERS[name]
+    call(fixture_a, real)
+    for value in (complex(real, 0.0), complex(real, 1e-10), np.complex128(real),
+                  np.complex128(real + 1j)):
+        with pytest.raises(DomainError, match="is not real"):
+            call(fixture_a, value)

@@ -122,6 +122,15 @@ def test_bad_search_override_exits_1(tmp_path, key, value):
     assert proc.stdout == ""
 
 
+def test_rank_tol_in_the_search_block_is_an_unknown_key(tmp_path, capsys):
+    # the rank rule of the solvers is a constant, no search setting
+    model = model_with_search(tmp_path, {"rank_tol": 1e-8})
+    assert main(["spectrum", "--model", model]) == 1
+    captured = capsys.readouterr()
+    assert "search: unknown keys ['rank_tol']" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--margin", "--scan-points", "--root-tol", "--rank-tol"])
 @pytest.mark.parametrize("command", ["spectrum", "discrete"])
 def test_search_flags_are_gone(model_a, command, flag, capsys):

@@ -13,14 +13,19 @@ NaN positions must match exactly, and every number to within the default
 ``search.root_tol``, relative: a change that moves a result by more than
 the search's own resolution fails here.
 
-Rewrite the files only for a deliberate output change, and say so in
-CHANGES.md: ``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py`` rewrites nothing: it prints
+the name of each file whose bytes differ from what the CLI prints now (a
+last digit may be stale and still within the tolerance).  Rewrite a file
+only for a deliberate output change, and say so in CHANGES.md:
+``PYTHONPATH=src python tests/test_golden.py NAME...`` rewrites the named
+files and no other.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,5 +89,12 @@ def test_cli_output_matches_golden(name):
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_text(run(argv), encoding="utf-8")
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}")
+    for name in sys.argv[1:]:
+        (GOLDEN / name).write_text(run(CASES[name]), encoding="utf-8")
+    if len(sys.argv) == 1:
+        for name, argv in CASES.items():
+            if (GOLDEN / name).read_text(encoding="utf-8") != run(argv):
+                print(name)

@@ -212,7 +212,7 @@ def test_model_from_dict_with_options():
         lambda d: d.__setitem__("quadrature", {"order": "high"}),
         lambda d: d.__setitem__("search", {"scan_points": 1}),
         lambda d: d.__setitem__("search", {"margin": -1.0}),
-        lambda d: d.__setitem__("search", {"rank_tol": 0}),
+        lambda d: d.__setitem__("search", {"rank_tol": 0}),  # an unknown key: the rank rule is fixed
     ],
 )
 def test_model_from_dict_rejects_malformed(mutate):
@@ -225,14 +225,14 @@ def test_model_from_dict_rejects_malformed(mutate):
 @pytest.mark.parametrize(
     "bad",
     [dict(margin=0.0), dict(margin=-1.0), dict(root_tol=0.0), dict(root_tol=-1.0),
-     dict(root_tol=float("nan")), dict(rank_tol=0.0), dict(scan_points=1)],
+     dict(root_tol=float("nan")), dict(scan_points=1)],
 )
 def test_search_settings_refuse_bad_values(bad):
     with pytest.raises(ModelFormatError):
         SearchSettings(**bad)
 
 
-@pytest.mark.parametrize("key", ["margin", "root_tol", "rank_tol"])
+@pytest.mark.parametrize("key", ["margin", "root_tol"])
 def test_search_block_refuses_infinity(tmp_path, key):
     # Python's json writes and reads the literal Infinity
     path = tmp_path / "inf.json"

@@ -1,10 +1,9 @@
 """Second-kind equation: classification, solving, residuals."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+import pio.spectrum
 from pio.errors import EigenvalueHit, NonUniqueSolution, NotAnEigenvalue, OutsideTheory
 from pio.model import make_model
 from pio.operators import resolvent_T
@@ -108,19 +107,20 @@ def test_eigen_refusal_lines_up_with_homogeneous_solutions(fixture_a):
     assert (h - tau * apply_T(fixture_a, h)).norm() < 1e-10
 
 
-def test_model_rank_tol_reaches_every_entry_point(fixture_a):
-    # At tau = 0.1 the reduced system of model A is I - 0.1 * 60/56, one singular
-    # value 0.893: regular under the default rank_tol, null under rank_tol = 0.95.
-    loose = replace(fixture_a, search=replace(fixture_a.search, rank_tol=0.95))
-    g = loose.constant_grid(1.0)
+def test_rank_rule_reaches_every_entry_point(monkeypatch, fixture_a):
+    # At tau = 0.1 the small system of model A is I - 0.1 * 60/56, one singular
+    # value 0.893: regular under the rank rule's 1e-8, null under 0.95.  Every
+    # entry point reads the one rule, so moving it moves all of them.
+    g = fixture_a.constant_grid(1.0)
     assert classify_tau(fixture_a, 0.1) is TauClass.REGULAR
-    assert classify_tau(loose, 0.1) is TauClass.EIGEN
-    for view, gv in ((loose, g), (loose.mirrored(), g.transposed())):  # paths 1 and 2
-        with pytest.raises(NonUniqueSolution):
-            solve_pie(view, 0.1, gv)
     resolvent_T(fixture_a, 10.0, g)
-    with pytest.raises(EigenvalueHit):
-        resolvent_T(loose, 10.0, g)
     with pytest.raises(NotAnEigenvalue):
         eigenfunctions_T(fixture_a, 10.0)
-    assert len(eigenfunctions_T(loose, 10.0)) == 1
+    monkeypatch.setattr(pio.spectrum, "_RANK_TOL", 0.95)
+    assert classify_tau(fixture_a, 0.1) is TauClass.EIGEN
+    for view, gv in ((fixture_a, g), (fixture_a.mirrored(), g.transposed())):  # paths 1 and 2
+        with pytest.raises(NonUniqueSolution):
+            solve_pie(view, 0.1, gv)
+    with pytest.raises(EigenvalueHit):
+        resolvent_T(fixture_a, 10.0, g)
+    assert len(eigenfunctions_T(fixture_a, 10.0)) == 1

@@ -25,13 +25,14 @@ from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
 from pio.operators import apply_partial, apply_T
-from pio.pie import solve_pie
+from pio.pie import TauClass, classify_tau, solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
     _inertia,
     _reduction_plan,
     _refine_roots,
     _search_gaps,
+    _small_system,
     atom_eigenfunction,
     delta,
     delta_batch,
@@ -324,6 +325,11 @@ def test_reduction_plan_matches_reference(n, m, path):
         got = np.stack([pi_matrix(view, lam) for lam in lams])
         ref = pi_reference(model, lams, path)
         assert got.shape == ref.shape == (len(lams), n * m, n * m)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the small system at tau = 1/lam: I - tau Pi^T
+        got = np.stack([_small_system(view, lam)[1] for lam in lams])
+        ref = np.eye(n * m) - ref.transpose(0, 2, 1) / lams[:, None, None]
         assert got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -640,6 +646,37 @@ def test_multiple_eigenvalue_at_a_gap_midpoint_keeps_its_multiplicity():
     assert got == {-0.25: 1, 0.5: 2, 0.625: 1, 1.375: 2}
 
 
+RANK_RULE_MODELS = {
+    "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
+    "ramp-4": lambda: ramp_model(4, 4),
+    "ramp-8": lambda: ramp_model(8, 8),
+    "double root": double_root_model,
+    "midpoint double roots": lambda: sumrule_model([-0.375, -1.25], [1.75, 1.75, 1.0]),
+}
+
+
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("name", list(RANK_RULE_MODELS))
+def test_rank_rule_agrees_with_the_slicing_count(name, path):
+    # Two rules decide "is lam an eigenvalue, and of what multiplicity": the
+    # slicing count of sigma_full and the rank rule of the small system.  A
+    # count-based decision must keep what they agree on: EIGEN at every root
+    # with the certified multiplicity, REGULAR halfway between adjacent roots
+    # of one gap (between gaps the midpoint may be an essential point).
+    model = RANK_RULE_MODELS[name]()
+    view = model if path == 1 else model.mirrored()
+    disc = sigma_full(view).discrete
+    for lam, mult in disc:
+        assert classify_tau(view, 1.0 / lam) is TauClass.EIGEN, lam
+        assert len(eigenfunctions_T(view, lam)) == mult, lam
+    gaps, _ = search_gaps(view)
+    pairs = [(a, b) for (a, _), (b, _) in zip(disc, disc[1:])
+             if any(lo < a and b < hi for lo, hi in gaps)]
+    assert pairs
+    for a, b in pairs:
+        assert classify_tau(view, 2.0 / (a + b)) is TauClass.REGULAR, (a, b)
+
+
 def test_root_search_probe_budget(monkeypatch, fixture_a):
     # eigvalsh batches per sigma_full: one for the gap ends, then one per step
     # of bisection on counts; only the double root needs that to root_tol
@@ -769,7 +806,7 @@ def test_sigma_full_as_dict_roundtrips(fixture_b):
     d = sigma_full(fixture_b).as_dict()
     assert d["essential"]["intervals"] == [[0.0, 1.0]]
     assert len(d["discrete"]) == 1
-    assert set(d["settings"]) == {"margin", "scan_points", "root_tol", "rank_tol", "order"}
+    assert set(d["settings"]) == {"margin", "scan_points", "root_tol", "order"}
 
 
 # --- eigenfunctions ---
