@@ -408,12 +408,3 @@ def _range_parts(expr, interval):
             ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
         parts += [plo + (phi - plo) * (np.arange(257) + 0.5) / 257.0, ts]  # probe strictly inside
     return parts
-
-
-def _level(vals):
-    """The value of samples that agree to ``1e-12 * (1 + max|value|)``, else ``None``."""
-    spread = float(vals.max() - vals.min())
-    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
-        return float(vals.mean())
-    return None
-

@@ -1,8 +1,7 @@
 """The CLI's canonical outputs on the fixture models match stored references.
 
 ``tests/golden/`` holds the stdout of ``pio spectrum``, ``pio discrete`` and
-``pio delta-trace --path 1|2`` on ``models/fixture_{a,b,c}.json``, written
-before the operator entry points shared one admission rule.  The trace
+``pio delta-trace --path 1|2`` on ``models/fixture_{a,b,c}.json``.  The trace
 window crosses the guard bands, so it holds NaN rows.  It also holds
 ``legendre_trig_model.json``, whose bases are ``legendre(0..3)`` and
 ``trig(0..2)`` and whose weights have odd and even literal powers, a

@@ -704,7 +704,7 @@ def counted_calls(fn):
     calls = []
 
     def wrapped(x):
-        calls.append(len(x))
+        calls.append(x.copy())
         return fn(x)
 
     return wrapped, calls
@@ -770,6 +770,140 @@ def test_refinement_of_a_bracket_does_not_depend_on_the_batch():
         alone = _refine_roots(fn, lo[i:i + 1], hi[i:i + 1], fn(lo[i:i + 1]), fn(hi[i:i + 1]), 1e-10)
         assert alone[0] == together[i]  # the same bits
     assert np.allclose(together, [0.3, 1.3, 2.7, 1.3], atol=1e-10)
+
+
+def vectorized_refine_roots(fn, lo, hi, flo, fhi, root_tol):
+    # The elementwise numpy form that ``_refine_roots`` replaced, copied
+    # verbatim (docstring aside) as the reference of the equivalence test
+    # below: the float form must keep its IEEE operations, so its iterates,
+    # roots and ``fn`` calls, bit for bit.
+    # x1 is the newest end, x2 the other end, x3 the point replaced last
+    x1, f1, x2, f2 = (np.array(v, dtype=float) for v in (hi, fhi, lo, flo))
+    x3, f3 = np.full(x1.shape, np.nan), np.full(x1.shape, np.nan)
+    width0 = x1 - x2
+    mant, expo = np.frexp(width0 / root_tol)
+    budget = expo - (mant == 0.5) + 1  # ceil(log2(width0 / root_tol)) + 1, exactly
+    exact = np.zeros(x1.shape, dtype=bool)
+    live = np.flatnonzero(width0 > root_tol)
+    steps = 0
+    while live.size:
+        a, fa, b, fb, c, fc = (v[live] for v in (x1, f1, x2, f2, x3, f3))
+        left, right = np.minimum(a, b), np.maximum(a, b)
+        width, mid = right - left, 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # no third point yet: NaN
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            well_placed = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            iqi = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        falsi = a + fa / (fa - fb) * (b - a)
+        shift = 0.2 / width0[live] * width * width
+        truncated = np.where(
+            shift <= np.abs(mid - falsi), falsi + np.sign(mid - falsi) * shift, mid
+        )
+        x = np.where(well_placed, a + iqi * (b - a), truncated)
+        x = np.clip(x, left + 0.5 * root_tol, right - 0.5 * root_tol)
+        slack = np.maximum(np.ldexp(0.5 * root_tol, budget[live] - steps) - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) <= slack, x, mid - np.sign(mid - x) * slack)
+        fx = fn(x)
+        beside_a = (fx < 0.0) == (fa < 0.0)  # x replaces a, else b (and a is the other end)
+        x3[live], f3[live] = np.where(beside_a, a, b), np.where(beside_a, fa, fb)
+        x2[live], f2[live] = np.where(beside_a, b, a), np.where(beside_a, fb, fa)
+        x1[live], f1[live] = x, fx
+        steps += 1
+        zero = fx == 0.0
+        exact[live[zero]] = True
+        live = live[~zero & (budget[live] > steps)]
+        live = live[np.abs(x1[live] - x2[live]) > root_tol]
+    return np.where(exact, x1, 0.5 * (x1 + x2))
+
+
+def overflowing_cube(x):
+    # the cube, but +-inf far from the root and NaN on one side of it, as
+    # the determinant overflows at n = m = 16
+    d = x - 1.3
+    out = np.where(np.abs(d) > 1e-2, np.copysign(np.inf, d), 1e3 * d * d * d)
+    return np.where((1e-3 < d) & (d < 3e-3), np.nan, out)
+
+
+# name: (fn, its roots)
+REFINEMENT_CASES = {
+    "cube": (lambda x: (x - 1.3) * (x - 1.3) * (x - 1.3), [1.3]),
+    "ninth root": (lambda x: np.sign(x - 1.3) * np.abs(x - 1.3) ** (1.0 / 9.0), [1.3]),
+    "tanh step": (lambda x: np.tanh(1e4 * (x - 1.3)), [1.3]),
+    "exp": (lambda x: np.exp(x) - 2.74, [np.log(2.74)]),
+    "three roots": (lambda x: (x - 0.3) * (x - 1.3) * (x - 2.7) * (1.0 + x * x), [0.3, 1.3, 2.7]),
+    "overflow": (overflowing_cube, [1.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINEMENT_CASES))
+def test_refinement_matches_the_vectorized_form_bit_for_bit(name):
+    # 200 seeded brackets around the known roots, from 1e-11 (narrower than
+    # root_tol) to 0.3 on each side, refined one at a time, by 7 and all at once
+    fn, roots = REFINEMENT_CASES[name]
+    tol = 1e-10
+    rng = np.random.default_rng(sorted(REFINEMENT_CASES).index(name))
+    root = rng.choice(roots, 200)
+    lo, hi = root - 10.0 ** rng.uniform(-11, -0.5, 200), root + 10.0 ** rng.uniform(-11, -0.5, 200)
+    evaluated = []
+    for size in (1, 7, 200):
+        for start in range(0, 200, size):
+            part = slice(start, start + size)
+            args = lo[part], hi[part], fn(lo[part]), fn(hi[part]), tol
+            ours, theirs = counted_calls(fn), counted_calls(fn)
+            got = _refine_roots(ours[0], *args)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf / inf
+                want = vectorized_refine_roots(theirs[0], *args)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()  # the same bits
+            assert [x.tobytes() for x in ours[1]] == [x.tobytes() for x in theirs[1]]
+            assert np.all(np.abs(got - root[part]) <= tol)
+            evaluated += ours[1]
+    if name == "overflow":
+        values = fn(np.concatenate(evaluated))
+        assert np.isinf(values).any() and np.isnan(values).any()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, lo, hi, root, calls",
+    [
+        # every difference of values is 0 or +-2, so inverse quadratic
+        # interpolation would divide by zero: Chandrupatla's test rejects it
+        (lambda x: np.sign(x - 1.3), [1.0], [1.9], 1.3, None),
+        # no sign change and equal values: regula falsi divides by zero
+        (lambda x: np.ones_like(x), [1.0], [1.9], None, None),
+        # regula falsi lands on the zero at the first step
+        (lambda x: x - 1.5, [1.0], [2.0], 1.5, 1),
+        # narrower than root_tol on entry: the midpoint, no call
+        (lambda x: x - 1.3, [1.3 - 2e-11], [1.3 + 2e-11], 1.3, 0),
+        # no bracket at all, as on a model without discrete spectrum
+        (lambda x: x - 1.3, [], [], None, 0),
+        # numpy scalars, as a single bracket
+        (lambda x: x - 1.3, np.float64(1.0), np.float64(1.9), 1.3, None),
+    ],
+    ids=["sign", "constant", "exact zero", "narrow", "empty", "numpy scalars"],
+)
+def test_refinement_of_degenerate_input_returns_an_array(fn, lo, hi, root, calls):
+    # with warnings as errors: the float form may neither warn nor raise
+    # where the vectorized one divided by zero under np.errstate
+    tol = 1e-10
+    counted, seen = counted_calls(fn)
+    flo, fhi = fn(np.asarray(lo, dtype=float)), fn(np.asarray(hi, dtype=float))
+    for ends in ((lo, hi, flo, fhi), (np.asarray(lo), np.asarray(hi), list(np.atleast_1d(flo)),
+                                      list(np.atleast_1d(fhi)))):
+        seen.clear()
+        got = _refine_roots(counted, *ends, tol)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == np.shape(np.atleast_1d(lo))
+        assert np.all((np.atleast_1d(lo) <= got) & (got <= np.atleast_1d(hi)))
+        if root is not None:
+            assert abs(got[0] - root) <= tol
+        if calls is not None:
+            assert len(seen) == calls
+    if np.ndim(lo) == 1:  # the vectorized form takes no 0-d ends
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = vectorized_refine_roots(fn, lo, hi, flo, fhi, tol)
+        assert got.tobytes() == want.tobytes()
 
 
 # --- full report ---
