@@ -28,14 +28,13 @@ are decided once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import itertools
 import math
 import operator
 import re
 
 import numpy as np
 
-from .errors import DomainError, EmptyPiecewise, ExprSyntaxError, PioError, UnknownIdentifier
+from .errors import DomainError, EmptyPiecewise, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
     "Expression",
@@ -371,40 +370,3 @@ def _piecewise(segments):
 
     return evaluate
 
-
-# --- analysis helpers -------------------------------------------------------
-
-_RANGE_SAMPLES = 4096
-
-
-def _sampled(expr, parts):
-    """``sample(i, j)``: ``expr`` on point sets ``i`` to ``j - 1`` (default ``i``) from one evaluation
-    on all sets; if that raises, each request evaluates its own sets and gets their values or error."""
-    try:
-        values = expr(np.concatenate(parts)) if parts else None
-    except PioError:
-        return lambda i, j=None: expr(np.concatenate(parts[i : j or i + 1]))
-    ends = [0, *itertools.accumulate(map(len, parts))]
-    return lambda i, j=None: values[ends[i] : ends[j or i + 1]]
-
-
-def _pieces(expr, interval):
-    """The pieces of the interval between the expression's breakpoints."""
-    lo, hi = interval
-    cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _range_parts(expr, interval):
-    """Per piece of a non-literal weight, the probe of the constancy test
-    (``spectrum._piece_levels``) and the range samples."""
-    if expr.constant is not None:
-        return []
-    pieces = _pieces(expr, interval)
-    parts = []
-    for pos, (plo, phi) in enumerate(pieces):
-        ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
-        if pos < len(pieces) - 1:
-            ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-        parts += [plo + (phi - plo) * (np.arange(257) + 0.5) / 257.0, ts]  # probe strictly inside
-    return parts

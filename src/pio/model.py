@@ -17,6 +17,8 @@ orthonormal polynomials / trigonometric functions on their interval.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
 import numbers
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidModel, ModelFormatError, PioError
-from .expr import Expression, _range_parts, _sampled, parse_expr
+from .expr import parse_expr
 from .quadrature import Grid2D, build_rule
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
 DEFAULT_ORDER = 32
 DEFAULT_ORTHO_TOL = 1e-8
 _DENSE_SAMPLES = 1024
+_RANGE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ class PIOModel:
 
     @cached_property
     def _samples1(self):
-        """Channel-1 basis and weights, each evaluated once (``_sample_channel``)."""
+        """Channel-1 basis and weights, the ``_Sample`` of each (``_sample_channel``)."""
         return _sample_channel(self.channel1, self.rule_x, self.x_interval, self.rule_y, self.y_interval)
 
     @cached_property
@@ -174,7 +177,7 @@ class PIOModel:
 
     def _node_rows(self, samples):
         self._require_valid()
-        return np.vstack([s(0) for s in samples])
+        return np.vstack([s.nodes for s in samples])
 
     @cached_property
     def _validation(self):
@@ -263,15 +266,86 @@ def _rule(interval, order, exprs, extra):
 
 
 def _sample_channel(channel, basis_rule, basis_interval, weight_rule, weight_interval):
-    """``(basis, weights)`` of a channel, each expression ``_sampled`` once on its rule's
-    nodes (set 0), the dense sample (set 1) and, for a weight, its ``_range_parts``
-    (from set 2); validation, norm bound, sampled arrays and weight ranges read slices."""
-    basis_head = [basis_rule.nodes, np.linspace(*basis_interval, _DENSE_SAMPLES)]
-    weight_head = [weight_rule.nodes, np.linspace(*weight_interval, _DENSE_SAMPLES)]
+    """``(basis, weights)`` of a channel, the ``_Sample`` of each; one dense sample per side."""
+    basis_dense = np.linspace(*basis_interval, _DENSE_SAMPLES)
+    weight_dense = np.linspace(*weight_interval, _DENSE_SAMPLES)
     return (
-        tuple(_sampled(f, basis_head) for f in channel.basis),
-        tuple(_sampled(w, weight_head + _range_parts(w, weight_interval)) for w in channel.weights),
+        tuple(_sample(f, basis_rule.nodes, basis_dense, basis_interval) for f in channel.basis),
+        tuple(_sample(w, weight_rule.nodes, weight_dense, weight_interval, weight=True)
+              for w in channel.weights),
     )
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """What a model keeps of one expression's one evaluation (``_sample``), no view of it:
+    ``nodes``, a copy of the values on the rule's nodes, and ``sup``, the largest magnitude
+    there and on the dense sample, or ``None`` and their ``PioError``; a weight's ``pieces``,
+    ``(lo, hi, level, low, high)`` per piece (``level`` a constant piece's value, else ``None``
+    and the sampled extrema), or the ``PioError`` of its probes or range samples."""
+
+    nodes: object
+    sup: object
+    pieces: object = None
+
+
+def _sample(expr, nodes, dense, interval, weight=False):
+    """The ``_Sample`` of ``expr`` from one evaluation on the point sets laid out here: the rule's
+    ``nodes`` with the ``dense`` sample (both may be empty) and, for a weight that is not a
+    literal, each piece's 257-point constancy probe and 4,097 range samples; if that
+    evaluation raises, each set is evaluated on its own."""
+    lo, hi = interval
+    cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
+    spans = list(zip(cuts, cuts[1:]))
+    parts = [np.concatenate([nodes, dense])]
+    ranged = weight and expr.constant is None
+    for plo, phi in spans if ranged else ():
+        ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
+        if phi < hi:
+            ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
+        parts += [plo + (phi - plo) * (np.arange(257) + 0.5) / 257.0, ts]  # probe strictly inside
+    try:
+        values = expr(np.concatenate(parts))
+    except PioError:
+        values = None
+    ends = [0, *itertools.accumulate(map(len, parts))]
+
+    def take(i):
+        return expr(parts[i]) if values is None else values[ends[i] : ends[i + 1]]
+
+    try:
+        head = take(0)
+        kept, sup = head[: len(nodes)].copy(), float(np.abs(head).max(initial=0.0))
+    except PioError as err:
+        kept, sup = None, err.with_traceback(None)
+    if not weight:
+        return _Sample(kept, sup)
+    try:  # every probe first, then the range samples of the pieces that are not constant
+        levels = [_level(take(2 * i + 1)) if ranged else expr.constant for i in range(len(spans))]
+        ranges = [None if level is not None else take(2 * i + 2) for i, level in enumerate(levels)]
+        pieces = tuple(
+            (plo, phi, level, None, None) if vals is None
+            else (plo, phi, None, float(vals.min()), float(vals.max()))
+            for (plo, phi), level, vals in zip(spans, levels, ranges)
+        )
+    except PioError as err:
+        pieces = err.with_traceback(None)
+    return _Sample(kept, sup, pieces)
+
+
+def _level(vals):
+    """The value of samples that agree to ``1e-12 * (1 + max|value|)``, else ``None``."""
+    spread = float(vals.max() - vals.min())
+    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
+        return float(vals.mean())
+    return None
+
+
+def _stored(value):
+    """A ``_Sample`` field; a ``PioError`` in its place is raised as a copy (no traceback kept)."""
+    if isinstance(value, PioError):
+        raise copy.copy(value)
+    return value
 
 
 # --- shorthand generators -----------------------------------------------------
@@ -519,27 +593,16 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
-def _head(sample):
-    """(values on the nodes and the dense sample or None, error text)."""
-    try:
-        return sample(0, 2), ""
-    except PioError as err:
-        return None, str(err)
-
-
 def validate_model(model):
     """Check orthonormality of both bases (to ``DEFAULT_ORTHO_TOL``, the one
     tolerance the library gates on) and evaluability/boundedness of all pieces
-    on the nodes and the dense sample, read from the model's one evaluation of
-    each expression (``_sample_channel``)."""
+    on the nodes and the dense sample, read from each expression's ``_Sample``."""
     checks = []
     names = ("channel1.basis", "channel1.weights", "channel2.basis", "channel2.weights")
-    slots = zip(names, (*model._samples1, *model._samples2))
-    evaluated = {name: [_head(s) for s in samples] for name, samples in slots}
-    for name, results in evaluated.items():
-        bad = [f"#{i + 1}: {msg}" for i, (vals, msg) in enumerate(results) if vals is None]
-        sups = [float(np.abs(vals).max()) for vals, _ in results if vals is not None]
-        sup = max(sups, default=0.0)
+    evaluated = dict(zip(names, (*model._samples1, *model._samples2)))
+    for name, samples in evaluated.items():
+        bad = [f"#{i + 1}: {s.sup}" for i, s in enumerate(samples) if s.nodes is None]
+        sup = max((s.sup for s in samples if s.nodes is not None), default=0.0)
         checks.append(
             CheckResult(
                 f"{name} evaluable",
@@ -550,15 +613,15 @@ def validate_model(model):
         )
 
     for name, rule in (("channel1.basis", model.rule_x), ("channel2.basis", model.rule_y)):
-        results = evaluated[name]
-        if any(vals is None for vals, _ in results):
+        samples = evaluated[name]
+        if any(s.nodes is None for s in samples):
             checks.append(
                 CheckResult(f"{name} orthonormal", False, None, "skipped: basis not evaluable")
             )
             continue
-        samples = np.vstack([vals[: len(rule)] for vals, _ in results])
-        gram = (samples * rule.weights) @ samples.T
-        dev = float(np.abs(gram - np.eye(len(results))).max())
+        rows = np.vstack([s.nodes for s in samples])
+        gram = (rows * rule.weights) @ rows.T
+        dev = float(np.abs(gram - np.eye(len(samples))).max())
         checks.append(
             CheckResult(
                 f"{name} orthonormal",
@@ -573,7 +636,7 @@ def validate_model(model):
 
 def norm_bound(model):
     """``max_k sup|h_k| + max_j sup|p_j|`` over nodes plus a dense sample: the
-    sups of the two weight slots that ``validate_model`` takes, from the same
-    evaluation, so on a validated model nothing is evaluated again."""
+    sups of the two weight slots that ``validate_model`` reads, from the same
+    records; a weight that cannot be evaluated there raises its ``PioError``."""
     weights = (model._samples1[1], model._samples2[1])
-    return sum(max(float(np.abs(s(0, 2)).max()) for s in slot) for slot in weights)
+    return sum(max(_stored(s.sup) for s in slot) for slot in weights)

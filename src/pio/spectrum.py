@@ -2,7 +2,7 @@
 
 The essential part of the spectrum is read off the weights: it is ``{0}``
 together with the essential range of every weight in both channels, each a
-``SpectralSet`` from one constancy test per piece (``_piece_levels``).  The
+``SpectralSet`` from the record ``model._sample`` keeps of the weight.  The
 rest (the discrete part) consists of the real zeros of the determinant
 
     delta(lam) = det(Pi(lam) - lam*I)
@@ -94,8 +94,7 @@ from .errors import (
     NotAnEigenvalue,
     SpectrumHit,
 )
-from .expr import _pieces, _range_parts, _sampled
-from .model import _member, _oriented
+from .model import _member, _oriented, _sample, _stored
 from .quadrature import Grid2D
 
 __all__ = [
@@ -251,45 +250,23 @@ def _closed_set(intervals, atoms, points=()):
 
 
 def essential_range(expr, interval):
-    """Essential range of a weight over the interval, a ``SpectralSet`` without 0.
-
-    Constant pieces (``_piece_levels``) become atoms ``(value, piece
-    length)``; every other piece contributes the interval between its sampled
-    extrema.  All pieces are sampled in one evaluation; a model's weight
-    ranges are the same derivation on the evaluation it holds.
-    """
-    return _derive_range(expr, interval, _sampled(expr, _range_parts(expr, interval)), 0)
+    """Essential range of a weight over the interval, a ``SpectralSet`` without 0:
+    each piece that ``model._sample`` finds constant is an atom ``(value, piece
+    length)``, every other piece the interval between its sampled extrema, the
+    same derivation as a model's weight ranges on the records it keeps."""
+    return _derive_range(_sample(expr, np.empty(0), np.empty(0), interval, weight=True))
 
 
-def _piece_levels(expr, interval, samples, first):
-    """``(lo, hi, value)`` per piece of ``expr`` over the interval, ``value`` the
-    piece's constant value or ``None``: the one constancy test.  A literal is
-    constant; any other piece is when its 257 probe samples agree (``_level``),
-    set ``first + 2 * position`` of ``samples`` (laid out by ``_range_parts``)."""
-    constant = expr.constant
-    return [(lo, hi, constant if constant is not None else _level(samples(first + 2 * pos)))
-            for pos, (lo, hi) in enumerate(_pieces(expr, interval))]
-
-
-def _level(vals):
-    """The value of samples that agree to ``1e-12 * (1 + max|value|)``, else ``None``."""
-    spread = float(vals.max() - vals.min())
-    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
-        return float(vals.mean())
-    return None
-
-
-def _derive_range(expr, interval, samples, first):
-    """The essential range from ``samples`` (as ``_piece_levels`` reads them); a
-    constant piece never reads its range samples, and its length adds to its atom."""
+def _derive_range(sample):
+    """The essential range from a weight's ``_Sample``, whose ``PioError`` is raised;
+    the lengths of constant pieces at one level add up in its atom."""
     intervals = []
     atoms = []
-    for pos, (plo, phi, value) in enumerate(_piece_levels(expr, interval, samples, first)):
-        if value is not None:
-            _add_atom(atoms, value, phi - plo, operator.add)
-            continue
-        vals = samples(first + 2 * pos + 1)
-        intervals.append((float(vals.min()), float(vals.max())))
+    for lo, hi, level, low, high in _stored(sample.pieces):
+        if level is None:
+            intervals.append((low, high))
+        else:
+            _add_atom(atoms, level, hi - lo, operator.add)
     return _closed_set(intervals, atoms)
 
 
@@ -318,7 +295,7 @@ def _per_model(model, key, build):
 
 def _weight_ranges(model):
     """Union of the essential ranges of the channel-1 weights, without the
-    zero, computed once per model from its one evaluation of each weight.
+    zero, computed once per model from the record it keeps of each weight.
 
     The operators admit ``1/tau`` against it; the channel-2 set is the
     mirror's.  A model that fails validation is refused with ``InvalidModel``.
@@ -326,8 +303,7 @@ def _weight_ranges(model):
 
     def build(mod):
         mod._require_valid()
-        pairs = zip(mod.channel1.weights, mod._samples1[1])  # range parts from set 2
-        return _combine([_derive_range(w, mod.y_interval, samples, 2) for w, samples in pairs])
+        return _combine([_derive_range(sample) for sample in mod._samples1[1]])
 
     return _per_model(model, "_weight_ranges", build)
 
@@ -793,10 +769,9 @@ def atom_eigenfunction(model, channel, j0, lam0):
     view._require_valid()
     _require_real(lam0, "lam0")
     row = _member(view, j0)
-    weight, samples = view.channel1.weights[row], view._samples1[1][row]
     tol = 1e-9 * (1.0 + abs(lam0))
-    pieces = _piece_levels(weight, view.y_interval, samples, 2)  # range parts from set 2
-    level = [(lo, hi) for lo, hi, value in pieces if value is not None and abs(value - lam0) <= tol]
+    pieces = _stored(view._samples1[1][row].pieces)
+    level = [(lo, hi) for lo, hi, value, _, _ in pieces if value is not None and abs(value - lam0) <= tol]
     if not level:
         raise NoAtom(f"weight {j0} of channel {channel} has no level set at {_plain(lam0)}")
     measure = sum(hi - lo for lo, hi in level)

@@ -174,18 +174,25 @@ def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch, f
 
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
     # every expression is evaluated once per model, and each weight's range is
-    # derived once, the admission sets of both channels included; later calls
-    # evaluate and derive nothing
-    calls, derived = collections.Counter(), collections.Counter()
+    # derived once from its record, the admission sets of both channels
+    # included; later calls evaluate and derive nothing
+    calls, records = collections.Counter(), []
     call, derive = Expression.__call__, pio.spectrum._derive_range
 
     def counting(expr, *values):
         calls[expr.source] += 1
         return call(expr, *values)
 
-    def counting_derive(expr, *args):
-        derived[expr.source] += 1
-        return derive(expr, *args)
+    def counting_derive(sample):
+        records.append(sample)
+        return derive(sample)
+
+    def derived():
+        # each derivation named by the weight whose record it read
+        pairs = zip((*model.channel1.weights, *model.channel2.weights),
+                    (*model._samples1[1], *model._samples2[1]))
+        source = {id(sample): w.source for w, sample in pairs}
+        return collections.Counter(source[id(sample)] for sample in records)
 
     monkeypatch.setattr(Expression, "__call__", counting)
     monkeypatch.setattr(pio.spectrum, "_derive_range", counting_derive)
@@ -197,16 +204,48 @@ def test_weight_ranges_are_sampled_once_per_model(monkeypatch):
     slots = [*model.channel1.basis, *model.channel1.weights,
              *model.channel2.basis, *model.channel2.weights]
     assert calls == collections.Counter(e.source for e in slots)
-    assert derived == collections.Counter(e.source for e in (*model.channel1.weights,
-                                                             *model.channel2.weights))
+    assert derived() == collections.Counter(e.source for e in (*model.channel1.weights,
+                                                               *model.channel2.weights))
     calls.clear()
-    derived.clear()
+    records.clear()
     solve_pie(model, -0.25, g)
     for channel in (1, 2):
         resolvent_channel(model, channel, -0.5, g)
         apply_S(model, channel, 0.1, g)
     assert not calls
-    assert not derived
+    assert not records
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from ``root``: through containers and
+    instances, the closures of functions and the bases of views."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            todo.append(obj.base)
+        elif inspect.isfunction(obj):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+        else:
+            todo += gc.get_referents(obj)
+    return found
+
+
+def test_a_model_keeps_only_its_node_rows():
+    # after the whole spectrum, the records of a model with piecewise and
+    # non-literal weights in both channels hold each expression's values on
+    # its rule's nodes and no other array
+    model = make_model((0, 1), (0, 2), ["1"], ["piecewise([0,0.5]:t+2;[0.5,2]:3)"],
+                       ["legendre(0)", "legendre(1)"],
+                       ["piecewise([0,0.25]:t+4;[0.25,1]:5)", "t/2"])
+    sigma_full(model)
+    nx, ny = len(model.rule_x), len(model.rule_y)
+    held = sum(a.nbytes for a in _reachable_arrays((model._samples1, model._samples2)))
+    assert held == 8 * (model.n * nx + model.n * ny + model.m * ny + model.m * nx)
 
 
 def test_a_dropped_model_is_freed_without_the_cycle_collector():

@@ -20,7 +20,7 @@ from pio.model import (
     trig_source,
     validate_model,
 )
-from pio.spectrum import sigma_ess, sigma_full
+from pio.spectrum import atom_eigenfunction, sigma_ess, sigma_full
 from conftest import fixture_a_dict
 
 GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"
@@ -162,7 +162,7 @@ def test_sigma_full_evaluates_each_expression_once(monkeypatch):
 
 def test_weight_that_fails_only_on_range_samples():
     # 1/(t - 0.25) misses the nodes and the dense sample but not the range
-    # samples: it validates, and its essential range is refused
+    # samples: it validates, and its essential range and its atoms are refused
     model = make_model((0, 1), (0, 1), ["1"], ["1/(t - 0.25)"], ["1"], ["t"])
     report = validate_model(model)
     assert report.ok
@@ -171,6 +171,8 @@ def test_weight_that_fails_only_on_range_samples():
         sigma_ess(model)
     with pytest.raises(DomainError, match="division by zero"):
         sigma_full(model)
+    with pytest.raises(DomainError, match="division by zero"):
+        atom_eigenfunction(model, 1, 1, 2.0)
 
 
 def test_trig_source_normalization():
