@@ -56,8 +56,10 @@ _RANGE_SAMPLES = 4096
 class SearchSettings:
     """Root search policy of a model, the only source of search settings,
     checked on construction since model files come from outside the program;
-    ``margin=None`` means ``1e-3 * (1 + norm bound)``.  A model file sets it
-    in its ``search`` block, a program with
+    ``margin=None`` means ``1e-3 * (1 + norm bound)``, and a margin below twice
+    the operator margin ``1e-9 * (1 + norm bound)`` is raised to it
+    (``spectrum._search_region``).  A model file sets it in its ``search``
+    block, a program with
     ``dataclasses.replace(model, search=SearchSettings(margin=0.01))``.
 
     The discrete search reads ``margin`` and ``root_tol`` only: it counts
@@ -77,11 +79,6 @@ class SearchSettings:
                 raise ModelFormatError(f"search.{label} must be finite and positive")
         if self.scan_points < 2:
             raise ModelFormatError("search.scan_points must be >= 2")
-
-    def resolved_margin(self, bound):
-        if self.margin is not None:
-            return self.margin
-        return 1e-3 * (1.0 + bound)
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ def _sample(expr, nodes, dense, interval, weight=False):
     lo, hi = interval
     cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
     spans = list(zip(cuts, cuts[1:]))
-    parts = [np.concatenate([nodes, dense])]
+    parts = [nodes, dense]
     ranged = weight and expr.constant is None
     for plo, phi in spans if ranged else ():
         ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
@@ -310,19 +307,20 @@ def _sample(expr, nodes, dense, interval, weight=False):
         values = None
     ends = [0, *itertools.accumulate(map(len, parts))]
 
-    def take(i):
-        return expr(parts[i]) if values is None else values[ends[i] : ends[i + 1]]
+    def take(i, count=1):  # the values on ``parts[i : i + count]``
+        span = slice(ends[i], ends[i + count])
+        return expr(np.concatenate(parts[i : i + count])) if values is None else values[span]
 
     try:
-        head = take(0)
+        head = take(0, 2)  # the nodes and the dense sample, evaluated together in the fallback too
         kept, sup = head[: len(nodes)].copy(), float(np.abs(head).max(initial=0.0))
     except PioError as err:
         kept, sup = None, err.with_traceback(None)
     if not weight:
         return _Sample(kept, sup)
     try:  # every probe first, then the range samples of the pieces that are not constant
-        levels = [_level(take(2 * i + 1)) if ranged else expr.constant for i in range(len(spans))]
-        ranges = [None if level is not None else take(2 * i + 2) for i, level in enumerate(levels)]
+        levels = [_level(take(2 * i + 2)) if ranged else expr.constant for i in range(len(spans))]
+        ranges = [None if level is not None else take(2 * i + 3) for i, level in enumerate(levels)]
         pieces = tuple(
             (plo, phi, level, None, None) if vals is None
             else (plo, phi, None, float(vals.min()), float(vals.max()))

@@ -14,9 +14,9 @@ arrays, so a model that fails validation is refused on either channel.
 Every entry point admits its parameter by the one rule of
 ``spectrum._admit``: ``lam`` within ``operator_margin(model)`` of the
 essential or channel spectrum, or ``1/tau`` that near the channel's weight
-set (``spectrum._weight_ranges``), raises ``SpectrumHit``.  The eigenvalue
-refusal is the one rank rule, ``spectrum._nullity``; no function here takes a
-per-call margin or tolerance.
+set (``spectrum._weight_ranges``), raises ``SpectrumHit``; so does every
+parameter the root search evaluates.  The eigenvalue refusal is the one rank
+rule, ``spectrum._nullity``; no function takes a per-call margin or tolerance.
 """
 
 from __future__ import annotations

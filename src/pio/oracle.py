@@ -185,12 +185,14 @@ def compare_spectra(report, eigs, tol_disc, tol_ess):
     ``tol_ess`` in magnitude must lie within ``tol_ess`` of the essential
     set or within ``tol_disc`` of a discrete eigenvalue.  Failures are
     returned as data, one entry each.  Both tolerances must be finite and
-    at least 0; a NaN one would pass every check.
+    at least 0, the eigenvalues finite; a NaN one would pass every check.
     """
     for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)):
         if not 0.0 <= tol < np.inf:
             raise PioError(f"{name} must be finite and >= 0, got {tol}")
     eigs = np.asarray(eigs, dtype=float)
+    if not np.isfinite(eigs).all():
+        raise PioError(f"oracle eigenvalues must be finite, got {eigs[~np.isfinite(eigs)][0]}")
     discrete = np.array([lam for lam, _ in report.discrete], dtype=float)
     gaps = np.abs(eigs[:, None] - discrete)  # (eigs, discrete)
     missing = discrete[gaps.min(axis=0, initial=np.inf) > tol_disc]

@@ -23,9 +23,9 @@ writing mu_i for the eigenvalues of Pi(lam) at lam = 1/tau,
 so its zero set matches the determinant used by the spectral search.  The
 parameter classification below names the failure modes; the solver refuses
 them instead of returning one arbitrary member of the solution family.
-CHANNEL_SINGULAR is the admission rule of ``spectrum._admit`` (1/tau within
-``operator_margin(model)`` of the essential set), and EIGEN counts null
-directions with the one rank rule, ``spectrum._nullity``.
+CHANNEL_SINGULAR is the admission rule of ``spectrum._admit``, which the root
+search obeys too (1/tau within ``operator_margin(model)`` of the essential
+set), and EIGEN counts null directions with the one rank rule, ``_nullity``.
 """
 
 from __future__ import annotations

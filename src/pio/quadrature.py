@@ -82,11 +82,17 @@ class QuadRule1D:
         )
 
 
-def build_rule(interval, order, breakpoints=()):
-    """Composite Gauss-Legendre rule on ``interval`` split at ``breakpoints``."""
+def _interval(interval):
+    """``(lo, hi)`` as floats; ``BadInterval`` unless both are finite and ``lo < hi``."""
     lo, hi = (float(v) for v in interval)
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise BadInterval(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
+def build_rule(interval, order, breakpoints=()):
+    """Composite Gauss-Legendre rule on ``interval`` split at ``breakpoints``."""
+    lo, hi = _interval(interval)
     bps = sorted({float(b) for b in breakpoints})
     for b in bps:
         if not (lo < b < hi):

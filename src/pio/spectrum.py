@@ -95,7 +95,7 @@ from .errors import (
     SpectrumHit,
 )
 from .model import _member, _oriented, _sample, _stored
-from .quadrature import Grid2D
+from .quadrature import Grid2D, _interval
 
 __all__ = [
     "SpectralSet",
@@ -141,17 +141,16 @@ def _require_real(value, name):
     _require_finite(value, name)
 
 
-def _admit(spectral_set, params, model, margin=None, name="lambda", where="the essential spectrum"):
+def _admit(spectral_set, params, model, name="lambda", where="the essential spectrum"):
     """Raise ``DomainError`` for a non-finite parameter, and ``SpectrumHit``
     for the first of ``params`` (a number or an array, real or complex)
-    within ``margin`` of ``spectral_set``.
+    within ``operator_margin(model)`` of ``spectral_set``.
 
-    The one admission rule of every operator entry point, with the margin
-    ``operator_margin(model)``; the root search passes its own.  The refused
-    parameter is printed as a plain number.
+    The one admission rule of every operator entry point and of every
+    parameter the root search evaluates.  The refused parameter is printed
+    as a plain number.
     """
-    if margin is None:
-        margin = operator_margin(model)
+    margin = operator_margin(model)
     if isinstance(params, np.ndarray):
         dist = spectral_set.distances(params)
         bad = np.flatnonzero((dist <= margin) | ~np.isfinite(params))
@@ -198,18 +197,17 @@ class SpectralSet:
 
     def distances(self, lams):
         """``distance`` of each (real or complex) parameter, as one array."""
-        lo, hi, values = self._members
-        lams = np.asarray(lams)[..., None]
+        lams = np.asarray(lams)
+        lo, hi = self._members.T.reshape(2, -1, *(1,) * lams.ndim)  # members on a new first axis
         re, im = lams.real, lams.imag
-        # real offset to each interval (0 inside it) and to each isolated value
-        dx = np.concatenate([np.maximum(np.maximum(lo - re, re - hi), 0.0), re - values], -1)
-        return np.hypot(dx, im).min(axis=-1, initial=np.inf)
+        dx = np.maximum(np.maximum(lo - re, re - hi), 0.0)  # real offset to each member, 0 inside
+        return np.hypot(dx, im).min(axis=0, initial=np.inf)
 
     @cached_property
     def _members(self):
-        """Interval ends and the isolated values (points and atoms) as arrays."""
-        lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
-        return lo, hi, np.array([*self.points, *(v for v, _ in self.atoms)], dtype=float)
+        """The set as closed intervals, shape (M, 2): a point or atom value ``v`` is ``(v, v)``."""
+        values = [*self.points, *(v for v, _ in self.atoms)]
+        return np.array([*self.intervals, *zip(values, values)], dtype=float).reshape(-1, 2)
 
     def as_dict(self):
         return {
@@ -253,8 +251,9 @@ def essential_range(expr, interval):
     """Essential range of a weight over the interval, a ``SpectralSet`` without 0:
     each piece that ``model._sample`` finds constant is an atom ``(value, piece
     length)``, every other piece the interval between its sampled extrema, the
-    same derivation as a model's weight ranges on the records it keeps."""
-    return _derive_range(_sample(expr, np.empty(0), np.empty(0), interval, weight=True))
+    same derivation as a model's weight ranges on the records it keeps.  An
+    interval that is not finite with ``lo < hi`` raises ``BadInterval``, as in ``build_rule``."""
+    return _derive_range(_sample(expr, np.empty(0), np.empty(0), _interval(interval), weight=True))
 
 
 def _derive_range(sample):
@@ -462,16 +461,16 @@ def delta(model, lam):
     return delta_batch(model, np.array([lam]))[0]
 
 
-def delta_batch(model, lams, margin=None):
+def delta_batch(model, lams):
     """Vectorized determinant over many spectral parameters; refuses any
-    within ``margin`` (default: the operator margin) of the essential set.
+    within the operator margin of the essential set.
 
     Since ``Pi = lam K N``, it is evaluated as ``lam^(mn) det(K N - I)``.
     """
     lams = np.asarray(lams)
-    _admit(sigma_ess(model), lams, model, margin)
+    _admit(sigma_ess(model), lams, model)
     _, kn = _reduction_plan(model).coupling(lams)
-    kn.reshape(len(kn), -1)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
+    kn.reshape(-1, kn.shape[1] ** 2)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
     dets = np.linalg.det(kn)
     return dets * np.power(lams, kn.shape[1], dtype=dets.dtype)
 
@@ -479,17 +478,23 @@ def delta_batch(model, lams, margin=None):
 # --- root search ------------------------------------------------------------
 
 
-def _blocked_bands(ess, margin):
-    bands = [(lo - margin, hi + margin) for lo, hi in ess.intervals]
-    bands += [(p - margin, p + margin) for p in ess.points]
-    bands += [(v - margin, v + margin) for v, _ in ess.atoms]
-    return _merge_intervals(bands)
+def _search_region(model):
+    """``(margin, gaps, unresolved)`` of the root search, once per model: the model's
+    ``search.margin`` (else ``1e-3 * (1 + bound)``) raised to twice ``operator_margin(model)``,
+    so every parameter searched passes ``_admit``; the pieces of the box ``[-bound-1, bound+1]``,
+    shape (G, 2), between the bands (the essential set widened by the margin, merged); and those
+    bands clipped to the box."""
 
+    def build(mod):
+        bound = mod.bound
+        margin = max(mod.search.margin or 1e-3 * (1.0 + bound), 2.0 * operator_margin(mod))
+        lo, hi = -bound - 1.0, bound + 1.0
+        bands = _merge_intervals((a - margin, b + margin) for a, b in sigma_ess(mod)._members.tolist())
+        edges = np.clip([lo, *np.ravel(bands), hi], lo, hi).reshape(-1, 2)
+        unresolved = tuple((max(a, lo), min(b, hi)) for a, b in bands if b > lo and a < hi)
+        return margin, edges[edges[:, 1] - edges[:, 0] > 1e-12], unresolved
 
-def _search_gaps(ess, box, margin):
-    """The pieces of ``box`` between the blocked bands, shape (G, 2)."""
-    edges = np.clip([box[0], *np.ravel(_blocked_bands(ess, margin)), box[1]], *box).reshape(-1, 2)
-    return edges[edges[:, 1] - edges[:, 0] > 1e-12]
+    return _per_model(model, "_search_region", build)
 
 
 def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
@@ -595,15 +600,15 @@ def _sign(value):
     return 1.0 if value > 0.0 else -1.0 if value < 0.0 else 0.0 if value == 0.0 else value
 
 
-def _inertia(model, lams, margin):
-    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, refused
-    within ``margin`` of the essential set, from one batched ``eigvalsh``.
+def _inertia(model, lams):
+    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, admitted by
+    ``_admit``, from one batched ``eigvalsh``.
     As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
     opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
     that within roundoff of a root.
     """
-    _admit(sigma_ess(model), lams, model, margin)
+    _admit(sigma_ess(model), lams, model)
     eigs = np.linalg.eigvalsh(_reduction_plan(model).slicing_matrix(lams))
     size = eigs.shape[1] // 2
     return np.count_nonzero(eigs < 0.0, axis=1), eigs.prod(axis=1) * lams**size
@@ -634,15 +639,13 @@ def discrete_spectrum(model):
     on fixture a about 45 us.  Path 2 is the same search on
     ``model.mirrored()``.
 
-    The search reads ``margin`` and ``root_tol`` from the model's ``search``
-    settings and nothing else; other settings go on the model, as in
-    ``replace(model, search=SearchSettings(root_tol=1e-12))``.
+    The search reads ``margin`` (through ``_search_region``) and ``root_tol``
+    from the model's ``search`` settings and nothing else; other settings go
+    on the model, as in ``replace(model, search=SearchSettings(root_tol=1e-12))``.
     """
-    margin, root_tol = model.search.resolved_margin(model.bound), model.search.root_tol
-    box = (-model.bound - 1.0, model.bound + 1.0)
-
-    gaps = _search_gaps(sigma_ess(model), box, margin)
-    nu, vals = _inertia(model, gaps.ravel(), margin / 2)
+    root_tol = model.search.root_tol
+    _, gaps, _ = _search_region(model)
+    nu, vals = _inertia(model, gaps.ravel())
     # the open intervals: ends, counts and values at the ends
     lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
     multiple, simple = [], []
@@ -655,13 +658,13 @@ def discrete_spectrum(model):
         if not split.any():
             break
         lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
-        nmid, fmid = _inertia(model, mid, margin / 2)
+        nmid, fmid = _inertia(model, mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
         flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
 
     def dvals(lams):
-        return delta_batch(model, lams, margin=margin / 2).real
+        return delta_batch(model, lams).real
 
     # one eigenvalue per piece: the first sign change of a sub-scan brackets it
     lo, hi, flo, fhi = np.concatenate(simple, axis=1)
@@ -707,18 +710,10 @@ def sigma_full(model):
     for the search and its cost).  The essential set and the reduction plan
     are computed once per model and reused by every later call on it.
     """
-    bound = model.bound
-    margin = model.search.resolved_margin(bound)
-    ess = sigma_ess(model)
-    disc = discrete_spectrum(model)
-    box = (-bound - 1.0, bound + 1.0)
-    unresolved = tuple(
-        (max(lo, box[0]), min(hi, box[1]))
-        for lo, hi in _blocked_bands(ess, margin)
-        if hi > box[0] and lo < box[1]
-    )
+    margin, _, unresolved = _search_region(model)
     settings = {**asdict(model.search), "margin": margin, "order": model.order}
-    return SpectrumReport(ess, disc, bound, settings, unresolved)
+    disc = discrete_spectrum(model)
+    return SpectrumReport(sigma_ess(model), disc, model.bound, settings, unresolved)
 
 
 # --- eigenfunctions -----------------------------------------------------------
@@ -786,7 +781,7 @@ def atom_eigenfunction(model, channel, j0, lam0):
 
 def delta_trace_rows(model, lmin, lmax, samples):
     """Rows (lambda, Re delta, Im delta) at ``samples`` equally spaced points
-    from ``lmin`` to ``lmax``; NaN inside the guard margin.  Path 2 is the trace
+    from ``lmin`` to ``lmax``; NaN within the operator margin.  Path 2 is the trace
     of ``model.mirrored()``.  Complex or non-finite ends, ``lmin >= lmax`` or a
     ``samples`` that is not a whole number >= 2 raise ``DomainError``."""
     _require_real(lmin, "lmin")
@@ -795,9 +790,7 @@ def delta_trace_rows(model, lmin, lmax, samples):
         raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
                           f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")
     lams = np.linspace(float(lmin), float(lmax), int(samples))
-    margin = operator_margin(model)
     vals = np.full(lams.shape, complex(np.nan, np.nan))
-    ok = sigma_ess(model).distances(lams) > margin
-    if ok.any():
-        vals[ok] = delta_batch(model, lams[ok], margin=margin / 2)
+    ok = sigma_ess(model).distances(lams) > operator_margin(model)
+    vals[ok] = delta_batch(model, lams[ok])
     return [(float(lam), float(v.real), float(v.imag)) for lam, v in zip(lams, vals)]

@@ -211,6 +211,13 @@ def test_compare_spectra_refuses_bad_tolerances(fixture_b, which, tol):
         compare_spectra(rep, eigs, **tols)
 
 
+@pytest.mark.parametrize("eigs", [[5.0, float("nan")], [float("nan")], [float("inf"), 2.0]])
+def test_compare_spectra_refuses_non_finite_eigenvalues(fixture_a, eigs):
+    # a NaN oracle eigenvalue used to pass: ok was True with no mismatch
+    with pytest.raises(PioError, match="oracle eigenvalues must be finite"):
+        compare_spectra(sigma_full(fixture_a), eigs, 1e-6, 1e-6)
+
+
 def test_compare_spectra_ignores_zero_cluster(fixture_a):
     rep = sigma_full(fixture_a)
     # tiny eigenvalues below tol_ess are not even checked

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import pio.spectrum
-from pio.errors import IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
+from pio.errors import BadInterval, IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
 from pio.operators import apply_partial, apply_T
@@ -31,7 +31,7 @@ from pio.spectrum import (
     _inertia,
     _reduction_plan,
     _refine_roots,
-    _search_gaps,
+    _search_region,
     _small_system,
     atom_eigenfunction,
     delta,
@@ -105,6 +105,14 @@ def test_essential_range_same_level_pieces_merge_measure():
         parse_expr("piecewise([0,0.25]:3; [0.25,0.5]:t; [0.5,1]:3)"), (0.0, 1.0)
     )
     assert any(abs(v - 3.0) < 1e-12 and abs(m - 0.75) < 1e-12 for v, m in er.atoms)
+
+
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan), (0.0, np.inf)])
+@pytest.mark.parametrize("source", ["2", "t"])
+def test_essential_range_refuses_a_bad_interval(interval, source):
+    # (1, 0) gave the atom (2.0, -1.0) and (0.5, 0.5) a zero-measure atom; as in build_rule
+    with pytest.raises(BadInterval, match="need finite lo < hi"):
+        essential_range(parse_expr(source), interval)
 
 
 def test_sigma_channel_fixture_a(fixture_a):
@@ -192,6 +200,8 @@ def test_delta_batch_matches_scalar(fixture_a):
     batch = delta_batch(fixture_a, lams)
     singles = [delta(fixture_a, lam) for lam in lams]
     assert np.allclose(batch, singles, atol=1e-12)
+    # an empty batch is an empty result (it raised ValueError from a reshape)
+    assert delta_batch(fixture_a, np.empty(0)).shape == (0,)
 
 
 def sumrule_model(a, b):
@@ -383,9 +393,11 @@ def test_per_model_caches_do_not_pin_the_model():
     assert ref() is None
 
 
-def test_spectral_set_distances_match_scalar(fixture_a, fixture_b):
+def test_spectral_set_distances_match_scalar(fixture_a, fixture_b, fixture_c):
+    # fixture c's atoms 2 and 4 are also its points; sumrule-4 has eight atoms
     lams = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.4, 3.0, 7.0, np.nan])
-    for ess in (sigma_ess(fixture_a), sigma_ess(fixture_b)):
+    sets = (fixture_a, fixture_b, fixture_c, sumrule_model(*SUMRULE_4))
+    for ess in map(sigma_ess, sets):
         for values in (lams, lams + 0.25j, lams - 3.0j):
             got = ess.distances(values)
             assert got.shape == values.shape
@@ -567,14 +579,14 @@ def double_root_model():
 
 
 def search_gaps(model):
-    margin = model.search.resolved_margin(model.bound)
-    return _search_gaps(sigma_ess(model), (-model.bound - 1.0, model.bound + 1.0), margin), margin
+    _, gaps, _ = _search_region(model)
+    return gaps
 
 
 def gap_counts(model):
     """``|nu(b) - nu(a)|`` on each search gap ``(a, b)`` of the model."""
-    gaps, margin = search_gaps(model)
-    nu, _ = _inertia(model, gaps.ravel(), margin / 2)
+    gaps = search_gaps(model)
+    nu, _ = _inertia(model, gaps.ravel())
     return gaps, np.abs(nu.reshape(-1, 2) @ [-1, 1]).tolist()
 
 
@@ -619,9 +631,8 @@ def test_slicing_count_is_monotone_across_every_gap(name, fixture_a, fixture_b):
         "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
         "double root": double_root_model,
     }[name]()
-    gaps, margin = search_gaps(model)
-    for lo, hi in gaps:
-        nu, _ = _inertia(model, np.linspace(lo, hi, 400), margin / 2)
+    for lo, hi in search_gaps(model):
+        nu, _ = _inertia(model, np.linspace(lo, hi, 400))
         steps = np.diff(nu) if lo > 0 else -np.diff(nu)
         assert steps.min() >= 0, (lo, hi)
 
@@ -669,7 +680,7 @@ def test_rank_rule_agrees_with_the_slicing_count(name, path):
     for lam, mult in disc:
         assert classify_tau(view, 1.0 / lam) is TauClass.EIGEN, lam
         assert len(eigenfunctions_T(view, lam)) == mult, lam
-    gaps, _ = search_gaps(view)
+    gaps = search_gaps(view)
     pairs = [(a, b) for (a, _), (b, _) in zip(disc, disc[1:])
              if any(lo < a and b < hi for lo, hi in gaps)]
     assert pairs
@@ -933,7 +944,27 @@ def test_search_settings_come_from_the_model_alone():
     assert list(inspect.signature(sigma_full).parameters) == ["model"]
     assert list(inspect.signature(discrete_spectrum).parameters) == ["model"]
     assert list(inspect.signature(validate_model).parameters) == ["model"]
+    # the search admits its parameters by the operators' one rule: no margin argument
+    assert list(inspect.signature(delta_batch).parameters) == ["model", "lams"]
+    assert list(inspect.signature(_inertia).parameters) == ["model", "lams"]
     assert not hasattr(pio.spectrum, "_search_settings")
+
+
+@pytest.mark.parametrize("name", ["fixture-a", "fixture-b"])
+def test_search_margin_is_raised_to_twice_the_operator_margin(name, fixture_a, fixture_b):
+    model = fixture_a if name == "fixture-a" else fixture_b
+    raised = 2.0 * pio.spectrum.operator_margin(model)
+    rep = sigma_full(replace(model, search=SearchSettings(margin=1e-12)))
+    assert rep.settings["margin"] == raised
+    ess = [(0.0, 0.0), (2.0, 2.0), (3.0, 3.0)] if name == "fixture-a" else [(0.0, 1.0)]
+    assert rep.unresolved == tuple((lo - raised, hi + raised) for lo, hi in ess)
+    # the same eigenvalues, to within root_tol (the brackets start from other gap ends)
+    default = sigma_full(model).discrete
+    assert [mult for _, mult in rep.discrete] == [mult for _, mult in default]
+    np.testing.assert_allclose([lam for lam, _ in rep.discrete], [lam for lam, _ in default],
+                               rtol=0, atol=model.search.root_tol)
+    at = sigma_full(replace(model, search=SearchSettings(margin=raised)))
+    assert at.as_dict() == rep.as_dict()
 
 
 def test_sigma_full_as_dict_roundtrips(fixture_b):
