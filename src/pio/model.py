@@ -64,8 +64,8 @@ class SearchSettings:
 
     The discrete search reads ``margin`` and ``root_tol`` only: it counts
     eigenvalues by inertia, so no scan resolution decides what it finds.
-    ``scan_points`` is checked and echoed, nothing more.  The rank rule of the
-    solvers and ``eigenfunctions_T`` is no setting: ``spectrum._RANK_TOL``.
+    ``scan_points`` is checked and echoed, nothing more.  The solvers have no setting:
+    their eigenvalue decision (``spectrum._multiplicity``) reads this search's roots.
     """
 
     margin: float | None = None

@@ -15,8 +15,8 @@ Every entry point admits its parameter by the one rule of
 ``spectrum._admit``: ``lam`` within ``operator_margin(model)`` of the
 essential or channel spectrum, or ``1/tau`` that near the channel's weight
 set (``spectrum._weight_ranges``), raises ``SpectrumHit``; so does every
-parameter the root search evaluates.  The eigenvalue refusal is the one rank
-rule, ``spectrum._nullity``; no function takes a per-call margin or tolerance.
+parameter the root search evaluates.  The eigenvalue refusal is the one eigenvalue
+decision, ``spectrum._multiplicity``; no function takes a per-call margin or tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EigenvalueHit, GridMismatch
 from .model import _member, _on_side
-from .spectrum import _admit, _nullity, _plain, _reduction_plan, _require_finite
+from .spectrum import _admit, _multiplicity, _plain, _reduction_plan, _require_finite
 from .spectrum import _small_system, _weight_ranges, sigma_channel
 
 __all__ = [
@@ -148,16 +148,15 @@ def resolvent_T(model, lam, g):
         (I - tau * Pi(lam)^T) c = (I - KN^T) c = d,   d_w = <B_w, u>,
 
     the transpose entering because Pi[i, l] pairs F_i with B_l while the
-    moments c pair with B.  A null direction there under the rank rule
-    (``spectrum._nullity``) means lam is a discrete eigenvalue and the solve
-    is refused.
+    moments c pair with B.  Where lam is within the operator margin of a
+    certified discrete eigenvalue (``spectrum._multiplicity``), that matrix is
+    singular or nearly so and the solve is refused with ``EigenvalueHit``.
     """
     _check_grid(model, g)
-    system = _small_system(model, lam)
-    if _nullity(system[1]):
+    if _multiplicity(model, lam):
         raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
     tau = 1.0 / lam
-    return -tau * _second_kind(model, tau, g, *system)
+    return -tau * _second_kind(model, tau, g, *_small_system(model, lam))
 
 
 def _second_kind(model, tau, g, families, matrix):

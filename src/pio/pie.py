@@ -25,7 +25,9 @@ parameter classification below names the failure modes; the solver refuses
 them instead of returning one arbitrary member of the solution family.
 CHANNEL_SINGULAR is the admission rule of ``spectrum._admit``, which the root
 search obeys too (1/tau within ``operator_margin(model)`` of the essential
-set), and EIGEN counts null directions with the one rank rule, ``_nullity``.
+set), and EIGEN is the one eigenvalue decision, ``spectrum._multiplicity``.  Just
+outside its window the small system is regular but ill-conditioned; it is solved,
+and ``residual`` shows how well.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import enum
 
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _nullity, _plain, _require_finite, _small_system
+from .spectrum import _multiplicity, _plain, _require_finite, _small_system
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -49,19 +51,19 @@ class TauClass(enum.Enum):
 
 
 def _classify(model, tau):
-    """``(class, spectrum._small_system at 1/tau)``; the system is None when
-    the reduction does not apply.  A model that fails validation is refused
-    first, whatever ``tau`` is."""
+    """``(class, spectrum._small_system at 1/tau)``; the system is None unless
+    the class is REGULAR.  A model that fails validation is refused first,
+    whatever ``tau`` is."""
     model._require_valid()
     _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO, None
     try:
-        system = _small_system(model, 1.0 / tau)
+        if _multiplicity(model, 1.0 / tau):
+            return TauClass.EIGEN, None
     except SpectrumHit:
         return TauClass.CHANNEL_SINGULAR, None
-    kind = TauClass.EIGEN if _nullity(system[1]) else TauClass.REGULAR
-    return kind, system
+    return TauClass.REGULAR, _small_system(model, 1.0 / tau)
 
 
 def classify_tau(model, tau):
@@ -69,10 +71,9 @@ def classify_tau(model, tau):
 
     ZERO: tau = 0, the reduction (which works at lam = 1/tau) does not
     apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
-    the essential set, so a channel factor is not invertible.  EIGEN: the
-    small system is singular under the rank rule (``spectrum._nullity``), 1/tau
-    is a discrete eigenvalue.  REGULAR: everything invertible.  A tau that
-    is not finite raises ``DomainError``.
+    the essential set, so a channel factor is not invertible.  EIGEN: 1/tau is
+    within that margin of a certified discrete eigenvalue (``spectrum._multiplicity``).
+    REGULAR: everything invertible.  A tau that is not finite raises ``DomainError``.
     """
     return _classify(model, tau)[0]
 

@@ -75,7 +75,9 @@ for any ``a < b`` in one gap of the essential set:
 On the grid the integrals are quadrature sums and the argument holds for
 the discretized operator: the count certifies that the search misses no
 eigenvalue outside the margin neighborhoods of the essential set, and its
-jump is the multiplicity (see ``discrete_spectrum``).
+jump is the multiplicity (see ``discrete_spectrum``).  The solvers and
+``eigenfunctions_T`` read the same roots: ``lam`` is an eigenvalue of multiplicity
+``k`` where roots of total multiplicity ``k`` lie within the operator margin (``_multiplicity``).
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ __all__ = [
 ]
 
 _VALUE_MERGE_TOL = 1e-12
-_RANK_TOL = 1e-8  # the rank rule of the small system, relative (``_nullity``)
 
 
 def operator_margin(model):
@@ -199,9 +200,11 @@ class SpectralSet:
         """``distance`` of each (real or complex) parameter, as one array."""
         lams = np.asarray(lams)
         lo, hi = self._members.T.reshape(2, -1, *(1,) * lams.ndim)  # members on a new first axis
-        re, im = lams.real, lams.imag
-        dx = np.maximum(np.maximum(lo - re, re - hi), 0.0)  # real offset to each member, 0 inside
-        return np.hypot(dx, im).min(axis=0, initial=np.inf)
+        re = lams.real
+        dist = np.maximum(np.maximum(lo - re, re - hi), 0.0)  # real offset to each member, 0 inside
+        if np.iscomplexobj(lams):  # hypot(d, 0) == d, so real parameters skip it
+            dist = np.hypot(dist, lams.imag)
+        return dist.min(axis=0, initial=np.inf)
 
     @cached_property
     def _members(self):
@@ -429,23 +432,15 @@ def _reduction_plan(model):
 
 
 def _small_system(model, lam):
-    """``(families, I - KN^T)`` at ``lam``, admitted by ``_admit``: the families for the plan's
-    moments and synthesis, and the matrix of the small system ``(I - tau Pi^T) c = d``
-    at ``tau = 1/lam`` (``tau Pi = KN``).  The moments ``c_w = <B_w, f>`` of a
-    solution of ``f - tau T f = g`` solve it (see ``pie``), and it is singular exactly
-    at the discrete eigenvalues: ``det(I - KN^T) = (-1/lam)^(mn) delta(lam)``.
+    """``(families, I - KN^T)`` at a ``lam`` that ``_admit`` has admitted (every caller
+    asks ``_multiplicity`` first): the families for the plan's moments and synthesis, and
+    the matrix of the small system ``(I - tau Pi^T) c = d`` at ``tau = 1/lam``
+    (``tau Pi = KN``).  The moments ``c_w = <B_w, f>`` of a solution of
+    ``f - tau T f = g`` solve it (see ``pie``), and it is singular exactly at the
+    discrete eigenvalues: ``det(I - KN^T) = (-1/lam)^(mn) delta(lam)``.
     """
-    _admit(sigma_ess(model), lam, model)
     families, kn = _reduction_plan(model).coupling(np.array([lam]))
     return families, np.eye(kn.shape[1]) - kn[0].T
-
-
-def _nullity(matrix, svals=None):
-    """The rank rule: the number of singular values of ``matrix`` (``svals``,
-    by default from a values-only SVD) at most ``_RANK_TOL * max(s_max, 1)``."""
-    if svals is None:
-        svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals <= _RANK_TOL * max(float(svals.max(initial=0.0)), 1.0)))
 
 
 def pi_matrix(model, lam):
@@ -534,17 +529,18 @@ def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
     x1, f1, x2, f2 = (np.asarray(v, dtype=float).ravel().tolist() for v in (hi, fhi, lo, flo))
     x3, f3 = [math.nan] * len(x1), [math.nan] * len(x1)
     width0 = [b - a for a, b in zip(x2, x1)]
-    budget = []
+    (mtol, etol), budget = math.frexp(root_tol), []
     for w in width0:
-        mant, expo = math.frexp(w / root_tol)
-        budget.append(expo - (mant == 0.5) + 1)  # ceil(log2(w / root_tol)) + 1, exactly
+        mw, ew = math.frexp(w)
+        mant, expo = math.frexp(mw / mtol)  # w / root_tol scaled by 2^(etol - ew): no overflow
+        budget.append(expo + ew - etol - (mant == 0.5) + 1)  # ceil(log2(w / root_tol)) + 1, exactly
     exact = [False] * len(x1)
     live = [i for i, w in enumerate(width0) if w > root_tol]
     steps = 0
     while live:
         xs = [
             _itp_point(x1[i], f1[i], x2[i], f2[i], x3[i], f3[i], width0[i],
-                       math.ldexp(0.5 * root_tol, budget[i] - steps), root_tol)
+                       math.ldexp(root_tol, budget[i] - steps - 1), root_tol)
             for i in live
         ]
         fxs = np.asarray(fn(np.array(xs)), dtype=float).tolist()
@@ -716,6 +712,27 @@ def sigma_full(model):
     return SpectrumReport(sigma_ess(model), disc, model.bound, settings, unresolved)
 
 
+def _multiplicity(model, lam):
+    """Total multiplicity of the roots of ``discrete_spectrum(model)`` (searched once per
+    model; the mirror searches its own) within ``om = operator_margin(model)`` of ``lam``,
+    admitted by ``_admit``: the one eigenvalue decision of the solvers.  Where ``x = Re lam``
+    lies in an unresolved band, which the roots do not cover, the slicing count at ``x -+ h``
+    decides, with ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the
+    essential set, so both ends are admitted; the eigenvalues are real, so there is none
+    there if ``|Im lam| > om`` or ``h <= 0``."""
+    ess = sigma_ess(model)
+    _admit(ess, lam, model)
+    margin, x = operator_margin(model), lam.real
+    if any(lo <= x <= hi for lo, hi in _search_region(model)[2]):
+        h = min(margin, (ess.distance(x) - margin) / 2)
+        if abs(lam.imag) > margin or h <= 0:
+            return 0
+        nu, _ = _inertia(model, np.array([x - h, x + h]))
+        return abs(int(nu[1] - nu[0]))
+    return sum(mult for root, mult in _per_model(model, "_eigenvalues", discrete_spectrum)
+               if abs(lam - root) <= margin)
+
+
 # --- eigenfunctions -----------------------------------------------------------
 
 
@@ -725,46 +742,44 @@ def eigenfunctions_T(model, lam0):
     The homogeneous equation reduces to ``c = KN^T c`` for the moments
     ``c_w = <B_w, f>``, the null space of ``_small_system`` at ``lam0``; the
     eigenfunction is rebuilt as ``f = (1/lam) sum_w c_w F_w`` by the plan's
-    synthesis.  Raises ``DomainError`` for a complex ``lam0`` (``+0j`` too), and
-    refuses one in/near the essential set or where the system has no null
-    direction under the rank rule (``_nullity``).
+    synthesis, for the right singular vectors of the ``k`` smallest singular values,
+    ``k`` the certified multiplicity (``_multiplicity``): exactly ``k`` functions.
+    Raises ``DomainError`` for a complex ``lam0`` (``+0j`` too), ``SpectrumHit`` in/near
+    the essential set, and ``NotAnEigenvalue`` for ``k = 0`` or a degenerate function.
     """
     _require_real(lam0, "lam0")
     lam0 = float(lam0)
+    k = _multiplicity(model, lam0)
+    if not k:
+        raise NotAnEigenvalue(f"{lam0!r} is not within {operator_margin(model):.3e} of an eigenvalue")
     families, matrix = _small_system(model, lam0)
-    _, svals, vh = np.linalg.svd(matrix)
-    coeffs = vh[len(svals) - _nullity(matrix, svals) :].conj().T
-    if coeffs.shape[1] == 0:
-        raise NotAnEigenvalue(f"{lam0!r} leaves the reduced system nonsingular")
 
     out = []
-    for coeff in coeffs.T:
+    for coeff in np.linalg.svd(matrix)[2][-k:].conj():
         values = _reduction_plan(model).synthesize(families, coeff) / lam0
         f = Grid2D(model.rule_x, model.rule_y, values)
         for g in out:  # grid Gram-Schmidt against what we already kept
             f = f - g.inner(f) * g
         norm = f.norm()
         if norm <= 1e-12:
-            continue
+            raise NotAnEigenvalue(f"reconstruction at {lam0!r} is degenerate")
         vals = f.values / norm
         # fix the free sign: largest-magnitude sample points up
         peak = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
         if np.real(vals[peak]) < 0:
             vals = -vals
         out.append(Grid2D(model.rule_x, model.rule_y, vals))
-    if not out:
-        raise NotAnEigenvalue(f"reconstruction at {lam0!r} is degenerate")
     return out
 
 
 def atom_eigenfunction(model, channel, j0, lam0):
-    """Indicator-type eigenfunction for a weight that sits at ``lam0``
-    on a set of positive measure; a complex or non-finite ``lam0`` raises ``DomainError``."""
+    """Indicator-type eigenfunction for a weight that sits within ``operator_margin(model)`` of
+    ``lam0`` on a set of positive measure; a complex or non-finite ``lam0`` raises ``DomainError``."""
     view = _oriented(model, channel)
     view._require_valid()
     _require_real(lam0, "lam0")
     row = _member(view, j0)
-    tol = 1e-9 * (1.0 + abs(lam0))
+    tol = operator_margin(view)
     pieces = _stored(view._samples1[1][row].pieces)
     level = [(lo, hi) for lo, hi, value, _, _ in pieces if value is not None and abs(value - lam0) <= tol]
     if not level:

@@ -149,27 +149,48 @@ def count_families(monkeypatch):
     return calls
 
 
+def count_searches(monkeypatch):
+    """The models of every root search from now on."""
+    searched = []
+    search = pio.spectrum.discrete_spectrum
+
+    def counting(model):
+        searched.append(model)
+        return search(model)
+
+    monkeypatch.setattr(pio.spectrum, "discrete_spectrum", counting)
+    return searched
+
+
 def test_solve_pie_assembles_pi_once(monkeypatch):
-    # the reduction is evaluated once per parameter: assembly and synthesis share it
-    calls = count_families(monkeypatch)
+    # the reduction is evaluated once per parameter: assembly and synthesis
+    # share it; the eigenvalue decision reads the roots searched once per model
+    # (the warm-up call), and each path searches its own
+    calls, searched = count_families(monkeypatch), count_searches(monkeypatch)
     model = rich_model()
     g = random_grid(model, 9)
     for view, gv in ((model, g), (model.mirrored(), g.transposed())):  # paths 1 and 2
+        solve_pie(view, -0.25, gv)
         calls.clear()
         solve_pie(view, -0.25, gv)
-        assert calls == [1]
+        solve_pie(view, -0.5, gv)
+        assert calls == [1, 1]
+    assert list(map(id, searched)) == [id(model), id(model.mirrored())]
 
 
-def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch, fixture_a):
-    calls = count_families(monkeypatch)
+def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch):
+    calls, searched = count_families(monkeypatch), count_searches(monkeypatch)
     model = rich_model()
-    resolvent_T(model, -4.0, random_grid(model, 11))
-    assert calls == [1]
+    g = random_grid(model, 11)
+    resolvent_T(model, -4.0, g)
     calls.clear()
-    (lam, _), = discrete_spectrum(fixture_a)
-    calls.clear()
-    eigenfunctions_T(fixture_a, lam)
+    resolvent_T(model, -4.0, g)
     assert calls == [1]
+    lam = discrete_spectrum(model)[0][0]
+    calls.clear()
+    eigenfunctions_T(model, lam)
+    assert calls == [1]
+    assert list(map(id, searched)) == [id(model)]
 
 
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):

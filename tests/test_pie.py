@@ -107,20 +107,36 @@ def test_eigen_refusal_lines_up_with_homogeneous_solutions(fixture_a):
     assert (h - tau * apply_T(fixture_a, h)).norm() < 1e-10
 
 
-def test_rank_rule_reaches_every_entry_point(monkeypatch, fixture_a):
-    # At tau = 0.1 the small system of model A is I - 0.1 * 60/56, one singular
-    # value 0.893: regular under the rank rule's 1e-8, null under 0.95.  Every
-    # entry point reads the one rule, so moving it moves all of them.
-    g = fixture_a.constant_grid(1.0)
-    assert classify_tau(fixture_a, 0.1) is TauClass.REGULAR
-    resolvent_T(fixture_a, 10.0, g)
+def test_eigenvalue_decision_reaches_every_entry_point(monkeypatch):
+    # The certified eigenvalues decide EIGEN, EigenvalueHit and the number of
+    # eigenfunctions.  Model A has the one eigenvalue 5; a root search that
+    # also certifies 10 makes tau = 0.1 an eigenvalue at every entry point, on
+    # both paths, and each path searches once.  Fresh models: the roots are
+    # kept on the model.
+    def model_a():
+        return make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"])
+
+    model = model_a()
+    g = model.constant_grid(1.0)
+    assert classify_tau(model, 0.1) is TauClass.REGULAR
+    resolvent_T(model, 10.0, g)
     with pytest.raises(NotAnEigenvalue):
-        eigenfunctions_T(fixture_a, 10.0)
-    monkeypatch.setattr(pio.spectrum, "_RANK_TOL", 0.95)
-    assert classify_tau(fixture_a, 0.1) is TauClass.EIGEN
-    for view, gv in ((fixture_a, g), (fixture_a.mirrored(), g.transposed())):  # paths 1 and 2
+        eigenfunctions_T(model, 10.0)
+    searched = []
+
+    def moved(view):
+        searched.append(view)
+        return ((5.0, 1), (10.0, 1))
+
+    monkeypatch.setattr(pio.spectrum, "discrete_spectrum", moved)
+    model = model_a()
+    for view, gv in ((model, g), (model.mirrored(), g.transposed())):  # paths 1 and 2
+        assert classify_tau(view, 0.1) is TauClass.EIGEN
         with pytest.raises(NonUniqueSolution):
             solve_pie(view, 0.1, gv)
-    with pytest.raises(EigenvalueHit):
-        resolvent_T(fixture_a, 10.0, g)
-    assert len(eigenfunctions_T(fixture_a, 10.0)) == 1
+        with pytest.raises(EigenvalueHit):
+            resolvent_T(view, 10.0, gv)
+        assert len(eigenfunctions_T(view, 10.0)) == 1
+        assert classify_tau(view, 1.0 / (10.0 + 2.0 * pio.spectrum.operator_margin(view))) \
+            is TauClass.REGULAR
+    assert list(map(id, searched)) == [id(model), id(model.mirrored())]

@@ -25,7 +25,7 @@ from pio.errors import BadInterval, IndexOutOfRange, NoAtom, NotAnEigenvalue, Sp
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
 from pio.operators import apply_partial, apply_T
-from pio.pie import TauClass, classify_tau, solve_pie
+from pio.pie import TauClass, classify_tau, residual, solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
     _inertia,
@@ -40,6 +40,7 @@ from pio.spectrum import (
     discrete_spectrum,
     eigenfunctions_T,
     essential_range,
+    operator_margin,
     pi_matrix,
     sigma_channel,
     sigma_ess,
@@ -688,6 +689,52 @@ def test_rank_rule_agrees_with_the_slicing_count(name, path):
         assert classify_tau(view, 2.0 / (a + b)) is TauClass.REGULAR, (a, b)
 
 
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("name", ["fixture-a", "fixture-b", "ramp-4", "ramp-8"])
+def test_eigen_window_is_the_operator_margin(name, path, fixture_a, fixture_b):
+    # EIGEN within the operator margin om of every certified root, REGULAR at
+    # twice that, where the ill-conditioned but regular equation is solved
+    model = {"fixture-a": fixture_a, "fixture-b": fixture_b,
+             "ramp-4": ramp_model(4, 4), "ramp-8": ramp_model(8, 8)}[name]
+    view = model if path == 1 else model.mirrored()
+    om = operator_margin(view)
+    g = view.grid(lambda x, y: 1.0 + x * y)
+    for r, _ in sigma_full(view).discrete:
+        for side in (-1.0, 1.0):
+            assert classify_tau(view, 1.0 / (r + side * 0.5 * om)) is TauClass.EIGEN, (r, side)
+            tau = 1.0 / (r + side * 2.0 * om)
+            assert classify_tau(view, tau) is TauClass.REGULAR, (r, side)
+            f = solve_pie(view, tau, g)
+            assert residual(view, tau, f, g) <= 1e-12 * (f.norm() + g.norm()), (r, side)
+
+
+def test_eigenvalues_in_an_unresolved_band_are_counted_directly(fixture_b):
+    # with margin 0.3 the root of model B lies in the band (-0.3, 1.3) that the
+    # search leaves unresolved; the slicing count around it still decides
+    model = replace(fixture_b, search=SearchSettings(margin=0.3))
+    om = operator_margin(model)
+    assert sigma_full(model).discrete == ()
+    assert any(lo < ROOT_B < hi for lo, hi in sigma_full(model).unresolved)
+    assert classify_tau(model, 1.0 / ROOT_B) is TauClass.EIGEN
+    f, = eigenfunctions_T(model, ROOT_B)
+    assert (apply_T(model, f) - ROOT_B * f).norm() < 1e-7
+    assert classify_tau(model, 1.0 / (ROOT_B + 2.0 * om)) is TauClass.REGULAR
+    assert classify_tau(model, 1.0 / 1.1) is TauClass.REGULAR
+    # off the real axis: no eigenvalue, and no count at a real part that the
+    # essential set's margin refuses (1 is the top of [0, 1])
+    assert classify_tau(model, 1.0 / (ROOT_B + 2j * om)) is TauClass.REGULAR
+    assert classify_tau(model, 1.0 / (1.0 + 0.8 * om * (1 + 1j))) is TauClass.REGULAR
+
+
+@pytest.mark.parametrize("root_tol", [1e-300, 5e-324])
+def test_a_tiny_root_tol_still_finds_the_root(root_tol, fixture_b):
+    # w / root_tol overflowed for a subnormal root_tol: the budget became one
+    # step and the first bracket's midpoint, 1.2170, came back
+    model = replace(fixture_b, search=SearchSettings(root_tol=root_tol))
+    (lam, mult), = discrete_spectrum(model)
+    assert mult == 1 and abs(lam - ROOT_B) < 1e-12
+
+
 def test_root_search_probe_budget(monkeypatch, fixture_a):
     # eigvalsh batches per sigma_full: one for the gap ends, then one per step
     # of bisection on counts; only the double root needs that to root_tol
@@ -1013,6 +1060,15 @@ def test_eigenfunction_rejections(fixture_a):
         eigenfunctions_T(fixture_a, 4.2)
     with pytest.raises(SpectrumHit):
         eigenfunctions_T(fixture_a, 2.0)
+
+
+def test_atom_level_is_matched_within_the_operator_margin(fixture_c):
+    om = operator_margin(fixture_c)
+    for level in (2.0, 4.0):
+        f = atom_eigenfunction(fixture_c, 1, 1, level + 0.9 * om)
+        assert np.array_equal(f.values, atom_eigenfunction(fixture_c, 1, 1, level).values)
+        with pytest.raises(NoAtom):
+            atom_eigenfunction(fixture_c, 1, 1, level + 2.0 * om)
 
 
 def test_atom_eigenfunction_fixture_c(fixture_c):
