@@ -65,7 +65,9 @@ class SearchSettings:
     The discrete search reads ``margin`` and ``root_tol`` only: it counts
     eigenvalues by inertia, so no scan resolution decides what it finds.
     ``scan_points`` is checked and echoed, nothing more.  The solvers have no setting:
-    their eigenvalue decision (``spectrum._multiplicity``) reads this search's roots.
+    their eigenvalue decision (``spectrum._multiplicity``) reads this search's roots,
+    searched with ``root_tol`` at most a quarter of the operator margin, and counts
+    directly near the bands that ``margin`` leaves unresolved.
     """
 
     margin: float | None = None

@@ -85,7 +85,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -667,7 +667,7 @@ def discrete_spectrum(model):
     ts = np.linspace(lo, hi, _SUBSCAN_POINTS, axis=1)
     inner = dvals(ts[:, 1:-1].ravel()) if len(ts) else np.empty(0)
     fs = np.column_stack([flo, inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi])
-    rows, first = np.arange(len(ts)), np.argmax(fs[:, :-1] * fs[:, 1:] <= 0.0, axis=1)
+    rows, first = np.arange(len(ts)), np.argmax(np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) <= 0.0, axis=1)
     a, b, fa, fb = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
     a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)  # an exact zero is the root
     refined = _refine_roots(dvals, a, b, fa, fb, root_tol)
@@ -713,23 +713,33 @@ def sigma_full(model):
 
 
 def _multiplicity(model, lam):
-    """Total multiplicity of the roots of ``discrete_spectrum(model)`` (searched once per
-    model; the mirror searches its own) within ``om = operator_margin(model)`` of ``lam``,
-    admitted by ``_admit``: the one eigenvalue decision of the solvers.  Where ``x = Re lam``
-    lies in an unresolved band, which the roots do not cover, the slicing count at ``x -+ h``
-    decides, with ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the
-    essential set, so both ends are admitted; the eigenvalues are real, so there is none
-    there if ``|Im lam| > om`` or ``h <= 0``."""
+    """Total multiplicity of the roots of ``discrete_spectrum(model)`` within
+    ``om = operator_margin(model)`` of ``lam``, admitted by ``_admit``: the one eigenvalue
+    decision of the solvers.  The roots are searched once per model (the mirror searches its
+    own), with ``root_tol`` lowered to ``om / 4`` if the model's is larger (the default, 1e-10,
+    never is), so the search's tolerance puts a root within ``om / 8`` of its eigenvalue
+    whatever the settings.  Where ``x = Re lam`` lies within ``om`` of an unresolved band,
+    which the roots do not cover, the slicing count at ``x -+ h`` decides, with
+    ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the essential set, so both
+    ends are admitted; the eigenvalues are real, so there is none there if ``|Im lam| > om``
+    or ``h <= 0``."""
+
+    def search(mod):
+        tol = operator_margin(mod) / 4
+        if mod.search.root_tol > tol:
+            mod = replace(mod, search=replace(mod.search, root_tol=tol))
+        return discrete_spectrum(mod)
+
     ess = sigma_ess(model)
     _admit(ess, lam, model)
     margin, x = operator_margin(model), lam.real
-    if any(lo <= x <= hi for lo, hi in _search_region(model)[2]):
+    if any(lo - margin <= x <= hi + margin for lo, hi in _search_region(model)[2]):
         h = min(margin, (ess.distance(x) - margin) / 2)
         if abs(lam.imag) > margin or h <= 0:
             return 0
         nu, _ = _inertia(model, np.array([x - h, x + h]))
         return abs(int(nu[1] - nu[0]))
-    return sum(mult for root, mult in _per_model(model, "_eigenvalues", discrete_spectrum)
+    return sum(mult for root, mult in _per_model(model, "_eigenvalues", search)
                if abs(lam - root) <= margin)
 
 

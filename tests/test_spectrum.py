@@ -21,7 +21,14 @@ import numpy as np
 import pytest
 
 import pio.spectrum
-from pio.errors import BadInterval, IndexOutOfRange, NoAtom, NotAnEigenvalue, SpectrumHit
+from pio.errors import (
+    BadInterval,
+    IndexOutOfRange,
+    NoAtom,
+    NonUniqueSolution,
+    NotAnEigenvalue,
+    SpectrumHit,
+)
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
 from pio.operators import apply_partial, apply_T
@@ -724,6 +731,41 @@ def test_eigenvalues_in_an_unresolved_band_are_counted_directly(fixture_b):
     # essential set's margin refuses (1 is the top of [0, 1])
     assert classify_tau(model, 1.0 / (ROOT_B + 2j * om)) is TauClass.REGULAR
     assert classify_tau(model, 1.0 / (1.0 + 0.8 * om * (1 + 1j))) is TauClass.REGULAR
+
+
+def test_a_root_just_inside_a_band_is_counted_from_the_gap(fixture_b):
+    # the band ends 0.3 om above the root of model B, and lam lies 0.3 om
+    # above that, in the searched gap: the root is within om of lam, though
+    # the roots of the search do not hold it
+    om = operator_margin(fixture_b)
+    model = replace(fixture_b, search=SearchSettings(margin=ROOT_B - 1.0 + 0.3 * om))
+    assert sigma_full(model).discrete == ()
+    for view in (model, model.mirrored()):
+        lam = ROOT_B + 0.6 * om
+        assert classify_tau(view, 1.0 / lam) is TauClass.EIGEN
+        with pytest.raises(NonUniqueSolution):
+            solve_pie(view, 1.0 / lam, view.constant_grid(1.0))
+        assert classify_tau(view, 1.0 / (ROOT_B + 2.0 * om)) is TauClass.REGULAR
+
+
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("root_tol", [1e-7, 1e-6, 1e-2])
+def test_the_eigen_window_does_not_depend_on_root_tol(root_tol, path, fixture_b):
+    # a coarse root_tol places the root of the search farther from ROOT_B than
+    # the operator margin; the solvers still decide at om around ROOT_B
+    model = replace(fixture_b, search=SearchSettings(root_tol=root_tol))
+    view = model if path == 1 else model.mirrored()
+    om, g = operator_margin(view), view.constant_grid(1.0)
+    assert classify_tau(view, 1.0 / ROOT_B) is TauClass.EIGEN
+    with pytest.raises(NonUniqueSolution):
+        solve_pie(view, 1.0 / ROOT_B, g)
+    f, = eigenfunctions_T(view, ROOT_B)
+    assert (apply_T(view, f) - ROOT_B * f).norm() < 1e-7
+    for side in (-1.0, 1.0):
+        assert classify_tau(view, 1.0 / (ROOT_B + side * 0.5 * om)) is TauClass.EIGEN
+        tau = 1.0 / (ROOT_B + side * 2.0 * om)
+        f = solve_pie(view, tau, g)
+        assert residual(view, tau, f, g) <= 1e-12 * (f.norm() + g.norm())
 
 
 @pytest.mark.parametrize("root_tol", [1e-300, 5e-324])
