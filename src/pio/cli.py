@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage or input-format problem, 2 model failed
+Exit codes: 0 success, 1 usage or input-format problem (an ``--out`` file
+that cannot be written too), 2 model failed
 validation, 3 the request is a deliberate theory-domain refusal (parameter
 on the spectrum, eigenvalue hit, and so on).  All JSON output is
 deterministic: keys sorted, floats at 17 significant digits.
@@ -278,7 +279,7 @@ def main(argv=None):
         return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
-    except (ModelFormatError, ExprSyntaxError, UnknownIdentifier) as exc:
+    except (ModelFormatError, ExprSyntaxError, UnknownIdentifier, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return _USAGE_EXIT
     except _REFUSALS as exc:

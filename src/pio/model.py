@@ -62,23 +62,20 @@ class SearchSettings:
     block, a program with
     ``dataclasses.replace(model, search=SearchSettings(margin=0.01))``.
 
-    The discrete search reads ``margin`` and ``root_tol`` only: it counts
-    eigenvalues by inertia, so no scan resolution decides what it finds.
+    The discrete search reads ``margin`` only: it counts eigenvalues by
+    inertia, so no scan resolution decides what it finds, and it locates each
+    root to a fixed width (``spectrum._ROOT_TOL``), not a setting.
     ``scan_points`` is checked and echoed, nothing more.  The solvers have no setting:
     their eigenvalue decision (``spectrum._multiplicity``) reads this search's roots,
-    searched with ``root_tol`` at most a quarter of the operator margin, and counts
-    directly near the bands that ``margin`` leaves unresolved.
+    and counts directly near the bands that ``margin`` leaves unresolved.
     """
 
     margin: float | None = None
     scan_points: int = 512
-    root_tol: float = 1e-10
 
     def __post_init__(self):
-        for label in ("margin", "root_tol"):
-            value = getattr(self, label)
-            if value is not None and not 0 < value < np.inf:  # JSON reads Infinity
-                raise ModelFormatError(f"search.{label} must be finite and positive")
+        if self.margin is not None and not 0 < self.margin < np.inf:  # JSON reads Infinity
+            raise ModelFormatError("search.margin must be finite and positive")
         if self.scan_points < 2:
             raise ModelFormatError("search.scan_points must be >= 2")
 
@@ -541,13 +538,12 @@ def model_from_dict(data):
     )
 
     sdata = _want(data, "search", dict, "model", required=False, default={})
-    _no_extras(sdata, ("margin", "scan_points", "root_tol"), "search")
+    _no_extras(sdata, ("margin", "scan_points"), "search")
     given = {}  # the defaults are SearchSettings' own
-    for key in sdata:
-        if key == "scan_points":
-            given[key] = _want(sdata, key, int, "search")
-        else:
-            given[key] = float(_want(sdata, key, (int, float), "search"))
+    if "margin" in sdata:
+        given["margin"] = float(_want(sdata, "margin", (int, float), "search"))
+    if "scan_points" in sdata:
+        given["scan_points"] = _want(sdata, "scan_points", int, "search")
     search = SearchSettings(**given)
 
     try:

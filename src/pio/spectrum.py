@@ -85,7 +85,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -610,6 +610,9 @@ def _inertia(model, lams):
     return np.count_nonzero(eigs < 0.0, axis=1), eigs.prod(axis=1) * lams**size
 
 
+# The width to which the search locates a root: below every model's ``om / 4``
+# (at least 2.5e-10), so a root lies within ``om / 8`` of its eigenvalue.
+_ROOT_TOL = 1e-10
 _SUBSCAN_POINTS = 8
 # Where a piece is split: an irrational fraction near 1/2.  A probe within
 # roundoff of a multiple eigenvalue may split its count between the two
@@ -622,24 +625,31 @@ def discrete_spectrum(model):
     """Real zeros of the determinant outside the essential set, with their
     multiplicities, certified complete by the slicing count.
 
+    The one root search of a model, run on the first call and kept on it for
+    ``sigma_full`` and the solvers (``_multiplicity``); path 2 is the same
+    search on ``model.mirrored()``, which keeps its own.
+
     The gaps of ``[-bound-1, bound+1]`` minus a margin neighborhood of the
     essential set are counted at their ends in one batch.  The pieces that
     hold two or more eigenvalues are split on counts (at ``_SPLIT``) in
-    lockstep, one batch per step; a piece narrower than ``root_tol`` that
+    lockstep, one batch per step; a piece narrower than ``_ROOT_TOL`` that
     still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  The
     pieces that hold one are sub-scanned together in one ``delta_batch``
-    call, and their sign-change brackets are refined by ``_refine_roots``,
-    one call per step.  The evaluator calls are the cost: on a 2-vCPU x86
+    call, and their sign-change brackets are refined to ``_ROOT_TOL`` by
+    ``_refine_roots``, one call per step.  The evaluator calls are the cost: on a 2-vCPU x86
     host a refinement step's own arithmetic takes about 6 us for one open
     bracket and 3 us for each further one, and a one-lambda ``delta_batch``
-    on fixture a about 45 us.  Path 2 is the same search on
-    ``model.mirrored()``.
+    on fixture a about 45 us.
 
-    The search reads ``margin`` (through ``_search_region``) and ``root_tol``
-    from the model's ``search`` settings and nothing else; other settings go
-    on the model, as in ``replace(model, search=SearchSettings(root_tol=1e-12))``.
+    The search reads ``margin`` (through ``_search_region``) from the model's
+    ``search`` settings and nothing else; another margin goes on a new model,
+    as in ``replace(model, search=SearchSettings(margin=0.01))``.
     """
-    root_tol = model.search.root_tol
+    return _per_model(model, "_discrete_spectrum", _search_roots)
+
+
+def _search_roots(model):
+    """The search of ``discrete_spectrum``, uncached."""
     _, gaps, _ = _search_region(model)
     nu, vals = _inertia(model, gaps.ravel())
     # the open intervals: ends, counts and values at the ends
@@ -647,7 +657,7 @@ def discrete_spectrum(model):
     multiple, simple = [], []
     while True:
         count, mid = np.abs(nhi - nlo), lo + _SPLIT * (hi - lo)
-        split = (count >= 2) & (hi - lo > root_tol) & (lo < mid) & (mid < hi)
+        split = (count >= 2) & (hi - lo > _ROOT_TOL) & (lo < mid) & (mid < hi)
         done = (count >= 2) & ~split  # too narrow to split: one multiple eigenvalue
         multiple += zip((0.5 * (lo + hi))[done].tolist(), count[done].tolist())
         simple.append(np.stack([lo, hi, flo, fhi])[:, count == 1])
@@ -670,7 +680,7 @@ def discrete_spectrum(model):
     rows, first = np.arange(len(ts)), np.argmax(np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) <= 0.0, axis=1)
     a, b, fa, fb = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
     a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)  # an exact zero is the root
-    refined = _refine_roots(dvals, a, b, fa, fb, root_tol)
+    refined = _refine_roots(dvals, a, b, fa, fb, _ROOT_TOL)
     found = [(lam, 1) for lam in refined.tolist()] + multiple
     return tuple(sorted(found))
 
@@ -696,18 +706,18 @@ class SpectrumReport:
 
 
 def sigma_full(model):
-    """Essential plus discrete spectrum with the model's search settings
-    echoed back (``discrete_spectrum`` says how to change them).
+    """Essential plus discrete spectrum with the search settings echoed back, ``root_tol``
+    the fixed ``_ROOT_TOL`` (``discrete_spectrum`` says how to change the others).
 
     Margin neighborhoods of the essential set are not searched; they are
     reported as unresolved bands rather than as certified absence of
     eigenvalues.  Outside them the discrete list is complete, with
     multiplicities, as the slicing count certifies (see ``discrete_spectrum``
-    for the search and its cost).  The essential set and the reduction plan
-    are computed once per model and reused by every later call on it.
+    for the search and its cost).  The essential set, the reduction plan and
+    the roots are computed once per model and reused by every later call on it.
     """
     margin, _, unresolved = _search_region(model)
-    settings = {**asdict(model.search), "margin": margin, "order": model.order}
+    settings = {**asdict(model.search), "margin": margin, "root_tol": _ROOT_TOL, "order": model.order}
     disc = discrete_spectrum(model)
     return SpectrumReport(sigma_ess(model), disc, model.bound, settings, unresolved)
 
@@ -715,21 +725,12 @@ def sigma_full(model):
 def _multiplicity(model, lam):
     """Total multiplicity of the roots of ``discrete_spectrum(model)`` within
     ``om = operator_margin(model)`` of ``lam``, admitted by ``_admit``: the one eigenvalue
-    decision of the solvers.  The roots are searched once per model (the mirror searches its
-    own), with ``root_tol`` lowered to ``om / 4`` if the model's is larger (the default, 1e-10,
-    never is), so the search's tolerance puts a root within ``om / 8`` of its eigenvalue
-    whatever the settings.  Where ``x = Re lam`` lies within ``om`` of an unresolved band,
-    which the roots do not cover, the slicing count at ``x -+ h`` decides, with
-    ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the essential set, so both
-    ends are admitted; the eigenvalues are real, so there is none there if ``|Im lam| > om``
-    or ``h <= 0``."""
-
-    def search(mod):
-        tol = operator_margin(mod) / 4
-        if mod.search.root_tol > tol:
-            mod = replace(mod, search=replace(mod.search, root_tol=tol))
-        return discrete_spectrum(mod)
-
+    decision of the solvers.  The search locates each root to ``_ROOT_TOL``, below ``om / 4``
+    for every model, so a root lies within ``om / 8`` of its eigenvalue.  Where ``x = Re lam``
+    lies within ``om`` of an unresolved band, which the roots do not cover, the slicing count at
+    ``x -+ h`` decides, with ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the
+    essential set, so both ends are admitted; the eigenvalues are real, so there is none there if
+    ``|Im lam| > om`` or ``h <= 0``."""
     ess = sigma_ess(model)
     _admit(ess, lam, model)
     margin, x = operator_margin(model), lam.real
@@ -739,8 +740,7 @@ def _multiplicity(model, lam):
             return 0
         nu, _ = _inertia(model, np.array([x - h, x + h]))
         return abs(int(nu[1] - nu[0]))
-    return sum(mult for root, mult in _per_model(model, "_eigenvalues", search)
-               if abs(lam - root) <= margin)
+    return sum(mult for root, mult in discrete_spectrum(model) if abs(lam - root) <= margin)
 
 
 # --- eigenfunctions -----------------------------------------------------------

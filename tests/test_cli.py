@@ -111,15 +111,29 @@ def test_spectrum_search_overrides(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("root_tol", 0), ("scan_points", 1), ("margin", -1)])
 def test_bad_search_override_exits_1(tmp_path, key, value):
-    # a child process with a timeout: root_tol 0 used to hang the bisection
+    # a child process with a timeout: root_tol 0 used to hang the bisection;
+    # the search now locates roots to a fixed width, so root_tol is an unknown key
     model = model_with_search(tmp_path, {key: value})
     proc = subprocess.run(
         [sys.executable, "-m", "pio.cli", "spectrum", "--model", model],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
-    assert "input error: search." in proc.stderr
+    expected = "search: unknown keys ['root_tol']" if key == "root_tol" else f"search.{key} "
+    assert f"input error: {expected}" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["solve", "--tau", "0.1", "--rhs", "1"]],
+                         ids=["spectrum", "solve"])
+def test_out_into_a_missing_directory_exits_1(tmp_path, model_a, command, capsys):
+    # the OSError of an --out file that cannot be written is an input error, no traceback
+    out = tmp_path / "missing" / "x.out"
+    assert main([command[0], "--model", model_a, "--out", str(out), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err and not out.parent.exists()
 
 
 def test_rank_tol_in_the_search_block_is_an_unknown_key(tmp_path, capsys):

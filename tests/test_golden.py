@@ -8,8 +8,8 @@ window crosses the guard bands, so it holds NaN rows.  It also holds
 piecewise weight and literal ones, with the stdout of ``pio validate`` and
 ``pio spectrum`` on it, written before its expressions were sampled once
 per model.  Keys, lengths and
-NaN positions must match exactly, and every number to within the default
-``search.root_tol``, relative: a change that moves a result by more than
+NaN positions must match exactly, and every number to within the
+root width of the search (``spectrum._ROOT_TOL``), relative: a change that moves a result by more than
 the search's own resolution fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites nothing: it prints
@@ -30,10 +30,11 @@ from pathlib import Path
 import pytest
 
 from pio.cli import main
+from pio.spectrum import _ROOT_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-TOL = 1e-10  # default search.root_tol, relative to max(1, |reference|)
+TOL = _ROOT_TOL  # relative to max(1, |reference|)
 WINDOW = ["--lmin", "-0.5", "--lmax", "5.5", "--samples", "13"]
 
 CASES = {}

@@ -19,7 +19,7 @@ from pio.errors import PioError
 from pio.expr import Expression
 from pio.model import make_model
 from pio.operators import apply_partial, apply_S, project, resolvent_channel, resolvent_T
-from pio.pie import solve_pie
+from pio.pie import TauClass, classify_tau, solve_pie
 from pio.spectrum import (
     atom_eigenfunction,
     delta_trace_rows,
@@ -150,15 +150,16 @@ def count_families(monkeypatch):
 
 
 def count_searches(monkeypatch):
-    """The models of every root search from now on."""
+    """The models of every root search from now on: the uncached search, not
+    the calls to ``discrete_spectrum``, which read the one kept on the model."""
     searched = []
-    search = pio.spectrum.discrete_spectrum
+    search = pio.spectrum._search_roots
 
     def counting(model):
         searched.append(model)
         return search(model)
 
-    monkeypatch.setattr(pio.spectrum, "discrete_spectrum", counting)
+    monkeypatch.setattr(pio.spectrum, "_search_roots", counting)
     return searched
 
 
@@ -191,6 +192,22 @@ def test_resolvent_and_eigenfunctions_evaluate_the_reduction_once(monkeypatch):
     eigenfunctions_T(model, lam)
     assert calls == [1]
     assert list(map(id, searched)) == [id(model)]
+
+
+def test_every_entry_point_reads_one_root_search_per_path(monkeypatch):
+    # sigma_full, discrete_spectrum and the solvers' eigenvalue decision read the
+    # one search kept on the model; the mirror (path 2) keeps its own
+    searched = count_searches(monkeypatch)
+    model = rich_model()
+    g = random_grid(model, 5)
+    for view, gv in ((model, g), (model.mirrored(), g.transposed())):
+        (lam, _), *_ = sigma_full(view).discrete
+        assert discrete_spectrum(view)[0][0] == lam
+        assert classify_tau(view, 1.0 / lam) is TauClass.EIGEN
+        solve_pie(view, -0.25, gv)
+        resolvent_T(view, -4.0, gv)
+        assert len(eigenfunctions_T(view, lam)) == 1
+    assert list(map(id, searched)) == [id(model), id(model.mirrored())]
 
 
 def test_weight_ranges_are_sampled_once_per_model(monkeypatch):

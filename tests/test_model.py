@@ -196,7 +196,6 @@ def test_model_from_dict_with_options():
     assert 0.25 in model.rule_y.panel_edges
     assert model.search.margin == 0.01
     assert model.search.scan_points == 128
-    assert model.search.root_tol == 1e-10
 
 
 @pytest.mark.parametrize(
@@ -215,6 +214,7 @@ def test_model_from_dict_with_options():
         lambda d: d.__setitem__("search", {"scan_points": 1}),
         lambda d: d.__setitem__("search", {"margin": -1.0}),
         lambda d: d.__setitem__("search", {"rank_tol": 0}),  # an unknown key: the rank rule is fixed
+        lambda d: d.__setitem__("search", {"root_tol": 1e-10}),  # an unknown key: the root width is fixed
     ],
 )
 def test_model_from_dict_rejects_malformed(mutate):
@@ -226,15 +226,14 @@ def test_model_from_dict_rejects_malformed(mutate):
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(margin=0.0), dict(margin=-1.0), dict(root_tol=0.0), dict(root_tol=-1.0),
-     dict(root_tol=float("nan")), dict(scan_points=1)],
+    [dict(margin=0.0), dict(margin=-1.0), dict(scan_points=1)],
 )
 def test_search_settings_refuse_bad_values(bad):
     with pytest.raises(ModelFormatError):
         SearchSettings(**bad)
 
 
-@pytest.mark.parametrize("key", ["margin", "root_tol"])
+@pytest.mark.parametrize("key", ["margin"])
 def test_search_block_refuses_infinity(tmp_path, key):
     # Python's json writes and reads the literal Infinity
     path = tmp_path / "inf.json"

@@ -128,7 +128,7 @@ def test_eigenvalue_decision_reaches_every_entry_point(monkeypatch):
         searched.append(view)
         return ((5.0, 1), (10.0, 1))
 
-    monkeypatch.setattr(pio.spectrum, "discrete_spectrum", moved)
+    monkeypatch.setattr(pio.spectrum, "_search_roots", moved)  # the uncached search
     model = model_a()
     for view, gv in ((model, g), (model.mirrored(), g.transposed())):  # paths 1 and 2
         assert classify_tau(view, 0.1) is TauClass.EIGEN

@@ -3,9 +3,11 @@
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pio
+from pio.cli import main
 from pio.model import model_from_dict, validate_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +59,13 @@ def test_api_table_call_forms_bind_to_the_signatures():
         keywords = dict(a.split("=", 1) for a in given if "=" in a)
         positional = [a for a in given if "=" not in a]
         inspect.signature(getattr(pio, name)).bind(*positional, **keywords)  # TypeError on drift
+
+
+def test_command_line_examples_exit_0(monkeypatch, capsys):
+    (code,) = blocks(section("Command line"), "sh")
+    lines = [line for line in code.splitlines() if line.startswith("pio ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
