@@ -226,7 +226,8 @@ def test_model_from_dict_rejects_malformed(mutate):
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(margin=0.0), dict(margin=-1.0), dict(scan_points=1)],
+    [dict(margin=0.0), dict(margin=-1.0), dict(margin=float("nan")),
+     dict(margin=float("inf")), dict(scan_points=0), dict(scan_points=1)],
 )
 def test_search_settings_refuse_bad_values(bad):
     with pytest.raises(ModelFormatError):
