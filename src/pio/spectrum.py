@@ -72,6 +72,38 @@ for any ``a < b`` in one gap of the essential set:
   ``lam0 > 0`` and falls by it at ``lam0 < 0`` (``S`` is a congruence, so
   ``X`` and ``S X S`` share their inertia).
 
+The count takes one ``eigvalsh`` of size ``mn``, not ``2mn`` (Haynsworth's
+inertia additivity; Haynsworth, *Linear Algebra Appl.* 1 (1968) 73-81).  Where
+``N~`` is nonsingular,
+
+    X = L diag(K~ - N~^{-1}, N~) L^T,    L = [[I, N~^{-1}], [0, I]],
+
+so by Sylvester's law ``nu`` is the number of negative eigenvalues of ``N~``
+(``m`` blocks ``N_q``, one batched ``eigh``, which also gives ``N~^{-1}``)
+plus that of the Schur complement ``K~ - N~^{-1}``, and since ``det L = 1``,
+``det X`` is the product of both sets of eigenvalues.  The ``K~`` side is the
+``N~`` side of ``model.mirrored()``: its families are ``(N, K)``, and its
+``X`` is a symmetric permutation of this one (the halves swapped, the pairs
+reordered), with the same inertia and determinant.  The rule for the pivot,
+per parameter: ``N~`` where its eigenvalues ``d`` have ``min |d| >
+_PIVOT_RCOND * max |d|``, else ``K~`` where its own do, else the full ``X``
+(as in the zero model, where both are 0).  The rule makes the computed count the
+exact count of a slicing matrix near ``X``:
+
+* ``eigh`` and ``eigvalsh`` are backward stable, so with ``u`` the unit
+  roundoff the count is exactly that of ``X(K~ + F, N~ + E)`` with
+  ``|E| <= c u |N~|`` and ``|F| <= c u (|K~| + |N~^{-1}|)``.
+* The congruence ``diag(a I, I / a)`` maps ``X(K~, N~)`` to ``X_a = X(a^2 K~,
+  N~ / a^2)`` and keeps its inertia and determinant; take ``a^2 = |N~|``.
+  The perturbation becomes ``diag(a^2 F, E / a^2)``, of norm at most
+  ``c u (|X_a| + 1 + max |d| / min |d|)``, and ``|X_a| >= 1`` (the identity
+  blocks).  So the count is exactly that of a matrix within
+  ``c u (2 + 1 / _PIVOT_RCOND) |X_a|``, about ``c sqrt(u) |X_a|``, of ``X_a``,
+  which has the count of ``X``; the full ``eigvalsh`` gives ``c u |X|``.
+* A pivot eigenvalue near 0 moves no count by its sign: the Schur complement
+  holds an eigenvalue near ``-1/d``, so a ``d`` that rounds to the other sign
+  moves one negative eigenvalue from one set to the other.
+
 On the grid the integrals are quadrature sums and the argument holds for
 the discretized operator: the count certifies that the search misses no
 eigenvalue outside the margin neighborhoods of the essential set, and its
@@ -386,21 +418,6 @@ class _ReductionPlan:
         families = self.families(lams)
         return families, _block_product(*families[2:])
 
-    def slicing_matrix(self, lams):
-        """Stacked ``X(lam) = [[K~, I], [I, N~]]``, shape (L, 2mn, 2mn), with
-        ``K~[(k,j), (q,j)] = K_j[k,q]`` and ``N~[(q,j), (q,p)] = N_q[j,p]``."""
-        _, _, K, N = self.families(lams)
-        count, n, m, _ = K.shape
-        size = m * n
-        X = np.zeros((count, 2, m, n, 2, m, n))
-        j, q = np.arange(n), np.arange(m)
-        X[:, 0, :, j, 0, :, j] = K.transpose(1, 0, 2, 3)  # [j, l, k, q]
-        X[:, 1, q, :, 1, q, :] = N.transpose(1, 0, 2, 3)  # [q, l, j, p]
-        X = X.reshape(count, 2 * size, 2 * size)
-        w = np.arange(size)
-        X[:, w, size + w] = X[:, size + w, w] = 1.0
-        return X
-
     def moments(self, values):
         """``d_(k,j) = <B_(k,j), u> = sum_x wx P_k Phi_j (u @ (wy Psi).T)[x, k]``
         for grid samples ``u``, shape (m*n,)."""
@@ -464,6 +481,21 @@ def delta_batch(model, lams):
     """
     lams = np.asarray(lams)
     _admit(sigma_ess(model), lams, model)
+    return _determinant(model, lams)
+
+
+def _require_finite_array(lams):
+    """``_admit``'s ``DomainError`` for the first non-finite parameter of an
+    array, and nothing else: the guard of the evaluators that do not admit."""
+    finite = np.isfinite(lams)
+    if not finite.all():
+        _require_finite(lams[~finite][0], "lambda")
+
+
+def _determinant(model, lams):
+    """``delta_batch`` at parameters the caller has placed off the operator
+    margin of the essential set (the root search, ``discrete_spectrum``)."""
+    _require_finite_array(lams)
     _, kn = _reduction_plan(model).coupling(lams)
     kn.reshape(-1, kn.shape[1] ** 2)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
     dets = np.linalg.det(kn)
@@ -596,18 +628,86 @@ def _sign(value):
     return 1.0 if value > 0.0 else -1.0 if value < 0.0 else 0.0 if value == 0.0 else value
 
 
-def _inertia(model, lams):
-    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, admitted by
-    ``_admit``, from one batched ``eigvalsh``.
+# The pivot rule of the slicing count: a family pivots at a parameter where the
+# eigenvalues ``d`` of its blocks have ``min |d| > _PIVOT_RCOND * max |d|``; with
+# the square root of the unit roundoff, the count is exact for a matrix within
+# about ``c sqrt(u)`` of the slicing matrix (module docstring).
+_PIVOT_RCOND = 2.0**-26
+
+
+def _block_diagonals(K, N):
+    """``K~ + N~`` in the (k, j) order, shape (L, mn, mn), for stacked families
+    ``K`` (L, n, m, m) and ``N`` (L, m, n, n): ``K~[(k,j), (q,j)] = K_j[k,q]``
+    and ``N~[(q,j), (q,p)] = N_q[j,p]``."""
+    count, n, m, _ = K.shape
+    out = np.zeros((count, m, n, m, n))
+    j, q = np.arange(n), np.arange(m)
+    out[:, :, j, :, j] = K.transpose(1, 0, 2, 3)  # [j, l, k, q]
+    out[:, q, :, q, :] += N.transpose(1, 0, 2, 3)  # [q, l, j, p]
+    return out.reshape(count, m * n, m * n)
+
+
+def _haynsworth(K, N):
+    """``(ok, w)``: where ``N~`` pivots (``_PIVOT_RCOND``), and there the eigenvalues
+    of ``N~`` and of ``K~ - N~^{-1}``, shape (ok.sum(), 2mn), one batched ``eigh`` of
+    the ``N_q`` and one ``eigvalsh`` of size ``mn``.  ``_haynsworth(N, K)`` is the
+    ``N~`` side of the mirror."""
+    d, V = np.linalg.eigh(N)
+    mag = np.abs(d)
+    ok = mag.min(axis=(1, 2)) > _PIVOT_RCOND * mag.max(axis=(1, 2))
+    if not ok.all():
+        K, d, V = K[ok], d[ok], V[ok]
+    schur = _block_diagonals(K, -(V / d[..., None, :]) @ V.swapaxes(-1, -2))
+    return ok, np.concatenate([d.reshape(schur.shape[:2]), np.linalg.eigvalsh(schur)], axis=1)
+
+
+def _slicing_eigenvalues(model, lams):
+    """Per real parameter, ``2mn`` numbers whose negatives number ``nu(lam)`` and
+    whose product is ``det X(lam)``: the eigenvalues of ``N~`` and of its Schur
+    complement, or those of the mirror's, or of ``X`` itself where neither
+    family pivots (module docstring).  It does not admit the parameters; a
+    non-finite one raises ``DomainError``."""
+    _require_finite_array(lams)
+    _, _, K, N = _reduction_plan(model).families(lams)
+    ok, w = _haynsworth(K, N)
+    if ok.all():
+        return w
+    out = np.empty((len(lams), w.shape[1]))
+    out[ok] = w
+    rest = np.flatnonzero(~ok)
+    ok, mirrored = _haynsworth(N[rest], K[rest])  # the N~ side of the mirror
+    out[rest[ok]] = mirrored
+    rest = rest[~ok]
+    if rest.size:  # X = [[K~, I], [I, N~]] itself
+        size = w.shape[1] // 2
+        X = np.zeros((rest.size, 2, size, 2, size))
+        X[:, 0, :, 0] = _block_diagonals(K[rest], np.zeros_like(N[rest]))
+        X[:, 1, :, 1] = _block_diagonals(np.zeros_like(K[rest]), N[rest])
+        X[:, 0, :, 1] = X[:, 1, :, 0] = np.eye(size)
+        out[rest] = np.linalg.eigvalsh(X.reshape(rest.size, 2 * size, 2 * size))
+    return out
+
+
+def _count(model, lams):
+    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, from
+    ``_slicing_eigenvalues``; the evaluator of the search, which does not admit.
     As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
     opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
-    that within roundoff of a root.
-    """
+    that within roundoff of a root."""
+    w = _slicing_eigenvalues(model, lams)
+    return np.count_nonzero(w < 0.0, axis=1), w.prod(axis=1) * lams ** (w.shape[1] // 2)
+
+
+def _inertia(model, lams):
+    """``_count`` at parameters admitted by ``_admit``.  A count costs a batched
+    ``eigh`` of the ``m`` blocks ``N_q`` and one ``eigvalsh`` of size ``mn`` per
+    parameter: on a 2-vCPU x86 host with one BLAS thread, one parameter of
+    ramp-8 (``mn = 64``) takes about 0.3 ms, where the ``eigvalsh`` of the full
+    ``X`` took 0.9 ms, and one of fixture a about 60 us, of which ``_admit``
+    is 15 to 20 us."""
     _admit(sigma_ess(model), lams, model)
-    eigs = np.linalg.eigvalsh(_reduction_plan(model).slicing_matrix(lams))
-    size = eigs.shape[1] // 2
-    return np.count_nonzero(eigs < 0.0, axis=1), eigs.prod(axis=1) * lams**size
+    return _count(model, lams)
 
 
 # The width to which the search locates a root: below every model's ``om / 4``
@@ -634,12 +734,29 @@ def discrete_spectrum(model):
     hold two or more eigenvalues are split on counts (at ``_SPLIT``) in
     lockstep, one batch per step; a piece narrower than ``_ROOT_TOL`` that
     still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  The
-    pieces that hold one are sub-scanned together in one ``delta_batch``
-    call, and their sign-change brackets are refined to ``_ROOT_TOL`` by
-    ``_refine_roots``, one call per step.  The evaluator calls are the cost: on a 2-vCPU x86
-    host a refinement step's own arithmetic takes about 6 us for one open
-    bracket and 3 us for each further one, and a one-lambda ``delta_batch``
-    on fixture a about 45 us.
+    pieces that hold one are sub-scanned together in one determinant call,
+    and their sign-change brackets are refined to ``_ROOT_TOL`` by
+    ``_refine_roots``, one call per step.
+
+    The evaluators, ``_count`` and ``_determinant``, do not admit their
+    parameters, since each lies in a gap of ``_search_region``, whose every
+    point is at least ``margin >= 2 om`` from the essential set
+    (``om = operator_margin(model)``), where ``_admit`` refuses only within
+    ``om``: the gap ends are band ends or box ends outside every band; a
+    split point is strictly inside its piece; the sub-scan points are convex
+    combinations of a piece's ends; and an ITP point is kept inside its
+    bracket, which lies in a piece, or is NaN.  Rounding moves a point by a
+    few ulps of ``bound + 1``, far below ``om = 1e-9 (1 + bound)``.  An
+    overflowed determinant can make an ITP point NaN, so the evaluators
+    raise ``_admit``'s ``DomainError`` for a non-finite parameter.
+
+    The evaluator calls are the cost: on a 2-vCPU x86 host with one BLAS
+    thread a refinement step's own arithmetic takes about 6 us for one open
+    bracket and 3 us for each further one, a one-lambda ``_determinant`` on
+    fixture a about 20 us (``delta_batch``, which admits, about 35 us), and a
+    one-lambda count on ramp-8 about 0.3 ms (``_inertia``).  A fresh ramp-8
+    search takes about 13 ms, and the sum rule ``a_k = 1 + k/4``,
+    ``b_k = -0.97 - k/4`` about 0.1 s at ``n = 8`` and 0.5 to 0.7 s at ``n = 12``.
 
     The search reads ``margin`` (through ``_search_region``) from the model's
     ``search`` settings and nothing else; another margin goes on a new model,
@@ -651,7 +768,7 @@ def discrete_spectrum(model):
 def _search_roots(model):
     """The search of ``discrete_spectrum``, uncached."""
     _, gaps, _ = _search_region(model)
-    nu, vals = _inertia(model, gaps.ravel())
+    nu, vals = _count(model, gaps.ravel())
     # the open intervals: ends, counts and values at the ends
     lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
     multiple, simple = [], []
@@ -664,13 +781,13 @@ def _search_roots(model):
         if not split.any():
             break
         lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
-        nmid, fmid = _inertia(model, mid)
+        nmid, fmid = _count(model, mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
         flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
 
     def dvals(lams):
-        return delta_batch(model, lams).real
+        return _determinant(model, lams).real
 
     # one eigenvalue per piece: the first sign change of a sub-scan brackets it
     lo, hi, flo, fhi = np.concatenate(simple, axis=1)
@@ -729,7 +846,8 @@ def _multiplicity(model, lam):
     for every model, so a root lies within ``om / 8`` of its eigenvalue.  Where ``x = Re lam``
     lies within ``om`` of an unresolved band, which the roots do not cover, the slicing count at
     ``x -+ h`` decides, with ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the
-    essential set, so both ends are admitted; the eigenvalues are real, so there is none there if
+    essential set, so both ends lie more than ``om`` from it and need no admission; it reads only
+    the numbers of negative eigenvalues.  The eigenvalues are real, so there is none there if
     ``|Im lam| > om`` or ``h <= 0``."""
     ess = sigma_ess(model)
     _admit(ess, lam, model)
@@ -738,8 +856,9 @@ def _multiplicity(model, lam):
         h = min(margin, (ess.distance(x) - margin) / 2)
         if abs(lam.imag) > margin or h <= 0:
             return 0
-        nu, _ = _inertia(model, np.array([x - h, x + h]))
-        return abs(int(nu[1] - nu[0]))
+        eigs = _slicing_eigenvalues(model, np.array([x - h, x + h]))
+        below, above = np.count_nonzero(eigs < 0.0, axis=1)
+        return abs(int(above - below))
     return sum(mult for root, mult in discrete_spectrum(model) if abs(lam - root) <= margin)
 
 

@@ -23,6 +23,7 @@ import pytest
 import pio.spectrum
 from pio.errors import (
     BadInterval,
+    DomainError,
     IndexOutOfRange,
     NoAtom,
     NonUniqueSolution,
@@ -543,15 +544,16 @@ def fresh_fixture_a():
 
 @pytest.fixture
 def delta_batch_calls(monkeypatch):
-    """The number of parameters of each ``delta_batch`` call the search makes."""
+    """The number of parameters of each determinant call the search makes: it
+    calls ``_determinant``, the evaluator of ``delta_batch`` without admission."""
     calls = []
-    counted = pio.spectrum.delta_batch
+    counted = pio.spectrum._determinant
 
     def counting(model, lams, *args, **kwargs):
         calls.append(len(lams))
         return counted(model, lams, *args, **kwargs)
 
-    monkeypatch.setattr(pio.spectrum, "delta_batch", counting)
+    monkeypatch.setattr(pio.spectrum, "_determinant", counting)
     return calls
 
 
@@ -671,6 +673,148 @@ def test_multiple_eigenvalue_at_a_gap_midpoint_keeps_its_multiplicity():
     assert got == {-0.25: 1, 0.5: 2, 0.625: 1, 1.375: 2}
 
 
+@pytest.fixture
+def pivots(monkeypatch):
+    """The route of each parameter of the slicing count: ``"N"`` (the Haynsworth
+    count on ``N~``), ``"K"`` (on the mirror's ``N~``, which is ``K~``) or ``"X"``
+    (the full slicing matrix), one list per count call."""
+    routes = []
+    counted = pio.spectrum._haynsworth
+    original = pio.spectrum._slicing_eigenvalues
+
+    def haynsworth(K, N):
+        ok, w = counted(K, N)
+        routes[-1].append(ok)
+        return ok, w
+
+    def slicing(model, lams):
+        routes.append([])
+        out = original(model, lams)
+        first, *second = routes[-1]
+        route = np.where(first, "N", "X")
+        if second:
+            route[~first] = np.where(second[0], "K", "X")
+        routes[-1] = route.tolist()
+        return out
+
+    monkeypatch.setattr(pio.spectrum, "_haynsworth", haynsworth)
+    monkeypatch.setattr(pio.spectrum, "_slicing_eigenvalues", slicing)
+    return routes
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_zero_channel_counts_on_the_other_family(path, fixture_c, pivots):
+    # fixture c switches channel 2 off, so N~ = 0 and path 1 pivots on K~; the
+    # mirror's N~ is that K~.  Closed form: X = [[K~, 1], [1, 0]] has det -1 and
+    # one negative eigenvalue at every parameter, so nu = 1, delta = -lam and
+    # no gap holds an eigenvalue
+    view = fixture_c if path == 1 else fixture_c.mirrored()
+    lams = search_gaps(view).ravel()
+    nu, vals = _inertia(view, lams)
+    assert pivots == [["K" if path == 1 else "N"] * len(lams)]
+    assert nu.tolist() == [1] * len(lams)
+    assert np.allclose(vals, -lams, rtol=1e-12, atol=0.0)
+    assert gap_counts(view)[1] == [0] * len(search_gaps(view))
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
+    # both families vanish, so neither pivots.  Closed form: X = [[0, I], [I, 0]]
+    # has the eigenvalues +-1, mn of each, so nu = mn = 4 and delta = lam^4
+    model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["0", "0"],
+                       ["legendre(0)", "legendre(1)"], ["0", "0"])
+    view = model if path == 1 else model.mirrored()
+    lams = search_gaps(view).ravel()
+    nu, vals = _inertia(view, lams)
+    assert pivots == [["X"] * len(lams)]
+    assert nu.tolist() == [4] * len(lams)
+    assert np.allclose(vals, lams**4, rtol=1e-12, atol=0.0)
+    assert discrete_spectrum(view) == ()
+
+
+def sign_change_model():
+    """Channel-2 weights ``t - 0.3`` and ``2t - 0.5`` change sign, and an
+    eigenvalue of ``N_2`` crosses zero near 2.26, between the eigenvalues
+    2.2167 and 2.5676 of the gap (2, 5.5)."""
+    basis = ["legendre(0)", "legendre(1)"]
+    return make_model((0, 1), (0, 1), basis, ["2", "-3"], basis, ["t - 0.3", "2*t - 0.5"])
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_singular_pivot_block_counts_on_the_other_family(path, pivots):
+    model = sign_change_model()
+    view = model if path == 1 else model.mirrored()
+    plan = _reduction_plan(model)
+
+    def nearest_zero(lam):  # the eigenvalue of the blocks N_q nearest zero
+        d = np.linalg.eigvalsh(plan.families(np.array([lam]))[3]).ravel()
+        return d[np.argmin(np.abs(d))]
+
+    lo, hi = 2.2, 2.3
+    assert nearest_zero(lo) * nearest_zero(hi) < 0
+    for _ in range(60):  # bisection to the crossing, where N~ is singular to roundoff
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if nearest_zero(mid) * nearest_zero(lo) > 0 else (lo, mid)
+    crossing = 0.5 * (lo + hi)
+    eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
+    gaps, counts = gap_counts(view)
+    assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps]
+    (start, _), = [(a, b) for a, b in gaps if a < crossing < b]
+    pivots.clear()
+    nu, _ = _inertia(view, np.array([start, crossing]))
+    assert pivots == [["N", "K" if path == 1 else "N"]]
+    assert abs(nu[1] - nu[0]) == np.sum((eigs > start) & (eigs < crossing)) == 1
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_the_sum_rule_at_rank_12_keeps_every_multiplicity(path):
+    # a_k = 1 + k/4, b_k = -0.97 - k/4: the eigenvalue 0.03 + k/4 has
+    # multiplicity 12 - |k|; the sums -0.97 - ... lie on b and are essential
+    a = [1.0 + k / 4 for k in range(12)]
+    b = [-0.97 - k / 4 for k in range(12)]
+    model = sumrule_model(a, b)
+    view = model if path == 1 else model.mirrored()
+    margin, _, _ = _search_region(view)
+    expected = [(0.03 + k / 4, 12 - abs(k)) for k in range(-11, 12)]
+    expected = [(s, mult) for s, mult in expected if all(abs(s - e) > margin for e in [0.0, *a, *b])]
+    got = discrete_spectrum(view)
+    assert len(got) == len(expected) == 15
+    assert [mult for _, mult in got] == [mult for _, mult in expected]
+    assert max(abs(lam - s) for (lam, _), (s, _) in zip(got, expected)) <= pio.spectrum._ROOT_TOL
+
+
+@pytest.fixture(scope="module")
+def ramp_12():
+    """ramp-12 at order 64, and its oracle eigenvalues at N = 100.  At the default
+    order 32 the lowest root is 4.5e-6 from the oracle: the quadrature error near
+    the essential range [0, 12]."""
+    n = 12
+    model = make_model((0, 1), (0, 1),
+                       [f"legendre({k})" for k in range(n)], [f"{k + 1}*t" for k in range(n)],
+                       [f"legendre({k})" for k in range(n)], [f"{k + 1}*t^2" for k in range(n)],
+                       order=64)
+    return model, oracle_eigs(nystrom_matrix(model, 100, 100))
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_ramp_12_matches_the_oracle(path, ramp_12):
+    model, eigs = ramp_12
+    view = model if path == 1 else model.mirrored()
+    expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in search_gaps(view)))
+    got = discrete_spectrum(view)
+    assert len(expected) == 14
+    assert [mult for _, mult in got] == [1] * len(expected)
+    assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-9
+
+
+def test_the_search_evaluators_refuse_a_non_finite_parameter(fixture_b):
+    # they admit nothing, but an overflowed value can make an ITP point NaN
+    for fn in (pio.spectrum._determinant, pio.spectrum._count, delta_batch, _inertia):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match=f"lambda {bad!r} is not finite"):
+                fn(fixture_b, np.array([1.5, bad]))
+
+
 RANK_RULE_MODELS = {
     "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
     "ramp-4": lambda: ramp_model(4, 4),
@@ -768,16 +912,17 @@ def test_a_tiny_root_tol_still_finds_the_root(root_tol, fixture_b):
 
 
 def test_root_search_probe_budget(monkeypatch):
-    # eigvalsh batches per sigma_full on fresh models: one for the gap ends, then
-    # one per step of bisection on counts; only the double root needs that to _ROOT_TOL
+    # count batches per sigma_full on fresh models: one for the gap ends, then
+    # one per step of bisection on counts; only the double root needs that to _ROOT_TOL.
+    # The search calls _count, the evaluator of _inertia without admission
     calls = []
-    counted = pio.spectrum._inertia
+    counted = pio.spectrum._count
 
     def counting(model, lams, *args):
         calls.append(len(lams))
         return counted(model, lams, *args)
 
-    monkeypatch.setattr(pio.spectrum, "_inertia", counting)
+    monkeypatch.setattr(pio.spectrum, "_count", counting)
     for model, budget in ((fresh_fixture_a(), 1), (ramp_model(4, 4), 6), (sumrule_model(*SUMRULE_4), 8),
                           (double_root_model(), 40)):
         calls.clear()
@@ -833,7 +978,7 @@ def test_refinement_is_superlinear_on_a_smooth_root():
 def test_refinement_ends_where_floats_are_coarser_than_root_tol(monkeypatch):
     # near 5e6 neighbouring floats are 9.3e-10 apart, so no bracket can get
     # narrower than root_tol = 1e-10: bisection looped forever on this model
-    counted = pio.spectrum.delta_batch
+    counted = pio.spectrum._determinant
     calls = []
 
     def bounded(model, lams, *args, **kwargs):
@@ -841,7 +986,7 @@ def test_refinement_ends_where_floats_are_coarser_than_root_tol(monkeypatch):
         assert len(calls) <= 100, "the root search does not end"
         return counted(model, lams, *args, **kwargs)
 
-    monkeypatch.setattr(pio.spectrum, "delta_batch", bounded)
+    monkeypatch.setattr(pio.spectrum, "_determinant", bounded)
     model = make_model((0, 1), (0, 1), ["1"], ["2e6"], ["1"], ["3e6"])
     ((lam, mult),) = sigma_full(model).discrete
     assert abs(lam - 5e6) <= 1e-9 and mult == 1
