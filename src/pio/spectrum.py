@@ -179,9 +179,11 @@ def _admit(spectral_set, params, model, name="lambda", where="the essential spec
     for the first of ``params`` (a number or an array, real or complex)
     within ``operator_margin(model)`` of ``spectral_set``.
 
-    The one admission rule of every operator entry point and of every
-    parameter the root search evaluates.  The refused parameter is printed
-    as a plain number.
+    The one admission rule of every operator entry point and of
+    ``delta_batch``.  The root search's count does not admit: its
+    parameters lie in the search gaps, at least ``2 om`` from the essential
+    set (``discrete_spectrum``).  The refused parameter is printed as a plain
+    number.
     """
     margin = operator_margin(model)
     if isinstance(params, np.ndarray):
@@ -481,21 +483,6 @@ def delta_batch(model, lams):
     """
     lams = np.asarray(lams)
     _admit(sigma_ess(model), lams, model)
-    return _determinant(model, lams)
-
-
-def _require_finite_array(lams):
-    """``_admit``'s ``DomainError`` for the first non-finite parameter of an
-    array, and nothing else: the guard of the evaluators that do not admit."""
-    finite = np.isfinite(lams)
-    if not finite.all():
-        _require_finite(lams[~finite][0], "lambda")
-
-
-def _determinant(model, lams):
-    """``delta_batch`` at parameters the caller has placed off the operator
-    margin of the essential set (the root search, ``discrete_spectrum``)."""
-    _require_finite_array(lams)
     _, kn = _reduction_plan(model).coupling(lams)
     kn.reshape(-1, kn.shape[1] ** 2)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
     dets = np.linalg.det(kn)
@@ -666,8 +653,10 @@ def _slicing_eigenvalues(model, lams):
     whose product is ``det X(lam)``: the eigenvalues of ``N~`` and of its Schur
     complement, or those of the mirror's, or of ``X`` itself where neither
     family pivots (module docstring).  It does not admit the parameters; a
-    non-finite one raises ``DomainError``."""
-    _require_finite_array(lams)
+    non-finite one raises ``_admit``'s ``DomainError``."""
+    finite = np.isfinite(lams)
+    if not finite.all():
+        _require_finite(lams[~finite][0], "lambda")
     _, _, K, N = _reduction_plan(model).families(lams)
     ok, w = _haynsworth(K, N)
     if ok.all():
@@ -690,24 +679,26 @@ def _slicing_eigenvalues(model, lams):
 
 def _count(model, lams):
     """``nu`` and ``delta = lam^(mn) det X`` at real parameters, from
-    ``_slicing_eigenvalues``; the evaluator of the search, which does not admit.
+    ``_slicing_eigenvalues``; the count of the search, which does not admit.
     As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
     opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
-    that within roundoff of a root."""
+    that within roundoff of a root.  The product is taken on mantissas and
+    exponents apart (``frexp``): ``det N~`` alone under- or overflows where
+    the blocks ``N_q`` are uniformly small or large, though ``delta`` is in
+    range.  The scalings are by powers of 2, exact, so while the mantissas'
+    product (at least ``2^(-3mn)``) stays normal, for ``mn < 340``, the
+    roundings are those of the plain product.
+
+    A count costs a batched ``eigh`` of the ``m`` blocks ``N_q`` and one
+    ``eigvalsh`` of size ``mn`` per parameter: on a 2-vCPU x86 host with one
+    BLAS thread, one parameter of ramp-8 (``mn = 64``) takes about 0.3 ms,
+    where the ``eigvalsh`` of the full ``X`` took 0.9 ms, and one of fixture a
+    about 55 us."""
     w = _slicing_eigenvalues(model, lams)
-    return np.count_nonzero(w < 0.0, axis=1), w.prod(axis=1) * lams ** (w.shape[1] // 2)
-
-
-def _inertia(model, lams):
-    """``_count`` at parameters admitted by ``_admit``.  A count costs a batched
-    ``eigh`` of the ``m`` blocks ``N_q`` and one ``eigvalsh`` of size ``mn`` per
-    parameter: on a 2-vCPU x86 host with one BLAS thread, one parameter of
-    ramp-8 (``mn = 64``) takes about 0.3 ms, where the ``eigvalsh`` of the full
-    ``X`` took 0.9 ms, and one of fixture a about 60 us, of which ``_admit``
-    is 15 to 20 us."""
-    _admit(sigma_ess(model), lams, model)
-    return _count(model, lams)
+    size = w.shape[1] // 2
+    (wm, we), (lm, le) = np.frexp(w), np.frexp(lams)
+    return np.count_nonzero(w < 0.0, axis=1), np.ldexp(wm.prod(axis=1) * lm**size, we.sum(axis=1) + size * le)
 
 
 # The width to which the search locates a root: below every model's ``om / 4``
@@ -738,25 +729,26 @@ def discrete_spectrum(model):
     and their sign-change brackets are refined to ``_ROOT_TOL`` by
     ``_refine_roots``, one call per step.
 
-    The evaluators, ``_count`` and ``_determinant``, do not admit their
-    parameters, since each lies in a gap of ``_search_region``, whose every
+    The count, ``_count``, does not admit its parameters: each is a gap end
+    or a split point, and lies in a gap of ``_search_region``, whose every
     point is at least ``margin >= 2 om`` from the essential set
     (``om = operator_margin(model)``), where ``_admit`` refuses only within
-    ``om``: the gap ends are band ends or box ends outside every band; a
-    split point is strictly inside its piece; the sub-scan points are convex
-    combinations of a piece's ends; and an ITP point is kept inside its
-    bracket, which lies in a piece, or is NaN.  Rounding moves a point by a
-    few ulps of ``bound + 1``, far below ``om = 1e-9 (1 + bound)``.  An
-    overflowed determinant can make an ITP point NaN, so the evaluators
-    raise ``_admit``'s ``DomainError`` for a non-finite parameter.
+    ``om``.  The gap ends are band ends or box ends outside every band, and a
+    split point is strictly inside its piece; rounding moves a point by a few
+    ulps of ``bound + 1``, far below ``om = 1e-9 (1 + bound)``.  The count
+    still raises ``_admit``'s ``DomainError`` for a non-finite parameter.  The
+    sub-scan and refinement points go through ``delta_batch``, which admits
+    them; they lie in the same pieces, so it refuses none, but an overflowed
+    determinant can make an ITP point NaN, and that raises ``DomainError``.
 
     The evaluator calls are the cost: on a 2-vCPU x86 host with one BLAS
     thread a refinement step's own arithmetic takes about 6 us for one open
-    bracket and 3 us for each further one, a one-lambda ``_determinant`` on
-    fixture a about 20 us (``delta_batch``, which admits, about 35 us), and a
-    one-lambda count on ramp-8 about 0.3 ms (``_inertia``).  A fresh ramp-8
-    search takes about 13 ms, and the sum rule ``a_k = 1 + k/4``,
-    ``b_k = -0.97 - k/4`` about 0.1 s at ``n = 8`` and 0.5 to 0.7 s at ``n = 12``.
+    bracket and 3 us for each further one, a one-lambda ``delta_batch`` on
+    fixture a about 35 us, of which ``_admit`` is 12 to 19 us, and a
+    one-lambda count on ramp-8 about 0.3 ms (``_count``).  On a model whose
+    arrays are sampled, a ramp-8 search takes about 8 ms, and the sum rule
+    ``a_k = 1 + k/4``, ``b_k = -0.97 - k/4`` about 0.1 s at ``n = 8`` and 0.55
+    to 0.65 s at ``n = 12``.
 
     The search reads ``margin`` (through ``_search_region``) from the model's
     ``search`` settings and nothing else; another margin goes on a new model,
@@ -787,7 +779,7 @@ def _search_roots(model):
         flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
 
     def dvals(lams):
-        return _determinant(model, lams).real
+        return delta_batch(model, lams).real
 
     # one eigenvalue per piece: the first sign change of a sub-scan brackets it
     lo, hi, flo, fhi = np.concatenate(simple, axis=1)

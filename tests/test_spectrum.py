@@ -36,7 +36,7 @@ from pio.operators import apply_partial, apply_T
 from pio.pie import TauClass, classify_tau, residual, solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
-    _inertia,
+    _count,
     _reduction_plan,
     _refine_roots,
     _search_region,
@@ -544,16 +544,15 @@ def fresh_fixture_a():
 
 @pytest.fixture
 def delta_batch_calls(monkeypatch):
-    """The number of parameters of each determinant call the search makes: it
-    calls ``_determinant``, the evaluator of ``delta_batch`` without admission."""
+    """The number of parameters of each ``delta_batch`` call the search makes."""
     calls = []
-    counted = pio.spectrum._determinant
+    counted = pio.spectrum.delta_batch
 
     def counting(model, lams, *args, **kwargs):
         calls.append(len(lams))
         return counted(model, lams, *args, **kwargs)
 
-    monkeypatch.setattr(pio.spectrum, "_determinant", counting)
+    monkeypatch.setattr(pio.spectrum, "delta_batch", counting)
     return calls
 
 
@@ -602,7 +601,7 @@ def search_gaps(model):
 def gap_counts(model):
     """``|nu(b) - nu(a)|`` on each search gap ``(a, b)`` of the model."""
     gaps = search_gaps(model)
-    nu, _ = _inertia(model, gaps.ravel())
+    nu, _ = _count(model, gaps.ravel())
     return gaps, np.abs(nu.reshape(-1, 2) @ [-1, 1]).tolist()
 
 
@@ -648,7 +647,7 @@ def test_slicing_count_is_monotone_across_every_gap(name, fixture_a, fixture_b):
         "double root": double_root_model,
     }[name]()
     for lo, hi in search_gaps(model):
-        nu, _ = _inertia(model, np.linspace(lo, hi, 400))
+        nu, _ = _count(model, np.linspace(lo, hi, 400))
         steps = np.diff(nu) if lo > 0 else -np.diff(nu)
         assert steps.min() >= 0, (lo, hi)
 
@@ -710,7 +709,7 @@ def test_a_zero_channel_counts_on_the_other_family(path, fixture_c, pivots):
     # no gap holds an eigenvalue
     view = fixture_c if path == 1 else fixture_c.mirrored()
     lams = search_gaps(view).ravel()
-    nu, vals = _inertia(view, lams)
+    nu, vals = _count(view, lams)
     assert pivots == [["K" if path == 1 else "N"] * len(lams)]
     assert nu.tolist() == [1] * len(lams)
     assert np.allclose(vals, -lams, rtol=1e-12, atol=0.0)
@@ -725,7 +724,7 @@ def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
                        ["legendre(0)", "legendre(1)"], ["0", "0"])
     view = model if path == 1 else model.mirrored()
     lams = search_gaps(view).ravel()
-    nu, vals = _inertia(view, lams)
+    nu, vals = _count(view, lams)
     assert pivots == [["X"] * len(lams)]
     assert nu.tolist() == [4] * len(lams)
     assert np.allclose(vals, lams**4, rtol=1e-12, atol=0.0)
@@ -761,7 +760,7 @@ def test_a_singular_pivot_block_counts_on_the_other_family(path, pivots):
     assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps]
     (start, _), = [(a, b) for a, b in gaps if a < crossing < b]
     pivots.clear()
-    nu, _ = _inertia(view, np.array([start, crossing]))
+    nu, _ = _count(view, np.array([start, crossing]))
     assert pivots == [["N", "K" if path == 1 else "N"]]
     assert abs(nu[1] - nu[0]) == np.sum((eigs > start) & (eigs < crossing)) == 1
 
@@ -807,9 +806,31 @@ def test_ramp_12_matches_the_oracle(path, ramp_12):
     assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-9
 
 
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
+    # ramp-8 with channel-2 weights 1e-6 (k+1) t^2: N~ still pivots (the rule is
+    # relative), but its 64 eigenvalues are about 1e-6, so det N~ alone is about
+    # 1e-384 and underflows; the value det X lam^64 is far inside the float range.
+    # A zero at a gap end would be taken for a root there.  Path 2 pivots on its
+    # own N~, which is path 1's K~, of size about 1
+    model = make_model((0, 1), (0, 1),
+                       [f"legendre({k})" for k in range(8)], [f"{k + 1}*t" for k in range(8)],
+                       [f"legendre({k})" for k in range(8)], [f"{(k + 1) * 1e-6!r}*t^2" for k in range(8)])
+    view = model if path == 1 else model.mirrored()
+    lams = search_gaps(view).ravel()
+    nu, vals = _count(view, lams)
+    assert pivots == [["N"] * len(lams)]
+    assert np.all(vals != 0.0)
+    assert np.allclose(vals, delta_batch(view, lams), rtol=1e-9, atol=0.0)
+    eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
+    gaps, counts = gap_counts(view)
+    assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps] == [0] * len(gaps)
+    assert discrete_spectrum(view) == ()
+
+
 def test_the_search_evaluators_refuse_a_non_finite_parameter(fixture_b):
-    # they admit nothing, but an overflowed value can make an ITP point NaN
-    for fn in (pio.spectrum._determinant, pio.spectrum._count, delta_batch, _inertia):
+    # the count admits nothing, but refuses a parameter that is not finite
+    for fn in (_count, delta_batch):
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError, match=f"lambda {bad!r} is not finite"):
                 fn(fixture_b, np.array([1.5, bad]))
@@ -914,7 +935,7 @@ def test_a_tiny_root_tol_still_finds_the_root(root_tol, fixture_b):
 def test_root_search_probe_budget(monkeypatch):
     # count batches per sigma_full on fresh models: one for the gap ends, then
     # one per step of bisection on counts; only the double root needs that to _ROOT_TOL.
-    # The search calls _count, the evaluator of _inertia without admission
+    # The search counts with _count, which does not admit
     calls = []
     counted = pio.spectrum._count
 
@@ -978,7 +999,7 @@ def test_refinement_is_superlinear_on_a_smooth_root():
 def test_refinement_ends_where_floats_are_coarser_than_root_tol(monkeypatch):
     # near 5e6 neighbouring floats are 9.3e-10 apart, so no bracket can get
     # narrower than root_tol = 1e-10: bisection looped forever on this model
-    counted = pio.spectrum._determinant
+    counted = pio.spectrum.delta_batch
     calls = []
 
     def bounded(model, lams, *args, **kwargs):
@@ -986,7 +1007,7 @@ def test_refinement_ends_where_floats_are_coarser_than_root_tol(monkeypatch):
         assert len(calls) <= 100, "the root search does not end"
         return counted(model, lams, *args, **kwargs)
 
-    monkeypatch.setattr(pio.spectrum, "_determinant", bounded)
+    monkeypatch.setattr(pio.spectrum, "delta_batch", bounded)
     model = make_model((0, 1), (0, 1), ["1"], ["2e6"], ["1"], ["3e6"])
     ((lam, mult),) = sigma_full(model).discrete
     assert abs(lam - 5e6) <= 1e-9 and mult == 1
@@ -1168,9 +1189,10 @@ def test_search_settings_come_from_the_model_alone():
     assert list(inspect.signature(sigma_full).parameters) == ["model"]
     assert list(inspect.signature(discrete_spectrum).parameters) == ["model"]
     assert list(inspect.signature(validate_model).parameters) == ["model"]
-    # the search admits its parameters by the operators' one rule: no margin argument
+    # the search's evaluators take no margin argument: delta_batch admits by the
+    # operators' one rule, and the count's parameters lie in the search gaps
     assert list(inspect.signature(delta_batch).parameters) == ["model", "lams"]
-    assert list(inspect.signature(_inertia).parameters) == ["model", "lams"]
+    assert list(inspect.signature(_count).parameters) == ["model", "lams"]
     assert not hasattr(pio.spectrum, "_search_settings")
 
 
