@@ -278,7 +278,7 @@ class _Sample:
     ``nodes``, a copy of the values on the rule's nodes, and ``sup``, the largest magnitude
     there and on the dense sample, or ``None`` and their ``PioError``; a weight's ``pieces``,
     ``(lo, hi, level, low, high)`` per piece (``level`` a constant piece's value, else ``None``
-    and the sampled extrema), or the ``PioError`` of its probes or range samples."""
+    and the sampled extrema), or the ``PioError`` of its range samples."""
 
     nodes: object
     sup: object
@@ -288,8 +288,8 @@ class _Sample:
 def _sample(expr, nodes, dense, interval, weight=False):
     """The ``_Sample`` of ``expr`` from one evaluation on the point sets laid out here: the rule's
     ``nodes`` with the ``dense`` sample (both may be empty) and, for a weight that is not a
-    literal, each piece's 257-point constancy probe and 4,097 range samples; if that
-    evaluation raises, each set is evaluated on its own."""
+    literal, each piece's 4,097 range samples; if that evaluation raises, each set is
+    evaluated on its own."""
     lo, hi = interval
     cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
     spans = list(zip(cuts, cuts[1:]))
@@ -299,7 +299,7 @@ def _sample(expr, nodes, dense, interval, weight=False):
         ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
         if phi < hi:
             ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-        parts += [plo + (phi - plo) * (np.arange(257) + 0.5) / 257.0, ts]  # probe strictly inside
+        parts.append(ts)
     try:
         values = expr(np.concatenate(parts))
     except PioError:
@@ -317,11 +317,11 @@ def _sample(expr, nodes, dense, interval, weight=False):
         kept, sup = None, err.with_traceback(None)
     if not weight:
         return _Sample(kept, sup)
-    try:  # every probe first, then the range samples of the pieces that are not constant
-        levels = [_level(take(2 * i + 2)) if ranged else expr.constant for i in range(len(spans))]
-        ranges = [None if level is not None else take(2 * i + 3) for i, level in enumerate(levels)]
+    try:  # a piece whose range samples agree is constant
+        ranges = [take(i + 2) for i in range(len(spans))] if ranged else [None] * len(spans)
+        levels = [_level(vals) for vals in ranges] if ranged else [expr.constant] * len(spans)
         pieces = tuple(
-            (plo, phi, level, None, None) if vals is None
+            (plo, phi, level, None, None) if level is not None
             else (plo, phi, None, float(vals.min()), float(vals.max()))
             for (plo, phi), level, vals in zip(spans, levels, ranges)
         )

@@ -81,14 +81,10 @@ inertia additivity; Haynsworth, *Linear Algebra Appl.* 1 (1968) 73-81).  Where
 so by Sylvester's law ``nu`` is the number of negative eigenvalues of ``N~``
 (``m`` blocks ``N_q``, one batched ``eigh``, which also gives ``N~^{-1}``)
 plus that of the Schur complement ``K~ - N~^{-1}``, and since ``det L = 1``,
-``det X`` is the product of both sets of eigenvalues.  The ``K~`` side is the
-``N~`` side of ``model.mirrored()``: its families are ``(N, K)``, and its
-``X`` is a symmetric permutation of this one (the halves swapped, the pairs
-reordered), with the same inertia and determinant.  The rule for the pivot,
-per parameter: ``N~`` where its eigenvalues ``d`` have ``min |d| >
-_PIVOT_RCOND * max |d|``, else ``K~`` where its own do, else the full ``X``
-(as in the zero model, where both are 0).  The rule makes the computed count the
-exact count of a slicing matrix near ``X``:
+``det X`` is the product of both sets of eigenvalues.  The pivot rule, per
+parameter: ``N~`` where its eigenvalues ``d`` have ``min |d| > _PIVOT_RCOND *
+max |d|``, else the full ``X`` (as where a channel-2 weight is identically 0).  The rule
+makes the computed count the exact count of a slicing matrix near ``X``:
 
 * ``eigh`` and ``eigvalsh`` are backward stable, so with ``u`` the unit
   roundoff the count is exactly that of ``X(K~ + F, N~ + E)`` with
@@ -615,8 +611,8 @@ def _sign(value):
     return 1.0 if value > 0.0 else -1.0 if value < 0.0 else 0.0 if value == 0.0 else value
 
 
-# The pivot rule of the slicing count: a family pivots at a parameter where the
-# eigenvalues ``d`` of its blocks have ``min |d| > _PIVOT_RCOND * max |d|``; with
+# The pivot rule of the slicing count: ``N~`` pivots at a parameter where the
+# eigenvalues ``d`` of its blocks ``N_q`` have ``min |d| > _PIVOT_RCOND * max |d|``; with
 # the square root of the unit roundoff, the count is exact for a matrix within
 # about ``c sqrt(u)`` of the slicing matrix (module docstring).
 _PIVOT_RCOND = 2.0**-26
@@ -634,52 +630,15 @@ def _block_diagonals(K, N):
     return out.reshape(count, m * n, m * n)
 
 
-def _haynsworth(K, N):
-    """``(ok, w)``: where ``N~`` pivots (``_PIVOT_RCOND``), and there the eigenvalues
-    of ``N~`` and of ``K~ - N~^{-1}``, shape (ok.sum(), 2mn), one batched ``eigh`` of
-    the ``N_q`` and one ``eigvalsh`` of size ``mn``.  ``_haynsworth(N, K)`` is the
-    ``N~`` side of the mirror."""
-    d, V = np.linalg.eigh(N)
-    mag = np.abs(d)
-    ok = mag.min(axis=(1, 2)) > _PIVOT_RCOND * mag.max(axis=(1, 2))
-    if not ok.all():
-        K, d, V = K[ok], d[ok], V[ok]
-    schur = _block_diagonals(K, -(V / d[..., None, :]) @ V.swapaxes(-1, -2))
-    return ok, np.concatenate([d.reshape(schur.shape[:2]), np.linalg.eigvalsh(schur)], axis=1)
-
-
-def _slicing_eigenvalues(model, lams):
-    """Per real parameter, ``2mn`` numbers whose negatives number ``nu(lam)`` and
-    whose product is ``det X(lam)``: the eigenvalues of ``N~`` and of its Schur
-    complement, or those of the mirror's, or of ``X`` itself where neither
-    family pivots (module docstring).  It does not admit the parameters; a
-    non-finite one raises ``_admit``'s ``DomainError``."""
-    finite = np.isfinite(lams)
-    if not finite.all():
-        _require_finite(lams[~finite][0], "lambda")
-    _, _, K, N = _reduction_plan(model).families(lams)
-    ok, w = _haynsworth(K, N)
-    if ok.all():
-        return w
-    out = np.empty((len(lams), w.shape[1]))
-    out[ok] = w
-    rest = np.flatnonzero(~ok)
-    ok, mirrored = _haynsworth(N[rest], K[rest])  # the N~ side of the mirror
-    out[rest[ok]] = mirrored
-    rest = rest[~ok]
-    if rest.size:  # X = [[K~, I], [I, N~]] itself
-        size = w.shape[1] // 2
-        X = np.zeros((rest.size, 2, size, 2, size))
-        X[:, 0, :, 0] = _block_diagonals(K[rest], np.zeros_like(N[rest]))
-        X[:, 1, :, 1] = _block_diagonals(np.zeros_like(K[rest]), N[rest])
-        X[:, 0, :, 1] = X[:, 1, :, 0] = np.eye(size)
-        out[rest] = np.linalg.eigvalsh(X.reshape(rest.size, 2 * size, 2 * size))
-    return out
-
-
 def _count(model, lams):
-    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, from
-    ``_slicing_eigenvalues``; the count of the search, which does not admit.
+    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, from ``2mn``
+    numbers per parameter whose negatives number ``nu`` and whose product is
+    ``det X``: the eigenvalues of ``N~`` (one batched ``eigh`` of the ``N_q``)
+    and of ``K~ - N~^{-1}`` (one ``eigvalsh`` of size ``mn``) where ``N~``
+    pivots, else those of ``X`` (module docstring).  It is the count of the
+    search and does not admit; a non-finite parameter raises ``_admit``'s
+    ``DomainError``.
+
     As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
     opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
@@ -690,13 +649,29 @@ def _count(model, lams):
     product (at least ``2^(-3mn)``) stays normal, for ``mn < 340``, the
     roundings are those of the plain product.
 
-    A count costs a batched ``eigh`` of the ``m`` blocks ``N_q`` and one
-    ``eigvalsh`` of size ``mn`` per parameter: on a 2-vCPU x86 host with one
-    BLAS thread, one parameter of ramp-8 (``mn = 64``) takes about 0.3 ms,
-    where the ``eigvalsh`` of the full ``X`` took 0.9 ms, and one of fixture a
-    about 55 us."""
-    w = _slicing_eigenvalues(model, lams)
-    size = w.shape[1] // 2
+    On a 2-vCPU x86 host with one BLAS thread, a count at one parameter of
+    ramp-8 (``mn = 64``) takes about 0.3 ms, and one of fixture a about 55 us."""
+    finite = np.isfinite(lams)
+    if not finite.all():
+        _require_finite(lams[~finite][0], "lambda")
+    _, _, K, N = _reduction_plan(model).families(lams)
+    d, V = np.linalg.eigh(N)
+    mag = np.abs(d)
+    ok = mag.min(axis=(1, 2)) > _PIVOT_RCOND * mag.max(axis=(1, 2))
+    size = d.shape[1] * d.shape[2]  # mn
+    w = np.empty((len(lams), 2 * size))
+    pivot = slice(None) if ok.all() else ok  # views, not copies, where every parameter pivots
+    if ok.any():  # Haynsworth: X = L diag(K~ - N~^{-1}, N~) L^T
+        d, V = d[pivot], V[pivot]
+        w[pivot, :size] = d.reshape(-1, size)
+        w[pivot, size:] = np.linalg.eigvalsh(_block_diagonals(K[pivot], -(V / d[..., None, :]) @ V.swapaxes(-1, -2)))
+    if not ok.all():  # X = [[K~, I], [I, N~]] itself
+        rest = ~ok
+        X = np.zeros((rest.sum(), 2, size, 2, size))
+        X[:, 0, :, 0] = _block_diagonals(K[rest], np.zeros_like(N[rest]))
+        X[:, 1, :, 1] = _block_diagonals(np.zeros_like(K[rest]), N[rest])
+        X[:, 0, :, 1] = X[:, 1, :, 0] = np.eye(size)
+        w[rest] = np.linalg.eigvalsh(X.reshape(-1, 2 * size, 2 * size))
     (wm, we), (lm, le) = np.frexp(w), np.frexp(lams)
     return np.count_nonzero(w < 0.0, axis=1), np.ldexp(wm.prod(axis=1) * lm**size, we.sum(axis=1) + size * le)
 
@@ -839,7 +814,7 @@ def _multiplicity(model, lam):
     lies within ``om`` of an unresolved band, which the roots do not cover, the slicing count at
     ``x -+ h`` decides, with ``h = min(om, (d - om)/2)`` and ``d`` the distance from ``x`` to the
     essential set, so both ends lie more than ``om`` from it and need no admission; it reads only
-    the numbers of negative eigenvalues.  The eigenvalues are real, so there is none there if
+    ``nu``.  The eigenvalues are real, so there is none there if
     ``|Im lam| > om`` or ``h <= 0``."""
     ess = sigma_ess(model)
     _admit(ess, lam, model)
@@ -848,8 +823,7 @@ def _multiplicity(model, lam):
         h = min(margin, (ess.distance(x) - margin) / 2)
         if abs(lam.imag) > margin or h <= 0:
             return 0
-        eigs = _slicing_eigenvalues(model, np.array([x - h, x + h]))
-        below, above = np.count_nonzero(eigs < 0.0, axis=1)
+        below, above = _count(model, np.array([x - h, x + h]))[0]
         return abs(int(above - below))
     return sum(mult for root, mult in discrete_spectrum(model) if abs(lam - root) <= margin)
 

@@ -88,12 +88,22 @@ def test_essential_range_identity_map():
     er = essential_range(parse_expr("t"), (0.0, 1.0))
     assert er.intervals == ((0.0, 1.0),)
     assert er.atoms == ()
+    # a bump of width about 3e-4 at 128/257, which a constancy check on a coarser
+    # grid can miss; the 4,097 range samples reach to within 6e-4 of its top
+    er = essential_range(parse_expr("2 + exp(-1e7*(t - 128/257)^2)"), (0.0, 1.0))
+    assert er.atoms == ()
+    (lo, hi), = er.intervals
+    assert lo == 2.0 and 2.999 < hi < 3.0
 
 
 def test_essential_range_constant_is_atom():
     er = essential_range(parse_expr("2"), (0.0, 1.0))
     assert er.intervals == ()
     assert er.atoms == ((2.0, 1.0),)
+    # constant in value though not as a literal
+    er = essential_range(parse_expr("sin(t)^2 + cos(t)^2"), (0.0, 1.0))
+    assert er.intervals == ()
+    assert er.atoms == ((1.0, 1.0),)
 
 
 def test_essential_range_step_function():
@@ -674,43 +684,33 @@ def test_multiple_eigenvalue_at_a_gap_midpoint_keeps_its_multiplicity():
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The route of each parameter of the slicing count: ``"N"`` (the Haynsworth
-    count on ``N~``), ``"K"`` (on the mirror's ``N~``, which is ``K~``) or ``"X"``
-    (the full slicing matrix), one list per count call."""
+    """The route of each parameter of the slicing count, one list per call of
+    ``pio.spectrum._count`` (the search's calls too): ``"N"`` (the Haynsworth count
+    on ``N~``) where the pivot rule admits ``N~``, else ``"X"`` (the full slicing
+    matrix)."""
     routes = []
-    counted = pio.spectrum._haynsworth
-    original = pio.spectrum._slicing_eigenvalues
+    counted = pio.spectrum._count
 
-    def haynsworth(K, N):
-        ok, w = counted(K, N)
-        routes[-1].append(ok)
-        return ok, w
+    def counting(model, lams):
+        mag = np.abs(np.linalg.eigvalsh(_reduction_plan(model).families(lams)[3]))
+        ok = mag.min(axis=(1, 2)) > pio.spectrum._PIVOT_RCOND * mag.max(axis=(1, 2))
+        routes.append(np.where(ok, "N", "X").tolist())
+        return counted(model, lams)
 
-    def slicing(model, lams):
-        routes.append([])
-        out = original(model, lams)
-        first, *second = routes[-1]
-        route = np.where(first, "N", "X")
-        if second:
-            route[~first] = np.where(second[0], "K", "X")
-        routes[-1] = route.tolist()
-        return out
-
-    monkeypatch.setattr(pio.spectrum, "_haynsworth", haynsworth)
-    monkeypatch.setattr(pio.spectrum, "_slicing_eigenvalues", slicing)
+    monkeypatch.setattr(pio.spectrum, "_count", counting)
     return routes
 
 
 @pytest.mark.parametrize("path", [1, 2])
-def test_a_zero_channel_counts_on_the_other_family(path, fixture_c, pivots):
-    # fixture c switches channel 2 off, so N~ = 0 and path 1 pivots on K~; the
-    # mirror's N~ is that K~.  Closed form: X = [[K~, 1], [1, 0]] has det -1 and
-    # one negative eigenvalue at every parameter, so nu = 1, delta = -lam and
-    # no gap holds an eigenvalue
+def test_a_zero_channel_counts_on_the_full_slicing_matrix(path, fixture_c, pivots):
+    # fixture c switches channel 2 off, so N~ = 0 and path 1 counts on the full
+    # X; the mirror's N~ is path 1's K~, which pivots.  Closed form: X = [[K~, 1],
+    # [1, 0]] has det -1 and one negative eigenvalue at every parameter, so nu = 1,
+    # delta = -lam and no gap holds an eigenvalue
     view = fixture_c if path == 1 else fixture_c.mirrored()
     lams = search_gaps(view).ravel()
-    nu, vals = _count(view, lams)
-    assert pivots == [["K" if path == 1 else "N"] * len(lams)]
+    nu, vals = pio.spectrum._count(view, lams)
+    assert pivots == [["X" if path == 1 else "N"] * len(lams)]
     assert nu.tolist() == [1] * len(lams)
     assert np.allclose(vals, -lams, rtol=1e-12, atol=0.0)
     assert gap_counts(view)[1] == [0] * len(search_gaps(view))
@@ -724,11 +724,31 @@ def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
                        ["legendre(0)", "legendre(1)"], ["0", "0"])
     view = model if path == 1 else model.mirrored()
     lams = search_gaps(view).ravel()
-    nu, vals = _count(view, lams)
+    nu, vals = pio.spectrum._count(view, lams)
     assert pivots == [["X"] * len(lams)]
     assert nu.tolist() == [4] * len(lams)
     assert np.allclose(vals, lams**4, rtol=1e-12, atol=0.0)
     assert discrete_spectrum(view) == ()
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_zero_weight_searches_on_the_full_slicing_matrix(path, pivots):
+    # ramp-4 with channel-2 member 1's weight 0: N_1 = 0, so every count of the
+    # path-1 search takes the full X with K~ != 0; the mirror's N~ is path 1's
+    # K~, which pivots.  The reference is the oracle at N = 100
+    model = make_model((0, 1), (0, 1),
+                       [f"legendre({k})" for k in range(4)], [f"{k + 1}*t" for k in range(4)],
+                       [f"legendre({k})" for k in range(4)], ["0", "2*t^2", "3*t^2", "4*t^2"])
+    view = model if path == 1 else model.mirrored()
+    eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
+    gaps, counts = gap_counts(view)
+    assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps] == [0, 3]
+    pivots.clear()
+    got = discrete_spectrum(view)
+    assert pivots and all(route == ("X" if path == 1 else "N") for call in pivots for route in call)
+    expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in gaps))
+    assert [mult for _, mult in got] == [1] * len(expected)
+    assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-8
 
 
 def sign_change_model():
@@ -740,7 +760,7 @@ def sign_change_model():
 
 
 @pytest.mark.parametrize("path", [1, 2])
-def test_a_singular_pivot_block_counts_on_the_other_family(path, pivots):
+def test_a_singular_pivot_block_counts_on_the_full_slicing_matrix(path, pivots):
     model = sign_change_model()
     view = model if path == 1 else model.mirrored()
     plan = _reduction_plan(model)
@@ -760,8 +780,8 @@ def test_a_singular_pivot_block_counts_on_the_other_family(path, pivots):
     assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps]
     (start, _), = [(a, b) for a, b in gaps if a < crossing < b]
     pivots.clear()
-    nu, _ = _count(view, np.array([start, crossing]))
-    assert pivots == [["N", "K" if path == 1 else "N"]]
+    nu, _ = pio.spectrum._count(view, np.array([start, crossing]))
+    assert pivots == [["N", "X" if path == 1 else "N"]]
     assert abs(nu[1] - nu[0]) == np.sum((eigs > start) & (eigs < crossing)) == 1
 
 
@@ -818,7 +838,7 @@ def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
                        [f"legendre({k})" for k in range(8)], [f"{(k + 1) * 1e-6!r}*t^2" for k in range(8)])
     view = model if path == 1 else model.mirrored()
     lams = search_gaps(view).ravel()
-    nu, vals = _count(view, lams)
+    nu, vals = pio.spectrum._count(view, lams)
     assert pivots == [["N"] * len(lams)]
     assert np.all(vals != 0.0)
     assert np.allclose(vals, delta_batch(view, lams), rtol=1e-9, atol=0.0)
