@@ -318,8 +318,8 @@ def _sample(expr, nodes, dense, interval, weight=False):
     if not weight:
         return _Sample(kept, sup)
     try:  # a piece whose range samples agree is constant
-        ranges = [take(i + 2) for i in range(len(spans))] if ranged else [None] * len(spans)
-        levels = [_level(vals) for vals in ranges] if ranged else [expr.constant] * len(spans)
+        ranges = [take(i + 2) if ranged else None for i in range(len(spans))]
+        levels = [expr.constant if vals is None else _level(vals) for vals in ranges]
         pieces = tuple(
             (plo, phi, level, None, None) if level is not None
             else (plo, phi, None, float(vals.min()), float(vals.max()))
