@@ -104,6 +104,10 @@ def test_essential_range_constant_is_atom():
     er = essential_range(parse_expr("sin(t)^2 + cos(t)^2"), (0.0, 1.0))
     assert er.intervals == ()
     assert er.atoms == ((1.0, 1.0),)
+    # constant inside the piece but undefined at its end: the range samples hold
+    # the end points, so the end's DomainError is raised, as a model's is
+    with pytest.raises(DomainError):
+        essential_range(parse_expr("t/t"), (0.0, 1.0))
 
 
 def test_essential_range_step_function():
@@ -684,19 +688,28 @@ def test_multiple_eigenvalue_at_a_gap_midpoint_keeps_its_multiplicity():
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The route of each parameter of the slicing count, one list per call of
-    ``pio.spectrum._count`` (the search's calls too): ``"N"`` (the Haynsworth count
-    on ``N~``) where the pivot rule admits ``N~``, else ``"X"`` (the full slicing
-    matrix)."""
-    routes = []
-    counted = pio.spectrum._count
+    """The routes ``pio.spectrum._count`` took, one ``{"N": a, "X": b}`` per call
+    (the search's calls too), read from the ``eigvalsh`` calls it made: ``a``
+    parameters counted on the Schur complement of ``N~`` (size ``mn``) and ``b``
+    on the full slicing matrix ``X`` (size ``2mn``)."""
+    routes, shapes = [], []
+    counted, eigvalsh = pio.spectrum._count, np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     def counting(model, lams):
-        mag = np.abs(np.linalg.eigvalsh(_reduction_plan(model).families(lams)[3]))
-        ok = mag.min(axis=(1, 2)) > pio.spectrum._PIVOT_RCOND * mag.max(axis=(1, 2))
-        routes.append(np.where(ok, "N", "X").tolist())
-        return counted(model, lams)
+        shapes.clear()
+        result = counted(model, lams)
+        mn = len(model.phi_x) * len(model.psi_y)
+        taken = {"N": 0, "X": 0}
+        for *batch, size, _ in shapes:
+            taken[{mn: "N", 2 * mn: "X"}[size]] += int(np.prod(batch))
+        routes.append(taken)
+        return result
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     monkeypatch.setattr(pio.spectrum, "_count", counting)
     return routes
 
@@ -710,7 +723,7 @@ def test_a_zero_channel_counts_on_the_full_slicing_matrix(path, fixture_c, pivot
     view = fixture_c if path == 1 else fixture_c.mirrored()
     lams = search_gaps(view).ravel()
     nu, vals = pio.spectrum._count(view, lams)
-    assert pivots == [["X" if path == 1 else "N"] * len(lams)]
+    assert pivots == [{"N": 0, "X": len(lams)} if path == 1 else {"N": len(lams), "X": 0}]
     assert nu.tolist() == [1] * len(lams)
     assert np.allclose(vals, -lams, rtol=1e-12, atol=0.0)
     assert gap_counts(view)[1] == [0] * len(search_gaps(view))
@@ -725,7 +738,7 @@ def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
     view = model if path == 1 else model.mirrored()
     lams = search_gaps(view).ravel()
     nu, vals = pio.spectrum._count(view, lams)
-    assert pivots == [["X"] * len(lams)]
+    assert pivots == [{"N": 0, "X": len(lams)}]
     assert nu.tolist() == [4] * len(lams)
     assert np.allclose(vals, lams**4, rtol=1e-12, atol=0.0)
     assert discrete_spectrum(view) == ()
@@ -745,7 +758,7 @@ def test_a_zero_weight_searches_on_the_full_slicing_matrix(path, pivots):
     assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps] == [0, 3]
     pivots.clear()
     got = discrete_spectrum(view)
-    assert pivots and all(route == ("X" if path == 1 else "N") for call in pivots for route in call)
+    assert pivots and all(call["N" if path == 1 else "X"] == 0 for call in pivots)
     expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in gaps))
     assert [mult for _, mult in got] == [1] * len(expected)
     assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-8
@@ -780,8 +793,8 @@ def test_a_singular_pivot_block_counts_on_the_full_slicing_matrix(path, pivots):
     assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps]
     (start, _), = [(a, b) for a, b in gaps if a < crossing < b]
     pivots.clear()
-    nu, _ = pio.spectrum._count(view, np.array([start, crossing]))
-    assert pivots == [["N", "X" if path == 1 else "N"]]
+    nu = [pio.spectrum._count(view, np.array([lam]))[0][0] for lam in (start, crossing)]
+    assert pivots == [{"N": 1, "X": 0}, {"N": 0, "X": 1} if path == 1 else {"N": 1, "X": 0}]
     assert abs(nu[1] - nu[0]) == np.sum((eigs > start) & (eigs < crossing)) == 1
 
 
@@ -839,7 +852,7 @@ def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
     view = model if path == 1 else model.mirrored()
     lams = search_gaps(view).ravel()
     nu, vals = pio.spectrum._count(view, lams)
-    assert pivots == [["N"] * len(lams)]
+    assert pivots == [{"N": len(lams), "X": 0}]
     assert np.all(vals != 0.0)
     assert np.allclose(vals, delta_batch(view, lams), rtol=1e-9, atol=0.0)
     eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
