@@ -36,7 +36,7 @@ import enum
 
 from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _multiplicity, _plain, _require_finite, _small_system
+from .spectrum import _multiplicity, _plain, _reciprocal, _require_finite, _small_system
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -58,12 +58,13 @@ def _classify(model, tau):
     _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO, None
+    lam = _reciprocal(tau)
     try:
-        if _multiplicity(model, 1.0 / tau):
+        if _multiplicity(model, lam):
             return TauClass.EIGEN, None
     except SpectrumHit:
         return TauClass.CHANNEL_SINGULAR, None
-    return TauClass.REGULAR, _small_system(model, 1.0 / tau)
+    return TauClass.REGULAR, _small_system(model, lam)
 
 
 def classify_tau(model, tau):
@@ -73,7 +74,8 @@ def classify_tau(model, tau):
     apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
     the essential set, so a channel factor is not invertible.  EIGEN: 1/tau is
     within that margin of a certified discrete eigenvalue (``spectrum._multiplicity``).
-    REGULAR: everything invertible.  A tau that is not finite raises ``DomainError``.
+    REGULAR: everything invertible.  A tau that is not finite, or nonzero with a
+    reciprocal that overflows (``1e-310``), raises ``DomainError``.
     """
     return _classify(model, tau)[0]
 
@@ -93,7 +95,7 @@ def solve_pie(model, tau, g):
         raise NonUniqueSolution(f"1/tau = {_plain(1.0 / tau)} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
         raise OutsideTheory(f"parameter {_plain(tau)} is {kind.value}")
-    return _second_kind(model, tau, g, *system)
+    return g.with_values(_second_kind(model, tau, g, *system))
 
 
 def residual(model, tau, f, g):

@@ -75,7 +75,11 @@ class QuadRule1D:
         return self.nodes.size
 
     def same_rule(self, other):
-        return (
+        """Whether ``other`` has this rule's nodes and weights, so that samples on
+        either rule are interchangeable.  A rule is the same as itself at once:
+        the model, its mirror and every grid sampled from them hold the same rule
+        objects, and each solver call checks them several times."""
+        return other is self or (
             isinstance(other, QuadRule1D)
             and np.array_equal(self.nodes, other.nodes)
             and np.array_equal(self.weights, other.weights)

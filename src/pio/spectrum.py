@@ -163,6 +163,15 @@ def _require_finite(value, name):
         raise DomainError(f"{name} {_plain(value)} is not finite")
 
 
+def _reciprocal(tau):
+    """``1/tau`` for a finite, nonzero ``tau``; ``DomainError`` naming ``tau`` where the
+    reciprocal overflows (``1e-310``).  The test divides in Python numbers, which give
+    ``inf`` where a numpy scalar would warn."""
+    if not cmath.isfinite(1.0 / complex(tau)):
+        raise DomainError(f"tau {_plain(tau)} is nonzero but 1/tau overflows")
+    return 1.0 / tau
+
+
 def _require_real(value, name):
     """``_require_finite`` for a real parameter; a complex one (``+0j`` too) raises ``DomainError``."""
     if isinstance(value, (complex, np.complexfloating)):
@@ -218,8 +227,8 @@ class SpectralSet:
             return np.nan  # as ``distances``: a NaN part makes every distance NaN
         best = np.inf
         for lo, hi in self.intervals:
-            dx = max(lo - lam.real, lam.real - hi, 0.0)
-            best = min(best, float(np.hypot(dx, lam.imag)))
+            dx = max(0.0, lo - lam.real, lam.real - hi)  # +0.0 first, so a tie is never -0.0
+            best = min(best, float(np.hypot(dx, lam.imag)) if lam.imag else dx)  # hypot(d, 0) == d
         for value in self.points:
             best = min(best, abs(lam - value))
         for value, _ in self.atoms:

@@ -283,6 +283,27 @@ def test_non_finite_parameters_are_refused(fixture_b, name, value):
         PARAMETER_CALLS[name][0](fixture_b, value)
 
 
+TAU_CALLS = {
+    "classify_tau": lambda m, t: classify_tau(m, t),
+    "solve_pie": lambda m, t: solve_pie(m, t, m.constant_grid(1.0)),
+    "apply_S 1": lambda m, t: apply_S(m, 1, t, m.constant_grid(1.0)),
+    "apply_S 2": lambda m, t: apply_S(m, 2, t, m.constant_grid(1.0)),
+}
+
+
+@pytest.mark.parametrize("tau", [1e-310, -5e-324, np.float64(5e-324), complex(0.0, 1e-310)],
+                         ids=["1e-310", "-5e-324", "np.float64(5e-324)", "1e-310j"])
+@pytest.mark.parametrize("name", list(TAU_CALLS))
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_tau_whose_reciprocal_overflows_is_refused(fixture_b, name, tau, path):
+    # 1e-310 was refused as "lambda inf is not finite", a parameter never passed;
+    # np.float64(5e-324) raised numpy's overflow RuntimeWarning first (an error
+    # under this suite's filterwarnings); apply_S named "1/tau inf"
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    with pytest.raises(DomainError, match=r"^tau \S+ is nonzero but 1/tau overflows$"):
+        TAU_CALLS[name](view, tau)
+
+
 def test_atom_eigenfunction_refuses_an_infinite_level(fixture_c):
     # the level tolerance 1e-9 * (1 + |lam0|) was infinite, so both levels of
     # the step weight matched and a unit "eigenfunction" came back

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import pio.operators
+import pio.spectrum
 from pio.errors import EigenvalueHit, GridMismatch, IndexOutOfRange, SpectrumHit
 from pio.model import make_model
 from pio.operators import (
@@ -15,8 +17,10 @@ from pio.operators import (
     resolvent_T,
 )
 from pio.pie import residual, solve_pie
+from pio.quadrature import Grid2D, build_rule
+from pio.spectrum import eigenfunctions_T
 
-from test_spectrum import fb_reference
+from test_spectrum import double_root_model, fb_reference
 
 
 def rich_model():
@@ -92,6 +96,103 @@ def test_grid_mismatch_detected(fixture_a, fixture_b):
         apply_partial(fixture_b, 1, split.constant_grid(1.0))
     # same interval, order and panels means the grids are interchangeable
     assert apply_T(fixture_b, fixture_a.constant_grid(1.0)).norm() > 0
+
+
+@pytest.fixture
+def rule_comparisons(monkeypatch):
+    """Counts the node and weight comparisons of ``QuadRule1D.same_rule``."""
+    calls = []
+    original = np.array_equal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    return calls
+
+
+def solver_calls(view, g):
+    """The warm solver path on grid ``g``: one call of each entry point, and
+    the eigenfunctions at the double eigenvalue 3.2 (Gram-Schmidt on the grid)."""
+    f = solve_pie(view, 0.1, g)
+    return [f, resolvent_T(view, -1.5, g), residual(view, 0.1, f, g), *eigenfunctions_T(view, 3.2)]
+
+
+def rebuilt(rule, order=None, breakpoints=None):
+    """A new rule object on ``rule``'s interval, by default with its order and panels."""
+    interior = rule.panel_edges[1:-1] if breakpoints is None else breakpoints
+    return build_rule((rule.lo, rule.hi), order or rule.order, interior)
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_the_solver_path_compares_no_nodes_on_the_model_rules(path, rule_comparisons):
+    model = double_root_model()
+    view = model if path == 1 else model.mirrored()
+    solver_calls(view, view.constant_grid(1.0))  # roots and plan, outside the count
+    rule_comparisons.clear()
+    shared = solver_calls(view, view.grid(lambda x, y: x + y * y))
+    assert len(shared) == 5 and not rule_comparisons
+    # a rule built again is a distinct object: its nodes are compared, and it is accepted
+    rule_x, rule_y = rebuilt(view.rule_x), rebuilt(view.rule_y)
+    equal = solver_calls(view, Grid2D.from_function(rule_x, rule_y, lambda x, y: x + y * y))
+    assert rule_comparisons
+    assert equal[0].rule_x is rule_x and equal[1].rule_y is rule_y
+    for a, b in zip(shared, equal):
+        assert a == b if isinstance(a, float) else np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("other", ["order", "panels"])
+def test_the_solvers_refuse_a_grid_on_other_rules(path, other):
+    model = double_root_model()
+    view = model if path == 1 else model.mirrored()
+    for axis in ("x", "y"):
+        rule = getattr(view, f"rule_{axis}")
+        changed = rebuilt(rule, order=rule.order + 1) if other == "order" else rebuilt(rule, breakpoints=[0.3])
+        rules = (changed, view.rule_y) if axis == "x" else (view.rule_x, changed)
+        g = Grid2D.from_function(*rules, lambda x, y: x + y)
+        with pytest.raises(GridMismatch):
+            solve_pie(view, 0.1, g)
+        with pytest.raises(GridMismatch):
+            resolvent_T(view, -1.5, g)
+
+
+def test_the_channel_corrections_go_through_apply_S(monkeypatch, fixture_b):
+    # the benchmark's tracer times the corrections by wrapping the name ``apply_S``
+    channels, original = [], pio.operators.apply_S
+    monkeypatch.setattr(pio.operators, "apply_S", lambda *args: channels.append(args[1]) or original(*args))
+    g = fixture_b.constant_grid(1.0)
+    solve_pie(fixture_b, 0.3, g)
+    resolvent_T(fixture_b, 4.0, g)
+    assert channels == [1, 2, 1, 2]
+
+
+def second_kind_on_grids(view, tau, g, lam):
+    """The solution of f - tau T f = g in the form on ``Grid2D`` arithmetic, with
+    the small system at ``lam``: ``1/tau`` for ``solve_pie``, the parameter of
+    ``resolvent_T`` there (a complex ``1/(1/lam)`` can differ from ``lam``)."""
+    u = g + tau * apply_S(view, 1, tau, g)
+    u = u + tau * apply_S(view, 2, tau, u)
+    plan = pio.spectrum._reduction_plan(view)
+    families, matrix = pio.spectrum._small_system(view, lam)
+    c = np.linalg.solve(matrix, plan.moments(u.values))
+    return u.with_values(u.values + tau * plan.synthesize(families, c))
+
+
+@pytest.mark.parametrize("lam", [10.0, -2.5, 2.0 - 3.0j])
+def test_the_second_kind_values_equal_the_grid_arithmetic(lam, fixture_b):
+    # the solvers sum on value arrays with the operands of the grid form in the
+    # same order, so the bytes are equal (with fused multiply-add, a complex
+    # product can depend on the order of its operands)
+    model = rich_model()
+    for view in (model, model.mirrored(), fixture_b):
+        g = view.grid(lambda x, y: np.sin(3 * x) + x * y ** 2)
+        tau = 1.0 / lam
+        assert np.array_equal(solve_pie(view, tau, g).values,
+                              second_kind_on_grids(view, tau, g, 1.0 / tau).values)
+        assert np.array_equal(resolvent_T(view, lam, g).values,
+                              (-tau * second_kind_on_grids(view, tau, g, lam)).values)
 
 
 def test_self_adjoint_on_grid(fixture_a, fixture_b):
