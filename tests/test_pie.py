@@ -140,3 +140,37 @@ def test_eigenvalue_decision_reaches_every_entry_point(monkeypatch):
         assert classify_tau(view, 1.0 / (10.0 + 2.0 * pio.spectrum.operator_margin(view))) \
             is TauClass.REGULAR
     assert list(map(id, searched)) == [id(model), id(model.mirrored())]
+
+
+def ramp_4():
+    legendre = [f"legendre({k})" for k in range(4)]
+    return make_model((0, 1), (0, 1), legendre, [f"{k + 1}*t" for k in range(4)],
+                      legendre, [f"{k + 1}*t^2" for k in range(4)])
+
+
+@pytest.mark.parametrize("name", ["fixture a", "ramp-4"])
+@pytest.mark.parametrize("path", [1, 2])
+def test_the_small_system_is_built_once_where_it_is_solved(monkeypatch, fixture_a, name, path):
+    # classify_tau built the small system and dropped it; on a warm model the
+    # class costs no coupling, and each solver builds the system once
+    model = fixture_a if name == "fixture a" else ramp_4()
+    view = model if path == 1 else model.mirrored()
+    g = view.grid(lambda x, y: np.sin(3 * x) + x * y ** 2)
+    lam, tau = -2.5, -0.4
+    solve_pie(view, tau, g)  # warm: the plan, the roots and the weight ranges
+    built, coupling = [], pio.spectrum._ReductionPlan.coupling
+    monkeypatch.setattr(pio.spectrum._ReductionPlan, "coupling",
+                        lambda plan, lams: built.append(lams) or coupling(plan, lams))
+    calls = {
+        "classify_tau": lambda: classify_tau(view, tau),
+        "solve_pie": lambda: solve_pie(view, tau, g),
+        "resolvent_T": lambda: resolvent_T(view, lam, g),
+        "complex resolvent_T": lambda: resolvent_T(view, 2.0 - 3.0j, g),
+    }
+    counts = {}
+    for key, call in calls.items():
+        built.clear()
+        call()
+        counts[key] = len(built)
+    assert counts == {"classify_tau": 0, "solve_pie": 1, "resolvent_T": 1, "complex resolvent_T": 1}
+    assert classify_tau(view, tau) is TauClass.REGULAR
