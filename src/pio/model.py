@@ -428,7 +428,7 @@ def make_model(
     search=SearchSettings(),
 ):
     """Build a model from expression strings (shorthands allowed), parsing each distinct
-    source once per interval; refuses a fractional or non-finite ``order`` (``PioError``)
+    source once per interval; refuses an ``order`` that is not a number, fractional or non-finite (``PioError``)
     and a non-finite extra breakpoint (``ModelFormatError``)."""
     xi = (float(x_interval[0]), float(x_interval[1]))
     yi = (float(y_interval[0]), float(y_interval[1]))
@@ -441,8 +441,9 @@ def make_model(
         _parse_sources(basis2, yi, "channel2.basis", parsed),
         _parse_sources(weights2, xi, "channel2.weights", parsed),
     )
-    if isinstance(order, (bool, np.bool_)) or isinstance(order, numbers.Real) and not (
-            math.isfinite(order) and order == int(order)):
+    if isinstance(order, (bool, np.bool_)) or not isinstance(order, numbers.Real):
+        raise PioError(f"quadrature order must be a whole number, got {type(order).__name__}")
+    if not (math.isfinite(order) and order == int(order)):
         raise PioError(f"quadrature order must be a whole number, got {order}")
     model = PIOModel(
         xi,

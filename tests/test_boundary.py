@@ -321,13 +321,13 @@ def test_delta_trace_rows_refuses_a_bad_window(fixture_b, window):
         assert len(delta_trace_rows(fixture_b, 1.1, 2.0, whole)) == 3
 
 
-@pytest.mark.parametrize("order", [2.5, np.float64(0.5), INF, -INF, NAN])
+@pytest.mark.parametrize("order", [2.5, np.float64(0.5), INF, -INF, NAN, "3", None])
 def test_fractional_or_non_finite_order_is_refused(order):
     # 2.5 used to build order 2 silently; inf and nan raised a raw
-    # OverflowError or ValueError
+    # OverflowError or ValueError; "3" built order 3 through int("3")
     with pytest.raises(PioError, match="quadrature order must be a whole number"):
         make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=order)
-    for whole in (3.0, np.int64(3)):
+    for whole in (3, 3.0, np.int64(3)):
         assert make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=whole).order == 3
 
 
@@ -484,3 +484,33 @@ def test_booleans_are_refused_where_the_library_counts():
     assert project(model, 1, 1, g).values.shape == g.values.shape
     assert nystrom_matrix(model, 1, 3).a.shape == (2, 1)
     assert make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=1).order == 1
+
+
+# (call on a view of fixture a, the parameter's name, a number it takes): one number each
+ONE_NUMBER = {
+    "resolvent_T": (lambda m, v, g: resolvent_T(m, v, g), "lambda", 10.0),
+    "resolvent_channel": (lambda m, v, g: resolvent_channel(m, 2, v, g), "lambda", 10.0),
+    "classify_tau": (lambda m, v, g: classify_tau(m, v), "tau", 0.1),
+    "solve_pie": (lambda m, v, g: solve_pie(m, v, g), "tau", 0.1),
+    "apply_S": (lambda m, v, g: apply_S(m, 1, v, g), "tau", 0.1),
+    "eigenfunctions_T": (lambda m, v, g: eigenfunctions_T(m, v), "lam0", 5.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_NUMBER))
+@pytest.mark.parametrize("path", [1, 2])
+def test_one_number_entry_points_refuse_an_array(fixture_a, name, path):
+    # an array raised numpy's ValueError (truth value or broadcast) or TypeError (only
+    # 0-dimensional arrays convert to scalars)
+    call, param, value = ONE_NUMBER[name]
+    view = fixture_a if path == 1 else fixture_a.mirrored()
+    g = view.grid(lambda x, y: 1.0 + x * y)
+    for bad in (np.array([value, value + 1.0]), np.array([value]), [value], np.full((1, 1), value)):
+        with pytest.raises(DomainError, match=re.escape(f"{param} must be one number, got shape {np.shape(bad)}")):
+            call(view, bad, g)
+
+    def plain(out):
+        return [f.values for f in out] if isinstance(out, list) else getattr(out, "values", out)
+
+    for one in (np.float64(value), np.array(value)):  # numpy scalars and 0-d arrays are one number
+        np.testing.assert_array_equal(plain(call(view, one, g)), plain(call(view, value, g)))

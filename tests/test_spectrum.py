@@ -1294,6 +1294,101 @@ def test_eigenfunction_rejections(fixture_a):
         eigenfunctions_T(fixture_a, 2.0)
 
 
+def singular_sumrule_model():
+    """Constant weights 1, 4 and 2 on the indicator bases of [0, 1] and [1, 2], one quadrature
+    node per panel: each sum of the reduction has one nonzero term, so at the sums 3 and 6 the
+    small system is exactly singular whatever order a BLAS sums in."""
+    return make_model((0, 2), (0, 1), ["piecewise([0,1]:1; [1,2]:0)", "piecewise([0,1]:0; [1,2]:1)"],
+                      ["1", "4"], ["1"], ["2"], order=1)
+
+
+EIGENFUNCTION_MODELS = {
+    "ramp-4": lambda: ramp_model(4, 4),
+    "ramp-8": lambda: ramp_model(8, 8),
+    "double root": double_root_model,
+}
+
+
+def coefficient_subspace_gap(view, lam, family):
+    """``1 - cos`` of the largest principal angle between the moments of ``family`` and the
+    right singular vectors of the smallest singular values of the small system at ``lam``."""
+    reference = np.linalg.svd(_small_system(view, lam)[1])[2][-len(family):].conj().T
+    moments = np.column_stack([_reduction_plan(view).moments(f.values) for f in family])
+    cosines = np.linalg.svd(reference.conj().T @ np.linalg.qr(moments)[0], compute_uv=False)
+    return 1.0 - cosines.min()
+
+
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("name", list(EIGENFUNCTION_MODELS))
+def test_eigenfunction_coefficients_span_the_null_space_of_the_small_system(name, path):
+    # the moments c_w = <B_w, f> of the functions are their coefficients; the reference is a
+    # full SVD of the same small system, computed here
+    model = EIGENFUNCTION_MODELS[name]()
+    view = model if path == 1 else model.mirrored()
+    om = operator_margin(view)
+    for root, mult in discrete_spectrum(view):
+        for lam in (root, root - 0.5 * om, root + 0.5 * om):
+            family = eigenfunctions_T(view, lam)
+            assert len(family) == mult
+            assert coefficient_subspace_gap(view, lam, family) <= 1e-12, (root, lam)
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_eigenfunctions_need_no_svd(monkeypatch, fixture_a, path):
+    # one path, by inverse iteration: an SVD that cannot run changes nothing
+    models = [fixture_a, ramp_model(4, 4), double_root_model(), singular_sumrule_model()]
+    views = [m if path == 1 else m.mirrored() for m in models]
+    before = [[f.values for f in eigenfunctions_T(v, discrete_spectrum(v)[-1][0])] for v in views]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for view, values in zip(views, before):
+        after = eigenfunctions_T(view, discrete_spectrum(view)[-1][0])
+        assert [f.values.tobytes() for f in after] == [v.tobytes() for v in values]
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_eigenfunctions_at_an_exactly_singular_small_system(path):
+    # LU of the unperturbed matrix meets a zero pivot; the eigenfunctions are still found.
+    # Fixture a at order 1 has the 1x1 zero at 5 (at the default order it rounds a few ulps off 0).
+    fixture_a_1 = make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=1)
+    for model, lam in ((fixture_a_1, 5.0), (singular_sumrule_model(), 3.0), (singular_sumrule_model(), 6.0)):
+        view = model if path == 1 else model.mirrored()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(_small_system(view, lam)[1], np.ones(view.phi_x.shape[0] * view.psi_y.shape[0]))
+        f, = eigenfunctions_T(view, lam)
+        assert abs(f.norm() - 1.0) < 1e-12
+        assert (apply_T(view, f) - lam * f).norm() < 1e-9
+        assert coefficient_subspace_gap(view, lam, [f]) <= 1e-12
+
+
+def test_eigenfunctions_are_reproducible_to_the_byte():
+    # a fixed start block: two calls, and a call on a model built again, give the same bytes
+    for build, lam in ((double_root_model, 3.2), (lambda: ramp_model(4, 4), None)):
+        model = build()
+        lam = discrete_spectrum(model)[0][0] if lam is None else lam
+        first, second = eigenfunctions_T(model, lam), eigenfunctions_T(model, lam)
+        again = eigenfunctions_T(build(), lam)
+        for fs in (second, again):
+            assert [f.values.tobytes() for f in fs] == [f.values.tobytes() for f in first]
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_eigenfunctions_of_ramp_8_across_the_eigen_window(path):
+    # T f = lam f to 1e-7 at each root and half the operator margin to either side,
+    # with T applied channel by channel
+    model = ramp_model(8, 8)
+    view = model if path == 1 else model.mirrored()
+    om = operator_margin(view)
+    for root, _ in discrete_spectrum(view):
+        for lam in (root - 0.5 * om, root, root + 0.5 * om):
+            f, = eigenfunctions_T(view, lam)
+            assert abs(f.norm() - 1.0) < 1e-12
+            assert (apply_T(view, f) - lam * f).norm() <= 1e-7, (root, lam)
+
+
 def test_atom_level_is_matched_within_the_operator_margin(fixture_c):
     om = operator_margin(fixture_c)
     for level in (2.0, 4.0):
