@@ -295,27 +295,16 @@ def _power(base, exponent):
     e = np.asarray(exponent, dtype=float)
     if np.any((b == 0.0) & (e < 0.0)):
         raise DomainError("zero raised to a negative power")
-    neg = b < 0.0
-    if np.any(neg & (e != np.floor(e))):
+    if np.any((b < 0.0) & (e != np.floor(e))):
         raise DomainError("negative base with a non-integer exponent")
-    if np.any(neg):
-        b, e = np.broadcast_arrays(b, e)
-        return _signed_power(b, e, neg, np.mod(e[neg], 2.0) == 1.0)
-    return np.power(b, e)
-
-
-def _signed_power(b, e, neg, odd):
-    """Integer exponents on negative bases: route through the sign by hand."""
-    out = np.empty_like(b)
-    out[~neg] = np.power(b[~neg], e[~neg])
-    mag = np.power(-b[neg], e[neg])
-    out[neg] = np.where(odd, -mag, mag)
-    return out
+    mag = np.power(np.abs(b), e)
+    return np.where(np.mod(e, 2.0) == 1.0, np.copysign(mag, b), mag)
 
 
 def _literal_power(base, e):
-    """``base ^ e`` for a literal ``e``, whose tests are decided here; each
-    call makes ``_power``'s ``np.power`` calls on the same operands."""
+    """``base ^ e`` for a literal ``e``, whose tests are decided here, with ``_power``'s
+    arithmetic: ``|base| ^ e``, with the sign of ``base`` for an odd ``e`` (``-0.0`` too, as
+    ``np.power`` gives it)."""
     exponent = np.asarray(e, dtype=float)
     negative, whole, odd = e < 0.0, e == math.floor(e), e % 2.0 == 1.0  # as np.floor, np.mod
 
@@ -323,12 +312,10 @@ def _literal_power(base, e):
         b = np.asarray(base(env), dtype=float)
         if negative and np.any(b == 0.0):
             raise DomainError("zero raised to a negative power")
-        neg = b < 0.0
-        if not np.any(neg):
-            return np.power(b, exponent)
-        if not whole:
+        if not whole and np.any(b < 0.0):
             raise DomainError("negative base with a non-integer exponent")
-        return _signed_power(b, np.broadcast_to(exponent, b.shape), neg, odd)
+        mag = np.power(np.abs(b), exponent)
+        return np.copysign(mag, b) if odd else mag
 
     return evaluate
 

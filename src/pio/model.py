@@ -262,13 +262,14 @@ def _rule(interval, order, exprs, extra):
 
 
 def _sample_channel(channel, basis_rule, basis_interval, weight_rule, weight_interval):
-    """``(basis, weights)`` of a channel, the ``_Sample`` of each; one dense sample per side."""
+    """``(basis, weights)`` of a channel, the ``_Sample`` of each; one dense sample per side, and
+    one set of range samples per distinct weight piece."""
     basis_dense = np.linspace(*basis_interval, _DENSE_SAMPLES)
     weight_dense = np.linspace(*weight_interval, _DENSE_SAMPLES)
+    ranges = {}
     return (
         tuple(_sample(f, basis_rule.nodes, basis_dense, basis_interval) for f in channel.basis),
-        tuple(_sample(w, weight_rule.nodes, weight_dense, weight_interval, weight=True)
-              for w in channel.weights),
+        tuple(_sample(w, weight_rule.nodes, weight_dense, weight_interval, ranges) for w in channel.weights),
     )
 
 
@@ -285,21 +286,26 @@ class _Sample:
     pieces: object = None
 
 
-def _sample(expr, nodes, dense, interval, weight=False):
+def _sample(expr, nodes, dense, interval, ranges=None):
     """The ``_Sample`` of ``expr`` from one evaluation on the point sets laid out here: the rule's
     ``nodes`` with the ``dense`` sample (both may be empty) and, for a weight that is not a
-    literal, each piece's 4,097 range samples; if that evaluation raises, each set is
-    evaluated on its own."""
+    literal, each piece's 4,097 range samples; if that evaluation raises, each set is evaluated
+    on its own.  A weight passes ``ranges``, a dict of range samples by piece that the weights of
+    one side share: a piece's samples are built on its first use there.  ``_level`` reads each
+    piece's samples in one pass for its extrema."""
     lo, hi = interval
     cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
     spans = list(zip(cuts, cuts[1:]))
     parts = [nodes, dense]
+    weight = ranges is not None
     ranged = weight and expr.constant is None
     for plo, phi in spans if ranged else ():
-        ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
-        if phi < hi:
-            ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-        parts.append(ts)
+        if (plo, phi) not in ranges:
+            ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
+            if phi < hi:
+                ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
+            ranges[plo, phi] = ts
+        parts.append(ranges[plo, phi])
     try:
         values = expr(np.concatenate(parts))
     except PioError:
@@ -317,13 +323,10 @@ def _sample(expr, nodes, dense, interval, weight=False):
         kept, sup = None, err.with_traceback(None)
     if not weight:
         return _Sample(kept, sup)
-    try:  # a piece whose range samples agree is constant
-        ranges = [take(i + 2) if ranged else None for i in range(len(spans))]
-        levels = [expr.constant if vals is None else _level(vals) for vals in ranges]
+    try:
         pieces = tuple(
-            (plo, phi, level, None, None) if level is not None
-            else (plo, phi, None, float(vals.min()), float(vals.max()))
-            for (plo, phi), level, vals in zip(spans, levels, ranges)
+            (plo, phi, *(_level(take(i + 2)) if ranged else (expr.constant, None, None)))
+            for i, (plo, phi) in enumerate(spans)
         )
     except PioError as err:
         pieces = err.with_traceback(None)
@@ -331,11 +334,13 @@ def _sample(expr, nodes, dense, interval, weight=False):
 
 
 def _level(vals):
-    """The value of samples that agree to ``1e-12 * (1 + max|value|)``, else ``None``."""
-    spread = float(vals.max() - vals.min())
-    if spread < 1e-12 * (1.0 + float(np.abs(vals).max())):
-        return float(vals.mean())
-    return None
+    """``(level, None, None)`` for a piece whose range samples agree to ``1e-12 * (1 +
+    max|value|)``, a constant piece, else ``(None, low, high)``, the sampled extrema.  They
+    are taken once: ``max|value|`` is ``max(-low, high)``."""
+    low, high = float(vals.min()), float(vals.max())
+    if high - low < 1e-12 * (1.0 + max(-low, high)):
+        return float(vals.mean()), None, None
+    return None, low, high
 
 
 def _stored(value):

@@ -86,7 +86,7 @@ def apply_T(model, f):
 
 def _resolvent_channel(model, g, lam):
     _check_grid(model, g)
-    _require_finite(lam, "lambda")
+    lam = _require_finite(lam, "lambda")
     _admit(sigma_channel(model, 1), lam, model, where="the channel spectrum")
     weights = model.h_y
     correction = _apply_weighted(model, g, weights / (weights - lam))
@@ -104,7 +104,7 @@ def resolvent_channel(model, channel, lam, g):
 
 def _apply_S(model, g, tau):
     _check_grid(model, g)
-    _require_finite(tau, "tau")
+    tau = _require_finite(tau, "tau")
     if tau != 0:
         _admit(_weight_ranges(model), _reciprocal(tau), model, name="1/tau", where="the weight ranges")
     weights = model.h_y
@@ -151,7 +151,7 @@ def resolvent_T(model, lam, g):
     singular or nearly so and the solve is refused with ``EigenvalueHit``.
     """
     _check_grid(model, g)
-    _require_finite(lam, "lambda")
+    lam = _require_finite(lam, "lambda")
     if _multiplicity(model, lam):
         raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
     tau = 1.0 / lam

@@ -61,7 +61,7 @@ def classify_tau(model, tau):
     or nonzero with a reciprocal that overflows (``1e-310``), raises ``DomainError``.
     """
     model._require_valid()
-    _require_finite(tau, "tau")
+    tau = _require_finite(tau, "tau")
     if tau == 0:
         return TauClass.ZERO
     try:
@@ -83,6 +83,7 @@ def solve_pie(model, tau, g):
     """
     _check_grid(model, g)
     kind = classify_tau(model, tau)
+    tau = _require_finite(tau, "tau")  # the Python number that classify_tau decided on
     if kind is TauClass.EIGEN:
         raise NonUniqueSolution(f"1/tau = {_plain(1.0 / tau)} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
@@ -92,7 +93,7 @@ def solve_pie(model, tau, g):
 
 def residual(model, tau, f, g):
     """Norm of f - tau * T f - g, the direct check of a claimed solution."""
-    _require_finite(tau, "tau")
+    tau = _require_finite(tau, "tau")
     _check_grid(model, f)
     _check_grid(model, g)
     return (f - tau * apply_T(model, f) - g).norm()

@@ -152,14 +152,17 @@ def _plain(number):
 
 
 def _require_finite(value, name):
-    """Raise ``DomainError`` unless ``value`` is one number, real or complex, and
-    finite; in plain Python, since it runs on every operator call.  A value that is not a
-    Python number (numpy scalars of other types, arrays, lists) must pass ``_batch``'s
-    rule for one number, so an array is refused by its shape and not by a numpy error."""
+    """``value`` as a Python number, after raising ``DomainError`` unless it is one number,
+    real or complex, and finite; in plain Python, since it runs on every operator call.  A value
+    that is not a Python number (numpy scalars of other types, arrays, lists) must pass
+    ``_batch``'s rule for one number, so an array is refused by its shape and not by a numpy
+    error, and is converted here, the one place: a ``np.float32`` parameter is computed in double
+    from its exact value, as the same value given as a Python float."""
     if not isinstance(value, (float, int, complex)):
-        _batch(value, 0, name)
+        value = _batch(value, 0, name).item()
     if not cmath.isfinite(value):
         raise DomainError(f"{name} {_plain(value)} is not finite")
+    return value
 
 
 def _reciprocal(tau):
@@ -172,10 +175,12 @@ def _reciprocal(tau):
 
 
 def _require_real(value, name):
-    """``_require_finite`` for a real parameter; a complex one (``+0j`` too) raises ``DomainError``."""
-    if isinstance(value, (complex, np.complexfloating)):
+    """``_require_finite`` for a real parameter; a complex one (``+0j`` too, and a complex
+    numpy scalar or 0-d array, which it converts to a Python ``complex``) raises ``DomainError``."""
+    value = _require_finite(value, name)
+    if isinstance(value, complex):
         raise DomainError(f"{name} {_plain(value)} is not real")
-    _require_finite(value, name)
+    return value
 
 
 def _admit(spectral_set, params, model, name="lambda", where="the essential spectrum"):
@@ -294,7 +299,7 @@ def essential_range(expr, interval):
     length)``, every other piece the interval between its sampled extrema, the
     same derivation as a model's weight ranges on the records it keeps.  An
     interval that is not finite with ``lo < hi`` raises ``BadInterval``, as in ``build_rule``."""
-    return _derive_range(_sample(expr, np.empty(0), np.empty(0), _interval(interval), weight=True))
+    return _derive_range(_sample(expr, np.empty(0), np.empty(0), _interval(interval), {}))
 
 
 def _derive_range(sample):
@@ -718,10 +723,28 @@ def discrete_spectrum(model):
     essential set are counted at their ends in one batch.  The pieces that
     hold two or more eigenvalues are split on counts (at ``_SPLIT``) in
     lockstep, one batch per step; a piece narrower than ``_ROOT_TOL`` that
-    still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  The
-    pieces that hold one are sub-scanned together in one determinant call,
-    and their sign-change brackets are refined to ``_ROOT_TOL`` by
-    ``_refine_roots``, one call per step.
+    still holds ``k >= 2`` is one eigenvalue of multiplicity ``k``.  A piece
+    that holds one is a sign-change bracket of its eigenvalue:
+
+    * a piece with an end at a gap end, a band edge or the box end, is
+      sub-scanned at ``_SUBSCAN_POINTS``, all such pieces together in one
+      determinant call, and its first sign change is the bracket.  Near a band
+      edge the determinant has log or pole singularities, and a bracket from
+      the piece itself costs more steps there (36 calls on fixture b and on
+      ramp-1/ramp-2 without the sub-scan);
+    * a piece between two split points is its own bracket: its count values
+      have opposite signs or a zero (``_count``).
+
+    The brackets are refined to ``_ROOT_TOL`` by ``_refine_roots``, one call
+    per step, on the scale-free ``det X = delta / lam^(mn)``: the count values
+    at the ends and the ``delta_batch`` values are divided by ``lam^(mn)``,
+    which has one sign on every gap since ``0`` is essential, so the brackets
+    are those of ``delta``.  ``lam^16`` varies 7.3 times across sumrule-4's
+    bracket ``(0.4497, 0.5094)``, curvature that used up ITP's budget on
+    ``delta`` and ended it in bisection.  The quotient takes ``lam``'s binary
+    exponent apart (frexp), so ``lam^(mn)`` itself is never formed: where
+    ``delta`` overflows (``n = m = 16``) it is an infinite ``det X`` of the right
+    sign, not ``inf / inf``, and the refinement bisects on signs there.
 
     The count, ``_count``, does not admit its parameters: each is a gap end
     or a split point, and lies in a gap of ``_search_region``, whose every
@@ -740,9 +763,12 @@ def discrete_spectrum(model):
     bracket and 3 us for each further one, a one-lambda ``delta_batch`` on
     fixture a about 35 us, of which ``_admit`` is 12 to 19 us, and a
     one-lambda count on ramp-8 about 0.3 ms (``_count``).  On a model whose
-    arrays are sampled, a ramp-8 search takes about 8 ms, and the sum rule
-    ``a_k = 1 + k/4``, ``b_k = -0.97 - k/4`` about 0.1 s at ``n = 8`` and 0.55
-    to 0.65 s at ``n = 12``.
+    arrays are sampled, a ramp-8 search takes about 6 ms, and the sum rule
+    ``a_k = 1 + k/4``, ``b_k = -0.97 - k/4`` about 80 ms at ``n = 8`` and 0.5
+    s at ``n = 12``.  A fresh search makes 6 ``delta_batch`` calls (11
+    parameters) on fixture a, 12 (167) on sumrule-4 and 8 (49) on ramp-8: 9.8
+    parameters per root over the ``spectrum`` benchmark's cases
+    (``BENCH_643cb46.json``).
 
     The search reads ``margin`` (through ``_search_region``) from the model's
     ``search`` settings and nothing else; another margin goes on a new model,
@@ -754,7 +780,22 @@ def discrete_spectrum(model):
 def _search_roots(model):
     """The search of ``discrete_spectrum``, uncached."""
     _, gaps, _ = _search_region(model)
-    nu, vals = _count(model, gaps.ravel())
+    size = model.n * model.m
+
+    # det X = delta / lam^(mn), with lam = lm 2^le (frexp): delta times 2^(-mn le), exact, over
+    # lm^(mn), so nothing overflows where delta does not (discrete_spectrum)
+    def scale_free(values, lams):
+        lm, le = np.frexp(lams)
+        return np.ldexp(values, -size * le) / lm**size
+
+    def count_at(lams):
+        nu, vals = _count(model, lams)
+        return nu, scale_free(vals, lams)
+
+    def dvals(lams):
+        return scale_free(delta_batch(model, lams).real, lams)
+
+    nu, vals = count_at(gaps.ravel())
     # the open intervals: ends, counts and values at the ends
     lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
     multiple, simple = [], []
@@ -767,23 +808,22 @@ def _search_roots(model):
         if not split.any():
             break
         lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
-        nmid, fmid = _count(model, mid)
+        nmid, fmid = count_at(mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
         flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
 
-    def dvals(lams):
-        return delta_batch(model, lams).real
-
-    # one eigenvalue per piece: the first sign change of a sub-scan brackets it
+    # one eigenvalue per piece, which brackets it by its count values; a piece with an end at a
+    # gap end is sub-scanned instead, and its first sign change is the bracket
     lo, hi, flo, fhi = np.concatenate(simple, axis=1)
-    ts = np.linspace(lo, hi, _SUBSCAN_POINTS, axis=1)
+    edge = ((lo[:, None] == gaps.ravel()) | (hi[:, None] == gaps.ravel())).any(axis=1)
+    ts = np.linspace(lo[edge], hi[edge], _SUBSCAN_POINTS, axis=1)
     inner = dvals(ts[:, 1:-1].ravel()) if len(ts) else np.empty(0)
-    fs = np.column_stack([flo, inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi])
+    fs = np.column_stack([flo[edge], inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi[edge]])
     rows, first = np.arange(len(ts)), np.argmax(np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) <= 0.0, axis=1)
-    a, b, fa, fb = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
-    a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)  # an exact zero is the root
-    refined = _refine_roots(dvals, a, b, fa, fb, _ROOT_TOL)
+    lo[edge], hi[edge], flo[edge], fhi[edge] = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
+    lo, hi = np.where(fhi == 0.0, hi, lo), np.where(flo == 0.0, lo, hi)  # an exact zero is the root
+    refined = _refine_roots(dvals, lo, hi, flo, fhi, _ROOT_TOL)
     found = [(lam, 1) for lam in refined.tolist()] + multiple
     return tuple(sorted(found))
 
@@ -874,8 +914,7 @@ def eigenfunctions_T(model, lam0):
     a warm call on ramp-8 (``mn = 64``) takes about 0.15 ms, where a full SVD of ``M``
     took 0.5 ms.
     """
-    _require_real(lam0, "lam0")
-    lam0 = float(lam0)
+    lam0 = float(_require_real(lam0, "lam0"))
     k = _multiplicity(model, lam0)
     if not k:
         raise NotAnEigenvalue(f"{lam0!r} is not within {operator_margin(model):.3e} of an eigenvalue")
@@ -908,7 +947,7 @@ def atom_eigenfunction(model, channel, j0, lam0):
     ``lam0`` on a set of positive measure; a complex or non-finite ``lam0`` raises ``DomainError``."""
     view = _oriented(model, channel)
     view._require_valid()
-    _require_real(lam0, "lam0")
+    lam0 = _require_real(lam0, "lam0")
     row = _member(view, j0)
     tol = operator_margin(view)
     pieces = _stored(view._samples1[1][row].pieces)
@@ -930,8 +969,7 @@ def delta_trace_rows(model, lmin, lmax, samples):
     from ``lmin`` to ``lmax``; NaN within the operator margin.  Path 2 is the trace
     of ``model.mirrored()``.  Complex or non-finite ends, ``lmin >= lmax`` or a
     ``samples`` that is not a whole number >= 2 raise ``DomainError``."""
-    _require_real(lmin, "lmin")
-    _require_real(lmax, "lmax")
+    lmin, lmax = _require_real(lmin, "lmin"), _require_real(lmax, "lmax")
     if not (lmin < lmax and samples >= 2 and float(samples).is_integer()):
         raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
                           f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")

@@ -439,6 +439,38 @@ def test_real_parameters_refuse_complex_values(fixture_a, name):
             call(fixture_a, value)
 
 
+# the functions with a real parameter, called on fixture b
+REAL_ON_B = {
+    "eigenfunctions_T": lambda m, v: eigenfunctions_T(m, v),
+    "atom_eigenfunction": lambda m, v: atom_eigenfunction(m, 1, 1, v),
+    "delta_trace_rows lmin": lambda m, v: delta_trace_rows(m, v, 6.0, 3),
+    "delta_trace_rows lmax": lambda m, v: delta_trace_rows(m, 4.0, v, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_ON_B))
+def test_real_parameters_refuse_complex_0d_arrays(fixture_b, name):
+    # a complex 0-d array passed the check as no complex scalar, and float()
+    # raised a raw TypeError (a comparison, in delta_trace_rows)
+    for value in (np.array(5 + 0j), np.array(5 + 1j)):
+        with pytest.raises(DomainError, match=re.escape(f"{value.item()} is not real")):
+            REAL_ON_B[name](fixture_b, value)
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_float32_parameter_is_computed_in_double(fixture_b, path):
+    # 1/tau stayed float32: resolvent_T at np.float32(3.0) differed from 3.0 by
+    # 5.3e-8 relative, and solve_pie at np.float32(0.1) from the same value as a
+    # Python float by 6.6e-11
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    g = view.grid(lambda x, y: 1.0 + x * y)
+    for call, value in ((lambda v: resolvent_T(view, v, g), 3.0),
+                        (lambda v: solve_pie(view, v, g), 0.1),
+                        (lambda v: apply_S(view, 1, v, g), 0.1)):
+        single = np.float32(value)
+        assert call(single).values.tobytes() == call(float(single)).values.tobytes()
+
+
 # (call on fixture b, the refusal): a one-lambda call takes one number, delta_batch a 1-D array
 WRONG_SHAPES = {
     "delta_batch 4.0": (lambda m: delta_batch(m, 4.0), "a one-dimensional array, got shape ()"),

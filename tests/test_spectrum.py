@@ -588,13 +588,63 @@ def test_root_search_batches_the_bisection(delta_batch_calls):
 
 
 def test_root_search_call_budget(delta_batch_calls):
-    # delta_batch calls per sigma_full: one per gap for the scan, then one per
-    # refinement step; bisection took 30, 29 and 151 here.  Fresh models: the
-    # search is kept on the model, and a kept one makes no call at all
-    for model, budget in ((fresh_fixture_a(), 8), (ramp_model(4, 4), 10), (sumrule_model(*SUMRULE_4), 60)):
+    # delta_batch calls per sigma_full: one for the sub-scan of the pieces at a
+    # gap end, then one per refinement step of det X; bisection took 30, 29 and
+    # 151 here, and refining lam^(mn) det X took 6, 6 and 32 (on sumrule-4,
+    # lam^16 varies 7.3x across the bracket (0.4497, 0.5094), and ITP ended in
+    # bisection).  Fresh models: the search is kept on the model, and a kept one
+    # makes no call at all
+    for model, budget in ((fresh_fixture_a(), 7), (ramp_model(4, 4), 8), (sumrule_model(*SUMRULE_4), 14)):
         delta_batch_calls.clear()
         sigma_full(model)
         assert 0 < len(delta_batch_calls) <= budget
+
+
+def test_root_search_parameter_budget(delta_batch_calls):
+    # determinant parameters per sigma_full on fresh models: only the pieces with
+    # an end at a gap end are sub-scanned (8 points), the ones between split
+    # points are refined from their count values at once; sub-scanning every
+    # piece took 82 on ramp-8 and 230 on sumrule-4
+    for model, budget in ((ramp_model(8, 8), 55), (sumrule_model(*SUMRULE_4), 200)):
+        delta_batch_calls.clear()
+        sigma_full(model)
+        assert 0 < sum(delta_batch_calls) <= budget
+
+
+def legendre_model(weights1, weights2):
+    """Legendre bases on the unit square, with the given weights in each channel."""
+    return make_model((0, 1), (0, 1), [f"legendre({k})" for k in range(len(weights1))], weights1,
+                      [f"legendre({k})" for k in range(len(weights2))], weights2)
+
+
+# weights of models with negative roots and odd mn, where lam^(mn) < 0 on every gap
+# below 0, and the reference roots: closed forms, or None for the oracle on the search's
+# own order-32 grid (which matches the search's roots to about 2.5e-11)
+ODD_NEGATIVE = {
+    "fixture a negated": (["-2"], ["-3"], [-5.0]),
+    "sum rule 1x3": (["1.5"], ["-2.25", "0.875", "-3.5"], [-2.0, -0.75, 2.375]),
+    "ramp 3x3 negated": ([f"-{k}*t" for k in (1, 2, 3)], [f"-{k}*t^2" for k in (1, 2, 3)], None),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("name", list(ODD_NEGATIVE))
+def test_negative_roots_of_an_odd_rank_product(name, path, swap):
+    # the search refines det X = delta / lam^(mn); for odd mn, lam^(mn) is negative
+    # below 0, which flips the sign at both ends of a bracket alike: the brackets
+    # stay, on both paths and with the channels swapped
+    weights1, weights2, expected = ODD_NEGATIVE[name]
+    model = legendre_model(*((weights2, weights1) if swap else (weights1, weights2)))
+    assert model.n * model.m % 2 == 1
+    view = model if path == 1 else model.mirrored()
+    if expected is None:
+        eigs = oracle_eigs(nystrom_matrix(view, 32, 32))
+        expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in search_gaps(view)))
+    assert min(expected) < 0
+    disc = sigma_full(view).discrete
+    assert [mult for _, mult in disc] == [1] * len(expected)
+    assert max(abs(lam - e) for (lam, _), e in zip(disc, expected)) < 1e-9
 
 
 # --- the slicing count ---
@@ -835,6 +885,25 @@ def test_ramp_12_matches_the_oracle(path, ramp_12):
     expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in search_gaps(view)))
     got = discrete_spectrum(view)
     assert len(expected) == 14
+    assert [mult for _, mult in got] == [1] * len(expected)
+    assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-9
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_ramp_16_roots_where_the_determinant_overflows(path):
+    # above lam ~ 16, lam^256 overflows, so the count's and delta_batch's values
+    # are +-inf, with overflow warnings (ROADMAP item 3).  The search divides them
+    # by lam^(mn) with lam's exponent taken apart (frexp), so an infinite delta
+    # stays an infinite det X of its sign and the refinement bisects on signs;
+    # inf / inf would be NaN, lose the brackets and put the roots up to 1.9 off.
+    # The oracle on the search's own order-32 grid matches the roots to about 5e-11
+    model = ramp_model(16, 16)
+    view = model if path == 1 else model.mirrored()
+    eigs = oracle_eigs(nystrom_matrix(view, 32, 32))
+    expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in search_gaps(view)))
+    with pytest.warns(RuntimeWarning, match="^overflow encountered in"):
+        got = discrete_spectrum(view)
+    assert len(expected) == 23
     assert [mult for _, mult in got] == [1] * len(expected)
     assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-9
 
