@@ -112,6 +112,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -157,9 +158,12 @@ def _require_finite(value, name):
     that is not a Python number (numpy scalars of other types, arrays, lists) must pass
     ``_batch``'s rule for one number, so an array is refused by its shape and not by a numpy
     error, and is converted here, the one place: a ``np.float32`` parameter is computed in double
-    from its exact value, as the same value given as a Python float."""
+    from its exact value, as the same value given as a Python float, and a long double, which
+    ``.item()`` keeps, is rounded to the nearest double."""
     if not isinstance(value, (float, int, complex)):
         value = _batch(value, 0, name).item()
+        if isinstance(value, np.inexact):  # np.longdouble or np.clongdouble
+            value = complex(value) if isinstance(value, np.complexfloating) else float(value)
     if not cmath.isfinite(value):
         raise DomainError(f"{name} {_plain(value)} is not finite")
     return value
@@ -655,7 +659,7 @@ def _block_diagonals(K, N):
 
 
 def _count(model, lams):
-    """``nu`` and ``delta = lam^(mn) det X`` at real parameters, from ``2mn``
+    """``nu`` and ``det X = det(K N - I)`` at real parameters, from ``2mn``
     numbers per parameter whose negatives number ``nu`` and whose product is
     ``det X``: the eigenvalues of ``N~`` (one batched ``eigh`` of the ``N_q``)
     and of ``K~ - N~^{-1}`` (one ``eigvalsh`` of size ``mn``) where ``N~``
@@ -663,14 +667,14 @@ def _count(model, lams):
     search and does not admit; a non-finite parameter raises ``_admit``'s
     ``DomainError``.
 
-    As a product of the same eigenvalues, ``delta`` has the sign ``(-1)^nu``
+    As a product of the same eigenvalues, ``det X`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
     opposite signs or a zero; the LU determinant of ``delta_batch`` can miss
     that within roundoff of a root.  The product is taken on mantissas and
     exponents apart (``frexp``): ``det N~`` alone under- or overflows where
-    the blocks ``N_q`` are uniformly small or large, though ``delta`` is in
+    the blocks ``N_q`` are uniformly small or large, though ``det X`` is in
     range.  The scalings are by powers of 2, exact, so while the mantissas'
-    product (at least ``2^(-3mn)``) stays normal, for ``mn < 340``, the
+    product (at least ``2^(-2mn)``) stays normal, for ``mn < 512``, the
     roundings are those of the plain product.
 
     On a 2-vCPU x86 host with one BLAS thread, a count at one parameter of
@@ -696,8 +700,8 @@ def _count(model, lams):
         X[:, 1, :, 1] = _block_diagonals(np.zeros_like(K[rest]), N[rest])
         X[:, 0, :, 1] = X[:, 1, :, 0] = np.eye(size)
         w[rest] = np.linalg.eigvalsh(X.reshape(-1, 2 * size, 2 * size))
-    (wm, we), (lm, le) = np.frexp(w), np.frexp(lams)
-    return np.count_nonzero(w < 0.0, axis=1), np.ldexp(wm.prod(axis=1) * lm**size, we.sum(axis=1) + size * le)
+    wm, we = np.frexp(w)
+    return np.count_nonzero(w < 0.0, axis=1), np.ldexp(wm.prod(axis=1), we.sum(axis=1))
 
 
 # The width to which the search locates a root: below every model's ``om / 4``
@@ -736,15 +740,16 @@ def discrete_spectrum(model):
       have opposite signs or a zero (``_count``).
 
     The brackets are refined to ``_ROOT_TOL`` by ``_refine_roots``, one call
-    per step, on the scale-free ``det X = delta / lam^(mn)``: the count values
-    at the ends and the ``delta_batch`` values are divided by ``lam^(mn)``,
-    which has one sign on every gap since ``0`` is essential, so the brackets
-    are those of ``delta``.  ``lam^16`` varies 7.3 times across sumrule-4's
-    bracket ``(0.4497, 0.5094)``, curvature that used up ITP's budget on
-    ``delta`` and ended it in bisection.  The quotient takes ``lam``'s binary
-    exponent apart (frexp), so ``lam^(mn)`` itself is never formed: where
-    ``delta`` overflows (``n = m = 16``) it is an infinite ``det X`` of the right
-    sign, not ``inf / inf``, and the refinement bisects on signs there.
+    per step, on the scale-free ``det X = delta / lam^(mn)``: the count gives
+    ``det X`` at the ends directly, and the ``delta_batch`` values are divided
+    by ``lam^(mn)``, which has one sign on every gap since ``0`` is essential,
+    so the brackets are those of ``delta``.  ``lam^16`` varies 7.3 times across
+    sumrule-4's bracket ``(0.4497, 0.5094)``, curvature that used up ITP's
+    budget on ``delta`` and ended it in bisection.  The quotient takes
+    ``lam``'s binary exponent apart (frexp), so ``lam^(mn)`` itself is never
+    formed: where ``delta`` overflows (``n = m = 16``) it is an infinite
+    ``det X`` of the right sign, not ``inf / inf``, and the refinement bisects
+    on signs there.
 
     The count, ``_count``, does not admit its parameters: each is a gap end
     or a split point, and lies in a gap of ``_search_region``, whose every
@@ -784,18 +789,11 @@ def _search_roots(model):
 
     # det X = delta / lam^(mn), with lam = lm 2^le (frexp): delta times 2^(-mn le), exact, over
     # lm^(mn), so nothing overflows where delta does not (discrete_spectrum)
-    def scale_free(values, lams):
-        lm, le = np.frexp(lams)
-        return np.ldexp(values, -size * le) / lm**size
-
-    def count_at(lams):
-        nu, vals = _count(model, lams)
-        return nu, scale_free(vals, lams)
-
     def dvals(lams):
-        return scale_free(delta_batch(model, lams).real, lams)
+        lm, le = np.frexp(lams)
+        return np.ldexp(delta_batch(model, lams).real, -size * le) / lm**size
 
-    nu, vals = count_at(gaps.ravel())
+    nu, vals = _count(model, gaps.ravel())
     # the open intervals: ends, counts and values at the ends
     lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
     multiple, simple = [], []
@@ -808,7 +806,7 @@ def _search_roots(model):
         if not split.any():
             break
         lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
-        nmid, fmid = count_at(mid)
+        nmid, fmid = _count(model, mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
         flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
@@ -968,9 +966,9 @@ def delta_trace_rows(model, lmin, lmax, samples):
     """Rows (lambda, Re delta, Im delta) at ``samples`` equally spaced points
     from ``lmin`` to ``lmax``; NaN within the operator margin.  Path 2 is the trace
     of ``model.mirrored()``.  Complex or non-finite ends, ``lmin >= lmax`` or a
-    ``samples`` that is not a whole number >= 2 raise ``DomainError``."""
+    ``samples`` that is not a whole real number >= 2 (``"3"`` and ``None`` too) raise ``DomainError``."""
     lmin, lmax = _require_real(lmin, "lmin"), _require_real(lmax, "lmax")
-    if not (lmin < lmax and samples >= 2 and float(samples).is_integer()):
+    if not (lmin < lmax and isinstance(samples, numbers.Real) and samples >= 2 and float(samples).is_integer()):
         raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
                           f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")
     lams = np.linspace(float(lmin), float(lmax), int(samples))

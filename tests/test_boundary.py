@@ -312,9 +312,11 @@ def test_atom_eigenfunction_refuses_an_infinite_level(fixture_c):
 
 
 @pytest.mark.parametrize("window", [(1.1, 2.0, 2.5), (1.1, 2.0, -1), (1.1, 2.0, NAN), (1.1, 2.0, 1),
-                                    (1.1, 2.0, INF), (2.0, 1.1, 4), (2.0, 2.0, 4)])
+                                    (1.1, 2.0, INF), (2.0, 1.1, 4), (2.0, 2.0, 4), (1.1, 2.0, "3"),
+                                    (1.1, 2.0, None)])
 def test_delta_trace_rows_refuses_a_bad_window(fixture_b, window):
-    # 2.5 samples gave 2 rows with no flag; -1 and NaN raised numpy's ValueError
+    # 2.5 samples gave 2 rows with no flag; -1 and NaN raised numpy's ValueError,
+    # "3" and None a TypeError
     with pytest.raises(DomainError, match="need lmin < lmax and a whole number of samples >= 2"):
         delta_trace_rows(fixture_b, *window)
     for whole in (3.0, np.int64(3)):
@@ -469,6 +471,22 @@ def test_a_float32_parameter_is_computed_in_double(fixture_b, path):
                         (lambda v: apply_S(view, 1, v, g), 0.1)):
         single = np.float32(value)
         assert call(single).values.tobytes() == call(float(single)).values.tobytes()
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_long_double_parameter_is_rounded_to_double(fixture_b, path):
+    # .item() kept np.longdouble: resolvent_T and solve_pie raised numpy's TypeError
+    # ("array type float128 is unsupported in linalg"), and apply_S and
+    # resolvent_channel returned float128 grids
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    g = view.grid(lambda x, y: 1.0 + x * y)
+    for call, value in ((lambda v: resolvent_T(view, v, g), 3.0),
+                        (lambda v: solve_pie(view, v, g), 0.1),
+                        (lambda v: apply_S(view, 1, v, g), 0.1),
+                        (lambda v: resolvent_channel(view, 1, v, g), 3.0)):
+        assert call(np.longdouble(value)).values.tobytes() == call(value).values.tobytes()
+    wide = np.clongdouble(complex(3.0, 0.5))
+    assert resolvent_T(view, wide, g).values.tobytes() == resolvent_T(view, 3.0 + 0.5j, g).values.tobytes()
 
 
 # (call on fixture b, the refusal): a one-lambda call takes one number, delta_batch a 1-D array

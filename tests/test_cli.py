@@ -193,6 +193,15 @@ def test_solve_singular_channel_exits_3(model_a, capsys):
     assert "OutsideTheory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau,rhs", [("0.1", "log(x-0.5)"), ("1e-310", "1")], ids=["rhs log", "tau 1e-310"])
+def test_solve_model_errors_exit_2(model_a, tau, rhs, capsys):
+    # a right-hand side that is not finite on the grid, and a tau whose
+    # reciprocal overflows: DomainError, which no narrower handler takes
+    assert main(["solve", "--model", model_a, "--tau", tau, "--rhs", rhs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("model error: ")
+
+
 def test_solve_bad_rhs_exits_1(model_a, capsys):
     assert main(["solve", "--model", model_a, "--tau", "0.1", "--rhs", "x +"]) == 1
     assert main(["solve", "--model", model_a, "--tau", "0.1", "--rhs", "q*2"]) == 1

@@ -87,6 +87,23 @@ def test_syntax_error_offset():
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("text,message,offset", [("2*t\u00e9", "non-ASCII character", 3),
+                                                 ("1e999*t", "numeric literal overflows", 0)])
+def test_a_character_or_literal_the_parser_cannot_take(text, message, offset):
+    # without their own checks, the non-ASCII character was an "unexpected
+    # character" and 1e999 parsed as an infinite constant
+    with pytest.raises(ExprSyntaxError, match=message) as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
+def test_an_expression_takes_one_array_per_variable():
+    arrays = (np.zeros(2), np.zeros(2))
+    with pytest.raises(DomainError, match=re.escape("expression over ('t',) called with 2 arguments")):
+        parse_expr("t")(*arrays)
+    assert parse_expr2("x*y")(*arrays).shape == (2,)
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier) as err:
         parse_expr("sin(w)")

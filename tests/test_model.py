@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pio.model
-from pio.errors import DomainError, ModelFormatError
+from pio.errors import BadInterval, DomainError, ModelFormatError
 from pio.expr import Expression, parse_expr
 from pio.model import (
     SearchSettings,
@@ -215,6 +215,7 @@ def test_model_from_dict_with_options():
         lambda d: d.__setitem__("search", {"margin": -1.0}),
         lambda d: d.__setitem__("search", {"rank_tol": 0}),  # an unknown key: the rank rule is fixed
         lambda d: d.__setitem__("search", {"root_tol": 1e-10}),  # an unknown key: the root width is fixed
+        lambda d: d.__setitem__("quadrature", {"extra_breakpoints_x": ["0.5"]}),  # float() would take it
     ],
 )
 def test_model_from_dict_rejects_malformed(mutate):
@@ -222,6 +223,37 @@ def test_model_from_dict_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(ModelFormatError):
         model_from_dict(data)
+
+
+def test_model_document_must_be_an_object():
+    # a list has no keys, so without its own check it was refused as missing 'domain'
+    with pytest.raises(ModelFormatError, match="^model document must be a JSON object$"):
+        model_from_dict([])
+
+
+@pytest.mark.parametrize("basis,weights", [(["1"], ["2", "3"]), (["1", "t"], ["2"]), ([], [])])
+@pytest.mark.parametrize("channel", [1, 2])
+def test_make_model_refuses_unequal_or_empty_channel_lists(basis, weights, channel):
+    lists = [basis, weights, ["1"], ["3"]] if channel == 1 else [["1"], ["3"], basis, weights]
+    with pytest.raises(ModelFormatError, match="equally many basis functions and weights"):
+        make_model((0, 1), (0, 1), *lists)
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_make_model_refuses_an_order_below_one(order):
+    with pytest.raises(BadInterval, match=f"^quadrature order must be >= 1, got {order}$"):
+        make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=order)
+
+
+@pytest.mark.parametrize("channel", [1, 2])
+def test_an_unevaluable_basis_skips_its_orthonormality_check(channel):
+    # log(t - 0.5) is NaN on half the nodes: no Gram matrix is formed
+    lists = [["log(t-0.5)"], ["1"], ["1"], ["0"]] if channel == 1 else [["1"], ["0"], ["log(t-0.5)"], ["1"]]
+    checks = {c.name: c for c in validate_model(make_model((0, 1), (0, 1), *lists)).checks}
+    name = f"channel{channel}.basis"
+    assert not checks[f"{name} evaluable"].passed
+    skipped = checks[f"{name} orthonormal"]
+    assert (skipped.passed, skipped.deviation, skipped.detail) == (False, None, "skipped: basis not evaluable")
 
 
 @pytest.mark.parametrize(

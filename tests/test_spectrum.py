@@ -14,6 +14,7 @@ data, independently of the implementation):
 
 import gc
 import inspect
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -768,21 +769,21 @@ def pivots(monkeypatch):
 def test_a_zero_channel_counts_on_the_full_slicing_matrix(path, fixture_c, pivots):
     # fixture c switches channel 2 off, so N~ = 0 and path 1 counts on the full
     # X; the mirror's N~ is path 1's K~, which pivots.  Closed form: X = [[K~, 1],
-    # [1, 0]] has det -1 and one negative eigenvalue at every parameter, so nu = 1,
-    # delta = -lam and no gap holds an eigenvalue
+    # [1, 0]] has det -1 and one negative eigenvalue at every parameter, so nu = 1
+    # and no gap holds an eigenvalue
     view = fixture_c if path == 1 else fixture_c.mirrored()
     lams = search_gaps(view).ravel()
     nu, vals = pio.spectrum._count(view, lams)
     assert pivots == [{"N": 0, "X": len(lams)} if path == 1 else {"N": len(lams), "X": 0}]
     assert nu.tolist() == [1] * len(lams)
-    assert np.allclose(vals, -lams, rtol=1e-12, atol=0.0)
+    assert np.allclose(vals, -1.0, rtol=1e-12, atol=0.0)
     assert gap_counts(view)[1] == [0] * len(search_gaps(view))
 
 
 @pytest.mark.parametrize("path", [1, 2])
 def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
     # both families vanish, so neither pivots.  Closed form: X = [[0, I], [I, 0]]
-    # has the eigenvalues +-1, mn of each, so nu = mn = 4 and delta = lam^4
+    # has the eigenvalues +-1, mn of each, so nu = mn = 4 and det X = 1
     model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["0", "0"],
                        ["legendre(0)", "legendre(1)"], ["0", "0"])
     view = model if path == 1 else model.mirrored()
@@ -790,7 +791,7 @@ def test_the_zero_model_counts_on_the_full_slicing_matrix(path, pivots):
     nu, vals = pio.spectrum._count(view, lams)
     assert pivots == [{"N": 0, "X": len(lams)}]
     assert nu.tolist() == [4] * len(lams)
-    assert np.allclose(vals, lams**4, rtol=1e-12, atol=0.0)
+    assert np.allclose(vals, 1.0, rtol=1e-12, atol=0.0)
     assert discrete_spectrum(view) == ()
 
 
@@ -891,28 +892,49 @@ def test_ramp_12_matches_the_oracle(path, ramp_12):
 
 @pytest.mark.parametrize("path", [1, 2])
 def test_ramp_16_roots_where_the_determinant_overflows(path):
-    # above lam ~ 16, lam^256 overflows, so the count's and delta_batch's values
-    # are +-inf, with overflow warnings (ROADMAP item 3).  The search divides them
-    # by lam^(mn) with lam's exponent taken apart (frexp), so an infinite delta
-    # stays an infinite det X of its sign and the refinement bisects on signs;
-    # inf / inf would be NaN, lose the brackets and put the roots up to 1.9 off.
-    # The oracle on the search's own order-32 grid matches the roots to about 5e-11
+    # above lam ~ 16, lam^256 overflows, so delta_batch's values are +-inf, with
+    # overflow warnings (ROADMAP item 3); the count gives det X itself and warns
+    # nowhere.  The search divides delta by lam^(mn) with lam's exponent taken
+    # apart (frexp), so an infinite delta stays an infinite det X of its sign and
+    # the refinement bisects on signs; inf / inf would be NaN, lose the brackets
+    # and put the roots up to 1.9 off.  The oracle on the search's own order-32
+    # grid matches the roots to about 5e-11
     model = ramp_model(16, 16)
     view = model if path == 1 else model.mirrored()
     eigs = oracle_eigs(nystrom_matrix(view, 32, 32))
     expected = sorted(e for e in eigs.tolist() if any(lo < e < hi for lo, hi in search_gaps(view)))
-    with pytest.warns(RuntimeWarning, match="^overflow encountered in"):
+    with pytest.warns(RuntimeWarning, match="^overflow encountered in") as record:
         got = discrete_spectrum(view)
+    # every warning is delta_batch's lam^(mn)
+    assert {str(w.message) for w in record} == {"overflow encountered in power"}
     assert len(expected) == 23
     assert [mult for _, mult in got] == [1] * len(expected)
     assert max(abs(lam - e) for (lam, _), e in zip(got, expected)) < 1e-9
 
 
 @pytest.mark.parametrize("path", [1, 2])
+def test_the_count_gives_det_x_in_range_where_delta_overflows(path):
+    # ramp-16 at its gap ends, as the search counts there first: lam^256 overflows
+    # at 33, and det X = det(K N - I) is checked against an LU slogdet of K N - I
+    model = ramp_model(16, 16)
+    view = model if path == 1 else model.mirrored()
+    lams = search_gaps(view).ravel()
+    assert 256 * np.log2(lams.max()) > 1024
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nu, vals = _count(view, lams)
+    _, kn = _reduction_plan(view).coupling(lams)
+    sign, logdet = np.linalg.slogdet(kn - np.eye(kn.shape[1]))
+    assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+    assert np.array_equal(np.sign(vals), (-1.0) ** nu)
+    assert np.allclose(vals, sign * np.exp(logdet), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("path", [1, 2])
 def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
     # ramp-8 with channel-2 weights 1e-6 (k+1) t^2: N~ still pivots (the rule is
     # relative), but its 64 eigenvalues are about 1e-6, so det N~ alone is about
-    # 1e-384 and underflows; the value det X lam^64 is far inside the float range.
+    # 1e-384 and underflows; det X is far inside the float range.
     # A zero at a gap end would be taken for a root there.  Path 2 pivots on its
     # own N~, which is path 1's K~, of size about 1
     model = make_model((0, 1), (0, 1),
@@ -923,7 +945,7 @@ def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
     nu, vals = pio.spectrum._count(view, lams)
     assert pivots == [{"N": len(lams), "X": 0}]
     assert np.all(vals != 0.0)
-    assert np.allclose(vals, delta_batch(view, lams), rtol=1e-9, atol=0.0)
+    assert np.allclose(vals, delta_batch(view, lams) / lams**64, rtol=1e-9, atol=0.0)
     eigs = oracle_eigs(nystrom_matrix(model, 100, 100))
     gaps, counts = gap_counts(view)
     assert counts == [int(np.sum((eigs > a) & (eigs < b))) for a, b in gaps] == [0] * len(gaps)
