@@ -238,7 +238,7 @@ def _run_oracle_check(args):
     eigs = oracle_eigs(sysm)
     report = sigma_full(model)
     cmp = compare_spectra(report, eigs, args.tol_disc, args.tol_ess)
-    head = sorted(eigs, key=abs, reverse=True)[:16]
+    head = eigs[np.argsort(-np.abs(eigs), kind="stable")[:16]]  # ties keep their order
     payload = {
         "nystrom": {"Nx": int(args.nx), "Ny": int(args.ny)},
         "eigs_head": [float(e) for e in head],

@@ -286,6 +286,23 @@ def test_oracle_check_deterministic(model_a, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_oracle_check_head_is_the_sorted_reference(model_a, tmp_path, monkeypatch):
+    # the 16 largest in magnitude, ties (+-e, repeated values) in input order,
+    # as Python's stable sorted(eigs, key=abs, reverse=True) gives them
+    rng = np.random.default_rng(0)
+    eigs = rng.permutation(np.concatenate([[5.0, -5.0, 3.0, -3.0, 3.0, 2.0, -2.0, 2.0, -0.0],
+                                           rng.choice([-1.0, 1.0, 0.5, -0.5, 0.0], 20)]))
+    monkeypatch.setattr("pio.cli.oracle_eigs", lambda sysm: eigs)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--model", model_a, "--nx", "4", "--ny", "4", "--out", str(out)]) == 0
+    head = json.loads(out.read_text())["eigs_head"]
+    reference = sorted(eigs, key=abs, reverse=True)
+    assert head == [float(e) for e in reference[:16]]
+    # the cut falls inside a tie of both signs, so the order of ties decides it
+    tie = abs(reference[15])
+    assert abs(reference[16]) == tie and {np.sign(e) for e in reference[:16] if abs(e) == tie} == {-1, 1}
+
+
 def test_eigenfunction_csv(model_a, tmp_path):
     out = tmp_path / "ef.csv"
     assert main(["eigenfunction", "--model", model_a, "--lambda", "5.0",

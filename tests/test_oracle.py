@@ -8,6 +8,8 @@ grid space into blocks of dimension 1, 9, 9 and 81 with eigenvalues
 2+3, 2, 3 and 0.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,9 +105,13 @@ def test_zero_model_all_zero():
 
 
 def test_grid_size_validation(fixture_a):
-    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf")), (2.5, 3)):
-        with pytest.raises(PioError):
+    # "3", None, [3] and np.array([3]) raised a raw TypeError, and 1e300 an
+    # "invalid value encountered in cast" RuntimeWarning
+    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf")), (2.5, 3), ("3", 3), (3, None),
+                   ([3], 3), (3, np.array([3])), (1e300, 3), (3, 3 + 0j)):
+        with pytest.raises(PioError, match="grid sizes must be whole numbers"):
             nystrom_matrix(fixture_a, nx, ny)
+    assert nystrom_matrix(fixture_a, np.int64(3), np.float64(4.0)).size == 12
 
 
 def test_compression_matches_dense(fixture_b):
@@ -129,12 +135,31 @@ FACTOR_SHAPES = {
     "panels": (legendre_model(2, 1, ["t+2", "piecewise([0,0.4]:t+1; [0.4,1]:3-t)"],
                               ["piecewise([0,0.3]:2; [0.3,1]:t-4)"]), 11, 13),
     "near the dense cap": (legendre_model(3, 2, ["t+2", "1-t", "3*t"], ["t+4", "t/2"]), 48, 80),
+    "n=m=4, Nx != Ny": (legendre_model(4, 4, ["t+2", "1-t", "3*t", "t*t"],
+                                       ["t+4", "t/2", "2-t", "1+t*t"]), 13, 11),
 }
 
 
 @pytest.mark.parametrize("model,nx,ny", FACTOR_SHAPES.values(), ids=FACTOR_SHAPES.keys())
 def test_compression_matches_dense_on_every_factor_shape(model, nx, ny):
     assert_matches_dense(nystrom_matrix(model, nx, ny))
+
+
+def test_the_compression_holds_about_one_r_by_r_matrix():
+    # ramp-4 at N = 60, r = 464: with x12 and np.block's copy built the traced
+    # peak was 2.85 * 8r^2 bytes; one lower-triangle buffer keeps it below 2
+    model = legendre_model(4, 4, [f"{k + 1}*t" for k in range(4)], [f"{k + 1}*t^2" for k in range(4)])
+    sys = nystrom_matrix(model, 60, 60)
+    r = 4 * 60 + (60 - 4) * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert np.sum(oracle_eigs(sys) == 0.0) == sys.size - r
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * r * r
 
 
 def test_compression_matches_dense_rank_two_channel():
@@ -211,6 +236,26 @@ def test_compare_spectra_refuses_bad_tolerances(fixture_b, which, tol):
         compare_spectra(rep, eigs, **tols)
 
 
+@pytest.mark.parametrize("tol", ["1e-6", None, 1e-6 + 0j, True, np.array([1e-6])])
+@pytest.mark.parametrize("which", ["tol_disc", "tol_ess"])
+def test_compare_spectra_refuses_tolerances_that_are_not_real_numbers(fixture_a, which, tol):
+    # a string, None or complex raised a raw TypeError; True passed as 1.0 and
+    # a one-element array as its element
+    rep, eigs = sigma_full(fixture_a), oracle_eigs(nystrom_matrix(fixture_a, 4, 4))
+    tols = {"tol_disc": 1e-6, "tol_ess": 1e-6, which: tol}
+    with pytest.raises(PioError, match=f"{which} must be a real number"):
+        compare_spectra(rep, eigs, **tols)
+    assert compare_spectra(rep, eigs, np.float64(1e-6), 1).ok  # numpy and int tolerances pass
+
+
+@pytest.mark.parametrize("eigs", [5.0, np.ones((2, 2)), np.array([5.0 + 0j, 2.0]), ["5.0"],
+                                  np.array([True, False])])
+def test_compare_spectra_refuses_eigenvalues_that_are_not_a_real_vector(fixture_a, eigs):
+    # a scalar or a 2-d array raised IndexError, a complex array ComplexWarning
+    with pytest.raises(PioError, match="oracle eigenvalues must be a one-dimensional real array"):
+        compare_spectra(sigma_full(fixture_a), eigs, 1e-6, 1e-6)
+
+
 @pytest.mark.parametrize("eigs", [[5.0, float("nan")], [float("nan")], [float("inf"), 2.0]])
 def test_compare_spectra_refuses_non_finite_eigenvalues(fixture_a, eigs):
     # a NaN oracle eigenvalue used to pass: ok was True with no mismatch
@@ -267,6 +312,15 @@ def test_compare_spectra_matches_the_loop(fixture_a, fixture_b):
         (rep_b, eigs_b, 5e-3, 5e-3),
         (rep_b, eigs_b, 1e-6, 1e-6),
         (replace(rep_b, discrete=()), eigs_b, 1e-6, 1e-6),
+        # padded zero clusters, unsorted input, a discrete value within tol_disc of 0
+        (replace(rep_a, discrete=((5e-10, 1), (5.0, 1))), np.concatenate([eigs_a[::-1], np.zeros(50)]),
+         1e-9, 1e-9),
+        (replace(rep_a, discrete=((5e-10, 1), (5.0, 1))), np.array([5.0, 2.0, 3.0, 1e-3]), 1e-9, 1e-9),
+        (replace(rep_a, discrete=((3e-7, 1), (5.0, 1))),
+         np.array([7e-6, 5e-7, 0.0, -2e-7, 5.0, 0.0, -0.0, 3.0, -4e-6, 2.0, 0.0]), 1e-6, 1e-12),
+        (replace(rep_b, discrete=((1.5, 1), *rep_b.discrete)),
+         np.random.default_rng(3).permutation(np.concatenate([eigs_b, np.zeros(200), [-0.5, 1.2]])),
+         1e-6, 1e-6),
     ]
     for report, eigs, tol_disc, tol_ess in cases:
         cmp = compare_spectra(report, eigs, tol_disc, tol_ess)
