@@ -155,12 +155,12 @@ def _plain(number):
 def _require_finite(value, name):
     """``value`` as a Python number, after raising ``DomainError`` unless it is one number,
     real or complex, and finite; in plain Python, since it runs on every operator call.  A value
-    that is not a Python number (numpy scalars of other types, arrays, lists) must pass
-    ``_batch``'s rule for one number, so an array is refused by its shape and not by a numpy
-    error, and is converted here, the one place: a ``np.float32`` parameter is computed in double
-    from its exact value, as the same value given as a Python float, and a long double, which
-    ``.item()`` keeps, is rounded to the nearest double."""
-    if not isinstance(value, (float, int, complex)):
+    that is not a Python number (numpy scalars of other types, arrays, lists, ``Fraction``) must
+    pass ``_batch``'s rule for one number, so an array is refused by its shape and a string, a
+    boolean or ``None`` as not a number, and is converted here, the one place: a ``np.float32``
+    parameter is computed in double from its exact value, as the same value given as a Python
+    float, and a long double, which ``.item()`` keeps, is rounded to the nearest double."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, complex)):
         value = _batch(value, 0, name).item()
         if isinstance(value, np.inexact):  # np.longdouble or np.clongdouble
             value = complex(value) if isinstance(value, np.complexfloating) else float(value)
@@ -197,19 +197,27 @@ def _admit(spectral_set, params, model, name="lambda", where="the essential spec
     parameters lie in the search gaps, at least ``2 om`` from the essential
     set (``discrete_spectrum``).  The refused parameter is printed as a plain
     number.
+
+    An array is admitted in a few numpy passes where every real part is
+    farther than the margin from every member of the set and the sum of the
+    parameters is finite: a complex parameter is no nearer than its real part,
+    and one that is not finite makes the sum so.  Any other array goes through
+    the rule for one number in order, whose scalar distance equals
+    ``SpectralSet.distances``, so each refusal and its message are those of
+    the elementwise rule.
     """
     margin = operator_margin(model)
     if isinstance(params, np.ndarray):
-        dist = spectral_set.distances(params)
-        bad = np.flatnonzero((dist <= margin) | ~np.isfinite(params))
-        if not bad.size:
-            return
-        param, near = params.flat[bad[0]], dist.flat[bad[0]]
-    else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
-        param, near = params, spectral_set.distance(params)
-    _require_finite(param, name)
+        members, re = spectral_set._members, params.real.ravel()
+        nearest = np.maximum(members[:, :1] - re, re - members[:, 1:]).min(initial=np.inf)
+        if not (margin < nearest and cmath.isfinite(params.sum())):
+            for param in params.ravel().tolist():
+                _admit(spectral_set, param, model, name, where)
+        return
+    near = spectral_set.distance(params)  # the scalar distance, equal to ``distances`` and 4x cheaper
+    _require_finite(params, name)
     if near <= margin:
-        raise SpectrumHit(f"{name} {_plain(param)} is within {near:.3e} of {where}")
+        raise SpectrumHit(f"{name} {_plain(params)} is within {near:.3e} of {where}")
 
 
 # --- essential part -------------------------------------------------------
@@ -230,6 +238,9 @@ class SpectralSet:
     atoms: tuple
 
     def distance(self, lam):
+        """The distance of one number, NaN for a NaN one; ``DomainError`` for what is not one number."""
+        if isinstance(lam, bool) or not isinstance(lam, (float, int, complex)):
+            lam = _batch(lam, 0).item()
         lam = complex(lam)
         if cmath.isnan(lam) and not cmath.isinf(lam):
             return np.nan  # as ``distances``: a NaN part makes every distance NaN
@@ -477,20 +488,26 @@ def _small_system(model, lam):
 
 def _batch(value, ndim, name="lambda"):
     """``value``, one ``lam`` for ``ndim`` 0 or ``lams`` for 1, as a one-dimensional array; numpy
-    would index or broadcast any other shape, so it raises ``DomainError`` naming ``name``."""
-    value = np.asarray(value)
-    if value.ndim != ndim:
+    would index or broadcast any other shape, so it raises ``DomainError`` naming ``name``, as for
+    a value that is not a number (a string, ``None``, a ``Decimal``, a boolean, an array of another
+    dtype kind than ``iufc``).  Another ``numbers.Complex`` (``Fraction``) is its nearest float or complex."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, (float, int, complex, np.generic)):
+        value = float(value) if isinstance(value, numbers.Real) else complex(value)
+    array = np.asarray(value)
+    if array.dtype.kind not in "iufc":
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    if array.ndim != ndim:
         want = "a one-dimensional array" if ndim else "one number"
-        raise DomainError(f"{name} must be {want}, got shape {value.shape}")
-    return value.reshape(-1)
+        raise DomainError(f"{name} must be {want}, got shape {array.shape}")
+    return array.reshape(-1)
 
 
 def pi_matrix(model, lam):
     """Cross-integral matrix ``Pi(lam) = lam K N``, an ``(mn, mn)`` array indexed
     by the row-major pairs described on top; path 2 is ``pi_matrix(model.mirrored(), lam)``."""
-    lams = _batch(lam, 0)
+    lam = _require_finite(lam, "lambda")
     _admit(sigma_ess(model), lam, model)
-    _, kn = _reduction_plan(model).coupling(lams)
+    _, kn = _reduction_plan(model).coupling(np.array([lam]))
     return lam * kn[0]
 
 
@@ -565,8 +582,8 @@ def _refine_roots(fn, lo, hi, flo, fhi, root_tol):
     reference; where that form divides by zero or takes the square root of
     a negative number, the float code gives numpy's signed infinity or NaN
     explicitly.  So a bracket's iterates do not depend on which others are
-    refined with it, and a step costs a few microseconds per open bracket
-    besides the ``fn`` call.
+    refined with it, and a step costs about 3 us for one open bracket and
+    1.5 us for each further one besides the ``fn`` call (2-vCPU x86 host).
     """
     # per bracket: x1 the newest end, x2 the other end, x3 the point replaced last
     x1, f1, x2, f2 = (np.asarray(v, dtype=float).ravel().tolist() for v in (hi, fhi, lo, flo))
@@ -649,12 +666,12 @@ _PIVOT_RCOND = 2.0**-26
 def _block_diagonals(K, N):
     """``K~ + N~`` in the (k, j) order, shape (L, mn, mn), for stacked families
     ``K`` (L, n, m, m) and ``N`` (L, m, n, n): ``K~[(k,j), (q,j)] = K_j[k,q]``
-    and ``N~[(q,j), (q,p)] = N_q[j,p]``."""
+    and ``N~[(q,j), (q,p)] = N_q[j,p]``, written through ``einsum``'s diagonal views."""
     count, n, m, _ = K.shape
     out = np.zeros((count, m, n, m, n))
-    j, q = np.arange(n), np.arange(m)
-    out[:, :, j, :, j] = K.transpose(1, 0, 2, 3)  # [j, l, k, q]
-    out[:, q, :, q, :] += N.transpose(1, 0, 2, 3)  # [q, l, j, p]
+    np.einsum("lkjqj->ljkq", out)[...] = K
+    diagonal = np.einsum("lqjqp->lqjp", out)
+    diagonal += N
     return out.reshape(count, m * n, m * n)
 
 
@@ -678,15 +695,16 @@ def _count(model, lams):
     roundings are those of the plain product.
 
     On a 2-vCPU x86 host with one BLAS thread, a count at one parameter of
-    ramp-8 (``mn = 64``) takes about 0.3 ms, and one of fixture a about 55 us."""
-    finite = np.isfinite(lams)
-    if not finite.all():
-        _require_finite(lams[~finite][0], "lambda")
+    ramp-8 (``mn = 64``) takes about 0.24 ms, and one of fixture a about 42 us,
+    of which the ``eigh`` and ``eigvalsh`` calls are about 10 us."""
+    if not math.isfinite(lams.sum()):  # a finite sum that overflows only costs the loop
+        for lam in lams.tolist():
+            _require_finite(lam, "lambda")
     _, _, K, N = _reduction_plan(model).families(lams)
     d, V = np.linalg.eigh(N)
-    mag = np.abs(d)
-    ok = mag.min(axis=(1, 2)) > _PIVOT_RCOND * mag.max(axis=(1, 2))
     size = d.shape[1] * d.shape[2]  # mn
+    mag = np.abs(d.reshape(-1, size))
+    ok = mag.min(axis=1) > _PIVOT_RCOND * mag.max(axis=1)
     w = np.empty((len(lams), 2 * size))
     pivot = slice(None) if ok.all() else ok  # views, not copies, where every parameter pivots
     if ok.any():  # Haynsworth: X = L diag(K~ - N~^{-1}, N~) L^T
@@ -701,7 +719,7 @@ def _count(model, lams):
         X[:, 0, :, 1] = X[:, 1, :, 0] = np.eye(size)
         w[rest] = np.linalg.eigvalsh(X.reshape(-1, 2 * size, 2 * size))
     wm, we = np.frexp(w)
-    return np.count_nonzero(w < 0.0, axis=1), np.ldexp(wm.prod(axis=1), we.sum(axis=1))
+    return (wm < 0.0).sum(axis=1), np.ldexp(wm.prod(axis=1), we.sum(axis=1))
 
 
 # The width to which the search locates a root: below every model's ``om / 4``
@@ -712,7 +730,7 @@ _SUBSCAN_POINTS = 8
 # roundoff of a multiple eigenvalue may split its count between the two
 # halves, which would report it as several simple ones; midpoints land on the
 # round values where structured models (constant weights) put eigenvalues.
-_SPLIT = np.sqrt(2.0) - 0.9
+_SPLIT = math.sqrt(2.0) - 0.9
 
 
 def discrete_spectrum(model):
@@ -764,10 +782,14 @@ def discrete_spectrum(model):
     determinant can make an ITP point NaN, and that raises ``DomainError``.
 
     The evaluator calls are the cost: on a 2-vCPU x86 host with one BLAS
-    thread a refinement step's own arithmetic takes about 6 us for one open
-    bracket and 3 us for each further one, a one-lambda ``delta_batch`` on
-    fixture a about 35 us, of which ``_admit`` is 12 to 19 us, and a
-    one-lambda count on ramp-8 about 0.3 ms (``_count``).  On a model whose
+    thread a refinement step's own arithmetic takes about 3 us for one open
+    bracket and 1.5 us for each further one, a one-lambda ``delta_batch`` on
+    fixture a about 21 us, of which ``_admit`` is 5 us, and a one-lambda
+    count on ramp-8 about 0.24 ms (``_count``).  The searches of the ten
+    ``spectrum`` benchmark cases take 14.2 ms together, 1.8 ms of it their
+    own arithmetic (refinement steps included) and the rest the evaluator
+    calls; with the bookkeeping on numpy arrays they took 17.0 and 3.2 ms
+    (``BENCH_bdda36b.json``).  On a model whose
     arrays are sampled, a ramp-8 search takes about 6 ms, and the sum rule
     ``a_k = 1 + k/4``, ``b_k = -0.97 - k/4`` about 80 ms at ``n = 8`` and 0.5
     s at ``n = 12``.  A fresh search makes 6 ``delta_batch`` calls (11
@@ -783,7 +805,12 @@ def discrete_spectrum(model):
 
 
 def _search_roots(model):
-    """The search of ``discrete_spectrum``, uncached."""
+    """The search of ``discrete_spectrum``, uncached.  The bookkeeping around the
+    evaluator calls (the split loop, the gap-end test, the sub-scan's bracket pick
+    and the exact zeros) runs per piece in Python floats, in the IEEE operations of
+    the numpy form that ``tests/test_spectrum.py`` keeps as its reference, so every
+    ``_count`` and ``delta_batch`` call, its parameters and their order, and every
+    root are that form's, bit for bit; the sub-scan keeps its one ``np.linspace``."""
     _, gaps, _ = _search_region(model)
     size = model.n * model.m
 
@@ -794,34 +821,36 @@ def _search_roots(model):
         return np.ldexp(delta_batch(model, lams).real, -size * le) / lm**size
 
     nu, vals = _count(model, gaps.ravel())
-    # the open intervals: ends, counts and values at the ends
-    lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
+    # the open pieces (lo, hi, counts and values at both ends), in Python numbers
+    ends, nu, vals = gaps.ravel().tolist(), nu.tolist(), vals.tolist()
+    pieces = list(zip(ends[::2], ends[1::2], nu[::2], nu[1::2], vals[::2], vals[1::2]))
     multiple, simple = [], []
-    while True:
-        count, mid = np.abs(nhi - nlo), lo + _SPLIT * (hi - lo)
-        split = (count >= 2) & (hi - lo > _ROOT_TOL) & (lo < mid) & (mid < hi)
-        done = (count >= 2) & ~split  # too narrow to split: one multiple eigenvalue
-        multiple += zip((0.5 * (lo + hi))[done].tolist(), count[done].tolist())
-        simple.append(np.stack([lo, hi, flo, fhi])[:, count == 1])
-        if not split.any():
-            break
-        lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
-        nmid, fmid = _count(model, mid)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
-        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+    while pieces:
+        split = []
+        for lo, hi, nlo, nhi, flo, fhi in pieces:
+            count, mid = abs(nhi - nlo), lo + _SPLIT * (hi - lo)
+            if count == 1:
+                simple.append([lo, hi, flo, fhi])
+            elif count > 1 and hi - lo > _ROOT_TOL and lo < mid < hi:
+                split.append((lo, mid, hi, nlo, nhi, flo, fhi))
+            elif count > 1:  # too narrow to split: one multiple eigenvalue
+                multiple.append((0.5 * (lo + hi), count))
+        nmid, fmid = (v.tolist() for v in _count(model, np.array([p[1] for p in split]))) if split else ((), ())
+        pieces = [(lo, mid, nlo, nm, flo, fm) for (lo, mid, _, nlo, _, flo, _), nm, fm in zip(split, nmid, fmid)]
+        pieces += [(mid, hi, nm, nhi, fm, fhi) for (_, mid, hi, _, nhi, _, fhi), nm, fm in zip(split, nmid, fmid)]
 
     # one eigenvalue per piece, which brackets it by its count values; a piece with an end at a
     # gap end is sub-scanned instead, and its first sign change is the bracket
-    lo, hi, flo, fhi = np.concatenate(simple, axis=1)
-    edge = ((lo[:, None] == gaps.ravel()) | (hi[:, None] == gaps.ravel())).any(axis=1)
-    ts = np.linspace(lo[edge], hi[edge], _SUBSCAN_POINTS, axis=1)
-    inner = dvals(ts[:, 1:-1].ravel()) if len(ts) else np.empty(0)
-    fs = np.column_stack([flo[edge], inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi[edge]])
-    rows, first = np.arange(len(ts)), np.argmax(np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) <= 0.0, axis=1)
-    lo[edge], hi[edge], flo[edge], fhi[edge] = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
-    lo, hi = np.where(fhi == 0.0, hi, lo), np.where(flo == 0.0, lo, hi)  # an exact zero is the root
-    refined = _refine_roots(dvals, lo, hi, flo, fhi, _ROOT_TOL)
+    edge = [piece for piece in simple if piece[0] in ends or piece[1] in ends]
+    ts = np.linspace([p[0] for p in edge], [p[1] for p in edge], _SUBSCAN_POINTS, axis=1)
+    inner = dvals(ts[:, 1:-1].ravel()).reshape(len(edge), -1).tolist() if edge else []
+    for piece, t, f in zip(edge, ts.tolist(), inner):
+        f = [piece[2], *f, piece[3]]
+        first = next((i for i in range(len(t) - 1) if _sign(f[i]) * _sign(f[i + 1]) <= 0.0), 0)
+        piece[:] = t[first], t[first + 1], f[first], f[first + 1]
+    # an exact zero is the root
+    brackets = [(hi if fhi == 0.0 else lo, lo if flo == 0.0 else hi, flo, fhi) for lo, hi, flo, fhi in simple]
+    refined = _refine_roots(dvals, *(list(zip(*brackets)) or [()] * 4), _ROOT_TOL)
     found = [(lam, 1) for lam in refined.tolist()] + multiple
     return tuple(sorted(found))
 

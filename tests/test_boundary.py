@@ -4,6 +4,8 @@ refusal messages, and which public names exist."""
 
 import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +283,64 @@ def test_non_finite_parameters_are_refused(fixture_b, name, value):
     # with RuntimeWarnings; tau = inf was classified as 1/tau = 0
     with pytest.raises(DomainError, match="is not finite"):
         PARAMETER_CALLS[name][0](fixture_b, value)
+
+
+# the parameter each call of PARAMETER_CALLS names where it is not lambda
+PARAMETER_NAMES = {"classify_tau": "tau", "solve_pie": "tau", "residual": "tau", "apply_S": "tau",
+                   "eigenfunctions_T": "lam0", "atom_eigenfunction": "lam0",
+                   "delta_trace_rows lmin": "lmin", "delta_trace_rows lmax": "lmax"}
+NOT_NUMBERS = {"str": "5", "None": None, "str array": np.array("0.2"), "Decimal": Decimal("0.2"),
+               "True": True, "np.True_": np.True_, "bool array": np.array([True])}
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("name", list(PARAMETER_CALLS))
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_parameter_that_is_not_a_number_is_refused(fixture_b, name, value, path):
+    # strings, None and string arrays raised numpy's TypeError or UFuncTypeError, a
+    # Decimal TypeError, and booleans were computed as 1.0
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    call = PARAMETER_CALLS[name][0]
+    if name == "delta_batch":  # np.array([1.5, True]) is a float array
+        call = lambda m, v: delta_batch(m, np.array([v]))  # noqa: E731
+    with pytest.raises(DomainError, match=f"^{PARAMETER_NAMES.get(name, 'lambda')} must be a number, got "):
+        call(view, value)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returned, as bytes and plain values, or the type and message it raised."""
+    try:
+        out = call(*args)
+    except PioError as err:
+        return type(err), str(err)
+    items = out if isinstance(out, list) else [out]
+    return [item.values.tobytes() if isinstance(item, Grid2D) else
+            item.tobytes() if isinstance(item, np.ndarray) else item for item in items]
+
+
+@pytest.mark.parametrize("name", [name for name in PARAMETER_CALLS if name != "delta_batch"])
+@pytest.mark.parametrize("path", [1, 2])
+def test_a_fraction_is_computed_as_its_nearest_float(fixture_b, name, path):
+    # Fraction(1, 5) worked in classify_tau and apply_S, and failed in resolvent_T
+    # (UFuncTypeError) and delta (TypeError).  delta_batch takes an array, and
+    # Fractions in one make an object array, which is refused as not a number
+    view = fixture_b if path == 1 else fixture_b.mirrored()
+    param = PARAMETER_NAMES.get(name, "lambda")
+    value = {"tau": Fraction(2, 3), "lam0": Fraction(discrete_spectrum(view)[0][0])}.get(param, Fraction(3, 2))
+    call = PARAMETER_CALLS[name][0]
+    assert outcome(call, view, value) == outcome(call, view, float(value))
+    with pytest.raises(DomainError, match=re.escape(f"lambda must be a number, got array([{value!r}]")):
+        delta_batch(view, np.array([value]))
+
+
+def test_spectral_set_distance_takes_numbers_only(fixture_a):
+    # distance("5") was 4.0: complex() parses strings
+    ess = sigma_ess(fixture_a)
+    for value in NOT_NUMBERS.values():
+        with pytest.raises(DomainError, match="^lambda must be a number, got "):
+            ess.distance(value)
+    assert ess.distance(Fraction(9, 2)) == ess.distance(4.5) == 1.5
+    assert np.isnan(ess.distance(float("nan")))
 
 
 TAU_CALLS = {

@@ -14,6 +14,7 @@ data, independently of the implementation):
 
 import gc
 import inspect
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -37,9 +38,14 @@ from pio.operators import apply_partial, apply_T
 from pio.pie import TauClass, classify_tau, residual, solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
 from pio.spectrum import (
+    _ROOT_TOL,
+    _SPLIT,
+    _SUBSCAN_POINTS,
     _count,
+    _plain,
     _reduction_plan,
     _refine_roots,
+    _require_finite,
     _search_region,
     _small_system,
     atom_eigenfunction,
@@ -1284,6 +1290,165 @@ def test_refinement_of_degenerate_input_returns_an_array(fn, lo, hi, root, calls
         with np.errstate(divide="ignore", invalid="ignore"):
             want = vectorized_refine_roots(fn, lo, hi, flo, fhi, tol)
         assert got.tobytes() == want.tobytes()
+
+
+# --- the search's bookkeeping against its numpy form ---
+
+
+def vectorized_search_roots(model):
+    # The numpy form of ``_search_roots``, copied verbatim (docstring aside) as
+    # the reference of the equivalence test below: the split loop, the gap-end
+    # test, the sub-scan's bracket pick and the exact zeros now run per piece in
+    # Python floats, which must keep every evaluator call, its parameters and
+    # their order, and every root, bit for bit.
+    _, gaps, _ = _search_region(model)
+    size = model.n * model.m
+
+    # det X = delta / lam^(mn), with lam = lm 2^le (frexp): delta times 2^(-mn le), exact, over
+    # lm^(mn), so nothing overflows where delta does not (discrete_spectrum)
+    def dvals(lams):
+        lm, le = np.frexp(lams)
+        return np.ldexp(delta_batch(model, lams).real, -size * le) / lm**size
+
+    nu, vals = _count(model, gaps.ravel())
+    # the open intervals: ends, counts and values at the ends
+    lo, hi, nlo, nhi, flo, fhi = (*gaps.T, *nu.reshape(-1, 2).T, *vals.reshape(-1, 2).T)
+    multiple, simple = [], []
+    while True:
+        count, mid = np.abs(nhi - nlo), lo + _SPLIT * (hi - lo)
+        split = (count >= 2) & (hi - lo > _ROOT_TOL) & (lo < mid) & (mid < hi)
+        done = (count >= 2) & ~split  # too narrow to split: one multiple eigenvalue
+        multiple += zip((0.5 * (lo + hi))[done].tolist(), count[done].tolist())
+        simple.append(np.stack([lo, hi, flo, fhi])[:, count == 1])
+        if not split.any():
+            break
+        lo, hi, nlo, nhi, flo, fhi, mid = (v[split] for v in (lo, hi, nlo, nhi, flo, fhi, mid))
+        nmid, fmid = _count(model, mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        nlo, nhi = np.concatenate([nlo, nmid]), np.concatenate([nmid, nhi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+
+    # one eigenvalue per piece, which brackets it by its count values; a piece with an end at a
+    # gap end is sub-scanned instead, and its first sign change is the bracket
+    lo, hi, flo, fhi = np.concatenate(simple, axis=1)
+    edge = ((lo[:, None] == gaps.ravel()) | (hi[:, None] == gaps.ravel())).any(axis=1)
+    ts = np.linspace(lo[edge], hi[edge], _SUBSCAN_POINTS, axis=1)
+    inner = dvals(ts[:, 1:-1].ravel()) if len(ts) else np.empty(0)
+    fs = np.column_stack([flo[edge], inner.reshape(-1, _SUBSCAN_POINTS - 2), fhi[edge]])
+    rows, first = np.arange(len(ts)), np.argmax(np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) <= 0.0, axis=1)
+    lo[edge], hi[edge], flo[edge], fhi[edge] = ts[rows, first], ts[rows, first + 1], fs[rows, first], fs[rows, first + 1]
+    lo, hi = np.where(fhi == 0.0, hi, lo), np.where(flo == 0.0, lo, hi)  # an exact zero is the root
+    refined = _refine_roots(dvals, lo, hi, flo, fhi, _ROOT_TOL)
+    found = [(lam, 1) for lam in refined.tolist()] + multiple
+    return tuple(sorted(found))
+
+
+def recorded_search(search, model, monkeypatch):
+    """The roots of ``search(model)`` and every ``_count`` and ``delta_batch`` call it made,
+    each as its name and its parameters as ``float.hex``, with the roots in ``float.hex``."""
+    calls = []
+    originals = {"_count": pio.spectrum._count, "delta_batch": pio.spectrum.delta_batch}
+
+    def recording(name):
+        def call(model, lams):
+            calls.append((name, [float(lam).hex() for lam in lams]))
+            return originals[name](model, lams)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in originals:  # the library's search and the copy above, which reads this module
+            patch.setattr(pio.spectrum, name, recording(name))
+            patch.setattr(sys.modules[__name__], name, recording(name))
+        roots = search(model)
+    return [(lam.hex(), mult) for lam, mult in roots], calls
+
+
+SUMRULE_2 = ([1.5, -2.25], [2.75, -1.125])
+# the models of the equivalence test: the benchmark's spectrum cases, a double
+# root and the negative roots of odd-rank products
+SEARCH_MODELS = {
+    "fixture-a": fresh_fixture_a,
+    "fixture-b": lambda: make_model((0, 1), (0, 1), ["1"], ["t"], ["1"], ["t"]),
+    "fixture-c": lambda: make_model((0, 1), (0, 1), ["1"], ["piecewise([0,0.5]:2; [0.5,1]:4)"], ["1"], ["0"]),
+    "sumrule-2": lambda: sumrule_model(*SUMRULE_2),
+    "sumrule-4": lambda: sumrule_model(*SUMRULE_4),
+    **{f"ramp-{n}": (lambda n: lambda: ramp_model(n, n))(n) for n in (1, 2, 4, 8)},
+    "double root": double_root_model,
+    **{name: (lambda w: lambda: legendre_model(*w[:2]))(w) for name, w in ODD_NEGATIVE.items()},
+}
+
+
+@pytest.mark.parametrize("path", [1, 2])
+@pytest.mark.parametrize("name", list(SEARCH_MODELS))
+def test_search_matches_the_vectorized_form_bit_for_bit(name, path, monkeypatch):
+    model = SEARCH_MODELS[name]()
+    view = model if path == 1 else model.mirrored()
+    ours = recorded_search(pio.spectrum._search_roots, view, monkeypatch)
+    theirs = recorded_search(vectorized_search_roots, view, monkeypatch)
+    assert ours == theirs
+    roots, calls = ours
+    assert calls[0][0] == "_count" and bool(roots) == (name != "fixture-c")
+
+
+@pytest.mark.parametrize("path", [1, 2])
+def test_search_matches_the_vectorized_form_where_delta_overflows(path, monkeypatch):
+    # ramp-16: delta_batch's lam^(mn) overflows, with the same warnings on both forms
+    model = ramp_model(16, 16)
+    view = model if path == 1 else model.mirrored()
+    results = []
+    for search in (pio.spectrum._search_roots, vectorized_search_roots):
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in") as record:
+            results.append(recorded_search(search, view, monkeypatch))
+        assert {str(w.message) for w in record} == {"overflow encountered in power"}
+    assert results[0] == results[1]
+    assert len(results[0][0]) == 23
+
+
+def reference_admit(spectral_set, params, model, name="lambda", where="the essential spectrum"):
+    # The array path of ``_admit`` before it admitted a batch by the real parts
+    # alone, copied verbatim (docstring aside) as the reference of the
+    # boundary test below: each refusal, and its message, must stay the same.
+    margin = operator_margin(model)
+    if isinstance(params, np.ndarray):
+        dist = spectral_set.distances(params)
+        bad = np.flatnonzero((dist <= margin) | ~np.isfinite(params))
+        if not bad.size:
+            return
+        param, near = params.flat[bad[0]], dist.flat[bad[0]]
+    else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
+        param, near = params, spectral_set.distance(params)
+    _require_finite(param, name)
+    if near <= margin:
+        raise SpectrumHit(f"{name} {_plain(param)} is within {near:.3e} of {where}")
+
+
+def admission(admit, *args):
+    """``None`` where ``admit(*args)`` admits, else the type and message of its refusal."""
+    try:
+        admit(*args)
+    except (DomainError, SpectrumHit) as err:
+        return type(err), str(err)
+    return None
+
+
+def test_admission_at_the_margin_matches_the_numpy_form(fixture_a):
+    # fixture a's essential set is the points 0, 2 and 3: a parameter exactly om
+    # from 0 is refused (dist <= om), one ulp farther admitted; a complex one is
+    # admitted or refused by its distance, not by its real part alone
+    ess, om = sigma_ess(fixture_a), operator_margin(fixture_a)
+    inside, outside = np.nextafter(om, 0.0), np.nextafter(om, np.inf)
+    admitted = [outside, -outside, complex(0.0, outside), complex(2.0, 2.0 * om)]
+    refused = [om, -om, inside, -inside, complex(0.0, om), complex(2.0, 0.5 * om),
+               np.nan, np.inf, -np.inf, complex(np.nan, 0.5), complex(1.5, np.inf)]
+    for value in admitted + refused:
+        for params in (value, np.array([1.5, value]), np.array([value, 1.5, value]), np.array([2.5, 4.0, value])):
+            got = admission(pio.spectrum._admit, ess, params, fixture_a)
+            assert got == admission(reference_admit, ess, params, fixture_a), (value, params)
+            assert (got is None) == (value in admitted), (value, params)
+    assert admission(pio.spectrum._admit, ess, np.array([1.5, -om]), fixture_a) == (
+        SpectrumHit, f"lambda {-om!r} is within {om:.3e} of the essential spectrum")
+    assert admission(pio.spectrum._admit, ess, np.array([1.5, outside, np.nan, om]), fixture_a) == (
+        DomainError, "lambda nan is not finite")
 
 
 # --- full report ---
