@@ -21,7 +21,6 @@ import copy
 import itertools
 import json
 import math
-import numbers
 import re
 import weakref
 from dataclasses import asdict, dataclass
@@ -29,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidModel, ModelFormatError, PioError
+from .errors import BadInterval, IndexOutOfRange, InvalidModel, ModelFormatError, PioError, _numeric, _whole
 from .expr import parse_expr
-from .quadrature import Grid2D, build_rule
+from .quadrature import Grid2D, _interval, build_rule
 
 __all__ = [
     "Channel",
@@ -55,7 +54,8 @@ _RANGE_SAMPLES = 4096
 @dataclass(frozen=True)
 class SearchSettings:
     """Root search policy of a model, the only source of search settings,
-    checked on construction since model files come from outside the program;
+    converted on construction (``margin`` by ``_numeric``, ``scan_points`` by
+    ``_whole``, ``ModelFormatError``) since model files come from outside the program;
     ``margin=None`` means ``1e-3 * (1 + norm bound)``, and a margin below twice
     the operator margin ``1e-9 * (1 + norm bound)`` is raised to it
     (``spectrum._search_region``).  A model file sets it in its ``search``
@@ -74,10 +74,13 @@ class SearchSettings:
     scan_points: int = 512
 
     def __post_init__(self):
-        if self.margin is not None and not 0 < self.margin < np.inf:  # JSON reads Infinity
-            raise ModelFormatError("search.margin must be finite and positive")
-        if self.scan_points < 2:
-            raise ModelFormatError("search.scan_points must be >= 2")
+        if self.margin is not None:
+            margin = _numeric(self.margin, "search.margin", real=True, error=ModelFormatError)
+            if not margin > 0:
+                raise ModelFormatError("search.margin must be finite and positive")
+            object.__setattr__(self, "margin", margin)
+        scan_points = _whole(self.scan_points, "search.scan_points", 2, error=ModelFormatError)
+        object.__setattr__(self, "scan_points", scan_points)
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class PIOModel:
-    """Immutable model; quadrature rules and samples are derived lazily."""
+    """Immutable model; quadrature rules and samples are derived lazily.  Its fields are
+    taken as given: ``make_model`` and ``model_from_dict`` convert and check them."""
 
     x_interval: tuple
     y_interval: tuple
@@ -225,19 +229,13 @@ _MIRRORED_ATTRS = {
 
 
 def _oriented(model, channel):
-    """The model for channel 1, its mirror for channel 2."""
-    if channel == 1:
-        return model
-    if channel == 2:
-        return model.mirrored()
-    raise PioError(f"channel must be 1 or 2, got {channel!r}")
+    """The model for channel 1, its mirror for channel 2: ``channel`` is a whole number in 1..2."""
+    return model if _whole(channel, "channel", 1, 2) == 1 else model.mirrored()
 
 
 def _member(model, k):
-    """Row of channel-1 member ``k``: an integer in ``1..n`` (no ``bool``), else ``IndexOutOfRange``."""
-    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 1 <= k <= model.n):
-        raise IndexOutOfRange(f"member index must be an integer in 1..{model.n}, got {k}")
-    return int(k) - 1
+    """Row of channel-1 member ``k``, a whole number in ``1..n``, else ``IndexOutOfRange``."""
+    return _whole(k, "member index", 1, model.n, IndexOutOfRange) - 1
 
 
 def _on_side(act, model, channel, f, *args):
@@ -254,8 +252,6 @@ def _on_side(act, model, channel, f, *args):
 
 def _rule(interval, order, exprs, extra):
     """The axis rule, split at the interior breakpoints of its expressions and the extra ones."""
-    if not all(map(math.isfinite, extra)):
-        raise ModelFormatError(f"quadrature: extra breakpoints must be finite, got {list(extra)}")
     lo, hi = interval
     points = [*(b for e in exprs for b in e.breakpoints), *extra]
     return build_rule(interval, order, sorted({float(p) for p in points if lo < p < hi}))
@@ -433,10 +429,10 @@ def make_model(
     search=SearchSettings(),
 ):
     """Build a model from expression strings (shorthands allowed), parsing each distinct
-    source once per interval; refuses an ``order`` that is not a number, fractional or non-finite (``PioError``)
-    and a non-finite extra breakpoint (``ModelFormatError``)."""
-    xi = (float(x_interval[0]), float(x_interval[1]))
-    yi = (float(y_interval[0]), float(y_interval[1]))
+    source once per interval.  The intervals (``BadInterval``), the ``order`` (a whole number
+    >= 1, ``BadInterval``) and the extra breakpoints (real numbers, ``ModelFormatError``) are
+    converted by the rules of ``errors``."""
+    xi, yi = _interval(x_interval, "x_interval"), _interval(y_interval, "y_interval")
     parsed = {}
     channel1 = Channel(
         _parse_sources(basis1, xi, "channel1.basis", parsed),
@@ -446,20 +442,10 @@ def make_model(
         _parse_sources(basis2, yi, "channel2.basis", parsed),
         _parse_sources(weights2, xi, "channel2.weights", parsed),
     )
-    if isinstance(order, (bool, np.bool_)) or not isinstance(order, numbers.Real):
-        raise PioError(f"quadrature order must be a whole number, got {type(order).__name__}")
-    if not (math.isfinite(order) and order == int(order)):
-        raise PioError(f"quadrature order must be a whole number, got {order}")
-    model = PIOModel(
-        xi,
-        yi,
-        channel1,
-        channel2,
-        int(order),
-        tuple(float(b) for b in extra_breakpoints_x),
-        tuple(float(b) for b in extra_breakpoints_y),
-        search,
-    )
+    extra = [tuple(_numeric(b, f"extra_breakpoints_{axis}", real=True, error=ModelFormatError) for b in bps)
+             for axis, bps in (("x", extra_breakpoints_x), ("y", extra_breakpoints_y))]
+    order = _whole(order, "quadrature order", error=BadInterval)
+    model = PIOModel(xi, yi, channel1, channel2, order, *extra, search)
     model.rule_x, model.rule_y  # noqa: B018 - fail fast on bad intervals/breakpoints
     return model
 
@@ -476,13 +462,9 @@ def _want(mapping, key, types, where, required=True, default=None):
 
 
 def _number_pair(value, where):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if not isinstance(value, list) or len(value) != 2:
         raise ModelFormatError(f"{where}: expected [lo, hi] numbers")
-    return float(value[0]), float(value[1])
+    return tuple(_numeric(v, where, real=True, error=ModelFormatError) for v in value)
 
 
 def _string_list(value, where):
@@ -496,11 +478,9 @@ def _string_list(value, where):
 
 
 def _number_list(value, where):
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list):
         raise ModelFormatError(f"{where}: expected a list of numbers")
-    return [float(v) for v in value]
+    return [_numeric(v, where, real=True, error=ModelFormatError) for v in value]
 
 
 def _no_extras(mapping, allowed, where):
@@ -533,8 +513,7 @@ def model_from_dict(data):
     quad = _want(data, "quadrature", dict, "model", required=False, default={})
     _no_extras(quad, ("order", "extra_breakpoints_x", "extra_breakpoints_y"), "quadrature")
     order = _want(quad, "order", int, "quadrature", required=False, default=DEFAULT_ORDER)
-    if order < 1:
-        raise ModelFormatError("quadrature.order must be >= 1")
+    order = _whole(order, "quadrature.order", error=ModelFormatError)
     extra_x = _number_list(
         _want(quad, "extra_breakpoints_x", list, "quadrature", required=False, default=[]),
         "quadrature.extra_breakpoints_x",
@@ -548,7 +527,7 @@ def model_from_dict(data):
     _no_extras(sdata, ("margin", "scan_points"), "search")
     given = {}  # the defaults are SearchSettings' own
     if "margin" in sdata:
-        given["margin"] = float(_want(sdata, "margin", (int, float), "search"))
+        given["margin"] = _want(sdata, "margin", (int, float), "search")
     if "scan_points" in sdata:
         given["scan_points"] = _want(sdata, "scan_points", int, "search")
     search = SearchSettings(**given)
@@ -571,7 +550,7 @@ def load_model_file(path):
             data = json.load(fh)
     except OSError as err:
         raise ModelFormatError(f"cannot read model file: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, text not in UTF-8, or an integer of over 4,300 digits
         raise ModelFormatError(f"model file is not valid JSON: {err}") from err
     return model_from_dict(data)
 

@@ -17,20 +17,22 @@ essential or channel spectrum, or ``1/tau`` that near the channel's weight
 set (``spectrum._weight_ranges``), raises ``SpectrumHit``, and so does every
 parameter at which the root search evaluates the determinant (``delta_batch``).
 The search's slicing count (``spectrum._count``) does not admit: its parameters
-lie at least twice that margin from the essential set.  A ``tau`` that is not
-finite, or nonzero with an overflowing ``1/tau``, raises ``DomainError``.  The
-eigenvalue refusal is the one eigenvalue decision, ``spectrum._multiplicity``;
-no function takes a per-call margin or tolerance.
+lie at least twice that margin from the essential set.  Each public function
+converts its parameters once, by the rules of ``errors`` (``_numeric`` for
+``lam`` and ``tau``, ``_whole`` for ``channel`` and ``k``), and its private body
+works on the converted values; a nonzero ``tau`` with an overflowing ``1/tau``
+raises ``DomainError``.  The eigenvalue refusal is the one eigenvalue decision,
+``spectrum._multiplicity``; no function takes a per-call margin or tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenvalueHit, GridMismatch
+from .errors import EigenvalueHit, GridMismatch, _numeric
 from .model import _member, _on_side
-from .spectrum import _admit, _multiplicity, _plain, _reciprocal, _reduction_plan
-from .spectrum import _require_finite, _small_system, _weight_ranges, sigma_channel
+from .spectrum import _admit, _multiplicity, _reciprocal, _reduction_plan, _small_system, _weight_ranges
+from .spectrum import sigma_channel
 
 __all__ = ["apply_partial", "apply_T", "project", "resolvent_channel", "apply_S", "apply_W", "resolvent_T"]
 
@@ -86,7 +88,6 @@ def apply_T(model, f):
 
 def _resolvent_channel(model, g, lam):
     _check_grid(model, g)
-    lam = _require_finite(lam, "lambda")
     _admit(sigma_channel(model, 1), lam, model, where="the channel spectrum")
     weights = model.h_y
     correction = _apply_weighted(model, g, weights / (weights - lam))
@@ -99,12 +100,11 @@ def resolvent_channel(model, channel, lam, g):
     Uses the closed form -(1/lam) * (g - sum_k w_k/(w_k - lam) * proj_k g);
     refuses lam within the operator margin of that channel's spectrum.
     """
-    return _on_side(_resolvent_channel, model, channel, g, lam)
+    return _on_side(_resolvent_channel, model, channel, g, _numeric(lam, "lambda"))
 
 
 def _apply_S(model, g, tau):
     _check_grid(model, g)
-    tau = _require_finite(tau, "tau")
     if tau != 0:
         _admit(_weight_ranges(model), _reciprocal(tau), model, name="1/tau", where="the weight ranges")
     weights = model.h_y
@@ -119,12 +119,13 @@ def apply_S(model, channel, tau, g):
     Refuses tau with 1/tau within the operator margin of the weight ranges,
     and a nonzero tau whose reciprocal overflows (``DomainError``).
     """
-    return _on_side(_apply_S, model, channel, g, tau)
+    return _on_side(_apply_S, model, channel, g, _numeric(tau, "tau"))
 
 
 def apply_W(model, tau, f):
     """The closed composition used by the spectral reduction:
     W(tau) = (identity - tau * channel2)^{-1} S1(tau) channel2."""
+    tau = _numeric(tau, "tau")
     t2 = apply_partial(model, 2, f)
     s = apply_S(model, 1, tau, t2)
     return s + tau * apply_S(model, 2, tau, s)
@@ -151,9 +152,9 @@ def resolvent_T(model, lam, g):
     singular or nearly so and the solve is refused with ``EigenvalueHit``.
     """
     _check_grid(model, g)
-    lam = _require_finite(lam, "lambda")
+    lam = _numeric(lam, "lambda")
     if _multiplicity(model, lam):
-        raise EigenvalueHit(f"lambda {_plain(lam)} is a discrete eigenvalue")
+        raise EigenvalueHit(f"lambda {lam!r} is a discrete eigenvalue")
     tau = 1.0 / lam
     return g.with_values(_second_kind(model, lam, tau, g) * -tau)
 

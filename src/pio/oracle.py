@@ -26,12 +26,11 @@ matrix with ``Nx*Ny`` rows, and no Kronecker product is ever formed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PioError
+from .errors import ConvergenceFailure, PioError, _numeric, _whole
 from .quadrature import _gauss_reference
 
 __all__ = [
@@ -105,13 +104,10 @@ def nystrom_matrix(model, Nx, Ny):
 
     Nodes are Gauss points on the model's panels (so kinks and steps of the
     weights never sit inside a panel), allotted per panel by length.  Sizes
-    must be real whole numbers in ``[1, 2**63)``, else ``PioError``.
+    must be whole numbers in ``[1, 2**63)`` by ``_whole``, else ``PioError``.
     """
-    if not all(not isinstance(n, (bool, np.bool_)) and isinstance(n, numbers.Real)
-               and 1 <= n < 2**63 and n == int(n) for n in (Nx, Ny)):
-        raise PioError(f"grid sizes must be whole numbers of at least 1, got {Nx!r}x{Ny!r}")
-    xs, wx = _axis_rule(model.rule_x.panel_edges, int(Nx))
-    ys, wy = _axis_rule(model.rule_y.panel_edges, int(Ny))
+    xs, wx = _axis_rule(model.rule_x.panel_edges, _whole(Nx, "Nx"))
+    ys, wy = _axis_rule(model.rule_y.panel_edges, _whole(Ny, "Ny"))
     sx, sy = np.sqrt(wx), np.sqrt(wy)
     a = np.array([f(xs) for f in model.channel1.basis]) * sx
     h = np.array([f(ys) for f in model.channel1.weights])
@@ -214,14 +210,14 @@ def compare_spectra(report, eigs, tol_disc, tol_ess):
     are found by ``searchsorted`` on a sorted copy, and only eigenvalues
     above ``tol_ess`` in magnitude meet the report, so the ``Nx*Ny - r``
     zeros of ``oracle_eigs`` cost one comparison each.  Both tolerances must
-    be real numbers, finite and at least 0, the eigenvalues a 1-d array of
+    be real numbers by ``_numeric``, at least 0, the eigenvalues a 1-d array of
     finite reals (``PioError``); a NaN would pass every check.
     """
+    tol_disc, tol_ess = (_numeric(tol, name, real=True, error=PioError)
+                         for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)))
     for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)):
-        if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
-            raise PioError(f"{name} must be a real number, got {type(tol).__name__}")
-        if not 0.0 <= tol < np.inf:
-            raise PioError(f"{name} must be finite and >= 0, got {tol}")
+        if tol < 0:
+            raise PioError(f"{name} must be finite and >= 0, got {tol!r}")
     eigs = np.asarray(eigs)
     if eigs.ndim != 1 or eigs.dtype.kind not in "iuf":
         raise PioError(f"oracle eigenvalues must be a one-dimensional real array, got "

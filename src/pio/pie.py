@@ -27,16 +27,18 @@ CHANNEL_SINGULAR is the admission rule of ``spectrum._admit``, which the root
 search obeys too (1/tau within ``operator_margin(model)`` of the essential
 set), and EIGEN is the one eigenvalue decision, ``spectrum._multiplicity``.  Just
 outside its window the small system is regular but ill-conditioned; it is solved,
-and ``residual`` shows how well.
+and ``residual`` shows how well.  Each function converts ``tau`` once, by the numeric
+rule of ``errors`` (``_numeric``), and passes the Python number on: ``solve_pie``
+to ``classify_tau`` and, through ``operators._second_kind``, to ``apply_S``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit
+from .errors import NonUniqueSolution, OutsideTheory, SpectrumHit, _numeric
 from .operators import _check_grid, _second_kind, apply_T
-from .spectrum import _multiplicity, _plain, _reciprocal, _require_finite
+from .spectrum import _multiplicity, _reciprocal
 
 __all__ = ["TauClass", "classify_tau", "solve_pie", "residual"]
 
@@ -57,11 +59,11 @@ def classify_tau(model, tau):
     apply.  CHANNEL_SINGULAR: 1/tau is in or within the operator margin of
     the essential set, so a channel factor is not invertible.  EIGEN: 1/tau is
     within that margin of a certified discrete eigenvalue (``spectrum._multiplicity``).
-    REGULAR: everything invertible; no small system is built.  A tau that is not finite,
-    or nonzero with a reciprocal that overflows (``1e-310``), raises ``DomainError``.
+    REGULAR: everything invertible; no small system is built.  A tau that is not one finite
+    number, or nonzero with a reciprocal that overflows (``1e-310``), raises ``DomainError``.
     """
     model._require_valid()
-    tau = _require_finite(tau, "tau")
+    tau = _numeric(tau, "tau")
     if tau == 0:
         return TauClass.ZERO
     try:
@@ -82,18 +84,18 @@ def solve_pie(model, tau, g):
     the mirror applies the channel corrections in the opposite order, and both paths agree.
     """
     _check_grid(model, g)
+    tau = _numeric(tau, "tau")
     kind = classify_tau(model, tau)
-    tau = _require_finite(tau, "tau")  # the Python number that classify_tau decided on
     if kind is TauClass.EIGEN:
-        raise NonUniqueSolution(f"1/tau = {_plain(1.0 / tau)} is a discrete eigenvalue")
+        raise NonUniqueSolution(f"1/tau = {1.0 / tau!r} is a discrete eigenvalue")
     if kind is not TauClass.REGULAR:
-        raise OutsideTheory(f"parameter {_plain(tau)} is {kind.value}")
+        raise OutsideTheory(f"parameter {tau!r} is {kind.value}")
     return g.with_values(_second_kind(model, 1.0 / tau, tau, g))
 
 
 def residual(model, tau, f, g):
     """Norm of f - tau * T f - g, the direct check of a claimed solution."""
-    tau = _require_finite(tau, "tau")
+    tau = _numeric(tau, "tau")
     _check_grid(model, f)
     _check_grid(model, g)
     return (f - tau * apply_T(model, f) - g).norm()

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadBreakpoint, BadInterval, GridMismatch
+from .errors import BadBreakpoint, BadInterval, GridMismatch, _numeric, _whole
 
 __all__ = [
     "QuadRule1D",
@@ -32,11 +32,8 @@ def _legendre_with_derivative(n, x):
 
 
 @lru_cache(maxsize=None)
-def _gauss_reference(order):
-    """Nodes and weights on [-1, 1], computed to machine accuracy."""
-    n = int(order)
-    if n < 1:
-        raise BadInterval(f"quadrature order must be >= 1, got {order}")
+def _gauss_reference(n):
+    """Nodes and weights on [-1, 1] for a whole ``n >= 1``, computed to machine accuracy."""
     if n == 1:
         return np.array([0.0]), np.array([2.0])
     # Chebyshev-style initial guesses, then Newton on P_n
@@ -86,18 +83,24 @@ class QuadRule1D:
         )
 
 
-def _interval(interval):
-    """``(lo, hi)`` as floats; ``BadInterval`` unless both are finite and ``lo < hi``."""
-    lo, hi = (float(v) for v in interval)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
+def _interval(interval, name="interval"):
+    """``(lo, hi)``: two real numbers by ``_numeric``, ``lo < hi``, else ``BadInterval`` naming ``name``."""
+    try:
+        lo, hi = interval
+    except (TypeError, ValueError):
+        raise BadInterval(f"{name} must be a pair (lo, hi), got {interval!r}") from None
+    lo, hi = (_numeric(v, name, real=True, error=BadInterval) for v in (lo, hi))
+    if not lo < hi:
         raise BadInterval(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     return lo, hi
 
 
 def build_rule(interval, order, breakpoints=()):
-    """Composite Gauss-Legendre rule on ``interval`` split at ``breakpoints``."""
+    """Composite Gauss-Legendre rule on ``interval`` split at ``breakpoints``; the ``order``
+    is a whole number >= 1 by ``_whole`` and the breakpoints real numbers by ``_numeric``."""
     lo, hi = _interval(interval)
-    bps = sorted({float(b) for b in breakpoints})
+    order = _whole(order, "quadrature order", error=BadInterval)
+    bps = sorted({_numeric(b, "breakpoint", real=True, error=BadBreakpoint) for b in breakpoints})
     for b in bps:
         if not (lo < b < hi):
             raise BadBreakpoint(f"breakpoint {b!r} is not interior to [{lo!r}, {hi!r}]")
@@ -109,7 +112,7 @@ def build_rule(interval, order, breakpoints=()):
     weights = (halves[:, None] * wi[None, :]).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadRule1D(lo, hi, int(order), tuple(edges.tolist()), nodes, weights)
+    return QuadRule1D(lo, hi, order, tuple(edges.tolist()), nodes, weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,14 +112,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NoAtom, NotAnEigenvalue, SpectrumHit
+from .errors import DomainError, NoAtom, NotAnEigenvalue, SpectrumHit, _numeric, _whole
 from .model import _member, _oriented, _sample, _stored
 from .quadrature import Grid2D, _interval
 
@@ -147,77 +146,42 @@ def operator_margin(model):
     return 1e-9 * (1.0 + model.bound)
 
 
-def _plain(number):
-    """``repr`` of a number as Python writes it, for numpy scalars too."""
-    return repr(np.asarray(number).item())
-
-
-def _require_finite(value, name):
-    """``value`` as a Python number, after raising ``DomainError`` unless it is one number,
-    real or complex, and finite; in plain Python, since it runs on every operator call.  A value
-    that is not a Python number (numpy scalars of other types, arrays, lists, ``Fraction``) must
-    pass ``_batch``'s rule for one number, so an array is refused by its shape and a string, a
-    boolean or ``None`` as not a number, and is converted here, the one place: a ``np.float32``
-    parameter is computed in double from its exact value, as the same value given as a Python
-    float, and a long double, which ``.item()`` keeps, is rounded to the nearest double."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, complex)):
-        value = _batch(value, 0, name).item()
-        if isinstance(value, np.inexact):  # np.longdouble or np.clongdouble
-            value = complex(value) if isinstance(value, np.complexfloating) else float(value)
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} {_plain(value)} is not finite")
-    return value
-
-
 def _reciprocal(tau):
-    """``1/tau`` for a finite, nonzero ``tau``; ``DomainError`` naming ``tau`` where the
-    reciprocal overflows (``1e-310``).  The test divides in Python numbers, which give
-    ``inf`` where a numpy scalar would warn."""
-    if not cmath.isfinite(1.0 / complex(tau)):
-        raise DomainError(f"tau {_plain(tau)} is nonzero but 1/tau overflows")
-    return 1.0 / tau
-
-
-def _require_real(value, name):
-    """``_require_finite`` for a real parameter; a complex one (``+0j`` too, and a complex
-    numpy scalar or 0-d array, which it converts to a Python ``complex``) raises ``DomainError``."""
-    value = _require_finite(value, name)
-    if isinstance(value, complex):
-        raise DomainError(f"{name} {_plain(value)} is not real")
-    return value
+    """``1/tau`` for a nonzero Python number ``tau`` (``_numeric``), whose division gives
+    ``inf`` where it overflows (``1e-310``), and that raises ``DomainError`` naming ``tau``."""
+    reciprocal = 1.0 / tau
+    if not cmath.isfinite(reciprocal):
+        raise DomainError(f"tau {tau!r} is nonzero but 1/tau overflows")
+    return reciprocal
 
 
 def _admit(spectral_set, params, model, name="lambda", where="the essential spectrum"):
-    """Raise ``DomainError`` for a non-finite parameter, and ``SpectrumHit``
-    for the first of ``params`` (a number or an array, real or complex)
-    within ``operator_margin(model)`` of ``spectral_set``.
+    """Raise ``SpectrumHit`` for the first of ``params`` (a number or an array, real or
+    complex, converted by ``_numeric``, so finite) within ``operator_margin(model)`` of
+    ``spectral_set``.
 
     The one admission rule of every operator entry point and of
     ``delta_batch``.  The root search's count does not admit: its
     parameters lie in the search gaps, at least ``2 om`` from the essential
-    set (``discrete_spectrum``).  The refused parameter is printed as a plain
-    number.
+    set (``discrete_spectrum``).
 
     An array is admitted in a few numpy passes where every real part is
-    farther than the margin from every member of the set and the sum of the
-    parameters is finite: a complex parameter is no nearer than its real part,
-    and one that is not finite makes the sum so.  Any other array goes through
-    the rule for one number in order, whose scalar distance equals
+    farther than the margin from every member of the set: a complex parameter
+    is no nearer than its real part.  Any other array goes through the rule
+    for one number in order, whose scalar distance equals
     ``SpectralSet.distances``, so each refusal and its message are those of
     the elementwise rule.
     """
     margin = operator_margin(model)
     if isinstance(params, np.ndarray):
         members, re = spectral_set._members, params.real.ravel()
-        nearest = np.maximum(members[:, :1] - re, re - members[:, 1:]).min(initial=np.inf)
-        if not (margin < nearest and cmath.isfinite(params.sum())):
+        if not margin < np.maximum(members[:, :1] - re, re - members[:, 1:]).min(initial=np.inf):
             for param in params.ravel().tolist():
                 _admit(spectral_set, param, model, name, where)
         return
-    near = spectral_set.distance(params)  # the scalar distance, equal to ``distances`` and 4x cheaper
-    _require_finite(params, name)
+    near = spectral_set._distance(params)  # the scalar distance, equal to ``distances`` and 4x cheaper
     if near <= margin:
-        raise SpectrumHit(f"{name} {_plain(params)} is within {near:.3e} of {where}")
+        raise SpectrumHit(f"{name} {params!r} is within {near:.3e} of {where}")
 
 
 # --- essential part -------------------------------------------------------
@@ -238,9 +202,11 @@ class SpectralSet:
     atoms: tuple
 
     def distance(self, lam):
-        """The distance of one number, NaN for a NaN one; ``DomainError`` for what is not one number."""
-        if isinstance(lam, bool) or not isinstance(lam, (float, int, complex)):
-            lam = _batch(lam, 0).item()
+        """The distance of one number by ``_numeric``, NaN for a NaN one."""
+        return self._distance(_numeric(lam, "lambda", finite=False))
+
+    def _distance(self, lam):
+        """``distance`` of a Python number."""
         lam = complex(lam)
         if cmath.isnan(lam) and not cmath.isinf(lam):
             return np.nan  # as ``distances``: a NaN part makes every distance NaN
@@ -486,26 +452,10 @@ def _small_system(model, lam):
     return families, np.eye(kn.shape[1]) - kn[0].T
 
 
-def _batch(value, ndim, name="lambda"):
-    """``value``, one ``lam`` for ``ndim`` 0 or ``lams`` for 1, as a one-dimensional array; numpy
-    would index or broadcast any other shape, so it raises ``DomainError`` naming ``name``, as for
-    a value that is not a number (a string, ``None``, a ``Decimal``, a boolean, an array of another
-    dtype kind than ``iufc``).  Another ``numbers.Complex`` (``Fraction``) is its nearest float or complex."""
-    if isinstance(value, numbers.Complex) and not isinstance(value, (float, int, complex, np.generic)):
-        value = float(value) if isinstance(value, numbers.Real) else complex(value)
-    array = np.asarray(value)
-    if array.dtype.kind not in "iufc":
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    if array.ndim != ndim:
-        want = "a one-dimensional array" if ndim else "one number"
-        raise DomainError(f"{name} must be {want}, got shape {array.shape}")
-    return array.reshape(-1)
-
-
 def pi_matrix(model, lam):
     """Cross-integral matrix ``Pi(lam) = lam K N``, an ``(mn, mn)`` array indexed
     by the row-major pairs described on top; path 2 is ``pi_matrix(model.mirrored(), lam)``."""
-    lam = _require_finite(lam, "lambda")
+    lam = _numeric(lam, "lambda")
     _admit(sigma_ess(model), lam, model)
     _, kn = _reduction_plan(model).coupling(np.array([lam]))
     return lam * kn[0]
@@ -513,7 +463,7 @@ def pi_matrix(model, lam):
 
 def delta(model, lam):
     """Determinant ``det(Pi(lam) - lam*I)`` at one number ``lam``; real input gives a real value."""
-    return delta_batch(model, _batch(lam, 0))[0]
+    return delta_batch(model, np.array([_numeric(lam, "lambda")]))[0]
 
 
 def delta_batch(model, lams):
@@ -522,7 +472,7 @@ def delta_batch(model, lams):
 
     Since ``Pi = lam K N``, it is evaluated as ``lam^(mn) det(K N - I)``.
     """
-    lams = _batch(lams, 1)
+    lams = _numeric(lams, "lambda", ndim=1)
     _admit(sigma_ess(model), lams, model)
     _, kn = _reduction_plan(model).coupling(lams)
     kn.reshape(-1, kn.shape[1] ** 2)[:, :: kn.shape[1] + 1] -= 1.0  # K N - I, in place
@@ -681,8 +631,7 @@ def _count(model, lams):
     ``det X``: the eigenvalues of ``N~`` (one batched ``eigh`` of the ``N_q``)
     and of ``K~ - N~^{-1}`` (one ``eigvalsh`` of size ``mn``) where ``N~``
     pivots, else those of ``X`` (module docstring).  It is the count of the
-    search and does not admit; a non-finite parameter raises ``_admit``'s
-    ``DomainError``.
+    search and does not admit or convert: its parameters are the search's own.
 
     As a product of the same eigenvalues, ``det X`` has the sign ``(-1)^nu``
     or is 0, so the ends of a piece whose counts differ by one carry
@@ -697,9 +646,6 @@ def _count(model, lams):
     On a 2-vCPU x86 host with one BLAS thread, a count at one parameter of
     ramp-8 (``mn = 64``) takes about 0.24 ms, and one of fixture a about 42 us,
     of which the ``eigh`` and ``eigvalsh`` calls are about 10 us."""
-    if not math.isfinite(lams.sum()):  # a finite sum that overflows only costs the loop
-        for lam in lams.tolist():
-            _require_finite(lam, "lambda")
     _, _, K, N = _reduction_plan(model).families(lams)
     d, V = np.linalg.eigh(N)
     size = d.shape[1] * d.shape[2]  # mn
@@ -775,11 +721,10 @@ def discrete_spectrum(model):
     (``om = operator_margin(model)``), where ``_admit`` refuses only within
     ``om``.  The gap ends are band ends or box ends outside every band, and a
     split point is strictly inside its piece; rounding moves a point by a few
-    ulps of ``bound + 1``, far below ``om = 1e-9 (1 + bound)``.  The count
-    still raises ``_admit``'s ``DomainError`` for a non-finite parameter.  The
+    ulps of ``bound + 1``, far below ``om = 1e-9 (1 + bound)``.  The
     sub-scan and refinement points go through ``delta_batch``, which admits
     them; they lie in the same pieces, so it refuses none, but an overflowed
-    determinant can make an ITP point NaN, and that raises ``DomainError``.
+    determinant can make an ITP point NaN, and its numeric rule raises ``DomainError``.
 
     The evaluator calls are the cost: on a 2-vCPU x86 host with one BLAS
     thread a refinement step's own arithmetic takes about 3 us for one open
@@ -906,7 +851,7 @@ def _multiplicity(model, lam):
     _admit(ess, lam, model)
     margin, x = operator_margin(model), lam.real
     if any(lo - margin <= x <= hi + margin for lo, hi in _search_region(model)[2]):
-        h = min(margin, (ess.distance(x) - margin) / 2)
+        h = min(margin, (ess._distance(x) - margin) / 2)
         if abs(lam.imag) > margin or h <= 0:
             return 0
         below, above = _count(model, np.array([x - h, x + h]))[0]
@@ -941,7 +886,7 @@ def eigenfunctions_T(model, lam0):
     a warm call on ramp-8 (``mn = 64``) takes about 0.15 ms, where a full SVD of ``M``
     took 0.5 ms.
     """
-    lam0 = float(_require_real(lam0, "lam0"))
+    lam0 = _numeric(lam0, "lam0", real=True)
     k = _multiplicity(model, lam0)
     if not k:
         raise NotAnEigenvalue(f"{lam0!r} is not within {operator_margin(model):.3e} of an eigenvalue")
@@ -974,13 +919,13 @@ def atom_eigenfunction(model, channel, j0, lam0):
     ``lam0`` on a set of positive measure; a complex or non-finite ``lam0`` raises ``DomainError``."""
     view = _oriented(model, channel)
     view._require_valid()
-    lam0 = _require_real(lam0, "lam0")
+    lam0 = _numeric(lam0, "lam0", real=True)
     row = _member(view, j0)
     tol = operator_margin(view)
     pieces = _stored(view._samples1[1][row].pieces)
     level = [(lo, hi) for lo, hi, value, _, _ in pieces if value is not None and abs(value - lam0) <= tol]
     if not level:
-        raise NoAtom(f"weight {j0} of channel {channel} has no level set at {_plain(lam0)}")
+        raise NoAtom(f"weight {row + 1} of channel {1 if view is model else 2} has no level set at {lam0!r}")
     measure = sum(hi - lo for lo, hi in level)
     ys = view.rule_y.nodes
     fy = np.any([(ys >= lo) & (ys <= hi) for lo, hi in level], axis=0) / np.sqrt(measure)
@@ -994,13 +939,13 @@ def atom_eigenfunction(model, channel, j0, lam0):
 def delta_trace_rows(model, lmin, lmax, samples):
     """Rows (lambda, Re delta, Im delta) at ``samples`` equally spaced points
     from ``lmin`` to ``lmax``; NaN within the operator margin.  Path 2 is the trace
-    of ``model.mirrored()``.  Complex or non-finite ends, ``lmin >= lmax`` or a
-    ``samples`` that is not a whole real number >= 2 (``"3"`` and ``None`` too) raise ``DomainError``."""
-    lmin, lmax = _require_real(lmin, "lmin"), _require_real(lmax, "lmax")
-    if not (lmin < lmax and isinstance(samples, numbers.Real) and samples >= 2 and float(samples).is_integer()):
-        raise DomainError(f"need lmin < lmax and a whole number of samples >= 2, got "
-                          f"{_plain(lmin)}, {_plain(lmax)} and {_plain(samples)} samples")
-    lams = np.linspace(float(lmin), float(lmax), int(samples))
+    of ``model.mirrored()``.  Ends that are not real numbers by ``_numeric``, ``lmin >= lmax``
+    or a ``samples`` that is not a whole number >= 2 by ``_whole`` raise ``DomainError``."""
+    lmin, lmax = _numeric(lmin, "lmin", real=True), _numeric(lmax, "lmax", real=True)
+    samples = _whole(samples, "samples", lo=2, error=DomainError)
+    if not lmin < lmax:
+        raise DomainError(f"need lmin < lmax, got {lmin!r} and {lmax!r}")
+    lams = np.linspace(lmin, lmax, samples)
     vals = np.full(lams.shape, complex(np.nan, np.nan))
     ok = sigma_ess(model).distances(lams) > operator_margin(model)
     vals[ok] = delta_batch(model, lams[ok])

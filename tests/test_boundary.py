@@ -3,6 +3,7 @@ and of parameters that are not finite, plain Python numbers in results and
 refusal messages, and which public names exist."""
 
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pio
 import pio.model
 from pio.cli import main
 from pio.errors import (
+    BadInterval,
     DomainError,
     EigenvalueHit,
     IndexOutOfRange,
@@ -371,23 +373,45 @@ def test_atom_eigenfunction_refuses_an_infinite_level(fixture_c):
         atom_eigenfunction(fixture_c, 1, 1, INF)
 
 
-@pytest.mark.parametrize("window", [(1.1, 2.0, 2.5), (1.1, 2.0, -1), (1.1, 2.0, NAN), (1.1, 2.0, 1),
-                                    (1.1, 2.0, INF), (2.0, 1.1, 4), (2.0, 2.0, 4), (1.1, 2.0, "3"),
-                                    (1.1, 2.0, None)])
-def test_delta_trace_rows_refuses_a_bad_window(fixture_b, window):
+BAD_WINDOWS = [
+    ((1.1, 2.0, 2.5), "samples must be a whole number, got 2.5"),
+    ((1.1, 2.0, -1), "samples must be >= 2, got -1"),
+    ((1.1, 2.0, NAN), "samples nan is not finite"),
+    ((1.1, 2.0, 1), "samples must be >= 2, got 1"),
+    ((1.1, 2.0, INF), "samples inf is not finite"),
+    ((2.0, 1.1, 4), "need lmin < lmax, got 2.0 and 1.1"),
+    ((2.0, 2.0, 4), "need lmin < lmax, got 2.0 and 2.0"),
+    ((1.1, 2.0, "3"), "samples must be a number, got '3'"),
+    ((1.1, 2.0, None), "samples must be a number, got None"),
+]
+
+
+@pytest.mark.parametrize("window,message", BAD_WINDOWS, ids=[f"window{i}" for i in range(len(BAD_WINDOWS))])
+def test_delta_trace_rows_refuses_a_bad_window(fixture_b, window, message):
     # 2.5 samples gave 2 rows with no flag; -1 and NaN raised numpy's ValueError,
     # "3" and None a TypeError
-    with pytest.raises(DomainError, match="need lmin < lmax and a whole number of samples >= 2"):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         delta_trace_rows(fixture_b, *window)
     for whole in (3.0, np.int64(3)):
         assert len(delta_trace_rows(fixture_b, 1.1, 2.0, whole)) == 3
 
 
-@pytest.mark.parametrize("order", [2.5, np.float64(0.5), INF, -INF, NAN, "3", None])
-def test_fractional_or_non_finite_order_is_refused(order):
+BAD_ORDERS = {
+    "2.5": (2.5, "quadrature order must be a whole number, got 2.5"),
+    "0.5": (np.float64(0.5), "quadrature order must be a whole number, got 0.5"),
+    "inf": (INF, "quadrature order inf is not finite"),
+    "-inf": (-INF, "quadrature order -inf is not finite"),
+    "nan": (NAN, "quadrature order nan is not finite"),
+    "3": ("3", "quadrature order must be a number, got '3'"),
+    "None": (None, "quadrature order must be a number, got None"),
+}
+
+
+@pytest.mark.parametrize("order,message", BAD_ORDERS.values(), ids=BAD_ORDERS)
+def test_fractional_or_non_finite_order_is_refused(order, message):
     # 2.5 used to build order 2 silently; inf and nan raised a raw
     # OverflowError or ValueError; "3" built order 3 through int("3")
-    with pytest.raises(PioError, match="quadrature order must be a whole number"):
+    with pytest.raises(BadInterval, match=f"^{re.escape(message)}$"):
         make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=order)
     for whole in (3, 3.0, np.int64(3)):
         assert make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=whole).order == 3
@@ -396,8 +420,9 @@ def test_fractional_or_non_finite_order_is_refused(order):
 @pytest.mark.parametrize("points", [[NAN, INF, 0.5], [-INF], [0.25, NAN]])
 def test_non_finite_extra_breakpoints_are_refused(tmp_path, capsys, points):
     # they used to be dropped with no flag, and `pio validate` reported ok
+    bad = next(p for p in points if not math.isfinite(p))
     for axis in ("x", "y"):
-        with pytest.raises(ModelFormatError, match="extra breakpoints must be finite"):
+        with pytest.raises(ModelFormatError, match=f"^extra_breakpoints_{axis} {bad!r} is not finite$"):
             make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"],
                        **{f"extra_breakpoints_{axis}": points})
         doc = fixture_a_dict()
@@ -407,7 +432,7 @@ def test_non_finite_extra_breakpoints_are_refused(tmp_path, capsys, points):
         assert main(["validate", "--model", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("input error: quadrature: extra breakpoints must be finite")
+        assert err == f"input error: quadrature.extra_breakpoints_{axis} {bad!r} is not finite\n"
 
 
 def test_unused_public_names_are_gone():
@@ -449,21 +474,28 @@ def test_the_package_exports_exactly_the_module_lists():
 
 @pytest.mark.parametrize("channel", [1, 2])
 def test_a_member_index_must_be_an_integer_in_range(channel):
-    # 1.5 and 1.0 passed the range test: project raised numpy's IndexError and
-    # atom_eigenfunction a TypeError
+    # 1.5 passed the range test: project raised numpy's IndexError and
+    # atom_eigenfunction a TypeError.  A whole-valued float is a whole number,
+    # as for an order or a grid size: 1.0 and np.float64(2.0) were refused
     model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["1", "3"],
                        ["legendre(0)", "legendre(1)", "legendre(2)"], ["2", "4", "5"])
-    rank, level = (2, 3.0) if channel == 1 else (3, 5.0)
-    g = model.constant_grid(1.0)
-    for k in (1.5, 1.0, NAN, 0, rank + 1, np.float64(2.0), "1"):
-        match = f"member index must be an integer in 1..{rank}, got {k}"
-        with pytest.raises(IndexOutOfRange, match=re.escape(match)):
+    levels = [1.0, 3.0] if channel == 1 else [2.0, 4.0, 5.0]
+    rank, level = len(levels), levels[-1]
+    g = model.grid(lambda x, y: 1.0 + x * y)
+    refused = {1.5: "must be a whole number, got 1.5", NAN: "nan is not finite", 0: "must be >= 1, got 0",
+               rank + 1: f"must be <= {rank}, got {rank + 1}", "1": "must be a number, got '1'"}
+    for k, message in refused.items():
+        match = f"^{re.escape(f'member index {message}')}$"
+        with pytest.raises(IndexOutOfRange, match=match):
             project(model, channel, k, g)
-        with pytest.raises(IndexOutOfRange, match=re.escape(match)):
+        with pytest.raises(IndexOutOfRange, match=match):
             atom_eigenfunction(model, channel, k, level)
-    for k in (rank, np.int64(rank)):
-        assert project(model, channel, k, g).values.shape == g.values.shape
-        assert atom_eigenfunction(model, channel, k, level).norm() == pytest.approx(1.0)
+    for k, same in ((rank, rank), (np.int64(rank), rank), (1.0, 1), (np.float64(2.0), 2)):
+        assert project(model, channel, k, g).values.tobytes() == project(model, channel, same, g).values.tobytes()
+        atom = atom_eigenfunction(model, channel, k, levels[same - 1])
+        assert atom.values.tobytes() == atom_eigenfunction(model, channel, same, levels[same - 1]).values.tobytes()
+        assert atom.norm() == pytest.approx(1.0)
+    assert project(model, channel, 1.0, g).values.tobytes() != project(model, channel, 2, g).values.tobytes()
 
 
 def test_eigenfunctions_T_refuses_a_complex_lam0():
@@ -581,15 +613,18 @@ def test_booleans_are_refused_where_the_library_counts():
     model = make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["1", "3"], ["1"], ["2"])
     g = model.constant_grid(1.0)
     for flag in (True, False, np.True_):
+        def refusal(name):
+            return f"^{re.escape(f'{name} must be a number, got {flag!r}')}$"
+
         for channel in (1, 2):
-            with pytest.raises(IndexOutOfRange, match="member index must be an integer"):
+            with pytest.raises(IndexOutOfRange, match=refusal("member index")):
                 project(model, channel, flag, g)
-            with pytest.raises(IndexOutOfRange, match="member index must be an integer"):
+            with pytest.raises(IndexOutOfRange, match=refusal("member index")):
                 atom_eigenfunction(model, channel, flag, 1.0 if channel == 1 else 2.0)
-        for sizes in ((flag, 3), (3, flag)):
-            with pytest.raises(PioError, match="grid sizes must be whole numbers"):
+        for name, sizes in (("Nx", (flag, 3)), ("Ny", (3, flag))):
+            with pytest.raises(PioError, match=refusal(name)):
                 nystrom_matrix(model, *sizes)
-        with pytest.raises(PioError, match="quadrature order must be a whole number"):
+        with pytest.raises(BadInterval, match=refusal("quadrature order")):
             make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], order=flag)
     assert project(model, 1, 1, g).values.shape == g.values.shape
     assert nystrom_matrix(model, 1, 3).a.shape == (2, 1)

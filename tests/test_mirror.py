@@ -93,8 +93,9 @@ def test_mirrored_is_memoised():
 def test_channel_and_path_must_be_one_or_two(fixture_a):
     # a channel is 1 or 2; path 2 is no argument but the mirrored model
     one = fixture_a.constant_grid(1.0)
-    for bad in (0, 3, "2"):
-        with pytest.raises(PioError, match="channel must be 1 or 2"):
+    refusals = {0: "must be >= 1, got 0", 3: "must be <= 2, got 3", "2": "must be a number, got '2'"}
+    for bad, message in refusals.items():
+        with pytest.raises(PioError, match=f"^channel {message}$"):
             apply_partial(fixture_a, bad, one)
     for call in (discrete_spectrum, pi_matrix, solve_pie, delta_trace_rows):
         assert "path" not in inspect.signature(call).parameters

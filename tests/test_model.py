@@ -272,7 +272,7 @@ def test_search_block_refuses_infinity(tmp_path, key):
     path = tmp_path / "inf.json"
     path.write_text(json.dumps({**fixture_a_dict(), "search": {key: float("inf")}}))
     assert "Infinity" in path.read_text()
-    with pytest.raises(ModelFormatError, match=f"search.{key} must be finite and positive"):
+    with pytest.raises(ModelFormatError, match=rf"^search\.{key} inf is not finite$"):
         load_model_file(str(path))
 
 

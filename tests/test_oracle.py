@@ -8,6 +8,8 @@ grid space into blocks of dimension 1, 9, 9 and 81 with eigenvalues
 2+3, 2, 3 and 0.
 """
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,9 +109,20 @@ def test_zero_model_all_zero():
 def test_grid_size_validation(fixture_a):
     # "3", None, [3] and np.array([3]) raised a raw TypeError, and 1e300 an
     # "invalid value encountered in cast" RuntimeWarning
-    for nx, ny in ((0, 5), (float("nan"), 5), (5, float("inf")), (2.5, 3), ("3", 3), (3, None),
-                   ([3], 3), (3, np.array([3])), (1e300, 3), (3, 3 + 0j)):
-        with pytest.raises(PioError, match="grid sizes must be whole numbers"):
+    refusals = [
+        (0, 5, "Nx must be >= 1, got 0"),
+        (float("nan"), 5, "Nx nan is not finite"),
+        (5, float("inf"), "Ny inf is not finite"),
+        (2.5, 3, "Nx must be a whole number, got 2.5"),
+        ("3", 3, "Nx must be a number, got '3'"),
+        (3, None, "Ny must be a number, got None"),
+        ([3], 3, "Nx must be one number, got shape (1,)"),
+        (3, np.array([3]), "Ny must be one number, got shape (1,)"),
+        (1e300, 3, f"Nx must be <= {2**63 - 1}, got 1e+300"),
+        (3, 3 + 0j, "Ny (3+0j) is not real"),
+    ]
+    for nx, ny, message in refusals:
+        with pytest.raises(PioError, match=f"^{re.escape(message)}$"):
             nystrom_matrix(fixture_a, nx, ny)
     assert nystrom_matrix(fixture_a, np.int64(3), np.float64(4.0)).size == 12
 
@@ -232,18 +245,28 @@ def test_compare_spectra_refuses_bad_tolerances(fixture_b, which, tol):
     rep, eigs = sigma_full(fixture_b), oracle_eigs(nystrom_matrix(fixture_b, 20, 20))
     assert not compare_spectra(rep, eigs, 1e-14, 1e-14).ok
     tols = {"tol_disc": 1e-14, "tol_ess": 1e-14, which: tol}
-    with pytest.raises(PioError, match=f"{which} must be finite and >= 0"):
+    message = f"{which} must be finite and >= 0, got {tol!r}" if math.isfinite(tol) else f"{which} {tol!r} is not finite"
+    with pytest.raises(PioError, match=f"^{re.escape(message)}$"):
         compare_spectra(rep, eigs, **tols)
 
 
-@pytest.mark.parametrize("tol", ["1e-6", None, 1e-6 + 0j, True, np.array([1e-6])])
+NOT_REAL_TOLERANCES = {
+    "1e-6": ("1e-6", "must be a number, got '1e-6'"),
+    "None": (None, "must be a number, got None"),
+    "(1e-06+0j)": (1e-6 + 0j, "(1e-06+0j) is not real"),
+    "True": (True, "must be a number, got True"),
+    "tol4": (np.array([1e-6]), "must be one number, got shape (1,)"),
+}
+
+
+@pytest.mark.parametrize("tol,message", NOT_REAL_TOLERANCES.values(), ids=NOT_REAL_TOLERANCES)
 @pytest.mark.parametrize("which", ["tol_disc", "tol_ess"])
-def test_compare_spectra_refuses_tolerances_that_are_not_real_numbers(fixture_a, which, tol):
+def test_compare_spectra_refuses_tolerances_that_are_not_real_numbers(fixture_a, which, tol, message):
     # a string, None or complex raised a raw TypeError; True passed as 1.0 and
     # a one-element array as its element
     rep, eigs = sigma_full(fixture_a), oracle_eigs(nystrom_matrix(fixture_a, 4, 4))
     tols = {"tol_disc": 1e-6, "tol_ess": 1e-6, which: tol}
-    with pytest.raises(PioError, match=f"{which} must be a real number"):
+    with pytest.raises(PioError, match=f"^{re.escape(f'{which} {message}')}$"):
         compare_spectra(rep, eigs, **tols)
     assert compare_spectra(rep, eigs, np.float64(1e-6), 1).ok  # numpy and int tolerances pass
 

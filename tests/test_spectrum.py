@@ -14,6 +14,7 @@ data, independently of the implementation):
 
 import gc
 import inspect
+import re
 import sys
 import warnings
 import weakref
@@ -31,6 +32,7 @@ from pio.errors import (
     NonUniqueSolution,
     NotAnEigenvalue,
     SpectrumHit,
+    _numeric,
 )
 from pio.expr import parse_expr
 from pio.model import SearchSettings, make_model, validate_model
@@ -42,10 +44,8 @@ from pio.spectrum import (
     _SPLIT,
     _SUBSCAN_POINTS,
     _count,
-    _plain,
     _reduction_plan,
     _refine_roots,
-    _require_finite,
     _search_region,
     _small_system,
     atom_eigenfunction,
@@ -141,7 +141,9 @@ def test_essential_range_same_level_pieces_merge_measure():
 @pytest.mark.parametrize("source", ["2", "t"])
 def test_essential_range_refuses_a_bad_interval(interval, source):
     # (1, 0) gave the atom (2.0, -1.0) and (0.5, 0.5) a zero-measure atom; as in build_rule
-    with pytest.raises(BadInterval, match="need finite lo < hi"):
+    lo, hi = (float(v) for v in interval)
+    message = f"need finite lo < hi, got [{lo!r}, {hi!r}]" if np.isfinite(hi) else f"interval {hi!r} is not finite"
+    with pytest.raises(BadInterval, match=f"^{re.escape(message)}$"):
         essential_range(parse_expr(source), interval)
 
 
@@ -958,12 +960,16 @@ def test_a_uniformly_small_pivot_keeps_the_count_value_in_range(path, pivots):
     assert discrete_spectrum(view) == ()
 
 
-def test_the_search_evaluators_refuse_a_non_finite_parameter(fixture_b):
-    # the count admits nothing, but refuses a parameter that is not finite
-    for fn in (_count, delta_batch):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(DomainError, match=f"lambda {bad!r} is not finite"):
-                fn(fixture_b, np.array([1.5, bad]))
+def test_the_search_evaluators_refuse_a_non_finite_parameter(fixture_b, monkeypatch):
+    # delta_batch converts its parameters by the numeric rule; the count admits and
+    # converts nothing, and the search calls it at finite parameters only
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match=f"^lambda {bad!r} is not finite$"):
+            delta_batch(fixture_b, np.array([1.5, bad]))
+    counted = []
+    monkeypatch.setattr(pio.spectrum, "_count", lambda model, lams: counted.append(lams) or _count(model, lams))
+    discrete_spectrum(replace(fixture_b))
+    assert counted and all(np.isfinite(lams).all() for lams in counted)
 
 
 RANK_RULE_MODELS = {
@@ -1406,8 +1412,9 @@ def test_search_matches_the_vectorized_form_where_delta_overflows(path, monkeypa
 
 def reference_admit(spectral_set, params, model, name="lambda", where="the essential spectrum"):
     # The array path of ``_admit`` before it admitted a batch by the real parts
-    # alone, copied verbatim (docstring aside) as the reference of the
-    # boundary test below: each refusal, and its message, must stay the same.
+    # alone, copied verbatim (docstring aside; the numeric rule in place of the
+    # one-number check it called, and its plain-number repr inline) as the reference
+    # of the boundary test below: each refusal, and its message, must stay the same.
     margin = operator_margin(model)
     if isinstance(params, np.ndarray):
         dist = spectral_set.distances(params)
@@ -1417,9 +1424,9 @@ def reference_admit(spectral_set, params, model, name="lambda", where="the essen
         param, near = params.flat[bad[0]], dist.flat[bad[0]]
     else:  # one number: the scalar distance, equal to ``distances`` and 4x cheaper
         param, near = params, spectral_set.distance(params)
-    _require_finite(param, name)
+    _numeric(param, name)
     if near <= margin:
-        raise SpectrumHit(f"{name} {_plain(param)} is within {near:.3e} of {where}")
+        raise SpectrumHit(f"{name} {np.asarray(param).item()!r} is within {near:.3e} of {where}")
 
 
 def admission(admit, *args):
@@ -1431,10 +1438,16 @@ def admission(admit, *args):
     return None
 
 
+def converted_admit(spectral_set, params, model):
+    """What an entry point does with its parameter: the numeric rule, then ``_admit``."""
+    pio.spectrum._admit(spectral_set, _numeric(params, "lambda", ndim=np.ndim(params)), model)
+
+
 def test_admission_at_the_margin_matches_the_numpy_form(fixture_a):
     # fixture a's essential set is the points 0, 2 and 3: a parameter exactly om
     # from 0 is refused (dist <= om), one ulp farther admitted; a complex one is
-    # admitted or refused by its distance, not by its real part alone
+    # admitted or refused by its distance, not by its real part alone.  A parameter
+    # that is not finite is refused by the numeric rule before admission
     ess, om = sigma_ess(fixture_a), operator_margin(fixture_a)
     inside, outside = np.nextafter(om, 0.0), np.nextafter(om, np.inf)
     admitted = [outside, -outside, complex(0.0, outside), complex(2.0, 2.0 * om)]
@@ -1442,12 +1455,12 @@ def test_admission_at_the_margin_matches_the_numpy_form(fixture_a):
                np.nan, np.inf, -np.inf, complex(np.nan, 0.5), complex(1.5, np.inf)]
     for value in admitted + refused:
         for params in (value, np.array([1.5, value]), np.array([value, 1.5, value]), np.array([2.5, 4.0, value])):
-            got = admission(pio.spectrum._admit, ess, params, fixture_a)
+            got = admission(converted_admit, ess, params, fixture_a)
             assert got == admission(reference_admit, ess, params, fixture_a), (value, params)
             assert (got is None) == (value in admitted), (value, params)
-    assert admission(pio.spectrum._admit, ess, np.array([1.5, -om]), fixture_a) == (
+    assert admission(converted_admit, ess, np.array([1.5, -om]), fixture_a) == (
         SpectrumHit, f"lambda {-om!r} is within {om:.3e} of the essential spectrum")
-    assert admission(pio.spectrum._admit, ess, np.array([1.5, outside, np.nan, om]), fixture_a) == (
+    assert admission(converted_admit, ess, np.array([1.5, outside, np.nan, om]), fixture_a) == (
         DomainError, "lambda nan is not finite")
 
 
