@@ -26,10 +26,12 @@ from .errors import (
     PioError,
     SpectrumHit,
     UnknownIdentifier,
+    _numeric,
+    _whole,
 )
 from .expr import parse_expr2
 from .model import load_model_file
-from .oracle import compare_spectra, nystrom_matrix, oracle_eigs
+from .oracle import _tolerance, compare_spectra, nystrom_matrix, oracle_eigs
 from .pie import residual, solve_pie
 from .spectrum import (
     delta_trace_rows,
@@ -108,25 +110,32 @@ def _csv_rows(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _number(kind, low, what):
-    """Flag type that parses ``kind`` and refuses values that are not finite
-    or are below ``low``, so that argparse exits 1 before anything runs."""
+def _emit_grid(model, names, columns, out_path):
+    """CSV ``x,y,<names>``, one row per node of the model's grid (``x`` slowest) and one
+    column per array of values on it."""
+    x, y = np.meshgrid(model.rule_x.nodes, model.rule_y.nodes, indexing="ij")
+    table = np.stack([x, y, *columns], axis=-1).reshape(-1, 2 + len(columns))
+    return _emit(_csv_rows(",".join(("x", "y", *names)), table.tolist()), out_path)
+
+
+def _flag(rule, name, **bounds):
+    """Flag type: the text as an int, else a float, else as it is, converted by the library's
+    ``rule`` as its parameter ``name``; the rule's refusal is a usage error, exit 1."""
 
     def parse(text):
+        for kind in (int, float, str):  # a zero is read as a float, so that -0 keeps its sign
+            try:
+                value = kind(text)
+            except ValueError:
+                continue
+            if value or kind is not int:
+                break
         try:
-            value = kind(text)
-        except ValueError:
-            value = np.nan
-        if not (abs(value) < np.inf and value >= low):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return value
+            return rule(value, name, **bounds)
+        except PioError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-_finite = _number(float, -np.inf, "a finite number")
-_tolerance = _number(float, 0.0, "a finite number >= 0")
-_positive = _number(int, 1, "an integer >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,34 +151,35 @@ def _build_parser():
     parser = _Parser(prog="pio", description="spectral toolkit for two-channel partial integral operators")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kwargs):
+    def cmd(name, run, **kwargs):
         sub = commands.add_parser(name, **kwargs)
         sub.add_argument("--model", required=True, help="model JSON file")
         sub.add_argument("--out", default=None, help="output file (default: stdout)")
+        sub.set_defaults(run=run)
         return sub
 
-    cmd("validate", help="check the model and report")
-    cmd("spectrum", help="full spectrum report")
-    cmd("discrete", help="discrete eigenvalues only")
+    cmd("validate", _run_validate, help="check the model and report")
+    cmd("spectrum", _run_spectrum, help="full spectrum report")
+    cmd("discrete", _run_discrete, help="discrete eigenvalues only")
 
-    sub = cmd("solve", help="solve f - tau*T f = g")
-    sub.add_argument("--tau", type=_finite, required=True)
+    sub = cmd("solve", _run_solve, help="solve f - tau*T f = g")
+    sub.add_argument("--tau", type=_flag(_numeric, "tau", real=True), required=True)
     sub.add_argument("--rhs", required=True, help="right-hand side, expression in x and y")
 
-    sub = cmd("delta-trace", help="determinant samples over a real window")
-    sub.add_argument("--lmin", type=_finite, required=True)
-    sub.add_argument("--lmax", type=_finite, required=True)
-    sub.add_argument("--samples", type=int, required=True)
-    sub.add_argument("--path", type=int, default=1, choices=(1, 2))
+    sub = cmd("delta-trace", _run_delta_trace, help="determinant samples over a real window")
+    sub.add_argument("--lmin", type=_flag(_numeric, "lmin", real=True), required=True)
+    sub.add_argument("--lmax", type=_flag(_numeric, "lmax", real=True), required=True)
+    sub.add_argument("--samples", type=_flag(_whole, "samples", lo=2), required=True)
+    sub.add_argument("--path", type=_flag(_whole, "path", hi=2), default=1, choices=(1, 2))
 
-    sub = cmd("oracle-check", help="discretization cross-check")
-    sub.add_argument("--nx", type=_positive, default=60)
-    sub.add_argument("--ny", type=_positive, default=60)
-    sub.add_argument("--tol-disc", type=_tolerance, default=5e-3)
-    sub.add_argument("--tol-ess", type=_tolerance, default=5e-3)
+    sub = cmd("oracle-check", _run_oracle_check, help="discretization cross-check")
+    sub.add_argument("--nx", type=_flag(_whole, "Nx"), default=60)
+    sub.add_argument("--ny", type=_flag(_whole, "Ny"), default=60)
+    sub.add_argument("--tol-disc", type=_flag(_tolerance, "tol_disc"), default=5e-3)
+    sub.add_argument("--tol-ess", type=_flag(_tolerance, "tol_ess"), default=5e-3)
 
-    sub = cmd("eigenfunction", help="orthonormal eigenfunctions at an eigenvalue")
-    sub.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    sub = cmd("eigenfunction", _run_eigenfunction, help="orthonormal eigenfunctions at an eigenvalue")
+    sub.add_argument("--lambda", dest="lam", type=_flag(_numeric, "lam0", real=True), required=True)
     return parser
 
 
@@ -206,15 +216,9 @@ def _run_solve(args):
     rhs = parse_expr2(args.rhs)
     g = model.grid(rhs)
     f = solve_pie(model, args.tau, g)
-    xs, ys = model.rule_x.nodes, model.rule_y.nodes
-    rows = (
-        (float(x), float(y), float(f.values[i, j]))
-        for i, x in enumerate(xs)
-        for j, y in enumerate(ys)
-    )
-    code = _emit(_csv_rows("x,y,value", rows), args.out)
+    code = _emit_grid(model, ["value"], [f.values], args.out)
     res = residual(model, args.tau, f, g)
-    payload = {"residual": float(res), "tau": float(args.tau)}
+    payload = {"residual": float(res), "tau": args.tau}
     if args.out:
         sys.stdout.write(_to_json(payload) + "\n")
     else:
@@ -224,8 +228,8 @@ def _run_solve(args):
 
 def _run_delta_trace(args):
     model = _require_valid(args)
-    if args.samples < 2 or args.lmax <= args.lmin:
-        sys.stderr.write("need lmin < lmax and at least 2 samples\n")
+    if not args.lmin < args.lmax:  # spans two flags, so no flag type can check it
+        sys.stderr.write(f"input error: need lmin < lmax, got {args.lmin!r} and {args.lmax!r}\n")
         return _USAGE_EXIT
     view = model if args.path == 1 else model.mirrored()
     rows = [(*row, args.path) for row in delta_trace_rows(view, args.lmin, args.lmax, args.samples)]
@@ -240,7 +244,7 @@ def _run_oracle_check(args):
     cmp = compare_spectra(report, eigs, args.tol_disc, args.tol_ess)
     head = eigs[np.argsort(-np.abs(eigs), kind="stable")[:16]]  # ties keep their order
     payload = {
-        "nystrom": {"Nx": int(args.nx), "Ny": int(args.ny)},
+        "nystrom": {"Nx": args.nx, "Ny": args.ny},
         "eigs_head": [float(e) for e in head],
         "mismatches": [dict(m) for m in cmp.mismatches],
         "ok": cmp.ok,
@@ -251,32 +255,15 @@ def _run_oracle_check(args):
 def _run_eigenfunction(args):
     model = _require_valid(args)
     family = eigenfunctions_T(model, args.lam)
-    xs, ys = model.rule_x.nodes, model.rule_y.nodes
-    header = "x,y," + ",".join(f"f{i + 1}" for i in range(len(family)))
-    rows = (
-        (float(x), float(y), *(float(g.values[i, j].real) for g in family))
-        for i, x in enumerate(xs)
-        for j, y in enumerate(ys)
-    )
-    return _emit(_csv_rows(header, rows), args.out)
-
-
-_RUNNERS = {
-    "validate": _run_validate,
-    "spectrum": _run_spectrum,
-    "discrete": _run_discrete,
-    "solve": _run_solve,
-    "delta-trace": _run_delta_trace,
-    "oracle-check": _run_oracle_check,
-    "eigenfunction": _run_eigenfunction,
-}
+    names = [f"f{i + 1}" for i in range(len(family))]
+    return _emit_grid(model, names, [g.values.real for g in family], args.out)
 
 
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     except (ModelFormatError, ExprSyntaxError, UnknownIdentifier, OSError) as exc:

@@ -130,9 +130,10 @@ def _numeric(value, name, real=False, ndim=0, finite=True, error=DomainError):
     A number is a Python or numpy number or numeric array of that dimension, or another
     ``numbers.Complex`` such as ``Fraction``, taken as its nearest float or complex; a string,
     ``None``, a ``Decimal``, a boolean and an array of booleans, strings or objects are not.  It
-    must be real if ``real`` (``+0j`` is complex), finite unless ``finite`` is false, and within
-    the range of a double: ``10**400``, ``Fraction(10**400)`` and ``np.longdouble("1e4000")``
-    are refused, not rounded to infinity; a numpy number is computed in double from its value.
+    must be real if ``real`` (``+0j`` and a complex array are complex), finite unless ``finite``
+    is false, and within the range of a double: ``10**400``, ``Fraction(10**400)`` and
+    ``np.longdouble("1e4000")`` are refused, not rounded to infinity; a numpy number is computed
+    in double from its value.
     Python floats, ints and complex numbers take a fast path, since every operator call runs it.
     """
     try:
@@ -162,6 +163,8 @@ def _numeric(value, name, real=False, ndim=0, finite=True, error=DomainError):
                 if ndim and finite:
                     raise error(f"{name} {double[first].item()!r} is not finite")
             if ndim:
+                if real and double.dtype.kind == "c":
+                    raise error(f"{name} must be real, got a complex array")
                 return double
             number = double.item()
     except OverflowError:

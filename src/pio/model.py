@@ -189,7 +189,9 @@ class PIOModel:
         return Grid2D.from_function(self.rule_x, self.rule_y, f)
 
     def constant_grid(self, value=1.0):
-        return self.grid(lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape), float(value)))
+        """The grid of one real or complex number ``value`` by ``_numeric`` (``DomainError``)."""
+        value = _numeric(value, "value")
+        return self.grid(lambda x, y: value)
 
     def mirrored(self):
         """The model under the swap ``(x, y) -> (y, x)``.
@@ -512,8 +514,7 @@ def model_from_dict(data):
 
     quad = _want(data, "quadrature", dict, "model", required=False, default={})
     _no_extras(quad, ("order", "extra_breakpoints_x", "extra_breakpoints_y"), "quadrature")
-    order = _want(quad, "order", int, "quadrature", required=False, default=DEFAULT_ORDER)
-    order = _whole(order, "quadrature.order", error=ModelFormatError)
+    order = _whole(quad.get("order", DEFAULT_ORDER), "quadrature.order", error=ModelFormatError)
     extra_x = _number_list(
         _want(quad, "extra_breakpoints_x", list, "quadrature", required=False, default=[]),
         "quadrature.extra_breakpoints_x",
@@ -525,11 +526,9 @@ def model_from_dict(data):
 
     sdata = _want(data, "search", dict, "model", required=False, default={})
     _no_extras(sdata, ("margin", "scan_points"), "search")
-    given = {}  # the defaults are SearchSettings' own
-    if "margin" in sdata:
-        given["margin"] = _want(sdata, "margin", (int, float), "search")
-    if "scan_points" in sdata:
-        given["scan_points"] = _want(sdata, "scan_points", int, "search")
+    given = dict(sdata)  # the defaults are SearchSettings' own
+    if "margin" in given:  # where SearchSettings reads None as its default, a file's null is no number
+        given["margin"] = _numeric(given["margin"], "search.margin", real=True, error=ModelFormatError)
     search = SearchSettings(**given)
 
     try:

@@ -199,6 +199,15 @@ def _nearest_gap(values, ordered):
     return np.minimum(values - padded[at], padded[at + 1] - values)
 
 
+def _tolerance(tol, name):
+    """A tolerance of ``compare_spectra``: a real number by ``_numeric``, at least 0, else
+    ``PioError`` naming ``name``."""
+    tol = _numeric(tol, name, real=True, error=PioError)
+    if tol < 0:
+        raise PioError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def compare_spectra(report, eigs, tol_disc, tol_ess):
     """Two-sided check of a spectrum report against oracle eigenvalues.
 
@@ -210,20 +219,11 @@ def compare_spectra(report, eigs, tol_disc, tol_ess):
     are found by ``searchsorted`` on a sorted copy, and only eigenvalues
     above ``tol_ess`` in magnitude meet the report, so the ``Nx*Ny - r``
     zeros of ``oracle_eigs`` cost one comparison each.  Both tolerances must
-    be real numbers by ``_numeric``, at least 0, the eigenvalues a 1-d array of
-    finite reals (``PioError``); a NaN would pass every check.
+    pass ``_tolerance``, and the eigenvalues must be a 1-d array of finite reals
+    by ``_numeric`` (``PioError``); a NaN would pass every check.
     """
-    tol_disc, tol_ess = (_numeric(tol, name, real=True, error=PioError)
-                         for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)))
-    for name, tol in (("tol_disc", tol_disc), ("tol_ess", tol_ess)):
-        if tol < 0:
-            raise PioError(f"{name} must be finite and >= 0, got {tol!r}")
-    eigs = np.asarray(eigs)
-    if eigs.ndim != 1 or eigs.dtype.kind not in "iuf":
-        raise PioError(f"oracle eigenvalues must be a one-dimensional real array, got "
-                       f"{eigs.ndim}-d {eigs.dtype}")
-    if not np.isfinite(eigs).all():
-        raise PioError(f"oracle eigenvalues must be finite, got {eigs[~np.isfinite(eigs)][0]}")
+    tol_disc, tol_ess = _tolerance(tol_disc, "tol_disc"), _tolerance(tol_ess, "tol_ess")
+    eigs = _numeric(eigs, "oracle eigenvalues", real=True, ndim=1, error=PioError)
     discrete = np.array([lam for lam, _ in report.discrete], dtype=float)
     missing = discrete[_nearest_gap(discrete, np.sort(eigs)) > tol_disc]
     unexplained = eigs[np.abs(eigs) > tol_ess]

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism, fuzzing."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,9 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from pio.cli import main
+from pio.cli import _build_parser, main
+from pio.expr import parse_expr2
+from pio.model import load_model_file
+from pio.pie import solve_pie
 
 from conftest import fixture_a_dict, fixture_b_dict
+from test_inputs import refusal
 
 
 @pytest.fixture()
@@ -207,6 +212,20 @@ def test_solve_bad_rhs_exits_1(model_a, capsys):
     assert main(["solve", "--model", model_a, "--tau", "0.1", "--rhs", "q*2"]) == 1
 
 
+def test_grid_csv_is_the_loop_over_the_nodes(model_b, tmp_path):
+    # the writer builds one numpy table; the reference is a loop over the nodes, x slowest
+    model = load_model_file(model_b)
+    f = solve_pie(model, 0.3, model.grid(parse_expr2("x*y + sin(x) + 1"))).values
+    xs, ys = model.rule_x.nodes, model.rule_y.nodes
+    expected = "x,y,value\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in (x, y, f[i, j])) + "\n"
+        for i, x in enumerate(xs) for j, y in enumerate(ys))
+    out = tmp_path / "sol.csv"
+    assert main(["solve", "--model", model_b, "--tau", "0.3", "--rhs", "x*y + sin(x) + 1",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
 def test_delta_trace_golden_row(model_a, tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["delta-trace", "--model", model_a, "--lmin", "3.5",
@@ -238,9 +257,11 @@ def test_delta_trace_path_flag(model_b, tmp_path):
     assert all(r[3] == "2" for r in rows)
 
 
-def test_delta_trace_bad_window_exits_1(model_a):
+def test_delta_trace_bad_window_exits_1(model_a, capsys):
+    # the one check that spans two flags, in delta_trace_rows's words
     assert main(["delta-trace", "--model", model_a, "--lmin", "5",
                  "--lmax", "4", "--samples", "6"]) == 1
+    assert capsys.readouterr() == ("", "input error: need lmin < lmax, got 5.0 and 4.0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,6 +284,66 @@ def test_numeric_flags_are_checked_at_parse_time(model_b, argv, capsys):
     assert main([argv[0], "--model", model_b, *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "error: argument --" in err and "Traceback" not in err
+
+
+# every option that has a type: the library parameter it is converted as, its kind in
+# test_inputs.refusal, and a value below its bound with the refusal of it
+FLAGS = {
+    "--tau": ("tau", "real", None),
+    "--lambda": ("lam0", "real", None),
+    "--lmin": ("lmin", "real", None),
+    "--lmax": ("lmax", "real", None),
+    "--samples": ("samples", "whole", ("1", "samples must be >= 2, got 1")),
+    "--path": ("path", "whole", ("0", "path must be >= 1, got 0")),
+    "--nx": ("Nx", "whole", ("0", "Nx must be >= 1, got 0")),
+    "--ny": ("Ny", "whole", ("-3", "Ny must be >= 1, got -3")),
+    "--tol-disc": ("tol_disc", "real", ("-1e-9", "tol_disc must be finite and >= 0, got -1e-09")),
+    "--tol-ess": ("tol_ess", "real", ("-0.5", "tol_ess must be finite and >= 0, got -0.5")),
+}
+
+
+def typed_options():
+    """``{option: subcommand}`` for every option of the parser that has a type."""
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {option: name for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None for option in action.option_strings}
+
+
+def test_every_typed_option_is_in_the_flag_table():
+    assert sorted(typed_options()) == sorted(FLAGS)
+
+
+# flag texts and the value, under its key in test_inputs.VALUES, that each is read as
+BAD_TEXTS = {"nan": ("nan", float("nan")), "inf": ("inf", float("inf")), "1e400": ("inf", float("inf")),
+             "1" * 400: ("10**400", int("1" * 400)), "abc": ("str", "abc"), "2.5": ("2.5", 2.5)}
+
+
+@pytest.mark.parametrize("option,command", typed_options().items())
+def test_flag_refusal_matrix(model_b, option, command, capsys):
+    # each flag is converted by the library's rule as the library's parameter, so a refusal
+    # is the library's message; a 400-digit --nx passed the parser and exited 2
+    name, kind, below = FLAGS[option]
+    cases = [below] if below else []
+    for text, (key, value) in BAD_TEXTS.items():
+        expected = refusal(name, kind, name, key, value)
+        if expected:  # 2.5 is no refusal for a real flag
+            cases.append((text, expected[1]))
+    for text, message in cases:
+        assert main([command, "--model", model_b, f"{option}={text}"]) == 1, text
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err, text
+        assert f"error: argument {option}: {message}\n" in err, text
+
+
+@pytest.mark.parametrize("command,flag", [(["delta-trace", "--lmin", "3.5", "--lmax", "6"], "--samples"),
+                                          (["oracle-check"], "--nx")], ids=["--samples", "--nx"])
+def test_whole_valued_float_flags_are_whole_numbers(model_a, command, flag, capsys):
+    # argparse's int refused --samples 2.0, which delta_trace_rows takes
+    outs = []
+    for value in ("6", "6.0"):
+        assert main([*command, "--model", model_a, flag, value]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
 
 
 def test_oracle_check_fixture_a(model_a, tmp_path):

@@ -12,6 +12,7 @@ of the rule, naming the parameter.  The expected texts are built from
 
 import inspect
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -58,9 +59,14 @@ def compare(model, **tols):
 
 
 def document(section, key, value):
-    """Fixture a's model document with ``value`` as the second entry of ``section.key``."""
+    """Fixture a's model document with ``value`` as ``section.key``, or as the second entry
+    of the list that the key holds (the domain's ends and the extra breakpoints)."""
     doc = fixture_a_dict()
-    doc.setdefault(section, {})[key] = [0.0, value] if section == "domain" else [0.5, value]
+    if section == "domain":
+        value = [0.0, value]
+    elif key.startswith("extra_breakpoints"):
+        value = [0.5, value]
+    doc.setdefault(section, {})[key] = value
     return doc
 
 
@@ -103,16 +109,19 @@ TABLE = {
         ("extra_breakpoints_y", "extra_breakpoints_y", "real", ModelFormatError,
          lambda m, v: make_model((0, 1), (0, 1), ["1"], ["2"], ["1"], ["3"], extra_breakpoints_y=[0.5, v])),
     ],
-    # quadrature.order and the search block pass the JSON type checks of _want first, which
-    # refuse a non-integer order, a string margin and so on; a 400-digit integer in them
-    # reaches the rules (test_a_model_file_number_beyond_double_range_is_an_input_error)
     "model_from_dict": [
         ("data", "domain.x", "real", ModelFormatError, lambda m, v: model_from_dict(document("domain", "x", v))),
         ("data", "domain.y", "real", ModelFormatError, lambda m, v: model_from_dict(document("domain", "y", v))),
+        ("data", "quadrature.order", "whole", ModelFormatError,
+         lambda m, v: model_from_dict(document("quadrature", "order", v))),
         ("data", "quadrature.extra_breakpoints_x", "real", ModelFormatError,
          lambda m, v: model_from_dict(document("quadrature", "extra_breakpoints_x", v))),
         ("data", "quadrature.extra_breakpoints_y", "real", ModelFormatError,
          lambda m, v: model_from_dict(document("quadrature", "extra_breakpoints_y", v))),
+        ("data", "search.margin", "real", ModelFormatError,
+         lambda m, v: model_from_dict(document("search", "margin", v))),
+        ("data", "search.scan_points", "whole", ModelFormatError,
+         lambda m, v: model_from_dict(document("search", "scan_points", v))),
     ],
     "load_model_file": "reads a file into model_from_dict; see the model-file tests below",
     "validate_model": "takes a model only",
@@ -184,14 +193,14 @@ VALUES = {**NOT_A_NUMBER, "2-d array": np.ones((2, 2)), "1-element array": np.ar
           **BEYOND_DOUBLE, "complex": complex(0.5, 0.5), "2.5": 2.5, "1e-310": 1e-310}
 
 
-def refusal(kind, name, key, value):
-    """``(value as passed, message)`` of the rule for ``value`` given as a parameter of
-    ``kind`` named ``name`` in its messages, or ``None`` where the value is not refused there."""
+def refusal(param, kind, name, key, value):
+    """``(value as passed, message)`` of the rule for ``value`` given as the parameter ``param``
+    of ``kind`` named ``name`` in its messages, or ``None`` where the value is not refused there."""
     if kind == "array" and isinstance(value, (float, np.floating)):  # a float in an array of them
         value = np.array([0.5, value])
     if key in NOT_A_NUMBER:
-        if value is None and name == "search.margin":
-            return None  # the default margin
+        if value is None and param == "margin":
+            return None  # SearchSettings' default margin; a model file's null margin is refused
         return value, f"{name} must be a number, got {value!r}"
     if key == "2-d array":
         want = "a one-dimensional array" if kind == "array" else "one number"
@@ -229,10 +238,10 @@ def test_every_public_callable_is_in_the_table():
 def test_refusal_matrix(fixture_a, row, path):
     # strings, None, booleans, 10**400 and arrays each escaped some of these as a raw
     # TypeError, ValueError or OverflowError, or were computed as another value
-    _, name, kind, error, call = ROWS[row]
+    param, name, kind, error, call = ROWS[row]
     view = fixture_a if path == 1 else fixture_a.mirrored()
     for key, value in VALUES.items():
-        expected = refusal(kind, name, key, value)
+        expected = refusal(param, kind, name, key, value)
         if expected is None:
             continue
         value, message = expected
@@ -280,6 +289,31 @@ def test_whole_valued_floats_are_whole_numbers(fixture_a):
     assert nystrom_matrix(fixture_a, 3.0, np.float32(4.0)).size == 12
     g = grid(fixture_a)
     assert apply_partial(fixture_a, 2.0, g).values.tobytes() == apply_partial(fixture_a, 2, g).values.tobytes()
+    # a model file's order and scan_points were refused as "unexpected type float"
+    doc = document("quadrature", "order", 3.0)
+    doc["search"] = {"scan_points": 8.0}
+    model = model_from_dict(doc)
+    assert (model.order, model.search.scan_points) == (3, 8)
+    assert type(model.order) is type(model.search.scan_points) is int
+
+
+def test_a_constant_grid_is_one_number(fixture_a):
+    # float(value) read "5" as 5.0 and True as 1.0, and raised a raw TypeError for 1+1j
+    for value, message in (("5", "value must be a number, got '5'"), (True, "value must be a number, got True"),
+                           (np.ones(2), "value must be one number, got shape (2,)"),
+                           (float("nan"), "value nan is not finite")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            fixture_a.constant_grid(value)
+    values = fixture_a.constant_grid(1 + 1j).values
+    assert values.dtype == np.complex128 and values.shape == (32, 32) and (values == 1 + 1j).all()
+    assert fixture_a.constant_grid(2).values.dtype == np.float64
+
+
+def test_a_real_array_refuses_a_complex_one():
+    # real was ignored for an array: a complex128 array came back
+    with pytest.raises(DomainError, match=r"^x must be real, got a complex array$"):
+        pio.errors._numeric(np.array([1 + 1j]), "x", real=True, ndim=1)
+    assert pio.errors._numeric(np.array([1 + 1j]), "x", ndim=1).dtype == np.complex128
 
 
 def test_interval_ends_and_search_settings_are_numbers():
