@@ -10,6 +10,7 @@ deterministic: keys sorted, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 
 import numpy as np
@@ -123,13 +124,13 @@ def _flag(rule, name, **bounds):
     ``rule`` as its parameter ``name``; the rule's refusal is a usage error, exit 1."""
 
     def parse(text):
-        for kind in (int, float, str):  # a zero is read as a float, so that -0 keeps its sign
-            try:
-                value = kind(text)
-            except ValueError:
-                continue
-            if value or kind is not int:
-                break
+        try:
+            value = float(text)
+            exact = decimal.Decimal(text)  # reads what float reads, and integers past int()'s 4,300 digits
+            if value and exact.as_tuple().exponent == 0:  # an integer; a zero stays a float: -0 keeps its sign
+                value = int(exact)
+        except ValueError:
+            value = text
         try:
             return rule(value, name, **bounds)
         except PioError as exc:

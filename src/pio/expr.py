@@ -83,7 +83,7 @@ class Expression:
             )
         with np.errstate(all="ignore"):  # overflow surfaces as the finite check below
             out = self.evaluate(dict(zip(self.variables, arrays)))
-        shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
         out = np.broadcast_to(np.asarray(out, dtype=float), shape)
         if not np.all(np.isfinite(out)):
             raise DomainError(f"expression {self.source!r} produced a non-finite value")
@@ -339,6 +339,7 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqr
 def _piecewise(segments):
     lo, hi = segments[0][0], segments[-1][1]
     bounds = np.array([seg[0] for seg in segments] + [hi])
+    bodies = [lambda t, body=body: body({"t": t}) for _, _, body in segments]
 
     def evaluate(env):
         t = np.asarray(env["t"], dtype=float)
@@ -346,14 +347,7 @@ def _piecewise(segments):
             raise DomainError(f"point outside piecewise coverage [{lo!r},{hi!r}]")
         idx = np.searchsorted(bounds, t, side="right") - 1
         idx = np.minimum(idx, len(segments) - 1)  # t == hi belongs to the last segment
-        tv = np.atleast_1d(t)
-        iv = np.atleast_1d(idx)
-        out = np.empty(tv.shape, dtype=float)
-        for i, (_, _, body) in enumerate(segments):
-            mask = iv == i
-            if np.any(mask):
-                out[mask] = np.asarray(body({"t": tv[mask]}), dtype=float)
-        return out[0] if t.ndim == 0 else out
+        return np.piecewise(t, [idx == i for i in range(len(segments))], bodies)
 
     return evaluate
 

@@ -253,10 +253,10 @@ def _on_side(act, model, channel, f, *args):
 
 
 def _rule(interval, order, exprs, extra):
-    """The axis rule, split at the interior breakpoints of its expressions and the extra ones."""
+    """The axis rule, split at its expressions' breakpoints inside the interval (a piecewise
+    tiling may reach past it) and at the extra ones, which ``build_rule`` refuses outside it."""
     lo, hi = interval
-    points = [*(b for e in exprs for b in e.breakpoints), *extra]
-    return build_rule(interval, order, sorted({float(p) for p in points if lo < p < hi}))
+    return build_rule(interval, order, [*(b for e in exprs for b in e.breakpoints if lo < b < hi), *extra])
 
 
 def _sample_channel(channel, basis_rule, basis_interval, weight_rule, weight_interval):
@@ -433,7 +433,8 @@ def make_model(
     """Build a model from expression strings (shorthands allowed), parsing each distinct
     source once per interval.  The intervals (``BadInterval``), the ``order`` (a whole number
     >= 1, ``BadInterval``) and the extra breakpoints (real numbers, ``ModelFormatError``) are
-    converted by the rules of ``errors``."""
+    converted by the rules of ``errors``; an extra breakpoint not strictly inside its interval
+    raises ``BadBreakpoint``."""
     xi, yi = _interval(x_interval, "x_interval"), _interval(y_interval, "y_interval")
     parsed = {}
     channel1 = Channel(
@@ -458,7 +459,7 @@ def _want(mapping, key, types, where, required=True, default=None):
             raise ModelFormatError(f"{where}: missing key {key!r}")
         return default
     value = mapping[key]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types):
         raise ModelFormatError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 

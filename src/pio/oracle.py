@@ -78,12 +78,10 @@ class NystromSystem:
     never assembled."""
 
     nodes_x: np.ndarray
-    weights_x: np.ndarray
     nodes_y: np.ndarray
-    weights_y: np.ndarray
-    a: np.ndarray  # channel-1 basis at nodes_x, scaled by sqrt(weights_x)
+    a: np.ndarray  # channel-1 basis at nodes_x, scaled by sqrt(wx)
     h: np.ndarray  # channel-1 weights at nodes_y
-    b: np.ndarray  # channel-2 basis at nodes_y, scaled by sqrt(weights_y)
+    b: np.ndarray  # channel-2 basis at nodes_y, scaled by sqrt(wy)
     p: np.ndarray  # channel-2 weights at nodes_x
 
     @property
@@ -113,7 +111,7 @@ def nystrom_matrix(model, Nx, Ny):
     h = np.array([f(ys) for f in model.channel1.weights])
     b = np.array([f(ys) for f in model.channel2.basis]) * sy
     p = np.array([f(xs) for f in model.channel2.weights])
-    return NystromSystem(xs, wx, ys, wy, a, h, b, p)
+    return NystromSystem(xs, ys, a, h, b, p)
 
 
 def _row_basis(factor):

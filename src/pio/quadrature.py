@@ -34,8 +34,6 @@ def _legendre_with_derivative(n, x):
 @lru_cache(maxsize=None)
 def _gauss_reference(n):
     """Nodes and weights on [-1, 1] for a whole ``n >= 1``, computed to machine accuracy."""
-    if n == 1:
-        return np.array([0.0]), np.array([2.0])
     # Chebyshev-style initial guesses, then Newton on P_n
     k = np.arange(n)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))

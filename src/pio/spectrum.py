@@ -192,9 +192,11 @@ class SpectralSet:
     """A closed subset of the real line: intervals plus isolated points.
 
     ``atoms`` ``(value, measure)`` flags the values that a weight attains on
-    positive measure, eigenvalues of infinite multiplicity; such a value may
-    lie inside an interval.  0 belongs to every channel spectrum and to
-    ``sigma_ess``, not to a weight's range or the operators' weight set.
+    positive measure, eigenvalues of infinite multiplicity.  Each atom value
+    is one of the ``points`` or lies in one of the ``intervals``
+    (``_closed_set``), so the set is those two alone.  0 belongs to every
+    channel spectrum and to ``sigma_ess``, not to a weight's range or the
+    operators' weight set.
     """
 
     intervals: tuple
@@ -216,8 +218,6 @@ class SpectralSet:
             best = min(best, float(np.hypot(dx, lam.imag)) if lam.imag else dx)  # hypot(d, 0) == d
         for value in self.points:
             best = min(best, abs(lam - value))
-        for value, _ in self.atoms:
-            best = min(best, abs(lam - value))
         return best
 
     def distances(self, lams):
@@ -232,9 +232,8 @@ class SpectralSet:
 
     @cached_property
     def _members(self):
-        """The set as closed intervals, shape (M, 2): a point or atom value ``v`` is ``(v, v)``."""
-        values = [*self.points, *(v for v, _ in self.atoms)]
-        return np.array([*self.intervals, *zip(values, values)], dtype=float).reshape(-1, 2)
+        """The set as closed intervals, shape (M, 2): a point ``v`` is ``(v, v)``."""
+        return np.array([*self.intervals, *zip(self.points, self.points)], dtype=float).reshape(-1, 2)
 
     def as_dict(self):
         return {
@@ -242,9 +241,6 @@ class SpectralSet:
             "points": list(self.points),
             "atoms": [[v, m] for v, m in self.atoms],
         }
-
-
-_ZERO = SpectralSet((), (0.0,), ())
 
 
 def _merge_intervals(intervals):
@@ -296,15 +292,14 @@ def _derive_range(sample):
     return _closed_set(intervals, atoms)
 
 
-def _combine(sets):
-    """Union of ``SpectralSet``s; an atom in several of them keeps its largest
-    measure, and the points that are no atom of their set (the zero) stay."""
+def _combine(sets, points=()):
+    """Union of weight ranges (``SpectralSet``s whose points are all atom values)
+    and the extra ``points``; an atom in several of them keeps its largest measure."""
     atoms = []
     for s in sets:
         for value, measure in s.atoms:
             _add_atom(atoms, value, measure, max)
-    lone = [p for s in sets for p in s.points if all(p != v for v, _ in s.atoms)]
-    return _closed_set([iv for s in sets for iv in s.intervals], atoms, lone)
+    return _closed_set([iv for s in sets for iv in s.intervals], atoms, points)
 
 
 def _per_model(model, key, build):
@@ -338,12 +333,12 @@ def sigma_channel(model, channel):
     """Spectrum of a single channel: {0} plus its weights' essential ranges,
     built once per model and channel."""
     view = _oriented(model, channel)
-    return _per_model(view, "_sigma_channel", lambda mod: _combine([_weight_ranges(mod), _ZERO]))
+    return _per_model(view, "_sigma_channel", lambda mod: _combine([_weight_ranges(mod)], (0.0,)))
 
 
 def _build_sigma_ess(model):
     mirror = model.mirrored()
-    ess = _combine([_weight_ranges(model), _weight_ranges(mirror), _ZERO])
+    ess = _combine([_weight_ranges(model), _weight_ranges(mirror)], (0.0,))
     mirror.__dict__["_sigma_ess"] = ess  # the swap leaves the spectrum unchanged
     return ess
 

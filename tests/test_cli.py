@@ -53,6 +53,17 @@ def test_validate_bad_model_exits_2(tmp_path, capsys):
     assert payload["ok"] is False
 
 
+@pytest.mark.parametrize("axis,point", [("x", 5.0), ("x", 0.0), ("y", 1.0), ("y", -2.0)])
+def test_an_extra_breakpoint_outside_its_interval_exits_1(tmp_path, axis, point, capsys):
+    # it was dropped without a word, and validate exited 0
+    doc = fixture_a_dict()
+    doc["quadrature"] = {f"extra_breakpoints_{axis}": [point]}
+    path = tmp_path / "breakpoint.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"input error: breakpoint {point!r} is not interior to [0.0, 1.0]\n")
+
+
 def test_missing_model_file_exits_1(capsys):
     assert main(["spectrum", "--model", "/no/such/file.json"]) == 1
     assert "input error" in capsys.readouterr().err
@@ -315,7 +326,9 @@ def test_every_typed_option_is_in_the_flag_table():
 
 # flag texts and the value, under its key in test_inputs.VALUES, that each is read as
 BAD_TEXTS = {"nan": ("nan", float("nan")), "inf": ("inf", float("inf")), "1e400": ("inf", float("inf")),
-             "1" * 400: ("10**400", int("1" * 400)), "abc": ("str", "abc"), "2.5": ("2.5", 2.5)}
+             "1" * 400: ("10**400", int("1" * 400)), "abc": ("str", "abc"), "2.5": ("2.5", 2.5),
+             # past the 4,300 digits that Python's int() reads: they were read as inf
+             "1" * 5000: ("10**400", (10**5000 - 1) // 9), "-" + "1" * 5000: ("10**400", -(10**5000 - 1) // 9)}
 
 
 @pytest.mark.parametrize("option,command", typed_options().items())

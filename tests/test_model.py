@@ -2,13 +2,14 @@
 
 import collections
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pio.model
-from pio.errors import BadInterval, DomainError, ModelFormatError
+from pio.errors import BadBreakpoint, BadInterval, DomainError, ModelFormatError
 from pio.expr import Expression, parse_expr
 from pio.model import (
     SearchSettings,
@@ -279,6 +280,32 @@ def test_search_block_refuses_infinity(tmp_path, key):
 def test_rules_split_at_weight_breakpoints(fixture_c):
     assert 0.5 in fixture_c.rule_y.panel_edges
     assert fixture_c.rule_x.panel_edges == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("axis,point", [("x", 0.0), ("x", 1.0), ("x", 5.0), ("x", -0.5),
+                                        ("y", -1.0), ("y", 2.0), ("y", 2.5), ("y", -3.0)])
+def test_make_model_refuses_an_extra_breakpoint_not_inside_its_interval(axis, point):
+    # it was dropped before build_rule saw it, so the model built without a word
+    interval = "[0.0, 1.0]" if axis == "x" else "[-1.0, 2.0]"
+    with pytest.raises(BadBreakpoint, match=f"^breakpoint {re.escape(repr(point))} is not interior to "
+                                            f"{re.escape(interval)}$"):
+        make_model((0, 1), (-1, 2), ["1"], ["2"], ["1"], ["3"], **{f"extra_breakpoints_{axis}": [0.5, point]})
+
+
+def test_an_extra_breakpoint_on_a_weight_breakpoint_is_one_panel_edge():
+    model = make_model((0, 1), (0, 1), ["1"], ["piecewise([0,0.5]:2; [0.5,1]:4)"], ["1"], ["0"],
+                       extra_breakpoints_x=[0.25], extra_breakpoints_y=[0.5])
+    assert model.rule_y.panel_edges == (0.0, 0.5, 1.0)
+    assert model.rule_x.panel_edges == (0.0, 0.25, 1.0)
+    mirror = model.mirrored()
+    assert (mirror.extra_breakpoints_x, mirror.extra_breakpoints_y) == ((0.5,), (0.25,))
+    assert mirror.rule_x.panel_edges == (0.0, 0.5, 1.0)
+
+
+def test_a_piecewise_tiling_past_the_interval_splits_only_inside_it():
+    # an expression's breakpoint outside the interval is no refusal: the tiling may reach past it
+    model = make_model((0, 1), (0, 1), ["1"], ["piecewise([-1,-0.5]:2; [-0.5,0.5]:3; [0.5,2]:4)"], ["1"], ["0"])
+    assert model.rule_y.panel_edges == (0.0, 0.5, 1.0)
 
 
 def test_grid_helper(fixture_a):

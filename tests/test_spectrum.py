@@ -19,6 +19,7 @@ import sys
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from pio.errors import (
     _numeric,
 )
 from pio.expr import parse_expr
-from pio.model import SearchSettings, make_model, validate_model
+from pio.model import SearchSettings, load_model_file, make_model, validate_model
 from pio.operators import apply_partial, apply_T
 from pio.pie import TauClass, classify_tau, residual, solve_pie
 from pio.oracle import nystrom_matrix, oracle_eigs
@@ -83,6 +84,8 @@ def bisect_scalar(fn, lo, hi, tol=1e-13):
             lo, flo = mid, fn(mid)
     return 0.5 * (lo + hi)
 
+
+GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"
 
 # reference root of lam * log(lam/(lam-1)) = 2, independent of the package
 ROOT_B = bisect_scalar(lambda lam: lam * np.log(lam / (lam - 1.0)) - 2.0, 1.2, 1.3)
@@ -425,10 +428,33 @@ def test_per_model_caches_do_not_pin_the_model():
     assert ref() is None
 
 
+def atom_in_interval_model():
+    # channel-1 weights t and 0.5: the atom 0.5 lies inside the range [0, 1] of t
+    return make_model((0, 1), (0, 1), ["legendre(0)", "legendre(1)"], ["t", "0.5"], ["1"], ["0"])
+
+
+def test_every_atom_value_is_a_point_or_in_an_interval(fixture_a, fixture_b, fixture_c):
+    # so a set's distances read its points and intervals alone, and _members lists each value once
+    models = (fixture_a, fixture_b, fixture_c, load_model_file(str(GOLDEN_MODEL)),
+              sumrule_model(*SUMRULE_4), atom_in_interval_model())
+    for model in models:
+        ranges = [essential_range(w, model.y_interval) for w in model.channel1.weights]
+        ranges += [essential_range(w, model.x_interval) for w in model.channel2.weights]
+        for spectral_set in (sigma_ess(model), sigma_channel(model, 1), sigma_channel(model, 2), *ranges):
+            for value, _ in spectral_set.atoms:
+                assert value in spectral_set.points or any(
+                    lo <= value <= hi for lo, hi in spectral_set.intervals), (spectral_set, value)
+            rows = spectral_set._members.tolist()
+            assert len(rows) == len({tuple(row) for row in rows}), spectral_set
+    ess = sigma_ess(models[-1])
+    assert (0.5, 1.0) in ess.atoms and ess.intervals == ((0.0, 1.0),) and ess.points == ()
+
+
 def test_spectral_set_distances_match_scalar(fixture_a, fixture_b, fixture_c):
-    # fixture c's atoms 2 and 4 are also its points; sumrule-4 has eight atoms
+    # fixture c's atoms 2 and 4 are also its points; sumrule-4 has eight atoms; the last
+    # model's atom 0.5 lies inside its interval [0, 1]
     lams = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.4, 3.0, 7.0, np.nan])
-    sets = (fixture_a, fixture_b, fixture_c, sumrule_model(*SUMRULE_4))
+    sets = (fixture_a, fixture_b, fixture_c, sumrule_model(*SUMRULE_4), atom_in_interval_model())
     for ess in map(sigma_ess, sets):
         for values in (lams, lams + 0.25j, lams - 3.0j):
             got = ess.distances(values)
