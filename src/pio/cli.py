@@ -10,7 +10,6 @@ deterministic: keys sorted, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import decimal
 import sys
 
 import numpy as np
@@ -119,18 +118,34 @@ def _emit_grid(model, names, columns, out_path):
     return _emit(_csv_rows(",".join(("x", "y", *names)), table.tolist()), out_path)
 
 
+def _integer(text):
+    """``int(text)``, also past the 4,300 digits ``int()`` reads: past ``10**400`` in size, as
+    ``10**400`` or ``-10**400``, no less beyond the range of a double and quick to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.strip().lstrip("+-").replace("_", "").isdecimal():
+            raise
+        import decimal  # here, not at the top: no other flag text needs it
+
+        try:
+            return int(min(max(decimal.Decimal(text), -10**400), 10**400))
+        except decimal.InvalidOperation:  # such as "+-1"
+            raise ValueError(text) from None
+
+
 def _flag(rule, name, **bounds):
     """Flag type: the text as an int, else a float, else as it is, converted by the library's
     ``rule`` as its parameter ``name``; the rule's refusal is a usage error, exit 1."""
 
     def parse(text):
-        try:
-            value = float(text)
-            exact = decimal.Decimal(text)  # reads what float reads, and integers past int()'s 4,300 digits
-            if value and exact.as_tuple().exponent == 0:  # an integer; a zero stays a float: -0 keeps its sign
-                value = int(exact)
-        except ValueError:
-            value = text
+        for kind in (_integer, float, str):  # a zero is read as a float, so that -0 keeps its sign
+            try:
+                value = kind(text)
+            except ValueError:
+                continue
+            if value or kind is not _integer:
+                break
         try:
             return rule(value, name, **bounds)
         except PioError as exc:
@@ -201,15 +216,11 @@ def _run_validate(args):
 
 
 def _run_spectrum(args):
-    model = _require_valid(args)
-    report = sigma_full(model)
-    return _emit_json(report.as_dict(), args.out)
+    return _emit_json(sigma_full(_require_valid(args)).as_dict(), args.out)
 
 
 def _run_discrete(args):
-    model = _require_valid(args)
-    disc = discrete_spectrum(model)
-    return _emit_json([[lam, mult] for lam, mult in disc], args.out)
+    return _emit_json([[lam, mult] for lam, mult in discrete_spectrum(_require_valid(args))], args.out)
 
 
 def _run_solve(args):
@@ -220,10 +231,7 @@ def _run_solve(args):
     code = _emit_grid(model, ["value"], [f.values], args.out)
     res = residual(model, args.tau, f, g)
     payload = {"residual": float(res), "tau": args.tau}
-    if args.out:
-        sys.stdout.write(_to_json(payload) + "\n")
-    else:
-        sys.stderr.write(_to_json(payload) + "\n")
+    (sys.stdout if args.out else sys.stderr).write(_to_json(payload) + "\n")  # not into the CSV
     return code
 
 

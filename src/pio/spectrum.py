@@ -193,10 +193,11 @@ class SpectralSet:
 
     ``atoms`` ``(value, measure)`` flags the values that a weight attains on
     positive measure, eigenvalues of infinite multiplicity.  Each atom value
-    is one of the ``points`` or lies in one of the ``intervals``
-    (``_closed_set``), so the set is those two alone.  0 belongs to every
-    channel spectrum and to ``sigma_ess``, not to a weight's range or the
-    operators' weight set.
+    is one of the ``points`` or lies in one of the ``intervals``, so the set
+    is those two alone.  The constructor is internal and checks none of this:
+    the library builds every set by ``_closed_set``, which makes it so.  0
+    belongs to every channel spectrum and to ``sigma_ess``, not to a weight's
+    range or the operators' weight set.
     """
 
     intervals: tuple

@@ -328,7 +328,9 @@ def test_every_typed_option_is_in_the_flag_table():
 BAD_TEXTS = {"nan": ("nan", float("nan")), "inf": ("inf", float("inf")), "1e400": ("inf", float("inf")),
              "1" * 400: ("10**400", int("1" * 400)), "abc": ("str", "abc"), "2.5": ("2.5", 2.5),
              # past the 4,300 digits that Python's int() reads: they were read as inf
-             "1" * 5000: ("10**400", (10**5000 - 1) // 9), "-" + "1" * 5000: ("10**400", -(10**5000 - 1) // 9)}
+             "1" * 5000: ("10**400", (10**5000 - 1) // 9), "-" + "1" * 5000: ("10**400", -(10**5000 - 1) // 9),
+             # an exponent past what an exact decimal reads: float reads it as inf
+             "1e99999999999999999999": ("inf", float("inf")), "-1e99999999999999999999": ("-inf", float("-inf"))}
 
 
 @pytest.mark.parametrize("option,command", typed_options().items())
@@ -357,6 +359,19 @@ def test_whole_valued_float_flags_are_whole_numbers(model_a, command, flag, caps
         assert main([*command, "--model", model_a, flag, value]) == 0
         outs.append(capsys.readouterr())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag,text,same", [("--nx", "0" * 5000 + "6", "6"), ("--ny", "-" + "0" * 5000, "-0"),
+                                            ("--tol-disc", "1e-99999999999999999999", "0")],
+                         ids=["--nx leading zeros", "--ny -0", "--tol-disc tiny"])
+def test_long_flag_texts_are_read_as_their_value(model_a, flag, text, same, capsys):
+    # an integer text past int()'s 4,300 digits is read exactly, and a float text as float reads it
+    outs = []
+    for value in (text, same):
+        code = main(["oracle-check", "--model", model_a, "--nx", "6", "--ny", "6", f"{flag}={value}"])
+        outs.append((code, *capsys.readouterr()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (1 if flag == "--ny" else 0)
 
 
 def test_oracle_check_fixture_a(model_a, tmp_path):
