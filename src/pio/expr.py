@@ -23,11 +23,23 @@ variable environment (name -> array), so an ``Expression`` holds its
 evaluator, not a syntax tree.  Piecewise breakpoints are recorded while the
 segments are checked to continue, and the domain tests of a literal exponent
 are decided once.
+
+Each production of a one-variable expression also carries its coefficients
+in ``t`` (lowest power first) where it is a polynomial, else ``None``:
+literals, ``t``, ``pi``, unary minus as the grammar binds it (``-t^2`` is
+``t^2``), ``+ - *``, ``/`` by a nonzero constant, ``^`` by a whole literal
+up to ``_MAX_DEGREE`` (the product's degree too), and ``piecewise`` per
+segment, where a piecewise operand combines with a polynomial one segment by
+segment.  They only locate a weight's extrema (``model._sample``): the value
+of parsed text is always its closures', as the coefficients of a factored
+form such as ``(t - 0.3)^8`` cancel.  ``_polynomial_expression`` builds an
+expression from coefficients alone, evaluated by Horner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import math
 import operator
 import re
@@ -41,6 +53,9 @@ __all__ = [
     "parse_expr",
     "parse_expr2",
 ]
+
+# the highest degree whose coefficients a production carries; above it the product is no polynomial
+_MAX_DEGREE = 32
 
 # one scan per source: whitespace, then a token, or the character that starts none
 _TOKEN_RE = re.compile(
@@ -65,7 +80,10 @@ class Expression:
     ``breakpoints`` are the piecewise segment boundaries that are interior
     to the segment tiling; smoothness may fail only there.  ``constant`` is
     the value of a source that is a numeric literal or a negated one, else
-    ``None``.
+    ``None``.  ``polynomials`` holds ``(lo, hi, coefficients, scale, shift)``
+    for each stretch ``lo <= t <= hi`` (unbounded unless piecewise) on which
+    the expression is ``sum_i c_i u^i`` with ``u = scale*t - shift``, all
+    coefficients finite; it too is a function of the source.
     """
 
     source: str
@@ -73,21 +91,22 @@ class Expression:
     evaluate: object = field(compare=False)
     breakpoints: tuple
     constant: float | None
+    polynomials: tuple = field(default=(), compare=False)
 
     def __call__(self, *values):
         """Evaluate on numpy arrays (broadcasting applies)."""
-        arrays = [np.asarray(v) for v in values]
-        if len(arrays) != len(self.variables):
+        if len(values) != len(self.variables):
             raise DomainError(
-                f"expression over {self.variables} called with {len(arrays)} arguments"
+                f"expression over {self.variables} called with {len(values)} arguments"
             )
+        arrays = [np.asarray(v) for v in values]
         with np.errstate(all="ignore"):  # overflow surfaces as the finite check below
-            out = self.evaluate(dict(zip(self.variables, arrays)))
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        out = np.broadcast_to(np.asarray(out, dtype=float), shape)
-        if not np.all(np.isfinite(out)):
+            out = np.asarray(self.evaluate(dict(zip(self.variables, arrays))), dtype=float)
+        shape = arrays[0].shape if len(arrays) == 1 else np.broadcast_shapes(*(a.shape for a in arrays))
+        out = out.copy() if out.shape == shape else np.full(shape, out)
+        if not np.isfinite(out).all():
             raise DomainError(f"expression {self.source!r} produced a non-finite value")
-        return out.copy()
+        return out
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -122,7 +141,8 @@ def _literal_value(kinds, texts, start, stop):
 
 
 class _Parser:
-    """Recursive descent; each production returns a function of the environment."""
+    """Recursive descent; each production returns a function of the environment
+    and its coefficients (``_poly``), which two-variable expressions never read."""
 
     def __init__(self, text, variables):
         self.text = text
@@ -148,33 +168,37 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        node, poly = self.term()
         while (kind := self.kinds[self.pos]) == "+" or kind == "-":
             self.pos += 1
-            node = _binary(kind, node, self.term())
-        return node
+            right, rpoly = self.term()
+            node, poly = _binary(kind, node, right), _poly(kind, poly, rpoly)
+        return node, poly
 
     def term(self):
-        node = self.factor()
+        node, poly = self.factor()
         while (kind := self.kinds[self.pos]) == "*" or kind == "/":
             self.pos += 1
-            node = _binary(kind, node, self.factor())
-        return node
+            right, rpoly = self.factor()
+            node, poly = _binary(kind, node, right), _poly(kind, poly, rpoly)
+        return node, poly
 
     def factor(self):
-        node = self.unary()
+        node, poly = self.unary()
         if self.kinds[self.pos] == "^":
             start = self.pos = self.pos + 1
-            exponent = self.factor()
+            exponent, _ = self.factor()
             value = _literal_value(self.kinds, self.texts, start, self.pos)
-            node = _binary("^", node, exponent) if value is None else _literal_power(node, value)
-        return node
+            if value is None:
+                return _binary("^", node, exponent), None
+            return _literal_power(node, value), _poly_power(poly, value)
+        return node, poly
 
     def unary(self):
         if self.kinds[self.pos] == "-":
             self.pos += 1
-            arg = self.atom()
-            return lambda env: -arg(env)
+            arg, poly = self.atom()
+            return (lambda env: -arg(env)), _poly("*", (-1.0,), poly)
         return self.atom()
 
     def atom(self):
@@ -185,22 +209,22 @@ class _Parser:
         self.pos += 1
         if kind == "number":
             value = self._literal(pos)
-            return lambda env: value
+            return (lambda env: value), (value,)
         if kind == "(":
             node = self.expr()
             self.expect(")", "')'")
             return node
         if kind == "ident":
             if text in self.variables:
-                return lambda env: env[text]
+                return (lambda env: env[text]), (0.0, 1.0)
             if text == "pi":
-                return lambda env: np.pi
+                return (lambda env: np.pi), (np.pi,)
             if text in _FUNCS:
                 self.expect("(", f"'(' after {text}")
-                arg = self.expr()
+                arg, _ = self.expr()
                 self.expect(")", "')'")
                 func = _FUNCS[text]
-                return lambda env: func(arg(env))
+                return (lambda env: func(arg(env))), None
             if text == "piecewise":
                 if len(self.variables) != 1:
                     raise ExprSyntaxError(
@@ -211,6 +235,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text!r}", self.offsets[pos])
 
     def piecewise(self):
+        """The evaluator and, as a list, each segment's ``(lo, hi, coefficients)``."""
         self.expect("(", "'(' after piecewise")
         if self.kinds[self.pos] == ")":
             raise EmptyPiecewise("piecewise needs at least one segment")
@@ -226,7 +251,8 @@ class _Parser:
                     self.offsets[self.pos],
                 )
             self.breakpoints.add(lo)
-        return _piecewise(segments)
+        return (_piecewise([(lo, hi, body) for lo, hi, (body, _) in segments]),
+                [(lo, hi, poly) for lo, hi, (_, poly) in segments])
 
     def segment(self):
         self.expect("[", "'['")
@@ -270,10 +296,76 @@ def _parse(text, variables):
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, variables)
-    evaluate = parser.parse()
+    evaluate, poly = parser.parse()
     # a numeric literal, possibly negated and parenthesized, is constant by construction
     constant = _literal_value(parser.kinds, parser.texts, 0, len(parser.kinds) - 1)
-    return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), constant)
+    segments = poly if isinstance(poly, list) else [(-math.inf, math.inf, poly)]
+    polynomials = tuple(
+        (lo, hi, c, 1.0, 0.0) for lo, hi, c in segments
+        if variables == ("t",) and isinstance(c, tuple) and all(map(math.isfinite, c))
+    )
+    return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), constant, polynomials)
+
+
+def _polynomial_expression(source, coefficients, scale, shift):
+    """The expression ``sum_i c_i u^i`` in ``t``, with ``u = scale*t - shift``
+    and ``coefficients`` lowest power first, evaluated by Horner; ``source``
+    names it in messages and in comparisons."""
+    top, *rest = coefficients[::-1]
+
+    def evaluate(env):
+        if not rest:
+            return top
+        u = scale * env["t"] - shift
+        value = top * u + rest[0]  # a new array: the later steps work in place
+        for c in rest[1:]:
+            value *= u
+            value += c
+        return value
+
+    stretch = (-math.inf, math.inf, tuple(coefficients), scale, shift)
+    return Expression(source, ("t",), evaluate, (), None, (stretch,))
+
+
+# --- coefficients -------------------------------------------------------------
+
+
+def _poly(op, a, b):
+    """Coefficients of ``a op b`` for ``+ - * /``, each operand a coefficient tuple, a
+    piecewise list of ``(lo, hi, coefficients)`` or ``None``: a piecewise operand combines
+    with a tuple segment by segment, and anything else gives ``None``."""
+    if isinstance(a, list) or isinstance(b, list):
+        if isinstance(a, tuple):
+            return [(lo, hi, _poly(op, a, c)) for lo, hi, c in b]
+        if isinstance(b, tuple):
+            return [(lo, hi, _poly(op, c, b)) for lo, hi, c in a]
+        return None
+    if a is None or b is None:
+        return None
+    if op == "*":
+        if len(a) + len(b) - 2 > _MAX_DEGREE:
+            return None
+        out = [0.0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return tuple(out)
+    if op == "/":
+        return tuple(c / b[0] for c in a) if b[0] != 0.0 and not any(b[1:]) else None
+    return tuple(_BINARY[op](x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0.0))
+
+
+def _poly_power(poly, e):
+    """Coefficients of ``poly ^ e`` for a whole literal ``0 <= e <= _MAX_DEGREE`` (of each
+    segment of a piecewise ``poly``), else ``None``."""
+    if isinstance(poly, list):
+        return [(lo, hi, _poly_power(c, e)) for lo, hi, c in poly]
+    if poly is None or not (e == math.floor(e) and 0.0 <= e <= _MAX_DEGREE):
+        return None
+    out = (1.0,)
+    for _ in range(int(e)):
+        out = _poly("*", out, poly)
+    return out
 
 
 # --- evaluation -------------------------------------------------------------

@@ -11,8 +11,10 @@ A model consists of two channels acting on L2 of ``[a, b] x [c, d]``:
 
 Orthonormality is validated, never enforced: every computation on a model's
 samples refuses one that fails validation.  Basis and weight entries are expression
-strings; the shorthands ``legendre(k)`` and ``trig(k)`` expand to explicit
-orthonormal polynomials / trigonometric functions on their interval.
+strings; the shorthand ``legendre(k)`` is built from its coefficients as the
+orthonormal polynomial on its interval, and ``trig(k)`` expands to the text of
+the orthonormal trigonometric function there.  A weight's range is exact on its
+polynomial pieces and sampled on the others (``_sample``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadInterval, IndexOutOfRange, InvalidModel, ModelFormatError, PioError, _numeric, _whole
-from .expr import parse_expr
+from .expr import parse_expr, _polynomial_expression
 from .quadrature import Grid2D, _interval, build_rule
 
 __all__ = [
@@ -261,7 +263,7 @@ def _rule(interval, order, exprs, extra):
 
 def _sample_channel(channel, basis_rule, basis_interval, weight_rule, weight_interval):
     """``(basis, weights)`` of a channel, the ``_Sample`` of each; one dense sample per side, and
-    one set of range samples per distinct weight piece."""
+    one set of range samples per distinct sampled weight piece."""
     basis_dense = np.linspace(*basis_interval, _DENSE_SAMPLES)
     weight_dense = np.linspace(*weight_interval, _DENSE_SAMPLES)
     ranges = {}
@@ -277,7 +279,7 @@ class _Sample:
     ``nodes``, a copy of the values on the rule's nodes, and ``sup``, the largest magnitude
     there and on the dense sample, or ``None`` and their ``PioError``; a weight's ``pieces``,
     ``(lo, hi, level, low, high)`` per piece (``level`` a constant piece's value, else ``None``
-    and the sampled extrema), or the ``PioError`` of its range samples."""
+    and the piece's extrema), or the ``PioError`` of its range points."""
 
     nodes: object
     sup: object
@@ -286,24 +288,35 @@ class _Sample:
 
 def _sample(expr, nodes, dense, interval, ranges=None):
     """The ``_Sample`` of ``expr`` from one evaluation on the point sets laid out here: the rule's
-    ``nodes`` with the ``dense`` sample (both may be empty) and, for a weight that is not a
-    literal, each piece's 4,097 range samples; if that evaluation raises, each set is evaluated
-    on its own.  A weight passes ``ranges``, a dict of range samples by piece that the weights of
-    one side share: a piece's samples are built on its first use there.  ``_level`` reads each
-    piece's samples in one pass for its extrema."""
-    lo, hi = interval
-    cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
-    spans = list(zip(cuts, cuts[1:]))
+    ``nodes`` with the ``dense`` sample (both may be empty) and, for a weight, each piece's range
+    points; if that evaluation raises, each set is evaluated on its own.  A piece ends just left
+    of an interior breakpoint, which belongs to the piece on its right.
+
+    A piece on which the expression is a polynomial (``expr.polynomials``) is ranged in closed
+    form: its points are its ends and the real critical points inside it
+    (``_critical_points``), so its extrema are the expression's own values at the points where
+    a polynomial's extrema lie, exact to the rounding of those values.  Any other piece has
+    4,097 range samples, built on first use in ``ranges``, a dict by piece that the weights of
+    one side share (a weight passes it), and its extrema are sampled.  ``_level`` reads the
+    extrema of each piece."""
     parts = [nodes, dense]
-    weight = ranges is not None
-    ranged = weight and expr.constant is None
-    for plo, phi in spans if ranged else ():
-        if (plo, phi) not in ranges:
-            ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
-            if phi < hi:
-                ts[-1] = np.nextafter(phi, plo)  # interior breakpoint owns the right side
-            ranges[plo, phi] = ts
-        parts.append(ranges[plo, phi])
+    spans = []  # a weight's pieces, each ``(lo, hi, ranged in closed form)``
+    if ranges is not None:
+        lo, hi = interval
+        cuts = [lo, *(b for b in expr.breakpoints if lo < b < hi), hi]
+        for plo, phi in zip(cuts, cuts[1:]):
+            end = phi if phi == hi else np.nextafter(phi, plo)  # interior breakpoint owns the right side
+            poly = next((p[2:] for p in expr.polynomials if p[0] <= plo and phi <= p[1]), None)
+            points = None if poly is None else _critical_points(*poly, plo, phi)
+            if points is None:
+                if (plo, phi) not in ranges:
+                    ts = np.linspace(plo, phi, _RANGE_SAMPLES + 1)
+                    ts[-1] = end
+                    ranges[plo, phi] = ts
+                parts.append(ranges[plo, phi])
+            else:
+                parts.append(np.array([plo, *points, end]))
+            spans.append((plo, phi, points is not None))
     try:
         values = expr(np.concatenate(parts))
     except PioError:
@@ -319,25 +332,58 @@ def _sample(expr, nodes, dense, interval, ranges=None):
         kept, sup = head[: len(nodes)].copy(), float(np.abs(head).max(initial=0.0))
     except PioError as err:
         kept, sup = None, err.with_traceback(None)
-    if not weight:
+    if ranges is None:
         return _Sample(kept, sup)
     try:
-        pieces = tuple(
-            (plo, phi, *(_level(take(i + 2)) if ranged else (expr.constant, None, None)))
-            for i, (plo, phi) in enumerate(spans)
-        )
+        pieces = tuple((plo, phi, *_level(take(i + 2), exact)) for i, (plo, phi, exact) in enumerate(spans))
     except PioError as err:
         pieces = err.with_traceback(None)
     return _Sample(kept, sup, pieces)
 
 
-def _level(vals):
-    """``(level, None, None)`` for a piece whose range samples agree to ``1e-12 * (1 +
-    max|value|)``, a constant piece, else ``(None, low, high)``, the sampled extrema.  They
-    are taken once: ``max|value|`` is ``max(-low, high)``."""
+def _critical_points(coefficients, scale, shift, lo, hi):
+    """The real roots ``t`` in ``lo < t < hi`` of the derivative of ``sum_i c_i u^i``,
+    ``u = scale*t - shift``: in closed form up to derivative degree 2, else the eigenvalues
+    of its companion matrix.  A rounded double root may come out as a complex pair, so the
+    real part of every root is kept: a point of the piece that is no critical point only adds
+    a value.  ``None`` where the eigenvalues cannot be computed (an overflowed coefficient),
+    so the piece is sampled."""
+    d = [i * c for i, c in enumerate(coefficients)][1:]
+    while d and d[-1] == 0.0:
+        d.pop()
+    if len(d) <= 1:  # a constant or linear polynomial has its extrema at the ends
+        roots = []
+    elif len(d) == 2:
+        roots = [-d[0] / d[1]]
+    elif len(d) == 3:
+        c, b, a = d
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            roots = [-b / (2.0 * a)]
+        else:  # the root of larger magnitude without cancellation, the other from the product
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [q / a, c / q] if q != 0.0 else [0.0]
+    else:
+        try:
+            with np.errstate(all="ignore"):
+                roots = np.polynomial.polynomial.polyroots(d).real.tolist()
+        except np.linalg.LinAlgError:
+            return None
+    ts = ((u + shift) / scale for u in roots)
+    return [t for t in ts if lo < t < hi]
+
+
+def _level(vals, exact):
+    """``(level, None, None)`` for a piece whose values agree to ``1e-12 * (1 +
+    max|value|)``, a constant piece, else ``(None, low, high)``, their extrema.  The level
+    is the mean of the extrema of a piece ranged in closed form (``exact``; their common
+    value, the sign of a zero included, where they are equal), else the mean of its range
+    samples.  The extrema are taken once: ``max|value|`` is ``max(-low, high)``."""
     low, high = float(vals.min()), float(vals.max())
     if high - low < 1e-12 * (1.0 + max(-low, high)):
-        return float(vals.mean()), None, None
+        if not exact:
+            return float(vals.mean()), None, None
+        return (low if low == high else low + (high - low) / 2), None, None
     return None, low, high
 
 
@@ -351,17 +397,16 @@ def _stored(value):
 # --- shorthand generators -----------------------------------------------------
 
 
-def legendre_source(k, interval):
-    """Expression text of the degree-``k`` orthonormal polynomial on the interval,
-    in powers of ``(2t - lo - hi)/(hi - lo)`` (in powers of ``t``, 14 members fail validation)."""
+def _legendre(k, interval):
+    """The degree-``k`` orthonormal polynomial on the interval, built from ``_leg2poly``'s
+    coefficients in the centred variable ``u = (2t - lo - hi)/(hi - lo)`` (in powers of ``t``,
+    14 members fail validation) and evaluated by Horner.  Its ``source``,
+    ``legendre(k) on [lo, hi]``, names the interval, so two intervals' members differ."""
     lo, hi = (float(v) for v in interval)
-    shift = (lo + hi) / (hi - lo)
-    u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
-    terms = []
-    for power, c in enumerate(_leg2poly(k, math.sqrt((2.0 * k + 1.0) / (hi - lo)))):
-        if c != 0.0:
-            terms.append(repr(c) + ("" if power == 0 else f"*{u}" if power == 1 else f"*{u}^{power}"))
-    return " + ".join(terms)
+    coefficients = _leg2poly(k, math.sqrt((2.0 * k + 1.0) / (hi - lo)))
+    return _polynomial_expression(
+        f"legendre({k}) on [{lo!r}, {hi!r}]", coefficients, 2.0 / (hi - lo), (lo + hi) / (hi - lo)
+    )
 
 
 def _leg2poly(k, top):
@@ -396,20 +441,22 @@ def trig_source(k, interval):
 _SHORTHAND_RE = re.compile(r"^\s*(legendre|trig)\s*\(\s*(\d+)\s*\)\s*$")
 
 
-def _expand_source(text, interval):
+def _build(text, interval):
+    """The expression of one source on the interval: ``legendre(k)`` from its coefficients,
+    ``trig(k)`` parsed from its text, anything else parsed as written."""
     m = _SHORTHAND_RE.match(text)
     if m is None:
-        return text
+        return parse_expr(text)
     kind, k = m.group(1), int(m.group(2))
-    return legendre_source(k, interval) if kind == "legendre" else trig_source(k, interval)
+    return _legendre(k, interval) if kind == "legendre" else parse_expr(trig_source(k, interval))
 
 
 def _parse_sources(sources, interval, where, parsed):
-    """The sources as expressions, parsed once per model (``parsed``) and interval."""
+    """The sources as expressions, built once per model (``parsed``) and interval."""
     for src in sources:
         if (src, interval) not in parsed:
             try:
-                parsed[src, interval] = parse_expr(_expand_source(src, interval))
+                parsed[src, interval] = _build(src, interval)
             except PioError as err:
                 raise ModelFormatError(f"{where}: cannot parse {src!r}: {err}") from err
     return tuple(parsed[src, interval] for src in sources)

@@ -274,9 +274,11 @@ def _closed_set(intervals, atoms, points=()):
 def essential_range(expr, interval):
     """Essential range of a weight over the interval, a ``SpectralSet`` without 0:
     each piece that ``model._sample`` finds constant is an atom ``(value, piece
-    length)``, every other piece the interval between its sampled extrema, the
-    same derivation as a model's weight ranges on the records it keeps.  An
-    interval that is not finite with ``lo < hi`` raises ``BadInterval``, as in ``build_rule``."""
+    length)``, every other piece the interval between its extrema, the weight's
+    values at its ends and critical points where it is a polynomial, else the
+    extrema of its range samples: the same derivation as a model's weight ranges
+    on the records it keeps.  An interval that is not finite with ``lo < hi``
+    raises ``BadInterval``, as in ``build_rule``."""
     return _derive_range(_sample(expr, np.empty(0), np.empty(0), _interval(interval), {}))
 
 

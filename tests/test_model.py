@@ -13,7 +13,6 @@ from pio.errors import BadBreakpoint, BadInterval, DomainError, ModelFormatError
 from pio.expr import Expression, parse_expr
 from pio.model import (
     SearchSettings,
-    legendre_source,
     load_model_file,
     make_model,
     model_from_dict,
@@ -22,7 +21,7 @@ from pio.model import (
     validate_model,
 )
 from pio.spectrum import atom_eigenfunction, sigma_ess, sigma_full
-from conftest import fixture_a_dict
+from conftest import fixture_a_dict, legendre_source
 
 GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"
 
@@ -120,21 +119,22 @@ def test_legendre_shorthand_does_not_call_leg2poly(monkeypatch):
 
 
 def test_shared_sources_are_parsed_once_per_interval(monkeypatch):
-    parsed = []
-    parse = pio.model.parse_expr
+    # counts expression builds: ``legendre(k)`` is built from its coefficients, not parsed
+    built = []
+    build = pio.model._build
 
-    def counting(text):
-        parsed.append(text)
-        return parse(text)
+    def counting(text, interval):
+        built.append(text)
+        return build(text, interval)
 
-    monkeypatch.setattr(pio.model, "parse_expr", counting)
+    monkeypatch.setattr(pio.model, "_build", counting)
     basis = ["legendre(0)", "legendre(1)"]
     model = make_model((0, 1), (0, 1), basis, ["t", "1"], basis, ["t^2", "1"])
-    assert len(parsed) == 5  # two bases, t, 1 and t^2
+    assert len(built) == 5  # two bases, t, 1 and t^2
     assert model.channel1.basis[1] is model.channel2.basis[1]
-    parsed.clear()
+    built.clear()
     model = make_model((0, 1), (0, 2), basis, ["t", "1"], basis, ["t^2", "1"])
-    assert len(parsed) == 8  # a source is keyed by its interval, and the intervals differ
+    assert len(built) == 8  # a source is keyed by its interval, and the intervals differ
 
 
 def test_sigma_full_evaluates_each_expression_once(monkeypatch):
