@@ -78,9 +78,7 @@ class Expression:
     ``evaluate`` maps a variable environment (name -> array) to the value;
     equality ignores it, since it is a function of the source.
     ``breakpoints`` are the piecewise segment boundaries that are interior
-    to the segment tiling; smoothness may fail only there.  ``constant`` is
-    the value of a source that is a numeric literal or a negated one, else
-    ``None``.  ``polynomials`` holds ``(lo, hi, coefficients, scale, shift)``
+    to the segment tiling; smoothness may fail only there.  ``polynomials`` holds ``(lo, hi, coefficients, scale, shift)``
     for each stretch ``lo <= t <= hi`` (unbounded unless piecewise) on which
     the expression is ``sum_i c_i u^i`` with ``u = scale*t - shift``, all
     coefficients finite; it too is a function of the source.
@@ -90,7 +88,6 @@ class Expression:
     variables: tuple
     evaluate: object = field(compare=False)
     breakpoints: tuple
-    constant: float | None
     polynomials: tuple = field(default=(), compare=False)
 
     def __call__(self, *values):
@@ -142,7 +139,7 @@ def _literal_value(kinds, texts, start, stop):
 
 class _Parser:
     """Recursive descent; each production returns a function of the environment
-    and its coefficients (``_poly``), which two-variable expressions never read."""
+    and its coefficients (``_poly``), ``None`` throughout a two-variable expression."""
 
     def __init__(self, text, variables):
         self.text = text
@@ -150,6 +147,7 @@ class _Parser:
         self.kinds, self.texts = _tokenize(text)
         self.pos = 0
         self.breakpoints = set()
+        self.polynomial = len(variables) == 1  # coefficients are tracked in ``t`` alone
 
     @property
     def offsets(self):
@@ -209,16 +207,16 @@ class _Parser:
         self.pos += 1
         if kind == "number":
             value = self._literal(pos)
-            return (lambda env: value), (value,)
+            return (lambda env: value), (value,) if self.polynomial else None
         if kind == "(":
             node = self.expr()
             self.expect(")", "')'")
             return node
         if kind == "ident":
             if text in self.variables:
-                return (lambda env: env[text]), (0.0, 1.0)
+                return (lambda env: env[text]), (0.0, 1.0) if self.polynomial else None
             if text == "pi":
-                return (lambda env: np.pi), (np.pi,)
+                return (lambda env: np.pi), (np.pi,) if self.polynomial else None
             if text in _FUNCS:
                 self.expect("(", f"'(' after {text}")
                 arg, _ = self.expr()
@@ -297,14 +295,12 @@ def _parse(text, variables):
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, variables)
     evaluate, poly = parser.parse()
-    # a numeric literal, possibly negated and parenthesized, is constant by construction
-    constant = _literal_value(parser.kinds, parser.texts, 0, len(parser.kinds) - 1)
     segments = poly if isinstance(poly, list) else [(-math.inf, math.inf, poly)]
     polynomials = tuple(
         (lo, hi, c, 1.0, 0.0) for lo, hi, c in segments
-        if variables == ("t",) and isinstance(c, tuple) and all(map(math.isfinite, c))
+        if isinstance(c, tuple) and all(map(math.isfinite, c))
     )
-    return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), constant, polynomials)
+    return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), polynomials)
 
 
 def _polynomial_expression(source, coefficients, scale, shift):
@@ -324,7 +320,7 @@ def _polynomial_expression(source, coefficients, scale, shift):
         return value
 
     stretch = (-math.inf, math.inf, tuple(coefficients), scale, shift)
-    return Expression(source, ("t",), evaluate, (), None, (stretch,))
+    return Expression(source, ("t",), evaluate, (), (stretch,))
 
 
 # --- coefficients -------------------------------------------------------------

@@ -295,8 +295,8 @@ def _sample(expr, nodes, dense, interval, ranges=None):
     A piece on which the expression is a polynomial (``expr.polynomials``) is ranged in closed
     form: its points are its ends and the real critical points inside it
     (``_critical_points``), so its extrema are the expression's own values at the points where
-    a polynomial's extrema lie, exact to the rounding of those values.  Any other piece has
-    4,097 range samples, built on first use in ``ranges``, a dict by piece that the weights of
+    a polynomial's extrema lie, exact to the rounding of those values.  Any other piece, and
+    one whose critical points ``_critical_points`` cannot give, has 4,097 range samples, built on first use in ``ranges``, a dict by piece that the weights of
     one side share (a weight passes it), and its extrema are sampled.  ``_level`` reads the
     extrema of each piece."""
     parts = [nodes, dense]
@@ -343,32 +343,28 @@ def _sample(expr, nodes, dense, interval, ranges=None):
 
 def _critical_points(coefficients, scale, shift, lo, hi):
     """The real roots ``t`` in ``lo < t < hi`` of the derivative of ``sum_i c_i u^i``,
-    ``u = scale*t - shift``: in closed form up to derivative degree 2, else the eigenvalues
-    of its companion matrix.  A rounded double root may come out as a complex pair, so the
-    real part of every root is kept: a point of the piece that is no critical point only adds
-    a value.  ``None`` where the eigenvalues cannot be computed (an overflowed coefficient),
-    so the piece is sampled."""
+    ``u = scale*t - shift``: in closed form for a linear derivative, else the eigenvalues of
+    its companion matrix.  A rounded double root may come out as a complex pair, so the real
+    part of every root is kept: a point of the piece that is no critical point only adds a
+    value.  ``None`` where a derivative coefficient overflows or a root is not finite or
+    cannot be computed, so the piece is sampled."""
     d = [i * c for i, c in enumerate(coefficients)][1:]
     while d and d[-1] == 0.0:
         d.pop()
+    if not all(map(math.isfinite, d)):
+        return None
     if len(d) <= 1:  # a constant or linear polynomial has its extrema at the ends
         roots = []
     elif len(d) == 2:
         roots = [-d[0] / d[1]]
-    elif len(d) == 3:
-        c, b, a = d
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            roots = [-b / (2.0 * a)]
-        else:  # the root of larger magnitude without cancellation, the other from the product
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots = [q / a, c / q] if q != 0.0 else [0.0]
     else:
         try:
             with np.errstate(all="ignore"):
                 roots = np.polynomial.polynomial.polyroots(d).real.tolist()
         except np.linalg.LinAlgError:
             return None
+    if not all(map(math.isfinite, roots)):
+        return None
     ts = ((u + shift) / scale for u in roots)
     return [t for t in ts if lo < t < hi]
 

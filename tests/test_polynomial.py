@@ -153,6 +153,27 @@ def test_a_derivative_that_overflows_keeps_the_sampled_route():
     assert essential_range(expr, (0.0, 1e-100)).atoms == ((0.0, 1e-100),)
 
 
+def test_a_derivative_past_the_doubles_is_sampled():
+    # 2e308 and 4e308 overflow in the derivative, so no root is taken from it (the linear
+    # root would be 1e308/inf = 0 and the atom 0, the companion roots all 0 and the range
+    # [0, 9e307]); the 4,097 samples hit t = 1/2 and come within f''(t*) h^2/8 = 1.2e300
+    # (h = 2/4096) of the minima at t* = +-sqrt(0.05)
+    square = parse_expr("1e308*t^2 - 1e308*t")
+    assert pio.model._critical_points(*square.polynomials[0][2:], 0.0, 1.0) is None
+    assert essential_range(square, (0.0, 1.0)).intervals == ((-2.5e307, 0.0),)
+    quartic = parse_expr("1e308*t^4 - 1e307*t^2")
+    assert pio.model._critical_points(*quartic.polynomials[0][2:], -1.0, 1.0) is None
+    (low, high), = essential_range(quartic, (-1.0, 1.0)).intervals
+    assert abs(low + 2.5e305) <= 1.2e300 and high == 9e307
+
+
+def test_large_coefficients_keep_their_companion_roots():
+    # the roots +-1 of 3e200 (t^2 - 1) come from the companion matrix without overflow
+    cubic = parse_expr("1e200*t^3 - 3e200*t")
+    assert pio.model._critical_points(*cubic.polynomials[0][2:], -1.5, 1.5) == pytest.approx([-1.0, 1.0])
+    assert essential_range(cubic, (-1.5, 1.5)).intervals == ((-2e200, 2e200),)
+
+
 def test_overflowing_polynomial_still_fails_validation():
     report = validate_model(make_model((0, 1e100), (0, 1), ["1e-50"], ["1"], ["1"], ["1e200*t^2"]))
     assert not report.ok
