@@ -296,9 +296,9 @@ def _sample(expr, nodes, dense, interval, ranges=None):
     form: its points are its ends and the real critical points inside it
     (``_critical_points``), so its extrema are the expression's own values at the points where
     a polynomial's extrema lie, exact to the rounding of those values.  Any other piece, and
-    one whose critical points ``_critical_points`` cannot give, has 4,097 range samples, built on first use in ``ranges``, a dict by piece that the weights of
-    one side share (a weight passes it), and its extrema are sampled.  ``_level`` reads the
-    extrema of each piece."""
+    one whose critical points ``_critical_points`` cannot give, has 4,097 range samples, built
+    on first use in ``ranges``, a dict by piece that the weights of one side share (a weight
+    passes it), and its extrema are sampled.  ``_level`` reads the extrema of each piece."""
     parts = [nodes, dense]
     spans = []  # a weight's pieces, each ``(lo, hi, ranged in closed form)``
     if ranges is not None:

@@ -154,10 +154,9 @@ def test_a_derivative_that_overflows_keeps_the_sampled_route():
 
 
 def test_a_derivative_past_the_doubles_is_sampled():
-    # 2e308 and 4e308 overflow in the derivative, so no root is taken from it (the linear
-    # root would be 1e308/inf = 0 and the atom 0, the companion roots all 0 and the range
-    # [0, 9e307]); the 4,097 samples hit t = 1/2 and come within f''(t*) h^2/8 = 1.2e300
-    # (h = 2/4096) of the minima at t* = +-sqrt(0.05)
+    # 2e308 and 4e308 overflow in the derivatives, so neither gives roots and both pieces are
+    # sampled; the 4,097 samples hit t = 1/2 and come within f''(t*) h^2/8 = 1.2e300
+    # (h = 2/4096) of the quartic's minima at t* = +-sqrt(0.05)
     square = parse_expr("1e308*t^2 - 1e308*t")
     assert pio.model._critical_points(*square.polynomials[0][2:], 0.0, 1.0) is None
     assert essential_range(square, (0.0, 1.0)).intervals == ((-2.5e307, 0.0),)
