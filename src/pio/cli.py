@@ -5,6 +5,10 @@ that cannot be written too), 2 model failed
 validation, 3 the request is a deliberate theory-domain refusal (parameter
 on the spectrum, eigenvalue hit, and so on).  All JSON output is
 deterministic: keys sorted, floats at 17 significant digits.
+
+Each subcommand's runner imports the library functions it calls when it runs,
+so a ``pio`` process compiles and loads only the modules its subcommand needs,
+and reads each function from its home module at call time.
 """
 
 from __future__ import annotations
@@ -27,17 +31,8 @@ from .errors import (
     SpectrumHit,
     UnknownIdentifier,
     _numeric,
+    _tolerance,
     _whole,
-)
-from .expr import parse_expr2
-from .model import load_model_file
-from .oracle import _tolerance, compare_spectra, nystrom_matrix, oracle_eigs
-from .pie import residual, solve_pie
-from .spectrum import (
-    delta_trace_rows,
-    discrete_spectrum,
-    eigenfunctions_T,
-    sigma_full,
 )
 
 __all__ = ["main"]
@@ -201,6 +196,8 @@ def _build_parser():
 
 def _require_valid(args):
     """The model, exiting 2 on the validation report the library gates on too."""
+    from .model import load_model_file
+
     model = load_model_file(args.model)
     if not model._validation.ok:
         sys.stderr.write(f"{InvalidModel(model._validation)}\n")
@@ -209,6 +206,8 @@ def _require_valid(args):
 
 
 def _run_validate(args):
+    from .model import load_model_file
+
     report = load_model_file(args.model)._validation
     code = 0 if report.ok else _INVALID_EXIT
     _emit_json(report.as_dict(), args.out)
@@ -216,14 +215,21 @@ def _run_validate(args):
 
 
 def _run_spectrum(args):
+    from .spectrum import sigma_full
+
     return _emit_json(sigma_full(_require_valid(args)).as_dict(), args.out)
 
 
 def _run_discrete(args):
+    from .spectrum import discrete_spectrum
+
     return _emit_json([[lam, mult] for lam, mult in discrete_spectrum(_require_valid(args))], args.out)
 
 
 def _run_solve(args):
+    from .expr import parse_expr2
+    from .pie import residual, solve_pie
+
     model = _require_valid(args)
     rhs = parse_expr2(args.rhs)
     g = model.grid(rhs)
@@ -236,6 +242,8 @@ def _run_solve(args):
 
 
 def _run_delta_trace(args):
+    from .spectrum import delta_trace_rows
+
     model = _require_valid(args)
     if not args.lmin < args.lmax:  # spans two flags, so no flag type can check it
         sys.stderr.write(f"input error: need lmin < lmax, got {args.lmin!r} and {args.lmax!r}\n")
@@ -246,6 +254,9 @@ def _run_delta_trace(args):
 
 
 def _run_oracle_check(args):
+    from .oracle import compare_spectra, nystrom_matrix, oracle_eigs
+    from .spectrum import sigma_full
+
     model = _require_valid(args)
     sysm = nystrom_matrix(model, args.nx, args.ny)
     eigs = oracle_eigs(sysm)
@@ -262,6 +273,8 @@ def _run_oracle_check(args):
 
 
 def _run_eigenfunction(args):
+    from .spectrum import eigenfunctions_T
+
     model = _require_valid(args)
     family = eigenfunctions_T(model, args.lam)
     names = [f"f{i + 1}" for i in range(len(family))]

@@ -2,9 +2,10 @@
 
 Every error raised on purpose by this package derives from :class:`PioError`,
 so callers (and the command line front end) can tell deliberate refusals from
-genuine bugs.  It also holds the two input rules, ``_numeric`` and ``_whole``, by which
-every public entry point converts its numbers and indices once, so that one bad value
-gets one refusal, in one wording, whatever function it is given to.
+genuine bugs.  It also holds the three input rules, ``_numeric``, ``_whole`` and
+``_tolerance``, by which every public entry point converts its numbers, indices and
+tolerances once, so that one bad value gets one refusal, in one wording, whatever
+function it is given to.
 """
 
 import cmath
@@ -189,3 +190,12 @@ def _whole(value, name, lo=1, hi=2**63 - 1, error=PioError):
         bound = f">= {lo}" if number < lo else f"<= {hi}"
         raise error(f"{name} must be {bound}, got {int(number) if abs(number) < 2**53 else number}")
     return int(number)
+
+
+def _tolerance(tol, name):
+    """The tolerance rule: ``tol`` as a real number by ``_numeric``, at least 0, else ``PioError``
+    naming ``name``."""
+    tol = _numeric(tol, name, real=True, error=PioError)
+    if tol < 0:
+        raise PioError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PioError, _numeric, _whole
+from .errors import ConvergenceFailure, PioError, _numeric, _tolerance, _whole
 from .quadrature import _gauss_reference
 
 __all__ = [
@@ -195,15 +195,6 @@ def _nearest_gap(values, ordered):
     padded = np.concatenate(([-np.inf], ordered, [np.inf]))
     at = np.searchsorted(ordered, values)
     return np.minimum(values - padded[at], padded[at + 1] - values)
-
-
-def _tolerance(tol, name):
-    """A tolerance of ``compare_spectra``: a real number by ``_numeric``, at least 0, else
-    ``PioError`` naming ``name``."""
-    tol = _numeric(tol, name, real=True, error=PioError)
-    if tol < 0:
-        raise PioError(f"{name} must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def compare_spectra(report, eigs, tol_disc, tol_ess):

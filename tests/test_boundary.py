@@ -5,6 +5,8 @@ refusal messages, and which public names exist."""
 import json
 import math
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -470,6 +472,51 @@ def test_the_package_exports_exactly_the_module_lists():
     assert len(declared) == len(set(declared))
     assert set(pio.__all__) - {"__version__"} == set(declared)
     assert all(hasattr(pio, name) for name in pio.__all__)
+
+
+def fresh(code):
+    """The JSON that ``code`` prints last, run in a new interpreter, where no pio module is loaded."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_star_import_binds_exactly_the_package_list():
+    # ``from pio import *`` reads ``pio.__all__``, which the package builds on first read
+    bound, exported = fresh("""
+import json
+before = set(globals())
+from pio import *
+bound = sorted(set(globals()) - before - {"before"})
+import pio
+print(json.dumps([bound, sorted(pio.__all__)]))
+""")
+    assert bound == exported
+    assert len(exported) == 64
+
+
+def test_each_exported_name_is_its_module_attribute():
+    # first access by name, before ``pio.__all__`` was read; ``dir`` lists it all the same
+    unequal, read, listed, missing = fresh("""
+import json
+import pio
+modules = ("errors", "expr", "quadrature", "model", "spectrum", "operators", "pie", "oracle")
+unequal = [f"{module}.{name}" for module in modules for name in getattr(pio, module).__all__
+           if getattr(pio, name) is not getattr(getattr(pio, module), name)]
+read = "__all__" in vars(pio)
+listing = dir(pio)
+print(json.dumps([unequal, read, "__all__" in listing, sorted(set(pio.__all__) - set(listing))]))
+""")
+    assert unequal == [] and not read
+    assert listed and missing == []
+
+
+def test_importing_the_package_loads_no_module():
+    assert fresh("""
+import json, sys
+import pio
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "pio")))
+""") == ["pio"]
 
 
 @pytest.mark.parametrize("channel", [1, 2])

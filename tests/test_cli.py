@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,7 +402,8 @@ def test_oracle_check_head_is_the_sorted_reference(model_a, tmp_path, monkeypatc
     rng = np.random.default_rng(0)
     eigs = rng.permutation(np.concatenate([[5.0, -5.0, 3.0, -3.0, 3.0, 2.0, -2.0, 2.0, -0.0],
                                            rng.choice([-1.0, 1.0, 0.5, -0.5, 0.0], 20)]))
-    monkeypatch.setattr("pio.cli.oracle_eigs", lambda sysm: eigs)
+    # the runner reads oracle_eigs from its home module when it runs
+    monkeypatch.setattr("pio.oracle.oracle_eigs", lambda sysm: eigs)
     out = tmp_path / "oracle.json"
     assert main(["oracle-check", "--model", model_a, "--nx", "4", "--ny", "4", "--out", str(out)]) == 0
     head = json.loads(out.read_text())["eigs_head"]
@@ -465,6 +467,40 @@ def test_fuzzed_model_files_never_crash(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "models"
+# the pio modules each subcommand loads: validation needs the model, the others the library
+# functions they call
+_BASE = {"pio", "pio.errors", "pio.expr", "pio.quadrature", "pio.model"}
+LOADS = {
+    "validate": ([], _BASE),
+    "spectrum": ([], _BASE | {"pio.spectrum"}),
+    "discrete": ([], _BASE | {"pio.spectrum"}),
+    "delta-trace": (["--lmin", "3.5", "--lmax", "6", "--samples", "5"], _BASE | {"pio.spectrum"}),
+    "eigenfunction": (["--lambda", "5"], _BASE | {"pio.spectrum"}),
+    "solve": (["--tau", "0.1", "--rhs", "x*y"], _BASE | {"pio.spectrum", "pio.operators", "pio.pie"}),
+    "oracle-check": (["--nx", "8", "--ny", "8"], _BASE | {"pio.spectrum", "pio.oracle"}),
+}
+# ``python -m pio.cli``, then the exit code and the sorted pio modules loaded, as the last line
+_LOADED = """
+import json, runpy, sys
+try:
+    runpy.run_module("pio.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(name for name in sys.modules if name.split(".")[0] == "pio")]))
+"""
+
+
+@pytest.mark.parametrize("sub", list(LOADS))
+def test_each_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
+    flags, expected = LOADS[sub]
+    argv = [sub, "--model", str(FIXTURES / "fixture_a.json"), *flags, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == sorted(expected)
 
 
 def test_console_script_wiring(model_a, tmp_path):

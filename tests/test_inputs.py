@@ -1,8 +1,9 @@
 """One input rule for every entry point.
 
 Every number a public callable takes goes through the numeric rule
-(``errors._numeric``) and every index or size through the whole rule
-(``errors._whole``), once, at entry.  ``TABLE`` names, for each callable in
+(``errors._numeric``), every index or size through the whole rule
+(``errors._whole``) and every tolerance through the tolerance rule
+(``errors._tolerance``), once, at entry.  ``TABLE`` names, for each callable in
 ``pio.__all__``, the parameters that go through them, or says why there are
 none; the refusal matrix feeds each parameter the same bad values, on both
 paths, and requires the parameter's ``PioError`` subclass with the one message
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import pio
+import pio.cli
 import pio.errors
 import pio.model
 import pio.operators
@@ -314,6 +316,18 @@ def test_a_real_array_refuses_a_complex_one():
     with pytest.raises(DomainError, match=r"^x must be real, got a complex array$"):
         pio.errors._numeric(np.array([1 + 1j]), "x", real=True, ndim=1)
     assert pio.errors._numeric(np.array([1 + 1j]), "x", ndim=1).dtype == np.complex128
+
+
+def test_the_tolerance_rule_is_the_numeric_rule_at_least_zero():
+    # compare_spectra and the --tol-disc and --tol-ess flag types share it, so the command
+    # line reads it from errors without loading the oracle
+    assert pio.oracle._tolerance is pio.errors._tolerance is pio.cli._tolerance
+    assert pio.errors._tolerance(Fraction(1, 4), "tol") == 0.25
+    assert pio.errors._tolerance(0, "tol") == 0.0
+    with pytest.raises(PioError, match=r"^tol must be finite and >= 0, got -0\.5$"):
+        pio.errors._tolerance(-0.5, "tol")
+    with pytest.raises(PioError, match=r"^tol must be a number, got '0\.5'$"):
+        pio.errors._tolerance("0.5", "tol")
 
 
 def test_interval_ends_and_search_settings_are_numbers():
