@@ -32,8 +32,7 @@ up to ``_MAX_DEGREE`` (the product's degree too), and ``piecewise`` per
 segment, where a piecewise operand combines with a polynomial one segment by
 segment.  They only locate a weight's extrema (``model._sample``): the value
 of parsed text is always its closures', as the coefficients of a factored
-form such as ``(t - 0.3)^8`` cancel.  ``_polynomial_expression`` builds an
-expression from coefficients alone, evaluated by Horner.
+form such as ``(t - 0.3)^8`` cancel.
 """
 
 from __future__ import annotations
@@ -81,7 +80,9 @@ class Expression:
     to the segment tiling; smoothness may fail only there.  ``polynomials`` holds ``(lo, hi, coefficients, scale, shift)``
     for each stretch ``lo <= t <= hi`` (unbounded unless piecewise) on which
     the expression is ``sum_i c_i u^i`` with ``u = scale*t - shift``, all
-    coefficients finite; it too is a function of the source.
+    coefficients finite; it too is a function of the source.  Parsed text has
+    ``scale = 1`` and ``shift = 0``: only ``legendre(k)`` (``model._legendre``)
+    has its stretch in a centred variable.
     """
 
     source: str
@@ -301,26 +302,6 @@ def _parse(text, variables):
         if isinstance(c, tuple) and all(map(math.isfinite, c))
     )
     return Expression(text, variables, evaluate, tuple(sorted(parser.breakpoints)), polynomials)
-
-
-def _polynomial_expression(source, coefficients, scale, shift):
-    """The expression ``sum_i c_i u^i`` in ``t``, with ``u = scale*t - shift``
-    and ``coefficients`` lowest power first, evaluated by Horner; ``source``
-    names it in messages and in comparisons."""
-    top, *rest = coefficients[::-1]
-
-    def evaluate(env):
-        if not rest:
-            return top
-        u = scale * env["t"] - shift
-        value = top * u + rest[0]  # a new array: the later steps work in place
-        for c in rest[1:]:
-            value *= u
-            value += c
-        return value
-
-    stretch = (-math.inf, math.inf, tuple(coefficients), scale, shift)
-    return Expression(source, ("t",), evaluate, (), (stretch,))
 
 
 # --- coefficients -------------------------------------------------------------

@@ -11,9 +11,9 @@ A model consists of two channels acting on L2 of ``[a, b] x [c, d]``:
 
 Orthonormality is validated, never enforced: every computation on a model's
 samples refuses one that fails validation.  Basis and weight entries are expression
-strings; the shorthand ``legendre(k)`` is built from its coefficients as the
-orthonormal polynomial on its interval, and ``trig(k)`` expands to the text of
-the orthonormal trigonometric function there.  A weight's range is exact on its
+strings; the shorthand ``legendre(k)`` is the orthonormal polynomial on its
+interval, evaluated by the Legendre recurrence of the Gauss rules, and ``trig(k)``
+expands to the text of the orthonormal trigonometric function there.  A weight's range is exact on its
 polynomial pieces and sampled on the others (``_sample``).
 """
 
@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadInterval, IndexOutOfRange, InvalidModel, ModelFormatError, PioError, _numeric, _whole
-from .expr import parse_expr, _polynomial_expression
-from .quadrature import Grid2D, _interval, build_rule
+from .expr import _MAX_DEGREE, Expression, parse_expr
+from .quadrature import Grid2D, _interval, _legendre_pair, build_rule
 
 __all__ = [
     "Channel",
@@ -394,32 +394,27 @@ def _stored(value):
 
 
 def _legendre(k, interval):
-    """The degree-``k`` orthonormal polynomial on the interval, built from ``_leg2poly``'s
-    coefficients in the centred variable ``u = (2t - lo - hi)/(hi - lo)`` (in powers of ``t``,
-    14 members fail validation) and evaluated by Horner.  Its ``source``,
+    """The degree-``k`` orthonormal polynomial ``top * P_k(u)`` in ``u = (2t - lo - hi)/(hi - lo)``,
+    evaluated by ``_legendre_pair``; up to degree ``_MAX_DEGREE`` its coefficients in ``u``, by
+    Bonnet's recurrence, place a weight's critical points (``_sample``).  Its ``source``,
     ``legendre(k) on [lo, hi]``, names the interval, so two intervals' members differ."""
     lo, hi = (float(v) for v in interval)
-    coefficients = _leg2poly(k, math.sqrt((2.0 * k + 1.0) / (hi - lo)))
-    return _polynomial_expression(
-        f"legendre({k}) on [{lo!r}, {hi!r}]", coefficients, 2.0 / (hi - lo), (lo + hi) / (hi - lo)
-    )
+    top = math.sqrt((2.0 * k + 1.0) / (hi - lo))
+    scale, shift = 2.0 / (hi - lo), (lo + hi) / (hi - lo)
 
+    def evaluate(env):
+        p, _ = _legendre_pair(k, scale * env["t"] - shift)
+        p *= top
+        return p
 
-def _leg2poly(k, top):
-    """``numpy.polynomial.legendre.leg2poly`` of ``top`` P_k in plain floats, with its
-    operations in its order (no series it meets ends in a zero, so it never trims)."""
-
-    def add(a, b):  # polyadd: the shorter series added into the longer
-        short, long = (b, a) if len(a) > len(b) else (a, b)
-        return [x + y for x, y in zip(long, short)] + long[len(short) :]
-
-    if k < 2:
-        return [0.0] * k + [top]
-    c0, c1 = [0.0], [top]
-    for i in range(k, 1, -1):  # polysub(0, s) is add([0.0], -s); polymulx prepends c[0] * 0
-        c0, c1 = (add([0.0], [-(v * (i - 1) / i) for v in c1]),
-                  add(c0, [v * (2 * i - 1) / i for v in [c1[0] * 0, *c1]]))
-    return add(c0, [c1[0] * 0, *c1])
+    polynomials = ()
+    if k <= _MAX_DEGREE:
+        prev, c = (), (top,)
+        for deg in range(1, k + 1):
+            prev, c = c, tuple(((2 * deg - 1) * a - (deg - 1) * b) / deg
+                               for a, b in itertools.zip_longest((0.0, *c), prev, fillvalue=0.0))
+        polynomials = ((-math.inf, math.inf, c, scale, shift),)
+    return Expression(f"legendre({k}) on [{lo!r}, {hi!r}]", ("t",), evaluate, (), polynomials)
 
 
 def trig_source(k, interval):
@@ -438,7 +433,7 @@ _SHORTHAND_RE = re.compile(r"^\s*(legendre|trig)\s*\(\s*(\d+)\s*\)\s*$")
 
 
 def _build(text, interval):
-    """The expression of one source on the interval: ``legendre(k)`` from its coefficients,
+    """The expression of one source on the interval: ``legendre(k)`` by ``_legendre``,
     ``trig(k)`` parsed from its text, anything else parsed as written."""
     m = _SHORTHAND_RE.match(text)
     if m is None:

@@ -22,12 +22,26 @@ __all__ = [
 ]
 
 
-def _legendre_with_derivative(n, x):
-    """``P_n(x)`` by the three-term recurrence, and ``P_n'(x)``."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
+def _legendre_pair(n, x):
+    """``(P_n(x), P_(n-1)(x))`` (``P_(-1) = 0``) for a whole ``n >= 0`` and a float array ``x`` by
+    ``d P_d = (2d - 1) x P_(d-1) - (d - 1) P_(d-2)``, each step in the order written and in place
+    but for its first product: the one Legendre recurrence, of the Gauss rules and ``legendre(k)``."""
+    if n == 0:
+        return np.ones_like(x), np.zeros_like(x)
+    p_prev, p = np.ones_like(x), x.copy()
     for deg in range(2, n + 1):
-        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
+        step = (2 * deg - 1) * x
+        step *= p
+        p_prev *= deg - 1
+        step -= p_prev
+        step /= deg
+        p_prev, p = p, step
+    return p, p_prev
+
+
+def _legendre_with_derivative(n, x):
+    """``P_n(x)`` and ``P_n'(x)`` for ``n >= 1``."""
+    p, p_prev = _legendre_pair(n, x)
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 

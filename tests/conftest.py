@@ -1,10 +1,7 @@
 """Shared reference models used across the test suite."""
 
-import math
-
 import pytest
 
-import pio.model
 from pio.model import make_model
 
 
@@ -61,16 +58,3 @@ def fixture_c_dict():
         "channel2": {"basis": ["1"], "weights": ["0"]},
     }
 
-
-def legendre_source(k, interval):
-    """Expression text of the degree-``k`` orthonormal polynomial on the interval, in powers of
-    ``(2t - lo - hi)/(hi - lo)`` from ``_leg2poly``'s coefficients: parsed, the reference that
-    the ``legendre(k)`` built from those coefficients is checked against."""
-    lo, hi = (float(v) for v in interval)
-    shift = (lo + hi) / (hi - lo)
-    u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
-    terms = []
-    for power, c in enumerate(pio.model._leg2poly(k, math.sqrt((2.0 * k + 1.0) / (hi - lo)))):
-        if c != 0.0:
-            terms.append(repr(c) + ("" if power == 0 else f"*{u}" if power == 1 else f"*{u}^{power}"))
-    return " + ".join(terms)

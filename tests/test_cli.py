@@ -14,7 +14,7 @@ from pio.expr import parse_expr2
 from pio.model import load_model_file
 from pio.pie import solve_pie
 
-from conftest import fixture_a_dict, fixture_b_dict
+from conftest import fixture_a_dict, fixture_b_dict, fixture_c_dict
 from test_inputs import refusal
 
 
@@ -384,6 +384,15 @@ def test_oracle_check_fixture_a(model_a, tmp_path):
     assert payload["mismatches"] == []
     assert payload["nystrom"] == {"Nx": 10, "Ny": 10}
     assert abs(payload["eigs_head"][0] - 5.0) < 1e-10
+
+
+def test_oracle_check_reports_the_grid_it_built(tmp_path):
+    # fixture c's y axis has two panels, and each gets a node: Ny = 1 builds two y nodes
+    model = tmp_path / "c.json"
+    model.write_text(json.dumps(fixture_c_dict()))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--model", str(model), "--nx", "1", "--ny", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nystrom"] == {"Nx": 1, "Ny": 2}
 
 
 def test_oracle_check_deterministic(model_a, tmp_path):

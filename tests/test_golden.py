@@ -14,7 +14,10 @@ the search's own resolution fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites nothing: it prints
 the name of each file whose bytes differ from what the CLI prints now (a
-last digit may be stale and still within the tolerance).  Rewrite a file
+last digit may be stale and still within the tolerance), with the number in
+it that moved most, relative as above, and how far, such as
+``spectrum_legendre_trig.json $.discrete[0][0] 5.4e-11`` (``inf`` where the
+two differ in more than numbers).  Rewrite a file
 only for a deliberate output change, and say so in CHANGES.md:
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` rewrites the named
 files and no other.
@@ -82,6 +85,22 @@ def assert_close(got, ref, where="$"):
             assert abs(got - ref) <= TOL * max(1.0, abs(ref)), (where, got, ref)
 
 
+def largest_move(got, ref, where="$"):
+    """``(move, where)`` of the number in ``ref`` that moved most in ``got``, relative as in
+    ``assert_close``; the move is ``inf`` where the two differ in anything but numbers."""
+    if isinstance(ref, dict) and isinstance(got, dict) and sorted(got) == sorted(ref):
+        moves = (largest_move(got[key], ref[key], f"{where}.{key}") for key in ref)
+    elif isinstance(ref, list) and isinstance(got, list) and len(got) == len(ref):
+        moves = (largest_move(g, r, f"{where}[{i}]") for i, (g, r) in enumerate(zip(got, ref)))
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, ref)):
+        if math.isnan(got) or math.isnan(ref):
+            return (0.0 if math.isnan(got) and math.isnan(ref) else math.inf), where
+        return abs(got - ref) / max(1.0, abs(ref)), where
+    else:
+        return (0.0 if got == ref else math.inf), where
+    return max(moves, default=(0.0, where))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     ref = parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
@@ -96,5 +115,7 @@ if __name__ == "__main__":
         (GOLDEN / name).write_text(run(CASES[name]), encoding="utf-8")
     if len(sys.argv) == 1:
         for name, argv in CASES.items():
-            if (GOLDEN / name).read_text(encoding="utf-8") != run(argv):
-                print(name)
+            ref, got = (GOLDEN / name).read_text(encoding="utf-8"), run(argv)
+            if ref != got:
+                move, where = largest_move(parse(name, got), parse(name, ref))
+                print(f"{name} {where} {move:.1e}")

@@ -10,7 +10,7 @@ import pytest
 
 import pio.model
 from pio.errors import BadBreakpoint, BadInterval, DomainError, ModelFormatError
-from pio.expr import Expression, parse_expr
+from pio.expr import _MAX_DEGREE, Expression, parse_expr
 from pio.model import (
     SearchSettings,
     load_model_file,
@@ -21,9 +21,10 @@ from pio.model import (
     validate_model,
 )
 from pio.spectrum import atom_eigenfunction, sigma_ess, sigma_full
-from conftest import fixture_a_dict, legendre_source
+from conftest import fixture_a_dict
 
 GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"
+EPS = np.finfo(float).eps
 
 
 def test_reference_models_validate(fixture_a, fixture_b, fixture_c):
@@ -73,40 +74,35 @@ def test_legendre_generator_is_orthonormal():
     )
     report = validate_model(model)
     assert report.ok, [c for c in report.checks if not c.passed]
-    # degrees 0..15: written in powers of t, 14 members on [0, 1] missed by 4.5e-8
-    basis = [f"legendre({k})" for k in range(16)]
-    for interval in ((0.0, 1.0), (-2.0, 5.0)):
-        model = make_model(interval, interval, basis, ["1"] * 16, basis, ["t"] * 16)
-        report = validate_model(model)
-        assert report.ok, [c for c in report.checks if not c.passed]
+    # degrees 0..K-1 on rules exact for their products: written in powers of t, 14 members of
+    # K = 16 on [0, 1] missed by 4.5e-8; evaluated by Horner on power coefficients in the
+    # centred variable, K = 32 missed by 2.6e-7
+    for count, order in ((16, 32), (32, 32), (64, 64)):
+        basis = [f"legendre({k})" for k in range(count)]
+        for interval in ((0.0, 1.0), (-2.0, 5.0)):
+            model = make_model(interval, interval, basis, ["1"] * count, basis, ["t"] * count, order=order)
+            report = validate_model(model)
+            assert report.ok, [c for c in report.checks if not c.passed]
 
 
 def test_legendre_source_degree_one():
-    e = parse_expr(legendre_source(1, (0.0, 1.0)))
+    e = pio.model._legendre(1, (0.0, 1.0))
     ts = np.linspace(0, 1, 7)
     np.testing.assert_allclose(e(ts), np.sqrt(3.0) * (2.0 * ts - 1.0), atol=1e-12)
 
 
-def _leg2poly_source(k, interval):
-    """``legendre_source`` as written on ``numpy.polynomial.legendre.leg2poly``."""
-    lo, hi = (float(v) for v in interval)
-    coeff = np.zeros(k + 1)
-    coeff[k] = np.sqrt((2.0 * k + 1.0) / (hi - lo))
-    shift = (lo + hi) / (hi - lo)
-    u = f"({2.0 / (hi - lo)!r}*t {'-' if shift >= 0 else '+'} {abs(shift)!r})"
-    terms = []
-    for power, c in enumerate(np.polynomial.legendre.leg2poly(coeff)):
-        if c == 0.0:
-            continue
-        text = repr(float(c))
-        terms.append(text if power == 0 else f"{text}*{u}" if power == 1 else f"{text}*{u}^{power}")
-    return " + ".join(terms)
-
-
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0), (-2.5, 0.7), (1e-3, 3.25)])
 def test_legendre_source_matches_numpy_leg2poly(interval):
-    for k in range(31):
-        assert legendre_source(k, interval) == _leg2poly_source(k, interval), k
+    # the coefficients in the centred variable that place a weight's critical points, to
+    # 2 (k + 1) eps of each: neither recurrence cancels (a power's two terms have one sign),
+    # so each coefficient carries a few roundings per degree; exact zeros stay exact
+    lo, hi = interval
+    for k in range(_MAX_DEGREE + 1):
+        (_, _, got, scale, shift), = pio.model._legendre(k, interval).polynomials
+        want = np.polynomial.legendre.leg2poly([0.0] * k + [np.sqrt((2.0 * k + 1.0) / (hi - lo))])
+        assert (scale, shift) == (2.0 / (hi - lo), (lo + hi) / (hi - lo))
+        assert len(got) == k + 1 and np.all(np.abs(got - want) <= 2.0 * (k + 1) * EPS * np.abs(want)), k
+    assert pio.model._legendre(_MAX_DEGREE + 1, interval).polynomials == ()
 
 
 def test_legendre_shorthand_does_not_call_leg2poly(monkeypatch):
@@ -119,7 +115,7 @@ def test_legendre_shorthand_does_not_call_leg2poly(monkeypatch):
 
 
 def test_shared_sources_are_parsed_once_per_interval(monkeypatch):
-    # counts expression builds: ``legendre(k)`` is built from its coefficients, not parsed
+    # counts expression builds: ``legendre(k)`` is built by its recurrence, not parsed
     built = []
     build = pio.model._build
 

@@ -1,4 +1,4 @@
-"""Polynomial pieces in closed form: exact weight ranges, Horner ``legendre(k)`` values and the
+"""Polynomial pieces in closed form: exact weight ranges, ``legendre(k)`` values and the
 coefficient tracker's guards, checked against closed forms, numpy and the parsed closures."""
 
 import json
@@ -14,12 +14,22 @@ from pio.expr import parse_expr
 from pio.model import load_model_file, make_model, validate_model
 from pio.pie import TauClass, classify_tau
 from pio.spectrum import essential_range, operator_margin, sigma_channel
-from conftest import legendre_source
 
 ROOT = Path(__file__).resolve().parent.parent
 EPS = np.finfo(float).eps
 PEAK = 0.71234567  # an interior maximum that no range sample of [0.5, 1] hits
 CUBIC_MAX = 2.0 / (3.0 * math.sqrt(3.0))
+
+
+def _legendre_range(k, interval):
+    """``legendre(k)``'s entry below from numpy alone: ``legval`` at the ends and at the roots of
+    ``legder``, and the lowest of them, an interior minimum, as the edge."""
+    lo, hi = interval
+    c = [0.0] * k + [math.sqrt((2.0 * k + 1.0) / (hi - lo))]
+    u = np.concatenate([[-1.0, 1.0], np.polynomial.legendre.legroots(np.polynomial.legendre.legder(c))])
+    vals = np.polynomial.legendre.legval(u, c)
+    return interval, [(float(vals.min()), float(vals.max()))], float(vals.min())
+
 
 # weight, its interval, its true range (intervals) and the edge that the sampled range missed
 RANGES = {
@@ -27,6 +37,8 @@ RANGES = {
     "t^4 - t^2": ((-1.0, 1.0), [(-0.25, 0.0)], -0.25),
     f"piecewise([0,0.5]: 2 + t; [0.5,1]: 1 - 100*(t - {PEAK!r})^2)": (
         (0.0, 1.0), [(1.0 - 100.0 * (1.0 - PEAK) ** 2, 1.0), (2.0, 2.5)], 1.0),
+    "legendre(4)": _legendre_range(4, (-1.0, 1.0)),
+    "legendre(32)": _legendre_range(32, (0.0, 1.0)),
 }
 
 
@@ -73,20 +85,28 @@ def test_quartic_extrema_are_the_critical_values():
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)])
-def test_horner_legendre_matches_its_text_and_numpy(interval):
-    # both within 2 (k + 1) eps sum_i |c_i| |u|^i: Horner's rounding bound (Higham, Accuracy
-    # and Stability of Numerical Algorithms, 5.1) with as much again for the reference
+def test_legendre_matches_numpy_legval(interval):
+    # within 8 (k + 1) eps top: |P_k| <= 1 on [-1, 1], where the three-term recurrence and
+    # legval's Clenshaw sum each stay within a few (k + 1) eps of P_k (measured: 3.9), on the
+    # same centred points
     lo, hi = interval
     ts = np.linspace(lo, hi, 1001)
     u = 2.0 / (hi - lo) * ts - (lo + hi) / (hi - lo)
-    for k in range(21):
+    for k in range(65):
         top = math.sqrt((2.0 * k + 1.0) / (hi - lo))
-        got = pio.model._legendre(k, interval)(ts)
-        size = np.polynomial.polynomial.polyval(np.abs(u), np.abs(pio.model._leg2poly(k, top)))
-        bound = 2.0 * (k + 1) * EPS * size
-        for ref in (parse_expr(legendre_source(k, interval))(ts),
-                    np.polynomial.legendre.legval(u, [0.0] * k + [top])):
-            assert np.all(np.abs(got - ref) <= bound), k
+        ref = np.polynomial.legendre.legval(u, [0.0] * k + [top])
+        assert np.all(np.abs(pio.model._legendre(k, interval)(ts) - ref) <= 8.0 * (k + 1) * EPS * top), k
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)])
+def test_legendre_basis_is_orthonormal_to_rounding(interval):
+    # degrees 0..63 on numpy's order-64 Gauss rule, exact for their products: each K <= 64 is a
+    # corner of this Gram matrix (Horner on power coefficients reached 2.6e-7 at K = 32)
+    lo, hi = interval
+    x, w = np.polynomial.legendre.leggauss(64)
+    ts, ws = lo + (hi - lo) / 2.0 * (x + 1.0), (hi - lo) / 2.0 * w
+    rows = np.vstack([pio.model._legendre(k, interval)(ts) for k in range(64)])
+    assert np.abs((rows * ws) @ rows.T - np.eye(64)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("path", [*sorted((ROOT / "models").glob("*.json")),
@@ -142,6 +162,9 @@ def test_coefficients_past_the_degree_cap_are_dropped():
     assert parse_expr("t^32").polynomials[0][2] == (0.0,) * 32 + (1.0,)
     assert parse_expr("t^33").polynomials == ()
     assert parse_expr("t^16 * t^17").polynomials == ()
+    # legendre(k) carries them up to the same degree, so a large k costs no coefficients
+    assert len(pio.model._legendre(32, (0, 1)).polynomials) == 1
+    assert pio.model._legendre(10**5, (0, 1)).polynomials == ()
 
 
 def test_a_derivative_that_overflows_keeps_the_sampled_route():
