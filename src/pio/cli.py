@@ -264,7 +264,7 @@ def _run_oracle_check(args):
     cmp = compare_spectra(report, eigs, args.tol_disc, args.tol_ess)
     head = eigs[np.argsort(-np.abs(eigs), kind="stable")[:16]]  # ties keep their order
     payload = {
-        "nystrom": {"Nx": sysm.nx, "Ny": sysm.ny},  # the grid built: each panel has a node
+        "nystrom": {"Nx": sysm.nx, "Ny": sysm.ny},  # the grid built, which gives each panel a node
         "eigs_head": [float(e) for e in head],
         "mismatches": [dict(m) for m in cmp.mismatches],
         "ok": cmp.ok,

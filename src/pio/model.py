@@ -12,9 +12,9 @@ A model consists of two channels acting on L2 of ``[a, b] x [c, d]``:
 Orthonormality is validated, never enforced: every computation on a model's
 samples refuses one that fails validation.  Basis and weight entries are expression
 strings; the shorthand ``legendre(k)`` is the orthonormal polynomial on its
-interval, evaluated by the Legendre recurrence of the Gauss rules, and ``trig(k)``
-expands to the text of the orthonormal trigonometric function there.  A weight's range is exact on its
-polynomial pieces and sampled on the others (``_sample``).
+interval, evaluated by the Gauss rules' Legendre recurrence, and ``trig(k)``
+expands to the text of the orthonormal trigonometric function there.  A weight's
+range is exact on its polynomial pieces and sampled on the others (``_sample``).
 """
 
 from __future__ import annotations
