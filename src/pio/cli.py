@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage or input-format problem (an ``--out`` file
 that cannot be written too), 2 model failed
 validation, 3 the request is a deliberate theory-domain refusal (parameter
-on the spectrum, eigenvalue hit, and so on).  All JSON output is
-deterministic: keys sorted, floats at 17 significant digits.
+on the spectrum, eigenvalue hit, and so on).  Output is deterministic: JSON
+by ``json.dumps`` with keys sorted and a two-space indent, and every float, in
+JSON and CSV, as Python's shortest text that reads back to the same double
+(``Infinity`` and ``NaN`` in JSON where it is not finite).
 
 Each subcommand's runner imports the library functions it calls when it runs,
 so a ``pio`` process compiles and loads only the modules its subcommand needs,
@@ -14,6 +16,7 @@ and reads each function from its home module at call time.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -30,6 +33,7 @@ from .errors import (
     PioError,
     SpectrumHit,
     UnknownIdentifier,
+    _integer,
     _numeric,
     _tolerance,
     _whole,
@@ -51,40 +55,6 @@ _REFUSALS = (
 )
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _to_json(obj, indent=0):
-    """Canonical JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (
-            f'{inner}"{key}": {_to_json(obj[key], indent + 1)}'
-            for key in sorted(obj)
-        )
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{inner}{_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -94,15 +64,12 @@ def _emit(text, out_path):
     return 0
 
 
-def _emit_json(payload, out_path):
-    return _emit(_to_json(payload) + "\n", out_path)
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_rows(header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def _emit_grid(model, names, columns, out_path):
@@ -111,22 +78,6 @@ def _emit_grid(model, names, columns, out_path):
     x, y = np.meshgrid(model.rule_x.nodes, model.rule_y.nodes, indexing="ij")
     table = np.stack([x, y, *columns], axis=-1).reshape(-1, 2 + len(columns))
     return _emit(_csv_rows(",".join(("x", "y", *names)), table.tolist()), out_path)
-
-
-def _integer(text):
-    """``int(text)``, also past the 4,300 digits ``int()`` reads: past ``10**400`` in size, as
-    ``10**400`` or ``-10**400``, no less beyond the range of a double and quick to convert."""
-    try:
-        return int(text)
-    except ValueError:
-        if not text.strip().lstrip("+-").replace("_", "").isdecimal():
-            raise
-        import decimal  # here, not at the top: no other flag text needs it
-
-        try:
-            return int(min(max(decimal.Decimal(text), -10**400), 10**400))
-        except decimal.InvalidOperation:  # such as "+-1"
-            raise ValueError(text) from None
 
 
 def _flag(rule, name, **bounds):
@@ -210,20 +161,20 @@ def _run_validate(args):
 
     report = load_model_file(args.model)._validation
     code = 0 if report.ok else _INVALID_EXIT
-    _emit_json(report.as_dict(), args.out)
+    _emit(_json(report.as_dict()), args.out)
     return code
 
 
 def _run_spectrum(args):
     from .spectrum import sigma_full
 
-    return _emit_json(sigma_full(_require_valid(args)).as_dict(), args.out)
+    return _emit(_json(sigma_full(_require_valid(args)).as_dict()), args.out)
 
 
 def _run_discrete(args):
     from .spectrum import discrete_spectrum
 
-    return _emit_json([[lam, mult] for lam, mult in discrete_spectrum(_require_valid(args))], args.out)
+    return _emit(_json([[lam, mult] for lam, mult in discrete_spectrum(_require_valid(args))]), args.out)
 
 
 def _run_solve(args):
@@ -237,7 +188,7 @@ def _run_solve(args):
     code = _emit_grid(model, ["value"], [f.values], args.out)
     res = residual(model, args.tau, f, g)
     payload = {"residual": float(res), "tau": args.tau}
-    (sys.stdout if args.out else sys.stderr).write(_to_json(payload) + "\n")  # not into the CSV
+    (sys.stdout if args.out else sys.stderr).write(_json(payload))  # not into the CSV
     return code
 
 
@@ -269,7 +220,7 @@ def _run_oracle_check(args):
         "mismatches": [dict(m) for m in cmp.mismatches],
         "ok": cmp.ok,
     }
-    return _emit_json(payload, args.out)
+    return _emit(_json(payload), args.out)
 
 
 def _run_eigenfunction(args):

@@ -5,7 +5,8 @@ so callers (and the command line front end) can tell deliberate refusals from
 genuine bugs.  It also holds the three input rules, ``_numeric``, ``_whole`` and
 ``_tolerance``, by which every public entry point converts its numbers, indices and
 tolerances once, so that one bad value gets one refusal, in one wording, whatever
-function it is given to.
+function it is given to, and ``_integer``, which reads the text of an integer of any
+length, for the CLI's flags and the shorthand degrees of a model.
 """
 
 import cmath
@@ -190,6 +191,22 @@ def _whole(value, name, lo=1, hi=2**63 - 1, error=PioError):
         bound = f">= {lo}" if number < lo else f"<= {hi}"
         raise error(f"{name} must be {bound}, got {int(number) if abs(number) < 2**53 else number}")
     return int(number)
+
+
+def _integer(text):
+    """``int(text)``, also past the 4,300 digits ``int()`` reads: past ``10**400`` in size, as
+    ``10**400`` or ``-10**400``, no less beyond the range of a double and quick to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.strip().lstrip("+-").replace("_", "").isdecimal():
+            raise
+        import decimal  # here, not at the top: no other input needs it
+
+        try:
+            return int(min(max(decimal.Decimal(text), -10**400), 10**400))
+        except decimal.InvalidOperation:  # such as "+-1"
+            raise ValueError(text) from None
 
 
 def _tolerance(tol, name):

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadInterval, IndexOutOfRange, InvalidModel, ModelFormatError, PioError, _numeric, _whole
+from .errors import BadInterval, IndexOutOfRange, InvalidModel, ModelFormatError, PioError, _integer, _numeric, _whole
 from .expr import _MAX_DEGREE, Expression, parse_expr
 from .quadrature import Grid2D, _interval, _legendre_pair, build_rule
 
@@ -434,11 +434,13 @@ _SHORTHAND_RE = re.compile(r"^\s*(legendre|trig)\s*\(\s*(\d+)\s*\)\s*$")
 
 def _build(text, interval):
     """The expression of one source on the interval: ``legendre(k)`` by ``_legendre``,
-    ``trig(k)`` parsed from its text, anything else parsed as written."""
+    ``trig(k)`` parsed from its text, anything else parsed as written.  The degree ``k`` is
+    converted by the whole rule, so one too large raises ``ModelFormatError``."""
     m = _SHORTHAND_RE.match(text)
     if m is None:
         return parse_expr(text)
-    kind, k = m.group(1), int(m.group(2))
+    kind, digits = m.groups()
+    k = _whole(_integer(digits), f"{kind} degree", lo=0, error=ModelFormatError)
     return _legendre(k, interval) if kind == "legendre" else parse_expr(trig_source(k, interval))
 
 
@@ -640,8 +642,9 @@ def validate_model(model):
             )
             continue
         rows = np.vstack([s.nodes for s in samples])
-        gram = (rows * rule.weights) @ rows.T
-        dev = float(np.abs(gram - np.eye(len(samples))).max())
+        with np.errstate(all="ignore"):  # a Gram that overflows fails the check, not a warning
+            gram = (rows * rule.weights) @ rows.T
+            dev = float(np.abs(gram - np.eye(len(samples))).max())
         checks.append(
             CheckResult(
                 f"{name} orthonormal",

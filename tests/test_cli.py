@@ -230,7 +230,7 @@ def test_grid_csv_is_the_loop_over_the_nodes(model_b, tmp_path):
     f = solve_pie(model, 0.3, model.grid(parse_expr2("x*y + sin(x) + 1"))).values
     xs, ys = model.rule_x.nodes, model.rule_y.nodes
     expected = "x,y,value\n" + "".join(
-        ",".join(format(float(v), ".17g") for v in (x, y, f[i, j])) + "\n"
+        ",".join(str(float(v)) for v in (x, y, f[i, j])) + "\n"
         for i, x in enumerate(xs) for j, y in enumerate(ys))
     out = tmp_path / "sol.csv"
     assert main(["solve", "--model", model_b, "--tau", "0.3", "--rhs", "x*y + sin(x) + 1",
@@ -528,3 +528,58 @@ def test_console_script_wiring(model_a, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["essential"]["points"] == [0, 2, 3]
+
+
+def exact(value):
+    """``value`` with each float as its hex text, so that two floats match only bit for bit
+    (``-0.0`` and ``0.0`` differ, NaN matches NaN), and each tuple as a list."""
+    if isinstance(value, dict):
+        return {key: exact(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return float(value).hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("path", [*(FIXTURES / f"fixture_{w}.json" for w in "abc"),
+                                  Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"],
+                         ids=["fixture_a", "fixture_b", "fixture_c", "legendre_trig"])
+def test_spectrum_json_reads_back_as_the_report_bit_for_bit(path, capsys):
+    from pio.spectrum import sigma_full
+
+    assert main(["spectrum", "--model", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert exact(got) == exact(sigma_full(load_model_file(str(path))).as_dict())
+
+
+def run_cli(argv, tmp_path, doc):
+    """``python -m pio.cli`` on the model ``doc``: the exit code, stdout and stderr."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "pio.cli", *argv, "--model", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["legendre", "trig"])
+@pytest.mark.parametrize("digits", [400, 5001])
+def test_a_huge_shorthand_degree_exits_1(tmp_path, kind, digits):
+    # it ended in a traceback: OverflowError (400 digits) or ValueError (5,001, past int()'s limit)
+    doc = fixture_a_dict()
+    doc["channel1"]["basis"] = [f"{kind}(1{'0' * (digits - 1)})"]
+    code, out, err = run_cli(["validate"], tmp_path, doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: channel1.basis: ") and "Traceback" not in err
+    assert err.endswith(f"{kind} degree is beyond the range of a double\n")
+
+
+def test_an_overflowing_gram_is_reported_as_json(tmp_path):
+    # stdout held "deviation": inf, which no JSON parser reads, and stderr a RuntimeWarning
+    doc = fixture_a_dict()
+    doc["channel1"]["basis"] = ["1e200"]
+    code, out, err = run_cli(["validate"], tmp_path, doc)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["checks"][4] == {"name": "channel1.basis orthonormal", "passed": False,
+                                   "deviation": float("inf"),
+                                   "detail": "max Gram deviation inf (tolerance 1e-08)"}

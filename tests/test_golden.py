@@ -17,7 +17,8 @@ the name of each file whose bytes differ from what the CLI prints now (a
 last digit may be stale and still within the tolerance), with the number in
 it that moved most, relative as above, and how far, such as
 ``spectrum_legendre_trig.json $.discrete[0][0] 5.4e-11`` (``inf`` where the
-two differ in more than numbers).  Rewrite a file
+two differ in more than numbers), or ``NAME text only`` where every number
+parses to the same value and only its text changed.  Rewrite a file
 only for a deliberate output change, and say so in CHANGES.md:
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` rewrites the named
 files and no other.
@@ -118,4 +119,4 @@ if __name__ == "__main__":
             ref, got = (GOLDEN / name).read_text(encoding="utf-8"), run(argv)
             if ref != got:
                 move, where = largest_move(parse(name, got), parse(name, ref))
-                print(f"{name} {where} {move:.1e}")
+                print(f"{name} {where} {move:.1e}" if move else f"{name} text only")

@@ -3,6 +3,8 @@
 import collections
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +107,51 @@ def test_legendre_source_matches_numpy_leg2poly(interval):
     assert pio.model._legendre(_MAX_DEGREE + 1, interval).polynomials == ()
 
 
-def test_legendre_shorthand_does_not_call_leg2poly(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("leg2poly called")
+# a fresh interpreter: ``legendre(k)`` bases and weights of degree at most 2 are evaluated and
+# ranged without ``numpy.polynomial``, which ``import numpy`` loads before numpy 2 (a degree-3
+# weight's critical points load it)
+_POLYNOMIAL_LOADED = """
+import sys
+import numpy
+before = "numpy.polynomial" in sys.modules
+from pio.model import make_model, validate_model
+from pio.spectrum import sigma_full
+basis = [f"legendre({k})" for k in range(8)]
+model = make_model((0, 1), (0, 1), basis, [f"{k + 1}*t" for k in range(8)],
+                   basis, [f"{k + 1}*t^2" for k in range(8)])
+assert validate_model(model).ok
+sigma_full(model)
+print(before, "numpy.polynomial" in sys.modules)
+"""
 
-    monkeypatch.setattr(np.polynomial.legendre, "leg2poly", refuse)
-    basis = [f"legendre({k})" for k in range(31)]
-    make_model((-2.5, 0.7), (0, 1), basis, ["1"] * 31, ["1"], ["2"])
+
+def test_legendre_shorthand_does_not_load_numpy_polynomial():
+    proc = subprocess.run([sys.executable, "-c", _POLYNOMIAL_LOADED], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
+@pytest.mark.parametrize("kind", ["legendre", "trig"])
+@pytest.mark.parametrize("digits", [400, 5001])
+def test_a_huge_shorthand_degree_is_a_model_format_error(kind, digits):
+    # it escaped as a raw OverflowError (400 digits) or ValueError (5,001, past int()'s limit)
+    source = f"{kind}(1{'0' * (digits - 1)})"
+    message = f"{kind} degree is beyond the range of a double"
+    with pytest.raises(ModelFormatError, match=message):
+        make_model((0, 1), (0, 1), [source], ["1"], ["1"], ["1"])
+    doc = fixture_a_dict()
+    doc["channel2"]["basis"] = [source]
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(doc)
+
+
+def test_an_overflowing_gram_fails_validation_without_a_warning():
+    # the matmul's overflow warning is an error under the suite's filterwarnings
+    report = validate_model(make_model((0, 1), (0, 1), ["1e200"], ["2"], ["1"], ["3"]))
+    check = next(c for c in report.checks if c.name == "channel1.basis orthonormal")
+    assert not report.ok and not check.passed and check.deviation == np.inf
 
 
 def test_shared_sources_are_parsed_once_per_interval(monkeypatch):
