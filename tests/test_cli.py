@@ -13,6 +13,7 @@ from pio.cli import _build_parser, main
 from pio.expr import parse_expr2
 from pio.model import load_model_file
 from pio.pie import solve_pie
+from pio.spectrum import sigma_full
 
 from conftest import fixture_a_dict, fixture_b_dict, fixture_c_dict
 from test_inputs import refusal
@@ -544,8 +545,6 @@ def exact(value):
                                   Path(__file__).resolve().parent / "golden" / "legendre_trig_model.json"],
                          ids=["fixture_a", "fixture_b", "fixture_c", "legendre_trig"])
 def test_spectrum_json_reads_back_as_the_report_bit_for_bit(path, capsys):
-    from pio.spectrum import sigma_full
-
     assert main(["spectrum", "--model", str(path)]) == 0
     got = json.loads(capsys.readouterr().out)
     assert exact(got) == exact(sigma_full(load_model_file(str(path))).as_dict())
